@@ -131,6 +131,8 @@ def _run_member(args, m, s, t) -> tuple[str, dict]:
     if engine == "oi-fc":
         if not isinstance(m, Mtt):
             raise MttError("engine oi-fc needs a plain mtt file")
+        if args.copy_bound < 1:
+            raise MttError(f"--copy-bound must be positive, got {args.copy_bound}")
         ok = member_oi_fc(m, args.copy_bound, s, t, stats=stats)
         return (YES if ok else NO), stats
     if engine == "io-tac":

@@ -500,8 +500,6 @@ def _fmt_guard(la, eq, neq) -> str:
     head = ", ".join(la) if la else ""
     cons = "".join(f"; eq {i} {j}" for i, j in eq)
     cons += "".join(f"; neq {i} {j}" for i, j in neq)
-    if not head and cons:
-        cons = cons[2:]
     return f" when ({head}{cons})"
 
 

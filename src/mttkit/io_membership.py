@@ -81,12 +81,15 @@ def _out_refs(sym: str, kid_sets, tg: _Targets) -> set:
     for ks in kid_sets:
         if not ks:
             return out
-    cands = tg.by_label.get(sym, ())
     real = [ks if BOTTOM not in ks else ks - {BOTTOM} for ks in kid_sets]
     count = 1
     for r in real:
         count *= len(r)
-    if 0 < count <= len(cands):
+    if count == 0:
+        # some child set is exactly {BOTTOM}, and no node has a BOTTOM child
+        return {BOTTOM}
+    cands = tg.by_label.get(sym, ())
+    if count <= len(cands):
         intern = tg.dag.intern
         missed = False
         for ubar in product(*real):
@@ -98,9 +101,8 @@ def _out_refs(sym: str, kid_sets, tg: _Targets) -> set:
         if missed or any(BOTTOM in ks for ks in kid_sets):
             out.add(BOTTOM)
     else:
-        # count == 0: every selection has a BOTTOM child; count > len(cands):
-        # pigeonhole, some selection is not a node.  Either way BOTTOM holds,
-        # and matching nodes are found by scanning sym-nodes instead.
+        # pigeonhole: some selection is not a node, so BOTTOM holds, and
+        # matching nodes are found by scanning sym-nodes instead.
         kids_of = tg.dag.kids
         for v in cands:
             ks = kids_of[v]
@@ -184,15 +186,19 @@ class DemandEngine:
     """Demand-driven form of the same automaton.
 
     Entries are computed only when a parent call asks for them, memoized
-    per (input DAG node, state, parameter refs).  alts_for(node, q) yields
-    the applicable right-hand sides; plugging in a guard-aware selector
-    gives the look-ahead variant of the engine.
+    per (input DAG node, state, parameter bindings).  alts_for(node, q)
+    yields the applicable right-hand sides; plugging in a guard-aware
+    selector gives the look-ahead variant of the engine.
+    evaluate(rhs, vbar, lookup, tg) gives the result references of one
+    right-hand side under bindings vbar: _eval binds each parameter to one
+    reference (call-by-value), oi_fc binds it to a set (call-by-name).
     """
 
-    def __init__(self, s_dag: TreeDag, t_dag: TreeDag, alts_for):
+    def __init__(self, s_dag: TreeDag, t_dag: TreeDag, alts_for, evaluate):
         self.s_dag = s_dag
         self.tg = _Targets(t_dag)
         self.alts_for = alts_for
+        self.evaluate = evaluate
         self.memo: dict[tuple, frozenset] = {}
 
     def demand(self, node: int, q: str, vbar: tuple) -> frozenset:
@@ -207,7 +213,7 @@ class DemandEngine:
 
         acc: set = set()
         for rhs in self.alts_for(node, q):
-            acc |= _eval(rhs, vbar, lookup, self.tg)
+            acc |= self.evaluate(rhs, vbar, lookup, self.tg)
         got = frozenset(acc)
         self.memo[key] = got
         return got
@@ -216,13 +222,9 @@ class DemandEngine:
         return sum(len(v) for v in self.memo.values())
 
 
-def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
-    """Is t an output of m on s under call-by-value semantics?
-
-    Input trees outside the input alphabet raise AlphabetMismatch; a
-    candidate t that is not well formed over the output alphabet cannot
-    be produced and yields False.
-    """
+def _member(m: Mtt, s: Tree, t: Tree, evaluate, stats: dict | None) -> bool:
+    """Demand the initial state's entry at the root of s and look for t's
+    root in it; evaluate is the DemandEngine right-hand-side evaluator."""
     validate(m)
     check_input_tree(m, s)
     if not m.output_alphabet.is_well_ranked(t):
@@ -233,7 +235,7 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     def alts_for(node, q):
         return m.alternatives(q, s_dag.labels[node])
 
-    engine = DemandEngine(s_dag, t_dag, alts_for)
+    engine = DemandEngine(s_dag, t_dag, alts_for, evaluate)
     with recursion_room(8 * s.size):
         verdict = t_root in engine.demand(s_root, m.initial, ())
     if stats is not None:
@@ -243,6 +245,16 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
             entries=engine.entry_count(),
         )
     return verdict
+
+
+def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
+    """Is t an output of m on s under call-by-value semantics?
+
+    Input trees outside the input alphabet raise AlphabetMismatch; a
+    candidate t that is not well formed over the output alphabet cannot
+    be produced and yields False.
+    """
+    return _member(m, s, t, _eval, stats)
 
 
 class _StageTooBig(Exception):

@@ -8,6 +8,10 @@ and the automaton stays polynomial for fixed c.  The empty set plays the
 role BOTTOM plays for call-by-value: a parameter that need not produce
 any subtree of the candidate output.
 
+The automaton is evaluated on demand from the root question by the same
+DemandEngine as member_io, with a set-binding right-hand-side evaluator;
+only the entries the verdict depends on are computed.
+
 The copy bound c is declared by the caller and trusted; a wrong bound can
 only under-approximate.  estimate_copy_bound is a desk-scale sanity check
 for declared bounds, not a decision procedure.
@@ -17,9 +21,10 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
+from .io_membership import _member, _out_refs
 from .mtt import Mtt, Out, Param, validate
-from .oracle import Budget, Evaluator, OI, check_input_tree, param_index
-from .trees import Tree, build_dag, enumerate_trees
+from .oracle import Budget, Evaluator, OI, param_index
+from .trees import BOTTOM, Tree, enumerate_trees
 
 
 class NonConforming:
@@ -39,40 +44,28 @@ class NonConforming:
 NON_CONFORMING = NonConforming()
 
 
-def _eval_fc(rhs, betabar, kid_tables, by_label, kids_of, intern) -> set:
-    # result nodes rhs can produce when parameter i may use any node in betabar[i]
+def _eval_sets(rhs, betabar: tuple, lookup, tg, c: int) -> set:
+    """Result nodes of rhs when parameter i may expand to any node of
+    betabar[i], an ascending tuple of at most c candidate-output nodes.
+
+    lookup(j, state, gammabar) resolves a state call on input child j.
+    """
     if isinstance(rhs, Param):
         return set(betabar[rhs.index - 1])
+    kid_sets = [_eval_sets(a, betabar, lookup, tg, c) for a in rhs.args]
     if isinstance(rhs, Out):
-        kid_sets = [_eval_fc(a, betabar, kid_tables, by_label, kids_of, intern)
-                    for a in rhs.args]
-        out: set = set()
-        for ks in kid_sets:
-            if not ks:
-                return out
-        cands = by_label.get(rhs.sym, ())
-        count = 1
-        for ks in kid_sets:
-            count *= len(ks)
-        if count <= len(cands):
-            for ubar in product(*kid_sets):
-                ref = intern.get((rhs.sym, ubar))
-                if ref is not None:
-                    out.add(ref)
-        else:
-            for v in cands:
-                if all(u in kid_sets[i] for i, u in enumerate(kids_of[v])):
-                    out.add(v)
+        # bindings never hold BOTTOM; the empty set plays its role
+        out = _out_refs(rhs.sym, kid_sets, tg)
+        out.discard(BOTTOM)
         return out
-    kid_sets = [_eval_fc(a, betabar, kid_tables, by_label, kids_of, intern)
-                for a in rhs.args]
-    out = set()
-    table = kid_tables[rhs.child - 1]
-    for (q, gammabar), vs in table.items():
-        if q != rhs.state:
-            continue
-        if all(set(g) <= kid_sets[i] for i, g in enumerate(gammabar)):
-            out |= vs
+    # Every entry is monotone in its bindings: a larger set for a parameter
+    # lets each of its occurrences pick from more nodes.  So the union over
+    # all bindings gamma_i <= K_i with |gamma_i| <= c is reached by the
+    # subsets of K_i of size min(c, |K_i|) alone, which cover the smaller ones.
+    out: set = set()
+    choices = [combinations(sorted(ks), min(c, len(ks))) for ks in kid_sets]
+    for gammabar in product(*choices):
+        out |= lookup(rhs.child, rhs.state, gammabar)
     return out
 
 
@@ -80,47 +73,13 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     """Is t an output of m on s under call-by-name, trusting copy bound c?"""
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
-    validate(m)
-    check_input_tree(m, s)
-    if not m.output_alphabet.is_well_ranked(t):
-        return False
-    t_dag, t_root = build_dag(t)
-    by_label = t_dag.nodes_by_label()
-    kids_of = t_dag.kids
-    intern = t_dag.intern
-    refs = range(t_dag.node_count())
-    # parameter bindings: ascending tuples of at most c distinct nodes
-    betas = [()]
-    for k in range(1, min(c, t_dag.node_count()) + 1):
-        betas.extend(combinations(refs, k))
-    betas = tuple(betas)
 
-    s_dag, s_root = build_dag(s)
-    tables: list[dict] = []
-    for v in range(s_dag.node_count()):
-        sym = s_dag.labels[v]
-        kid_tables = [tables[kid] for kid in s_dag.kids[v]]
-        table: dict = {}
-        for q, rank in m.states.items():
-            alts = m.alternatives(q, sym)
-            if not alts:
-                continue
-            for betabar in product(betas, repeat=rank):
-                acc: set = set()
-                for rhs in alts:
-                    acc |= _eval_fc(rhs, betabar, kid_tables, by_label, kids_of, intern)
-                if acc:
-                    table[(q, betabar)] = frozenset(acc)
-        tables.append(table)
+    # a plain function, not functools.partial: a call through partial nests
+    # on the C stack, which deep inputs overflow
+    def evaluate(rhs, betabar, lookup, tg):
+        return _eval_sets(rhs, betabar, lookup, tg, c)
 
-    verdict = t_root in tables[s_root].get((m.initial, ()), ())
-    if stats is not None:
-        stats.update(
-            s_size=s.size, t_size=t.size,
-            s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
-            entries=sum(len(vs) for tb in tables for vs in tb.values()),
-        )
-    return verdict
+    return _member(m, s, t, evaluate, stats)
 
 
 def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8,

@@ -22,7 +22,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .io_membership import DemandEngine
+from .io_membership import DemandEngine, _eval
 from .mtt import MttClass, Mtt, Rhs, validate
 from .oracle import check_input_tree
 from .trees import (
@@ -232,7 +232,7 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
                 picked.append(rule.rhs)
         return tuple(picked)
 
-    engine = DemandEngine(s_dag, t_dag, alts_for)
+    engine = DemandEngine(s_dag, t_dag, alts_for, _eval)
     with recursion_room(8 * s.size):
         verdict = t_root in engine.demand(s_root, tm.initial, ())
     if stats is not None:

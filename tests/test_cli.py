@@ -143,6 +143,19 @@ def test_member_engine_model_mismatch(files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_member_bad_copy_bound(files, capsys):
+    cf = files("cf.mtt", format_transducer(copyfree_mtt()))
+    s, t = copyfree_instance(4)
+    sf = term_file(files, "s.term", s)
+    tf = term_file(files, "t.term", t)
+    for bound in ("0", "-2"):
+        code = main(["member", "--engine", "oi-fc", "--copy-bound", bound,
+                     cf, sf, tf])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_member_oracle_unknown(files, capsys):
     m = files("double.mtt", format_transducer(double_mtt()))
     s, t = double_instance(2)

@@ -1,5 +1,7 @@
 """Transducer text format: round-trips, leniency, error positions."""
 
+from dataclasses import replace
+
 import pytest
 
 from mttkit.dsl import format_transducer, parse_transducer
@@ -11,8 +13,17 @@ from mttkit.multi_return import MrMtt, validate_mr
 from mttkit.sat import build_sat_mtt
 from mttkit.tac import TacMtt
 
+
+def equal_pair_eq_only_tacmtt():
+    """equal_pair with a guard that has a constraint but no look-ahead
+    states."""
+    m = equal_pair_tacmtt()
+    rule = replace(m.rules[("q0", "pi")][0], lookahead=None)
+    return replace(m, rules={("q0", "pi"): (rule,)})
+
+
 FAMILIES = (double_mtt, doubling_mtt, copyfree_mtt, equal_pair_tacmtt,
-            reverse_pair_mrtt, build_sat_mtt)
+            equal_pair_eq_only_tacmtt, reverse_pair_mrtt, build_sat_mtt)
 
 
 @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)

@@ -1,6 +1,7 @@
 """Call-by-value membership: the subtree automaton and its fast paths."""
 
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from mttkit import (
     Out,
     Param,
     RunState,
+    Tree,
     eval_f,
     member_det,
     member_io,
@@ -21,12 +23,13 @@ from mttkit import (
 )
 from mttkit.errors import AlphabetMismatch
 from mttkit.families import (
+    copyfree_instance,
     copyfree_mtt,
     double_instance,
     double_mtt,
     doubling_mtt,
 )
-from mttkit.io_membership import DemandEngine, run_io
+from mttkit.io_membership import DemandEngine, _eval, run_io
 from mttkit.trees import BOTTOM, build_dag
 
 from helpers import (
@@ -143,6 +146,21 @@ def test_member_io_stats_and_entry_bound():
     assert stats["entries"] <= bound
 
 
+def test_member_io_wrong_symbol_mid_chain_is_fast():
+    # copyfree's output with one f halfway down turned into a g: every
+    # entry below the flip has child set {BOTTOM}, which must not make
+    # each output node scan all f-nodes of t (quadratic: tens of seconds)
+    n = 10_000
+    s, t = copyfree_instance(n)
+    flipped = Tree("g", (Tree("e"),))
+    for level in range(n - 3, -1, -1):
+        flipped = Tree("g" if level == n // 2 else "f", (flipped,))
+    assert flipped.size == t.size
+    t0 = time.perf_counter()
+    assert not member_io(copyfree_mtt(), s, flipped)
+    assert time.perf_counter() - t0 < 10
+
+
 def test_demand_engine_agrees_with_full_run():
     m = double_mtt()
     rng = random.Random(7)
@@ -158,6 +176,7 @@ def test_demand_engine_agrees_with_full_run():
             engine = DemandEngine(
                 s_dag, t_dag,
                 lambda node, q: m.alternatives(q, s_dag.labels[node]),
+                _eval,
             )
             demanded = t_root in engine.demand(s_root, m.initial, ())
             full = ("start", (), t_root) in run_io(m, s, t_dag)

@@ -1,28 +1,36 @@
 """Call-by-name membership for transducers with a finite parameter
 copy bound."""
 
+import random
+import time
 from math import comb
 
 import pytest
 
 from mttkit import (
+    App,
+    BudgetExceeded,
     Call,
     Mtt,
     NON_CONFORMING,
     Out,
     Param,
     RankedAlphabet,
+    UNKNOWN,
     YES,
     enumerate_trees,
     estimate_copy_bound,
     member_oi_fc,
+    oracle_eval,
     oracle_member,
     parse_term,
+    validate,
 )
 from mttkit.errors import AlphabetMismatch
 from mttkit.families import copyfree_mtt, copyfree_instance, double_mtt
 
-from helpers import (leaf_double_mtt as _leaf_double_mtt,
+from helpers import (HARNESS_BUDGET, all_inputs, mutations, random_mtt,
+                     leaf_double_mtt as _leaf_double_mtt,
                      linear_param_mtt as _linear_mtt,
                      mixed_double_mtt as _mixed_double_mtt)
 
@@ -36,9 +44,6 @@ def _chain(n: int):
 def _candidates(m, s, extra_alpha_size=4):
     """Oracle outputs, their single-label mutations, and small well-ranked
     trees; a mixed positive/negative pool."""
-    from helpers import mutations
-    from mttkit import App, oracle_eval
-
     out = oracle_eval(m, "oi", App(m.initial, s))
     pool = list(out.items[:8])
     for t in out.items[:2]:
@@ -80,6 +85,47 @@ def test_linear_mtt_matches_oracle_exhaustively():
             assert (oracle_member(m, "oi", s, t) == YES) == want
             checked += 1
     assert checked > 500
+
+
+def test_random_linear_mtts_agree_with_oracle():
+    # parameter-linear right-hand sides keep every parameter to one copy
+    rng = random.Random(7)
+    inputs = all_inputs(6)
+    linear = checks = yes = 0
+    while linear < 40:
+        m = random_mtt(rng, f"r{linear}")
+        if not validate(m).linear_params:
+            continue
+        linear += 1
+        for s in inputs:
+            try:
+                out = oracle_eval(m, "oi", App(m.initial, s), HARNESS_BUDGET)
+            except BudgetExceeded:
+                continue
+            pool = list(out.items[:3])
+            pool += [mut for t in pool[:2]
+                     for mut in mutations(t, m.output_alphabet)[:4]]
+            for t in pool:
+                want = oracle_member(m, "oi", s, t, HARNESS_BUDGET)
+                if want == UNKNOWN:
+                    continue
+                assert member_oi_fc(m, 1, s, t) == (want == YES), \
+                    (m.name, s, t, want)
+                checks += 1
+                yes += want == YES
+    assert yes >= 1_000 and checks - yes >= 1_000
+
+
+def test_copyfree_scales_linearly():
+    m = copyfree_mtt()
+    n = 100_000
+    s, t = copyfree_instance(n)
+    stats = {}
+    t0 = time.perf_counter()
+    assert member_oi_fc(m, 1, s, t, stats=stats)
+    assert time.perf_counter() - t0 < 120
+    # one entry (acc, {accumulated f-chain node}) per input node
+    assert stats["entries"] <= 2 * n
 
 
 def test_leaf_doubling_mtt_with_declared_bound_two():
