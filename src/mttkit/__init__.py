@@ -20,7 +20,7 @@ from .mtt import Call, Mtt, MttClass, Out, Param, rhs_size, validate, walk_rhs
 from .oracle import (IO, NO, OI, UNKNOWN, YES, App, Budget, Con, TreeSet,
                      Evaluator, check_input_tree, eval as oracle_eval,
                      io_subst, oi_subst, oracle_member, y_leaf)
-from .io_membership import (RunState, eval_f, member_det, member_io, run_io)
+from .io_membership import member_det, member_io
 from .oi_fc import NON_CONFORMING, estimate_copy_bound, member_oi_fc
 from .tac import (Tac, TacMtt, TacRule, TacTransition, member_io_tac,
                   run_tac, validate_tac_mtt)
@@ -46,7 +46,7 @@ __all__ = [
     "IO", "NO", "OI", "UNKNOWN", "YES", "App", "Budget", "Con", "TreeSet",
     "Evaluator", "check_input_tree", "oracle_eval", "io_subst", "oi_subst",
     "oracle_member", "y_leaf",
-    "RunState", "eval_f", "member_det", "member_io", "run_io",
+    "member_det", "member_io",
     "NON_CONFORMING", "estimate_copy_bound", "member_oi_fc",
     "Tac", "TacMtt", "TacRule", "TacTransition", "member_io_tac", "run_tac",
     "validate_tac_mtt",

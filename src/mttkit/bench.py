@@ -7,8 +7,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .families import (copyfree_instance, copyfree_mtt, double_instance,
                        double_mtt)
 from .io_membership import member_io
@@ -64,12 +62,13 @@ def bench_family(family: str, ns, repeats: int = 3) -> list[BenchRow]:
 
 
 def fit_power_law(rows) -> float | None:
-    """Least-squares slope of log(time) against log(n) over timed rows;
-    None when fewer than two rows were timed."""
+    """Least-squares slope of log(time) against log(n) over timed rows,
+    in closed form; None when fewer than two distinct sizes were timed."""
     pts = [(r.n, r.seconds) for r in rows if r.seconds]
-    if len(pts) < 2:
+    if len({n for n, _ in pts}) < 2:
         return None
-    xs = np.log([float(n) for n, _ in pts])
-    ys = np.log([max(sec, 1e-9) for _, sec in pts])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs = [math.log(n) for n, _ in pts]
+    ys = [math.log(max(sec, 1e-9)) for _, sec in pts]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))

@@ -44,13 +44,21 @@ def _budget(args) -> Budget:
         if flag is not None:
             return flag
         raw = os.environ.get(env, "").strip()
-        return int(raw) if raw else default
+        if not raw:
+            return default
+        try:
+            return int(raw)
+        except ValueError:
+            raise MttError(f"{env} must be an integer, got {raw!r}") from None
 
-    return Budget(
-        max_set_size=pick(args.max_set, "MTTKIT_MAX_SET", 100_000),
-        max_tree_size=getattr(args, "max_tree", None),
-        max_steps=pick(args.max_steps, "MTTKIT_MAX_STEPS", 10_000_000),
-    )
+    try:
+        return Budget(
+            max_set_size=pick(args.max_set, "MTTKIT_MAX_SET", 100_000),
+            max_tree_size=getattr(args, "max_tree", None),
+            max_steps=pick(args.max_steps, "MTTKIT_MAX_STEPS", 10_000_000),
+        )
+    except ValueError as exc:
+        raise MttError(str(exc)) from None
 
 
 def _budget_or_none(args) -> Budget | None:
@@ -62,12 +70,19 @@ def _budget_or_none(args) -> Budget | None:
     return _budget(args)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MttError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _load_transducer(path: str):
-    return parse_transducer(Path(path).read_text())
+    return parse_transducer(_read_text(path))
 
 
 def _load_term(path: str):
-    return parse_term(Path(path).read_text())
+    return parse_term(_read_text(path))
 
 
 def _emit(record: dict, as_json: bool) -> None:
@@ -179,7 +194,7 @@ def cmd_member(args) -> int:
 
 def cmd_sat(args) -> int:
     try:
-        f = parse_dimacs(Path(args.cnf).read_text())
+        f = parse_dimacs(_read_text(args.cnf))
         inst = encode(f)
         out_dir = Path(args.out_dir) if args.out_dir else Path(args.cnf).parent
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -184,7 +184,10 @@ def _parse_guard_body(p: _Parser, k: int, what: str):
             neq.append((p.integer("child index"), p.integer("child index")))
         else:
             p.error("expected 'eq' or 'neq' after ';'")
-    return (tuple(states) if states else None), tuple(eq), tuple(neq)
+    # a rank-0 symbol's child states are the empty list; elsewhere an
+    # empty list leaves the look-ahead open
+    la = tuple(states) if states or k == 0 else None
+    return la, tuple(eq), tuple(neq)
 
 
 def _parse_pattern(p: _Parser, input_alphabet: RankedAlphabet):
@@ -539,7 +542,8 @@ def format_transducer(m) -> str:
                     parts.append(")")
                 lines.append(f"  {head} -> {''.join(parts)}")
             elif is_tac:
-                guard = ("" if not alt.lookahead and not alt.eq and not alt.neq
+                guard = ("" if alt.lookahead is None and not alt.eq
+                         and not alt.neq
                          else _fmt_guard(alt.lookahead, alt.eq, alt.neq))
                 parts = []
                 _fmt_term(alt.rhs, parts)

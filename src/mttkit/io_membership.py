@@ -1,15 +1,18 @@
 """Polynomial-time translation membership for call-by-value semantics.
 
-The decision procedure runs an automaton over the input tree whose states
-say, for each transducer state q and each vector of candidate-output DAG
-nodes bound to q's parameters, which DAG nodes q can produce.  One extra
+The decision procedure evaluates the transducer inversely over the DAGs
+of the input and the candidate output: for each input DAG node, each
+transducer state q and each vector of candidate-output DAG nodes bound
+to q's parameters, it finds which DAG nodes q can produce.  One extra
 reference, BOTTOM, abstracts every tree that is not a subtree of the
 candidate output; anything built on top of such a tree is again not a
 subtree, so one abstract value suffices.
 
-run_io materializes the automaton state for every distinct input subtree
-bottom-up.  member_io computes the same relation on demand from the root
-question, which visits only the entries the verdict depends on.
+DemandEngine computes these entries on demand from the root question,
+so only the entries the verdict depends on are visited.  _member is the
+one driver of every engine built on it: member_io here, member_io_tac,
+member_oi_fc and member_mr_io each pass their rule selector and their
+right-hand-side evaluator.
 """
 
 from __future__ import annotations
@@ -21,50 +24,14 @@ from .mtt import Mtt, Out, Param, validate
 from .oracle import IO, OI, check_input_tree
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
-_EMPTY: frozenset = frozenset()
-
-
-class RunState:
-    """One automaton state: maps (q, parameter refs) to producible refs."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: dict):
-        self.table = {k: frozenset(v) for k, v in table.items() if v}
-
-    def get(self, q: str, vbar: tuple) -> frozenset:
-        return self.table.get((q, vbar), _EMPTY)
-
-    def entries(self):
-        """Yield (state, parameter refs, result ref) triples."""
-        for (q, vbar), vs in self.table.items():
-            for v in vs:
-                yield (q, vbar, v)
-
-    def entry_count(self) -> int:
-        return sum(len(vs) for vs in self.table.values())
-
-    def __contains__(self, triple) -> bool:
-        q, vbar, v = triple
-        return v in self.table.get((q, vbar), _EMPTY)
-
-    def __eq__(self, other):
-        if not isinstance(other, RunState):
-            return NotImplemented
-        return self.table == other.table
-
-    def __repr__(self):
-        return f"RunState({self.entry_count()} entries)"
-
 
 class _Targets:
     """Candidate-output DAG plus the indexes the clauses below need."""
 
-    __slots__ = ("dag", "vees", "by_label")
+    __slots__ = ("dag", "by_label")
 
     def __init__(self, dag: TreeDag):
         self.dag = dag
-        self.vees = tuple(range(dag.node_count())) + (BOTTOM,)
         self.by_label = dag.nodes_by_label()
 
 
@@ -131,67 +98,17 @@ def _eval(rhs, vbar: tuple, lookup, tg: _Targets) -> set:
     return out
 
 
-def eval_f(rhs, vbar: tuple, child_states, t_dag: TreeDag) -> set:
-    """References rhs can produce given the child automaton states.
-
-    child_states is one RunState per input child, aligned with x1, x2, ...
-    """
-    tg = _Targets(t_dag)
-
-    def lookup(j, q, ubar):
-        return child_states[j - 1].get(q, ubar)
-
-    return _eval(rhs, vbar, lookup, tg)
-
-
-def _transition(sym_rank_states, alts_for, kid_tables, tg: _Targets) -> dict:
-    table: dict = {}
-    def lookup(j, q, ubar):
-        return kid_tables[j - 1].get((q, ubar), _EMPTY)
-    for q, rank in sym_rank_states:
-        alts = alts_for(q)
-        if not alts:
-            continue
-        for vbar in product(tg.vees, repeat=rank):
-            acc: set = set()
-            for rhs in alts:
-                acc |= _eval(rhs, vbar, lookup, tg)
-            if acc:
-                table[(q, vbar)] = frozenset(acc)
-    return table
-
-
-def run_io(m: Mtt, s: Tree, t_dag: TreeDag) -> RunState:
-    """The automaton state reached on s, built bottom-up over s's DAG.
-
-    One transition is computed per distinct subtree of s; equal subtrees
-    share their state by construction.
-    """
-    validate(m)
-    tg = _Targets(t_dag)
-    s_dag, s_root = build_dag(s)
-    states = list(m.states.items())
-    tables: list[dict] = []
-    for v in range(s_dag.node_count()):
-        sym = s_dag.labels[v]
-        kid_tables = [tables[c] for c in s_dag.kids[v]]
-        tables.append(
-            _transition(states, lambda q, sym=sym: m.alternatives(q, sym),
-                        kid_tables, tg)
-        )
-    return RunState(tables[s_root])
-
-
 class DemandEngine:
-    """Demand-driven form of the same automaton.
+    """The inverse evaluation, computed on demand.
 
     Entries are computed only when a parent call asks for them, memoized
     per (input DAG node, state, parameter bindings).  alts_for(node, q)
     yields the applicable right-hand sides; plugging in a guard-aware
     selector gives the look-ahead variant of the engine.
-    evaluate(rhs, vbar, lookup, tg) gives the result references of one
-    right-hand side under bindings vbar: _eval binds each parameter to one
-    reference (call-by-value), oi_fc binds it to a set (call-by-name).
+    evaluate(rhs, vbar, lookup, tg) gives the results of one right-hand
+    side under bindings vbar: _eval binds each parameter to one reference
+    (call-by-value), oi_fc binds it to a set (call-by-name), and
+    multi_return returns tuples of references.
     """
 
     def __init__(self, s_dag: TreeDag, t_dag: TreeDag, alts_for, evaluate):
@@ -222,29 +139,41 @@ class DemandEngine:
         return sum(len(v) for v in self.memo.values())
 
 
-def _member(m: Mtt, s: Tree, t: Tree, evaluate, stats: dict | None) -> bool:
+def _member(m, s: Tree, t: Tree, select, evaluate, stats: dict | None,
+            tuples: bool = False) -> bool:
     """Demand the initial state's entry at the root of s and look for t's
-    root in it; evaluate is the DemandEngine right-hand-side evaluator."""
-    validate(m)
+    root in it.
+
+    m is already validated by the caller.  select(s_dag) returns the
+    DemandEngine rule selector alts_for(node, q), and evaluate is its
+    right-hand-side evaluator.  With tuples, entries hold tuples of
+    references (multi-return), and t's root is looked for as a 1-tuple.
+    """
     check_input_tree(m, s)
     if not m.output_alphabet.is_well_ranked(t):
         return False
     t_dag, t_root = build_dag(t)
     s_dag, s_root = build_dag(s)
-
-    def alts_for(node, q):
-        return m.alternatives(q, s_dag.labels[node])
-
-    engine = DemandEngine(s_dag, t_dag, alts_for, evaluate)
+    engine = DemandEngine(s_dag, t_dag, select(s_dag), evaluate)
     with recursion_room(8 * s.size):
-        verdict = t_root in engine.demand(s_root, m.initial, ())
+        root_entry = engine.demand(s_root, m.initial, ())
     if stats is not None:
         stats.update(
             s_size=s.size, t_size=t.size,
             s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
             entries=engine.entry_count(),
         )
-    return verdict
+    return ((t_root,) if tuples else t_root) in root_entry
+
+
+def _plain_rules(m: Mtt):
+    """Rule selector for a plain transducer: every alternative of (q, sym)."""
+
+    def select(s_dag):
+        labels = s_dag.labels
+        return lambda node, q: m.alternatives(q, labels[node])
+
+    return select
 
 
 def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -254,7 +183,8 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     candidate t that is not well formed over the output alphabet cannot
     be produced and yields False.
     """
-    return _member(m, s, t, _eval, stats)
+    validate(m)
+    return _member(m, s, t, _plain_rules(m), _eval, stats)
 
 
 class _StageTooBig(Exception):

@@ -13,14 +13,13 @@ exponentially many outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .errors import (ArityMismatch, BadInitialRank, EnvLimitExceeded,
                      UnknownState)
+from .io_membership import _member
 from .mtt import Out, Param
-from .oracle import (Budget, TreeSet, _Meter, check_input_tree, io_subst,
-                     y_leaf)
-from .trees import BOTTOM, RankedAlphabet, Tree, build_dag
+from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
+from .trees import BOTTOM, RankedAlphabet, Tree
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,10 @@ def eval_mr_io(m: MrMtt, s: Tree, budget: Budget | None = None) -> TreeSet:
     return TreeSet(tup[0] for tup in tuples)
 
 
-def _live_after(rhs: MrRhs) -> list[frozenset[int]]:
-    """live[i] = z-indices read by lets i+1.. or the result tuple."""
+def _kept_after(rhs: MrRhs) -> list[tuple[int, ...]]:
+    """kept[i] = the z-indices an environment holds after let i: those
+    bound by lets 0..i and read by a later let or the result tuple, in
+    ascending order."""
 
     def zreads(term, acc):
         if isinstance(term, ZVar):
@@ -260,16 +261,17 @@ def _live_after(rhs: MrRhs) -> list[frozenset[int]]:
             for a in term.args:
                 zreads(a, acc)
 
-    live: list[frozenset[int]] = [None] * (len(rhs.lets) + 1)  # type: ignore
-    acc: set[int] = set()
+    reads: set[int] = set()
     for term in rhs.result:
-        zreads(term, acc)
-    live[len(rhs.lets)] = frozenset(acc)
+        zreads(term, reads)
+    kept: list[tuple[int, ...]] = [()] * len(rhs.lets)
+    bound = sum(len(let.targets) for let in rhs.lets)
     for i in range(len(rhs.lets) - 1, -1, -1):
+        kept[i] = tuple(sorted(j for j in reads if j <= bound))
+        bound -= len(rhs.lets[i].targets)
         for a in rhs.lets[i].args:
-            zreads(a, acc)
-        live[i] = frozenset(acc)
-    return live
+            zreads(a, reads)
+    return kept
 
 
 def _arg_ref(term, ybar: tuple, env: dict, dag) -> int:
@@ -291,79 +293,67 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
                  stats: dict | None = None) -> bool:
     """Is t an output of m on s under call-by-value?
 
-    Bottom-up over the input: for every input subtree, state, and vector
-    of candidate nodes (or BOTTOM) for the parameters, collect the tuples
-    of candidate nodes the state can return.  Let-bindings are processed
-    left to right over environment sets projected to live variables; a
-    rule whose environment set exceeds env_cap raises EnvLimitExceeded
-    rather than silently degrading.
+    Demand-driven on the same DemandEngine as member_io: an entry holds,
+    for one input DAG node, state, and vector of candidate nodes (or
+    BOTTOM) for the parameters, the tuples of candidate nodes the state
+    can return; only the entries the verdict depends on are computed.
+    Let-bindings are processed left to right over environment sets
+    projected to live variables; a rule whose environment set exceeds
+    env_cap raises EnvLimitExceeded rather than silently degrading.
     """
     validate_mr(m)
-    check_input_tree(m, s)
-    if not m.output_alphabet.is_well_ranked(t):
-        return False
-    t_dag, t_root = build_dag(t)
-    vees = tuple(range(t_dag.node_count())) + (BOTTOM,)
-    s_dag, s_root = build_dag(s)
-    tables: list[dict] = []
     max_envs = 0
-    for v in range(s_dag.node_count()):
-        sym = s_dag.labels[v]
-        kid_tables = [tables[kid] for kid in s_dag.kids[v]]
-        table: dict = {}
-        for q, rank in m.ranks.items():
-            alts = m.alternatives(q, sym)
-            if not alts:
-                continue
-            for ybar in product(vees, repeat=rank):
-                acc: set = set()
-                for rhs in alts:
-                    live = _live_after(rhs)
-                    # environment = refs for the z-vars that are both bound
-                    # and still needed, in ascending index order
-                    envs: set = {()}
-                    order: list = []
-                    bound = 0
-                    for i, let in enumerate(rhs.lets):
-                        callee = kid_tables[let.child - 1]
-                        bound += len(let.targets)
-                        next_order = [j for j in sorted(live[i + 1])
-                                      if j <= bound]
-                        new_envs: set = set()
-                        for packed in envs:
-                            env = dict(zip(order, packed))
-                            argrefs = tuple(_arg_ref(a, ybar, env, t_dag)
-                                            for a in let.args)
-                            tuples = callee.get((let.state, argrefs))
-                            if not tuples:
-                                continue
-                            for tup in tuples:
-                                for zi, ref in zip(let.targets, tup):
-                                    env[zi] = ref
-                                new_envs.add(tuple(env[j] for j in next_order))
-                        envs = new_envs
-                        order = next_order
-                        if len(envs) > env_cap:
-                            raise EnvLimitExceeded(
-                                f"rule {q}/{sym}: {len(envs)} environments "
-                                f"after let {i + 1}, cap is {env_cap}")
-                        max_envs = max(max_envs, len(envs))
-                    # tuples may carry BOTTOM components: a returned tree that
-                    # is no subtree of t is legal as long as the caller never
-                    # uses that component in the final output
-                    for packed in envs:
-                        env = dict(zip(order, packed))
-                        acc.add(tuple(_arg_ref(term, ybar, env, t_dag)
-                                      for term in rhs.result))
-                if acc:
-                    table[(q, ybar)] = frozenset(acc)
-        tables.append(table)
-    verdict = (t_root,) in tables[s_root].get((m.initial, ()), ())
+
+    def select(s_dag):
+        labels = s_dag.labels
+        prepared: dict = {}
+
+        def alts_for(node, q):
+            key = (q, labels[node])
+            got = prepared.get(key)
+            if got is None:
+                where = f"{q}/{key[1]}"
+                got = prepared[key] = tuple(
+                    (rhs, _kept_after(rhs), where)
+                    for rhs in m.alternatives(*key))
+            return got
+
+        return alts_for
+
+    def evaluate(alt, ybar, lookup, tg):
+        nonlocal max_envs
+        rhs, kept, where = alt
+        dag = tg.dag
+        # environment = refs for the z-vars that are both bound and still
+        # needed, in ascending index order
+        envs: set = {()}
+        order: tuple = ()
+        for i, let in enumerate(rhs.lets):
+            new_envs: set = set()
+            for packed in envs:
+                env = dict(zip(order, packed))
+                argrefs = tuple(_arg_ref(a, ybar, env, dag) for a in let.args)
+                for tup in lookup(let.child, let.state, argrefs):
+                    for zi, ref in zip(let.targets, tup):
+                        env[zi] = ref
+                    new_envs.add(tuple(env[j] for j in kept[i]))
+            envs = new_envs
+            order = kept[i]
+            if len(envs) > env_cap:
+                raise EnvLimitExceeded(
+                    f"rule {where}: {len(envs)} environments "
+                    f"after let {i + 1}, cap is {env_cap}")
+            max_envs = max(max_envs, len(envs))
+        # tuples may carry BOTTOM components: a returned tree that is no
+        # subtree of t is legal as long as the caller never uses that
+        # component in the final output
+        out: set = set()
+        for packed in envs:
+            env = dict(zip(order, packed))
+            out.add(tuple(_arg_ref(term, ybar, env, dag) for term in rhs.result))
+        return out
+
+    verdict = _member(m, s, t, select, evaluate, stats, tuples=True)
     if stats is not None:
-        stats.update(
-            s_size=s.size, t_size=t.size,
-            s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
-            entries=sum(len(vs) for tb in tables for vs in tb.values()),
-            max_envs=max_envs,
-        )
+        stats["max_envs"] = max_envs
     return verdict

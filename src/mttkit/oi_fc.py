@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .io_membership import _member, _out_refs
+from .io_membership import _member, _out_refs, _plain_rules
 from .mtt import Mtt, Out, Param, validate
 from .oracle import Budget, Evaluator, OI, param_index
 from .trees import BOTTOM, Tree, enumerate_trees
@@ -79,7 +79,8 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     def evaluate(rhs, betabar, lookup, tg):
         return _eval_sets(rhs, betabar, lookup, tg, c)
 
-    return _member(m, s, t, evaluate, stats)
+    validate(m)
+    return _member(m, s, t, _plain_rules(m), evaluate, stats)
 
 
 def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8,

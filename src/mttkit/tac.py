@@ -22,17 +22,9 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .io_membership import DemandEngine, _eval
+from .io_membership import _eval, _member
 from .mtt import MttClass, Mtt, Rhs, validate
-from .oracle import check_input_tree
-from .trees import (
-    RankedAlphabet,
-    Tree,
-    TreeDag,
-    build_dag,
-    format_term,
-    recursion_room,
-)
+from .trees import RankedAlphabet, Tree, TreeDag, format_term
 
 
 @dataclass(frozen=True)
@@ -209,36 +201,26 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
     independent.
     """
     validate_tac_mtt(tm)
-    check_input_tree(tm, s)
-    if not tm.output_alphabet.is_well_ranked(t):
-        return False
-    s_dag, s_root = build_dag(s)
-    la = _run_nodes(tm.tac, s_dag, range(s_dag.node_count()))
-    t_dag, t_root = build_dag(t)
 
-    def alts_for(node, q):
-        alts = tm.rules.get((q, s_dag.labels[node]), ())
-        if not alts:
-            return ()
-        kid_refs = s_dag.kids[node]
-        kid_states = tuple(la[c] for c in kid_refs)
-        picked = []
-        for rule in alts:
-            if rule.lookahead is not None and rule.lookahead != kid_states:
-                continue
-            if not _constraints_ok(rule, kid_refs):
-                continue
-            if rule.rhs not in picked:
-                picked.append(rule.rhs)
-        return tuple(picked)
+    def select(s_dag):
+        la = _run_nodes(tm.tac, s_dag, range(s_dag.node_count()))
 
-    engine = DemandEngine(s_dag, t_dag, alts_for, _eval)
-    with recursion_room(8 * s.size):
-        verdict = t_root in engine.demand(s_root, tm.initial, ())
-    if stats is not None:
-        stats.update(
-            s_size=s.size, t_size=t.size,
-            s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
-            entries=engine.entry_count(),
-        )
-    return verdict
+        def alts_for(node, q):
+            alts = tm.rules.get((q, s_dag.labels[node]), ())
+            if not alts:
+                return ()
+            kid_refs = s_dag.kids[node]
+            kid_states = tuple(la[c] for c in kid_refs)
+            picked = []
+            for rule in alts:
+                if rule.lookahead is not None and rule.lookahead != kid_states:
+                    continue
+                if not _constraints_ok(rule, kid_refs):
+                    continue
+                if rule.rhs not in picked:
+                    picked.append(rule.rhs)
+            return tuple(picked)
+
+        return alts_for
+
+    return _member(tm, s, t, select, _eval, stats)

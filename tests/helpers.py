@@ -10,11 +10,15 @@ from mttkit import (
     Budget,
     BudgetExceeded,
     Call,
+    MrLet,
+    MrMtt,
+    MrRhs,
     Mtt,
     Out,
     Param,
     RankedAlphabet,
     Tree,
+    ZVar,
     enumerate_trees,
     oracle_eval,
 )
@@ -93,6 +97,58 @@ def random_det_total_mtt(rng: random.Random, name: str = "det") -> Mtt:
         input_alphabet=IN_ALPHA,
         output_alphabet=OUT_ALPHA,
         states=states,
+        initial="q0",
+        rules=rules,
+    )
+
+
+def _random_mr_term(rng: random.Random, my_rank: int, n_z: int, depth: int):
+    """A term over output symbols, y1..y{my_rank} and z1..z{n_z}."""
+    if depth <= 0 or rng.random() < 0.45:
+        roll = rng.random()
+        if n_z and roll < 0.55:
+            return ZVar(rng.randint(1, n_z))
+        if my_rank and roll < 0.8:
+            return Param(rng.randint(1, my_rank))
+        return Out(rng.choice(("c", "d")))
+    sym = rng.choice(("f", "h", "g", "u"))
+    return Out(sym, tuple(_random_mr_term(rng, my_rank, n_z, depth - 1)
+                          for _ in range(OUT_ALPHA.rank(sym))))
+
+
+def random_mrtt(rng: random.Random, name: str = "mrand") -> MrMtt:
+    """A small multi-return transducer: <= 3 states, dimensions <= 2,
+    ranks <= 1, <= 2 alternatives per (state, symbol) pair, each with
+    <= 2 lets; possibly partial."""
+    ranks, dims = {"q0": 0}, {"q0": 1}
+    for i in range(1, rng.randint(1, 3)):
+        ranks[f"q{i}"] = rng.randint(0, 1)
+        dims[f"q{i}"] = rng.randint(1, 2)
+    rules = {}
+    for q in ranks:
+        for sym in IN_ALPHA:
+            k = IN_ALPHA.rank(sym)
+            alts = []
+            for _ in range(rng.choices((0, 1, 2), weights=(15, 55, 30))[0]):
+                lets, n_z = [], 0
+                for _ in range(rng.randint(0, 2) if k else 0):
+                    p = rng.choice(list(ranks))
+                    args = tuple(_random_mr_term(rng, ranks[q], n_z, 1)
+                                 for _ in range(ranks[p]))
+                    targets = tuple(range(n_z + 1, n_z + 1 + dims[p]))
+                    lets.append(MrLet(targets, p, rng.randint(1, k), args))
+                    n_z += dims[p]
+                result = tuple(_random_mr_term(rng, ranks[q], n_z, 2)
+                               for _ in range(dims[q]))
+                alts.append(MrRhs(tuple(lets), result))
+            if alts:
+                rules[(q, sym)] = tuple(alts)
+    return MrMtt(
+        name=name,
+        input_alphabet=IN_ALPHA,
+        output_alphabet=OUT_ALPHA,
+        ranks=ranks,
+        dims=dims,
         initial="q0",
         rules=rules,
     )

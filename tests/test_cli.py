@@ -191,6 +191,32 @@ def test_env_var_budget(files, capsys, monkeypatch):
     assert code == 0
 
 
+def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
+    m = files("double.mtt", format_transducer(double_mtt()))
+    s, t = double_instance(1)
+    sf = term_file(files, "s.term", s)
+    tf = term_file(files, "t.term", t)
+    cnf = files("one.cnf", "p cnf 1 1\n1 1 1 0\n")
+    bad = files("bad.term", "")
+    with open(bad, "wb") as f:
+        f.write(b"a(\xff)\n")
+
+    def diagnosed(argv):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    oracle = ["member", "--engine", "oracle"]
+    diagnosed(oracle + ["--max-set", "0", m, sf, tf])
+    diagnosed(oracle + ["--max-steps", "-5", m, sf, tf])
+    diagnosed(["sat", "--max-set", "0", cnf])
+    diagnosed(["member", "--engine", "io", m, bad, tf])
+    diagnosed(["member", "--engine", "io", m, sf, bad])
+    monkeypatch.setenv("MTTKIT_MAX_SET", "abc")
+    diagnosed(oracle + [m, sf, tf])
+    diagnosed(["sat", cnf])
+
+
 def test_sat_subcommand(files, tmp_path, capsys):
     cnf = files("one.cnf", "p cnf 1 1\n1 1 1 0\n")
     assert main(["sat", cnf]) == 0

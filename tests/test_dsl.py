@@ -8,10 +8,10 @@ from mttkit.dsl import format_transducer, parse_transducer
 from mttkit.errors import ArityMismatch, ParseError
 from mttkit.families import (copyfree_mtt, double_mtt, doubling_mtt,
                              equal_pair_tacmtt, reverse_pair_mrtt)
-from mttkit.mtt import Mtt, validate
+from mttkit.mtt import Mtt, Out, validate
 from mttkit.multi_return import MrMtt, validate_mr
 from mttkit.sat import build_sat_mtt
-from mttkit.tac import TacMtt
+from mttkit.tac import TacMtt, TacRule
 
 
 def equal_pair_eq_only_tacmtt():
@@ -22,8 +22,18 @@ def equal_pair_eq_only_tacmtt():
     return replace(m, rules={("q0", "pi"): (rule,)})
 
 
+def equal_pair_leaf_tacmtt():
+    """equal_pair plus a rule on the rank-0 symbol whose look-ahead is
+    the empty list of child states."""
+    m = equal_pair_tacmtt()
+    rules = dict(m.rules)
+    rules[("q0", "e")] = (TacRule(Out("e"), lookahead=()),)
+    return replace(m, rules=rules)
+
+
 FAMILIES = (double_mtt, doubling_mtt, copyfree_mtt, equal_pair_tacmtt,
-            equal_pair_eq_only_tacmtt, reverse_pair_mrtt, build_sat_mtt)
+            equal_pair_eq_only_tacmtt, equal_pair_leaf_tacmtt,
+            reverse_pair_mrtt, build_sat_mtt)
 
 
 @pytest.mark.parametrize("make", FAMILIES, ids=lambda f: f.__name__)

@@ -13,9 +13,7 @@ from mttkit import (
     NotTotal,
     Out,
     Param,
-    RunState,
     Tree,
-    eval_f,
     member_det,
     member_io,
     oracle_eval,
@@ -29,7 +27,7 @@ from mttkit.families import (
     double_mtt,
     doubling_mtt,
 )
-from mttkit.io_membership import DemandEngine, _eval, run_io
+from mttkit.io_membership import DemandEngine, _eval, _plain_rules, _Targets
 from mttkit.trees import BOTTOM, build_dag
 
 from helpers import (
@@ -42,34 +40,52 @@ from helpers import (
 )
 
 
+def _eval_on(rhs, vbar, dag, entries=None):
+    """_eval with state calls answered from a dict of
+    (child, state, parameter refs) -> result refs."""
+    entries = entries or {}
+
+    def lookup(j, q, ubar):
+        return entries.get((j, q, ubar), frozenset())
+
+    return _eval(rhs, vbar, lookup, _Targets(dag))
+
+
+def _root_entry(m, s, t_dag):
+    """The initial state's demanded entry at the root of s."""
+    s_dag, s_root = build_dag(s)
+    engine = DemandEngine(s_dag, t_dag, _plain_rules(m)(s_dag), _eval)
+    return engine.demand(s_root, m.initial, ())
+
+
 def test_eval_f_parameter_returns_its_ref():
     dag, root = build_dag(parse_term("f(e,e)", None))
     v = dag.rho(parse_term("e"))
-    assert eval_f(Param(1), (v,), [], dag) == {v}
+    assert _eval_on(Param(1), (v,), dag) == {v}
 
 
 def test_eval_f_leaf_symbol_matches_its_own_node():
     dag, _ = build_dag(parse_term("f(e,e)", None))
     v_e = dag.rho(parse_term("e"))
-    assert eval_f(Out("e"), (), [], dag) == {v_e}
+    assert _eval_on(Out("e"), (), dag) == {v_e}
 
 
 def test_eval_f_constructor_hit_and_miss():
     rhs = Out("f", (Param(1), Param(1)))
     dag, root = build_dag(parse_term("f(e,e)", None))
     v_e = dag.rho(parse_term("e"))
-    assert eval_f(rhs, (v_e,), [], dag) == {root}
+    assert _eval_on(rhs, (v_e,), dag) == {root}
 
     dag2, _ = build_dag(parse_term("f(e,g(e))", None))
     v_e2 = dag2.rho(parse_term("e"))
-    assert eval_f(rhs, (v_e2,), [], dag2) == {BOTTOM}
+    assert _eval_on(rhs, (v_e2,), dag2) == {BOTTOM}
 
 
 def test_eval_f_state_call_joins_child_entries():
     dag, root = build_dag(parse_term("f(e,e)", None))
     v_e = dag.rho(parse_term("e"))
-    child = RunState({("q", (v_e,)): {root}})
-    got = eval_f(Call("q", 1, (Out("e"),)), (), [child], dag)
+    child = {(1, "q", (v_e,)): {root}}
+    got = _eval_on(Call("q", 1, (Out("e"),)), (), dag, child)
     assert got == {root}
 
 
@@ -78,37 +94,36 @@ def test_eval_f_is_monotone_in_child_entries():
     v_e = dag.rho(parse_term("e"))
     v_g = dag.rho(parse_term("g(e)", None))
     rhs = Out("f", (Call("q", 1, ()), Call("q", 1, ())))
-    small = RunState({("q", ()): {v_e}})
-    big = RunState({("q", ()): {v_e, v_g}})
-    assert eval_f(rhs, (), [small], dag) <= eval_f(rhs, (), [big], dag)
+    small = {(1, "q", ()): {v_e}}
+    big = {(1, "q", ()): {v_e, v_g}}
+    assert _eval_on(rhs, (), dag, small) <= _eval_on(rhs, (), dag, big)
 
 
 def test_run_io_start_entry_tracks_membership():
     m = double_mtt()
     s = parse_term("a(e)")
     t_dag, t_root = build_dag(parse_term("f(f(e,e),f(e,e))"))
-    assert ("start", (), t_root) in run_io(m, s, t_dag)
+    assert t_root in _root_entry(m, s, t_dag)
 
     bad_dag, bad_root = build_dag(parse_term("f(f(e,e),g(e,e))"))
-    assert ("start", (), bad_root) not in run_io(m, s, bad_dag)
+    assert bad_root not in _root_entry(m, s, bad_dag)
 
 
 def test_run_io_no_initial_rule_means_no_entry():
     m = double_mtt()
     t_dag, _ = build_dag(parse_term("f(e,e)"))
-    state = run_io(m, parse_term("e"), t_dag)
-    assert state.get("start", ()) == frozenset()
+    assert _root_entry(m, parse_term("e"), t_dag) == frozenset()
 
 
 def test_run_io_depends_only_on_subtree_structure():
     m = double_mtt()
     t_dag, _ = build_dag(parse_term("f(f(e,e),f(e,e))"))
-    assert run_io(m, parse_term("a(e)"), t_dag) == run_io(
+    assert _root_entry(m, parse_term("a(e)"), t_dag) == _root_entry(
         m, parse_term("a(e)"), t_dag
     )
-    # two occurrences of a(e) inside a bigger s share one transition:
+    # two occurrences of a(e) inside a bigger s share one entry:
     # the engine runs over s's own DAG, so equal subtrees cannot diverge
-    assert run_io(m, parse_term("a(a(e))"), t_dag) == run_io(
+    assert _root_entry(m, parse_term("a(a(e))"), t_dag) == _root_entry(
         m, parse_term("a(a(e))"), t_dag
     )
 
@@ -163,7 +178,6 @@ def test_member_io_wrong_symbol_mid_chain_is_fast():
 
 def test_demand_engine_agrees_with_full_run():
     m = double_mtt()
-    rng = random.Random(7)
     for s in all_inputs(5, m.input_alphabet):
         full_set = io_output_set(m, s)
         if full_set is None:
@@ -172,15 +186,8 @@ def test_demand_engine_agrees_with_full_run():
         pool += [mut for t in pool[:2] for mut in mutations(t, m.output_alphabet)[:3]]
         for t in pool:
             t_dag, t_root = build_dag(t)
-            s_dag, s_root = build_dag(s)
-            engine = DemandEngine(
-                s_dag, t_dag,
-                lambda node, q: m.alternatives(q, s_dag.labels[node]),
-                _eval,
-            )
-            demanded = t_root in engine.demand(s_root, m.initial, ())
-            full = ("start", (), t_root) in run_io(m, s, t_dag)
-            assert demanded == full == member_io(m, s, t)
+            demanded = t_root in _root_entry(m, s, t_dag)
+            assert demanded == (t in full_set) == member_io(m, s, t)
 
 
 def test_member_io_matches_oracle_on_random_transducers():

@@ -8,6 +8,7 @@ from mttkit import (
     App,
     ArityMismatch,
     BadInitialRank,
+    BudgetExceeded,
     Call,
     EnvLimitExceeded,
     MrLet,
@@ -29,7 +30,8 @@ from mttkit import (
 )
 from mttkit.families import reverse_pair_instance, reverse_pair_mrtt
 
-from helpers import HARNESS_BUDGET, all_inputs, io_output_set, mutations, random_mtt
+from helpers import (HARNESS_BUDGET, all_inputs, io_output_set, mutations,
+                     random_mrtt, random_mtt)
 
 CHAIN = RankedAlphabet({"s": 1, "z": 0})
 
@@ -237,3 +239,42 @@ def test_argument_evaluation_is_deterministic():
     # q1 returns pairs; with two live continuations per step the
     # environment count is exactly the number of open choices
     assert stats["max_envs"] == 2
+
+
+def test_random_mrtts_agree_with_reference_semantics():
+    # tuple-returning transducers of dimension <= 2, beyond what the
+    # dimension-one embedding and reverse_pair exercise
+    rng = random.Random(2024)
+    checked = 0
+    for i in range(30):
+        m = random_mrtt(rng, name=f"mr{i}")
+        validate_mr(m)
+        for s in all_inputs(6):
+            try:
+                out = eval_mr_io(m, s, HARNESS_BUDGET)
+            except BudgetExceeded:
+                continue
+            pool = list(out.items[:6])
+            for t in out.items[:2]:
+                pool.extend(mutations(t, m.output_alphabet)[:4])
+            for t in pool:
+                assert member_mr_io(m, s, t) == (t in out)
+                checked += 1
+    assert checked > 2000
+
+
+def test_reverse_pair_demands_linearly_many_entries():
+    # a table fill over every parameter node is quadratic here; demand
+    # reaches four entries per input node
+    k = 10_000
+    word = "".join(random.Random(5).choice("ab") for _ in range(k))
+    m = reverse_pair_mrtt()
+    s, t = reverse_pair_instance(word)
+    stats = {}
+    assert member_mr_io(m, s, t, stats=stats)
+    assert stats["entries"] <= 4 * k
+
+    flipped = word[: k // 2] + ("b" if word[k // 2] == "a" else "a") + word[k // 2 + 1:]
+    lower = reverse_pair_instance(flipped)[1].children[0]
+    assert not member_mr_io(m, s, Tree("r", (lower, t.children[1])), stats=stats)
+    assert stats["entries"] <= 5 * k
