@@ -21,7 +21,7 @@ from .errors import MttError
 from .dsl import format_transducer, parse_transducer
 from .io_membership import member_det, member_io
 from .mtt import Mtt, validate
-from .multi_return import MrMtt, member_mr_io, validate_mr
+from .multi_return import MrMtt, member_mr_io
 from .oi_fc import member_oi_fc
 from .oracle import IO, NO, OI, UNKNOWN, YES, Budget, oracle_member
 from .sat import SAT, UNSAT, build_sat_mtt, encode, parse_dimacs, sat_check_small
@@ -54,7 +54,7 @@ def _budget(args) -> Budget:
     try:
         return Budget(
             max_set_size=pick(args.max_set, "MTTKIT_MAX_SET", 100_000),
-            max_tree_size=getattr(args, "max_tree", None),
+            max_tree_size=args.max_tree,
             max_steps=pick(args.max_steps, "MTTKIT_MAX_STEPS", 10_000_000),
         )
     except ValueError as exc:
@@ -111,7 +111,6 @@ def cmd_validate(args) -> int:
             record["lookahead_states"] = len(m.tac.states())
             record["transitions"] = len(m.tac.transitions)
         elif isinstance(m, MrMtt):
-            validate_mr(m)
             record["kind"] = "mrtt"
             record["states"] = len(m.ranks)
             record["m"] = max(m.ranks.values())
@@ -133,10 +132,10 @@ def cmd_validate(args) -> int:
         return 0
     except (MttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3
 
 
-def _run_member(args, m, s, t) -> tuple[str, dict]:
+def _run_member(args, budget, m, s, t) -> tuple[str, dict]:
     stats: dict = {}
     engine = args.engine
     if engine == "io":
@@ -146,8 +145,6 @@ def _run_member(args, m, s, t) -> tuple[str, dict]:
     if engine == "oi-fc":
         if not isinstance(m, Mtt):
             raise MttError("engine oi-fc needs a plain mtt file")
-        if args.copy_bound < 1:
-            raise MttError(f"--copy-bound must be positive, got {args.copy_bound}")
         ok = member_oi_fc(m, args.copy_bound, s, t, stats=stats)
         return (YES if ok else NO), stats
     if engine == "io-tac":
@@ -167,17 +164,23 @@ def _run_member(args, m, s, t) -> tuple[str, dict]:
         return (YES if ok else NO), stats
     if not isinstance(m, Mtt):
         raise MttError("engine oracle needs a plain mtt file")
-    verdict = oracle_member(m, args.mode, s, t, _budget(args), stats=stats)
+    verdict = oracle_member(m, args.mode, s, t, budget, stats=stats)
     return verdict, stats
 
 
 def cmd_member(args) -> int:
     try:
+        # every flag is checked, whichever engine reads it
+        budget = _budget(args)
+        for flag, value in (("--copy-bound", args.copy_bound),
+                            ("--env-cap", args.env_cap)):
+            if value < 1:
+                raise MttError(f"{flag} must be positive, got {value}")
         m = _load_transducer(args.mtt)
         s = _load_term(args.s)
         t = _load_term(args.t)
         t0 = time.perf_counter()
-        verdict, stats = _run_member(args, m, s, t)
+        verdict, stats = _run_member(args, budget, m, s, t)
         elapsed = time.perf_counter() - t0
     except (MttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,12 @@ transducers start with `mrtt`, declare `state q: rank/dim`, and write
 right-hand sides as let-bindings over z-variables ending in a result
 tuple: `let (z1, z2) = q[x1](e) in (z2, a(z1))`.  `#` starts a comment.
 
-Parsing is lenient about anything validate() can check later: it
-resolves names and shapes, then runs the structural validator so both
-kinds of errors surface on load.
+The parser resolves names and shapes; parse_transducer then always runs
+the structural validator of the kind it built, so rank and range
+violations raise on load as well.  A rule written twice is one
+alternative: the models drop structural duplicates when built, and
+format_transducer prints each alternative once.  Terms may nest at most
+MAX_NESTING levels deep.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<arrow>->)"
     r"|(?P<punct>[{}()\[\],:;/=])"
 )
+
+# right-hand sides are hashed and evaluated recursively, so deeper terms
+# would overflow the interpreter stack
+MAX_NESTING = 256
 
 _XVAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 _YVAR_RE = re.compile(r"y([1-9][0-9]*)\Z")
@@ -232,8 +239,10 @@ def _parse_params(p: _Parser) -> int:
     return seen
 
 
-def _parse_term(p: _Parser, *, calls: bool, zvars: bool):
+def _parse_term(p: _Parser, *, calls: bool, zvars: bool, depth: int = 1):
     t = p.peek()
+    if depth > MAX_NESTING:
+        p.error(f"term nests deeper than {MAX_NESTING} levels")
     if t.kind == "name" and _YVAR_RE.match(t.text):
         p.next()
         return Param(int(t.text[1:]))
@@ -247,19 +256,20 @@ def _parse_term(p: _Parser, *, calls: bool, zvars: bool):
         p.next()
         child = p.ivar(_XVAR_RE, "x")
         p.expect("]")
-        args = _parse_args(p, calls=calls, zvars=zvars)
+        args = _parse_args(p, calls=calls, zvars=zvars, depth=depth)
         return Call(sym, child, args)
-    args = _parse_args(p, calls=calls, zvars=zvars)
+    args = _parse_args(p, calls=calls, zvars=zvars, depth=depth)
     return Out(sym, args)
 
 
-def _parse_args(p: _Parser, *, calls: bool, zvars: bool) -> tuple:
+def _parse_args(p: _Parser, *, calls: bool, zvars: bool,
+                depth: int = 0) -> tuple:
     if not p.at("("):
         return ()
     p.next()
     args = []
     while not p.at(")"):
-        args.append(_parse_term(p, calls=calls, zvars=zvars))
+        args.append(_parse_term(p, calls=calls, zvars=zvars, depth=depth + 1))
         if p.at(","):
             p.next()
     p.expect(")")
@@ -301,12 +311,11 @@ def _parse_mr_body(p: _Parser) -> MrRhs:
     return MrRhs(tuple(lets), tuple(result))
 
 
-def parse_transducer(text: str, *, check: bool = True):
+def parse_transducer(text: str):
     """Parse one transducer block; returns Mtt, TacMtt, or MrMtt.
 
-    With check=True (the default) the structural validator runs after
-    parsing, so rank and range violations raise even though the grammar
-    itself does not track them.
+    The structural validator runs after parsing, so rank and range
+    violations raise even though the grammar itself does not track them.
     """
     p = _Parser(text)
     if p.at_word("mtt"):
@@ -438,25 +447,20 @@ def parse_transducer(text: str, *, check: bool = True):
     if kind == "mrtt":
         m = MrMtt(name=name, input_alphabet=input_alphabet,
                   output_alphabet=output_alphabet, ranks=states, dims=dims,
-                  initial=initial,
-                  rules={k2: tuple(v) for k2, v in rules.items()})
-        if check:
-            validate_mr(m)
+                  initial=initial, rules=rules)
+        validate_mr(m)
         return m
     if tac_transitions is not None:
         tm = TacMtt(name=name, input_alphabet=input_alphabet,
                     output_alphabet=output_alphabet, states=states,
-                    initial=initial,
-                    rules={k2: tuple(v) for k2, v in guarded.items()},
+                    initial=initial, rules=guarded,
                     tac=Tac(input_alphabet, tuple(tac_transitions)))
-        if check:
-            validate_tac_mtt(tm)
+        validate_tac_mtt(tm)
         return tm
     m = Mtt(name=name, input_alphabet=input_alphabet,
             output_alphabet=output_alphabet, states=states, initial=initial,
-            rules={k2: tuple(v) for k2, v in rules.items()})
-    if check:
-        validate(m)
+            rules=rules)
+    validate(m)
     return m
 
 

@@ -66,12 +66,19 @@ def walk_rhs(r: Rhs):
             stack.extend(reversed(node.args))
 
 
+def distinct_rules(rules: dict) -> dict:
+    """The rule table with each alternative list as a tuple, structural
+    duplicates dropped and written order kept."""
+    return {key: tuple(dict.fromkeys(alts)) for key, alts in rules.items()}
+
+
 @dataclass
 class Mtt:
     """A macro tree transducer.
 
     rules maps (state, input symbol) to the alternatives for that pair;
-    alternatives are kept in written order but mean a set.
+    alternatives are kept in written order but mean a set, so structural
+    duplicates are dropped when the transducer is built.
     """
 
     name: str
@@ -87,17 +94,12 @@ class Mtt:
         except KeyError:
             raise UnknownState(f"state {state!r} is not declared") from None
 
+    def __post_init__(self):
+        self.rules = distinct_rules(self.rules)
+
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
-        """Rule alternatives for (state, sym), structurally de-duplicated."""
-        alts = self.rules.get((state, sym), ())
-        if len(alts) < 2:
-            return alts
-        seen, out = set(), []
-        for r in alts:
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        return tuple(out)
+        """Rule alternatives for (state, sym)."""
+        return self.rules.get((state, sym), ())
 
     def size(self) -> int:
         """Total node count over all right-hand sides."""
@@ -115,7 +117,7 @@ class MttClass:
     max_state_rank: int
 
 
-def check_rhs(m: Mtt, rhs: Rhs, state_rank: int, input_rank: int, where: str) -> None:
+def check_rhs(m, rhs: Rhs, state_rank: int, input_rank: int, where: str) -> None:
     """Structural well-formedness of one right-hand side."""
     for node in walk_rhs(rhs):
         if isinstance(node, Param):
@@ -159,26 +161,37 @@ def _linear(rhs: Rhs, kind) -> bool:
     return True
 
 
-def validate(m: Mtt) -> MttClass:
-    """Check structural well-formedness and classify the transducer.
-
-    deterministic: at most one alternative per (state, symbol), after
-    structural de-duplication.  total: at least one alternative for every
-    (state, symbol) pair.  Linearity is per right-hand side.
-    """
-    if m.initial not in m.states:
+def check_header(m, ranks: dict[str, int]) -> None:
+    """Checks shared by every transducer kind: the initial state, the
+    state ranks, and the (state, symbol) keys of the rule table."""
+    if m.initial not in ranks:
         raise UnknownState(f"initial state {m.initial!r} is not declared")
-    if m.states[m.initial] != 0:
+    if ranks[m.initial] != 0:
         raise BadInitialRank(
-            f"initial state {m.initial!r} has rank {m.states[m.initial]}, expected 0"
+            f"initial state {m.initial!r} has rank {ranks[m.initial]}, expected 0"
         )
-    for (q, sym), alts in m.rules.items():
-        if q not in m.states:
+    for q, r in ranks.items():
+        if r < 0:
+            raise ArityMismatch(f"state {q!r} has negative rank {r}")
+    for q, sym in m.rules:
+        if q not in ranks:
             raise UnknownState(f"rule for undeclared state {q!r}")
         if sym not in m.input_alphabet:
             raise UnknownSymbol(f"rule on undeclared input symbol {sym!r}")
+
+
+def validate(m) -> MttClass:
+    """Check structural well-formedness and classify an Mtt, or a TacMtt
+    with its guards dropped (both are read through alternatives()).
+
+    deterministic: at most one alternative per (state, symbol).  total:
+    at least one alternative for every (state, symbol) pair.  Linearity
+    is per right-hand side.
+    """
+    check_header(m, m.states)
+    for q, sym in m.rules:
         where = f"rule {q}/{sym}"
-        for rhs in alts:
+        for rhs in m.alternatives(q, sym):
             check_rhs(m, rhs, m.states[q], m.input_alphabet.rank(sym), where)
 
     deterministic = True

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (ArityMismatch, BadInitialRank, EnvLimitExceeded,
-                     UnknownState)
+                     UnknownState, UnknownSymbol)
 from .io_membership import _member
-from .mtt import Out, Param
+from .mtt import Out, Param, check_header, distinct_rules
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
 from .trees import BOTTOM, RankedAlphabet, Tree
 
@@ -59,6 +59,9 @@ class MrMtt:
     initial: str
     rules: dict = field(default_factory=dict)  # (state, sym) -> tuple[MrRhs, ...]
 
+    def __post_init__(self):
+        self.rules = distinct_rules(self.rules)
+
     def rank(self, state: str) -> int:
         if state not in self.ranks:
             raise UnknownState(f"unknown state {state!r}")
@@ -70,13 +73,7 @@ class MrMtt:
         return self.dims[state]
 
     def alternatives(self, state: str, sym: str) -> tuple[MrRhs, ...]:
-        alts = self.rules.get((state, sym), ())
-        seen, out = set(), []
-        for r in alts:
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        return tuple(out)
+        return self.rules.get((state, sym), ())
 
 
 def _check_term(m: MrMtt, term, n_z: int, state_rank: int, where: str) -> None:
@@ -92,7 +89,7 @@ def _check_term(m: MrMtt, term, n_z: int, state_rank: int, where: str) -> None:
         return
     if isinstance(term, Out):
         if term.sym not in m.output_alphabet:
-            raise ArityMismatch(
+            raise UnknownSymbol(
                 f"{where}: {term.sym!r} is not an output symbol")
         if m.output_alphabet.rank(term.sym) != len(term.args):
             raise ArityMismatch(
@@ -108,22 +105,15 @@ def validate_mr(m: MrMtt) -> None:
     """Structural checks; raises on the first violation found."""
     if set(m.ranks) != set(m.dims):
         raise UnknownState("ranks and dims must cover the same states")
+    check_header(m, m.ranks)
     for q, d in m.dims.items():
         if d < 1:
             raise ArityMismatch(f"state {q!r} has dimension {d}, must be >= 1")
-        if m.ranks[q] < 0:
-            raise ArityMismatch(f"state {q!r} has negative rank")
-    if m.initial not in m.ranks:
-        raise BadInitialRank(f"initial state {m.initial!r} is not declared")
-    if m.ranks[m.initial] != 0 or m.dims[m.initial] != 1:
+    if m.dims[m.initial] != 1:
         raise BadInitialRank(
-            f"initial state must have rank 0 and dimension 1, "
-            f"got rank {m.ranks[m.initial]} dimension {m.dims[m.initial]}")
+            f"initial state {m.initial!r} has dimension "
+            f"{m.dims[m.initial]}, expected 1")
     for (q, sym), alts in m.rules.items():
-        if q not in m.ranks:
-            raise UnknownState(f"rule for unknown state {q!r}")
-        if sym not in m.input_alphabet:
-            raise ArityMismatch(f"rule for unknown input symbol {sym!r}")
         k = m.input_alphabet.rank(sym)
         rank = m.ranks[q]
         dim = m.dims[q]

@@ -23,7 +23,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .io_membership import _eval, _member
-from .mtt import MttClass, Mtt, Rhs, validate
+from .mtt import MttClass, Rhs, distinct_rules, validate
 from .trees import RankedAlphabet, Tree, TreeDag, format_term
 
 
@@ -147,16 +147,13 @@ class TacMtt:
     rules: dict[tuple[str, str], tuple[TacRule, ...]]
     tac: Tac
 
-    def plain(self) -> Mtt:
-        """The underlying transducer with all guards dropped."""
-        return Mtt(
-            name=self.name,
-            input_alphabet=self.input_alphabet,
-            output_alphabet=self.output_alphabet,
-            states=dict(self.states),
-            initial=self.initial,
-            rules={k: tuple(r.rhs for r in alts) for k, alts in self.rules.items()},
-        )
+    def __post_init__(self):
+        self.rules = distinct_rules(self.rules)
+
+    def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
+        """The distinct right-hand sides for (state, sym), guards dropped."""
+        return tuple(dict.fromkeys(
+            rule.rhs for rule in self.rules.get((state, sym), ())))
 
 
 def validate_tac_mtt(tm: TacMtt) -> MttClass:
@@ -165,7 +162,7 @@ def validate_tac_mtt(tm: TacMtt) -> MttClass:
     The returned classification describes the guard-free rule table;
     guardedness itself is enforced dynamically per input.
     """
-    cls = validate(tm.plain())
+    cls = validate(tm)
     tm.tac.check()
     known = tm.tac.states()
     for (q, sym), alts in tm.rules.items():

@@ -154,6 +154,14 @@ def random_mrtt(rng: random.Random, name: str = "mrand") -> MrMtt:
     )
 
 
+def first_rule_twice(text: str) -> str:
+    """Transducer text with its first rule line written a second time."""
+    lines = text.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines)
+             if line.lstrip().startswith("rule "))
+    return "".join(lines[:i + 1] + lines[i:])
+
+
 def all_inputs(max_size: int, alphabet: RankedAlphabet = IN_ALPHA) -> list[Tree]:
     return enumerate_trees(alphabet, max_size=max_size)
 

@@ -12,6 +12,8 @@ from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
 from mttkit.sat import Cnf3, build_sat_mtt, encode, parse_dimacs
 from mttkit.trees import format_term, parse_term
 
+from helpers import first_rule_twice
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -34,26 +36,36 @@ def test_validate_plain(files, capsys):
     assert "deterministic: false" in out
     assert "total: false" in out
 
-    assert main(["validate", "--json", path]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["name"] == "double"
-    assert rec["m"] == 1
-    assert rec["rules"] == 4
+    text = format_transducer(double_mtt())
+    for path in (files("double.mtt", text),
+                 files("twice.mtt", first_rule_twice(text))):
+        assert main(["validate", "--json", path]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["name"] == "double"
+        assert rec["m"] == 1
+        assert rec["rules"] == 4  # a repeated rule counts once
 
 
 def test_validate_tac_and_mr(files, capsys):
-    tac = files("eqpair.mtt", format_transducer(equal_pair_tacmtt()))
-    assert main(["validate", "--json", tac]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["kind"] == "mtt+tac"
-    assert rec["lookahead_states"] == 1
-    assert rec["transitions"] == 3
+    text = format_transducer(equal_pair_tacmtt())
+    for tac in (files("eqpair.mtt", text),
+                files("twice.mtt", first_rule_twice(text))):
+        assert main(["validate", "--json", tac]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["kind"] == "mtt+tac"
+        assert rec["lookahead_states"] == 1
+        assert rec["transitions"] == 3
+        assert rec["rules"] == 1
 
-    mr = files("revpair.mrtt", format_transducer(reverse_pair_mrtt()))
-    assert main(["validate", "--json", mr]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["kind"] == "mrtt"
-    assert rec["max_dimension"] == 2
+    text = format_transducer(reverse_pair_mrtt())
+    for mr in (files("revpair.mrtt", text),
+               files("twice.mrtt", first_rule_twice(text))):
+        assert main(["validate", "--json", mr]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["kind"] == "mrtt"
+        assert rec["max_dimension"] == 2
+        assert rec["rules"] == sum(
+            len(alts) for alts in reverse_pair_mrtt().rules.values())
 
 
 def test_validate_sat_generator(files, capsys):
@@ -64,12 +76,28 @@ def test_validate_sat_generator(files, capsys):
     assert rec["rules"] == 20
 
 
+def deep_mtt_text(depth: int) -> str:
+    """double_mtt with one right-hand side nested depth levels deep."""
+    return format_transducer(double_mtt()).replace(
+        "-> f(y1, y1)", "-> " + "f(e, " * depth + "y1" + ")" * depth)
+
+
 def test_validate_errors(files, capsys):
-    assert main(["validate", "/no/such/file.mtt"]) == 1
+    assert main(["validate", "/no/such/file.mtt"]) == 3
     assert "error:" in capsys.readouterr().err
     bad = files("bad.mtt", "mtt m { input { } }")
-    assert main(["validate", bad]) == 1
+    assert main(["validate", bad]) == 3
     assert "empty input alphabet" in capsys.readouterr().err
+    with open(bad, "wb") as f:
+        f.write(b"mtt \xff {}\n")
+    assert main(["validate", bad]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    deep = files("deep.mtt", deep_mtt_text(3000))
+    assert main(["validate", deep]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nests deeper than" in err
 
 
 def test_member_io_verdicts(files, capsys):
@@ -209,6 +237,15 @@ def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
     oracle = ["member", "--engine", "oracle"]
     diagnosed(oracle + ["--max-set", "0", m, sf, tf])
     diagnosed(oracle + ["--max-steps", "-5", m, sf, tf])
+    # every flag is checked, whichever engine reads it
+    for engine in ("io", "oi-fc", "det"):
+        member = ["member", "--engine", engine]
+        diagnosed(member + ["--max-set", "0", "--max-steps", "-5", m, sf, tf])
+        diagnosed(member + ["--max-tree", "-1", m, sf, tf])
+        diagnosed(member + ["--env-cap", "0", m, sf, tf])
+        diagnosed(member + ["--copy-bound", "0", m, sf, tf])
+    deep = files("deep.mtt", deep_mtt_text(3000))
+    diagnosed(["member", "--engine", "io", deep, sf, tf])
     diagnosed(["sat", "--max-set", "0", cnf])
     diagnosed(["member", "--engine", "io", m, bad, tf])
     diagnosed(["member", "--engine", "io", m, sf, bad])

@@ -3,15 +3,19 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mttkit.dsl import format_transducer, parse_transducer
-from mttkit.errors import ArityMismatch, ParseError
+from mttkit.dsl import MAX_NESTING, format_transducer, parse_transducer
+from mttkit.errors import ArityMismatch, MttError, ParseError
 from mttkit.families import (copyfree_mtt, double_mtt, doubling_mtt,
                              equal_pair_tacmtt, reverse_pair_mrtt)
 from mttkit.mtt import Mtt, Out, validate
-from mttkit.multi_return import MrMtt, validate_mr
-from mttkit.sat import build_sat_mtt
+from mttkit.multi_return import MrMtt
+from mttkit.sat import build_sat_mtt, parse_dimacs
 from mttkit.tac import TacMtt, TacRule
+from mttkit.trees import parse_term
+
+from helpers import first_rule_twice
 
 
 def equal_pair_eq_only_tacmtt():
@@ -149,6 +153,15 @@ def test_error_positions_point_at_the_offender():
                         "  rule q0(b(x1)) -> e\n}",
                         "not an input symbol", line=5)
     assert err.column == 11
+    # nesting is bounded, and the error points at the first term too deep
+    def deep(n):
+        return ("mtt m { input { e: 0 } output { g: 1, e: 0 } state q0: 0 "
+                "init\n  rule q0(e) -> " + "g(" * n + "e" + ")" * n + " }")
+
+    parse_transducer(deep(MAX_NESTING - 1))
+    err = _expect_error(deep(MAX_NESTING), "nests deeper than "
+                        f"{MAX_NESTING} levels", line=2)
+    assert err.column == len("  rule q0(e) -> ") + 2 * MAX_NESTING + 1
 
 
 def test_trailing_junk_rejected():
@@ -187,9 +200,6 @@ def test_validation_runs_on_load():
     bad_arity = DOC_EXAMPLE.replace("f(y1, y1)", "f(y1)")
     with pytest.raises(ArityMismatch):
         parse_transducer(bad_arity)
-    m = parse_transducer(bad_arity, check=False)
-    with pytest.raises(ArityMismatch):
-        validate(m)
 
 
 MR_EXAMPLE = """
@@ -235,9 +245,8 @@ def test_mr_errors():
                   "expected 'eof'")
     unbound = MR_EXAMPLE.replace("rule q0(z) -> pair(b, b)",
                                  "rule q0(z) -> pair(z1, b)")
-    with pytest.raises(Exception):
+    with pytest.raises(ArityMismatch):
         parse_transducer(unbound)
-    assert isinstance(parse_transducer(unbound, check=False), MrMtt)
 
 
 def test_mrtt_rejects_tac_block():
@@ -252,3 +261,42 @@ def test_formatted_text_is_plain_ascii():
         text = format_transducer(make())
         assert text.isascii()
         assert text.endswith("}\n")
+
+
+@pytest.mark.parametrize("text", [DOC_EXAMPLE, MR_EXAMPLE,
+                                  format_transducer(equal_pair_tacmtt())],
+                         ids=["mtt", "mrtt", "tac"])
+def test_literal_duplicates_are_kept_once(text):
+    once = parse_transducer(text)
+    twice = parse_transducer(first_rule_twice(text))
+    assert twice == once
+    assert format_transducer(twice) == format_transducer(once)
+
+
+_SAMPLES = ([format_transducer(make()) for make in FAMILIES]
+            + [DOC_EXAMPLE, MR_EXAMPLE, "f(g(e), e)",
+               "c comment\np cnf 3 2\n1 -2 3 0\n-1 2 3 0\n"])
+_WORDS = sorted(set(" ".join(_SAMPLES).replace("(", " ( ").replace(")", " ) ")
+                    .replace(",", " , ").split()))
+
+
+@st.composite
+def _spliced(draw):
+    """A valid sample with a short stretch replaced by arbitrary text."""
+    text = draw(st.sampled_from(_SAMPLES))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 12)))
+    return text[:i] + draw(st.text(max_size=8)) + text[j:]
+
+
+@pytest.mark.parametrize("parse", [parse_term, parse_transducer, parse_dimacs])
+@given(text=st.one_of(
+    st.text(max_size=80),
+    st.lists(st.sampled_from(_WORDS), max_size=40).map(" ".join),
+    _spliced()))
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_toolkit_errors(parse, text):
+    try:
+        parse(text)
+    except MttError:
+        pass

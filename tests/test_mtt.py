@@ -1,19 +1,28 @@
 """Transducer model: rule well-formedness and classification."""
 
+from dataclasses import replace
+
 import pytest
 
 from mttkit import (
     ArityMismatch,
     BadInitialRank,
     Call,
+    MrMtt,
+    MrRhs,
     Mtt,
     Out,
     Param,
     RankedAlphabet,
+    Tac,
+    TacMtt,
+    TacRule,
     UnknownState,
     UnknownSymbol,
     rhs_size,
     validate,
+    validate_mr,
+    validate_tac_mtt,
     walk_rhs,
 )
 from mttkit.families import copyfree_mtt, double_mtt, doubling_mtt
@@ -55,18 +64,44 @@ def test_classification_of_reference_families():
     assert cls.max_state_rank == 1
 
 
+def _each_kind(keys, states=None):
+    """An Mtt, a TacMtt and an MrMtt with the same header and rule keys
+    (every right-hand side the leaf e), each with its validator."""
+    states = states if states is not None else {"q0": 0, "q": 1}
+    head = dict(name="m", input_alphabet=IN1, output_alphabet=OUT1,
+                initial="q0")
+    return (
+        (validate, Mtt(states=states, rules={k: (Out("e"),) for k in keys},
+                       **head)),
+        (validate_tac_mtt, TacMtt(
+            states=states, rules={k: (TacRule(Out("e")),) for k in keys},
+            tac=Tac(IN1, ()), **head)),
+        (validate_mr, MrMtt(
+            ranks=states, dims={q: 1 for q in states},
+            rules={k: (MrRhs((), (Out("e"),)),) for k in keys}, **head)),
+    )
+
+
 def test_initial_state_must_have_rank_zero():
-    with pytest.raises(BadInitialRank):
-        validate(_mtt({}, states={"q0": 1}))
-    with pytest.raises(UnknownState):
-        validate(_mtt({}, states={"other": 0}))
+    # the header checks are shared: every kind raises the same class
+    for check, m in _each_kind((), states={"q0": 1}):
+        with pytest.raises(BadInitialRank):
+            check(m)
+    for check, m in _each_kind((), states={"other": 0}):
+        with pytest.raises(UnknownState):
+            check(m)
+    for check, m in _each_kind((), states={"q0": 0, "q": -1}):
+        with pytest.raises(ArityMismatch):
+            check(m)
 
 
 def test_rule_key_errors():
-    with pytest.raises(UnknownState):
-        validate(_mtt({("nope", "e"): (Out("e"),)}))
-    with pytest.raises(UnknownSymbol):
-        validate(_mtt({("q0", "zz"): (Out("e"),)}))
+    for check, m in _each_kind((("nope", "e"),)):
+        with pytest.raises(UnknownState):
+            check(m)
+    for check, m in _each_kind((("q0", "zz"),)):
+        with pytest.raises(UnknownSymbol):
+            check(m)
 
 
 def test_rhs_well_formedness_errors():
@@ -87,8 +122,10 @@ def test_rhs_well_formedness_errors():
 
 
 def test_alternatives_deduplicate_structurally():
-    m = _mtt({("q0", "e"): (Out("e"), Out("e"))})
+    m = _mtt({("q0", "e"): [Out("e"), Out("e")]})
+    assert m.rules == {("q0", "e"): (Out("e"),)}  # stored once, as a tuple
     assert m.alternatives("q0", "e") == (Out("e"),)
+    assert replace(m, rules={("q0", "e"): (Out("e"),) * 3}).rules == m.rules
     assert validate(m).deterministic  # duplicates do not break determinism
     m2 = _mtt({("q0", "e"): (Out("e"), Out("f", (Out("e"), Out("e"))))})
     assert len(m2.alternatives("q0", "e")) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -195,6 +196,12 @@ def test_simultaneously_satisfied_variants_pool_their_rules():
             ),
         ),
     )
+    # a literal repeat is stored once; alternatives() drops the guards
+    f_any = TacRule(Out("f", (Out("e"),)))
+    again = replace(tm, rules={
+        ("q0", "pi"): tm.rules[("q0", "pi")] * 2 + (f_any,)})
+    assert again.rules[("q0", "pi")] == tm.rules[("q0", "pi")] + (f_any,)
+    assert again.alternatives("q0", "pi") == (f_any.rhs, Out("g", (Out("e"),)))
     s = parse_term("pi(e,e)")
     assert member_io_tac(tm, s, parse_term("f(e)"))
     assert member_io_tac(tm, s, parse_term("g(e)"))
