@@ -12,7 +12,7 @@ from .errors import (AlphabetMismatch, ArityMismatch, BadInitialRank,
                      BottomAccess, BudgetExceeded, ChildIndexOutOfRange,
                      EmptyFormula, EnvLimitExceeded, MttError,
                      NotDeterministic, NotTotal, ParseError, RankViolation,
-                     UnknownState, UnknownSymbol)
+                     RhsTooDeep, UnknownState, UnknownSymbol)
 from .trees import (BOTTOM, RankedAlphabet, Tree, TreeDag, build_dag,
                     enumerate_trees, format_term, parse_term, substitute,
                     term_sort_key, tree)
@@ -37,7 +37,8 @@ __all__ = [
     "AlphabetMismatch", "ArityMismatch", "BadInitialRank", "BottomAccess",
     "BudgetExceeded", "ChildIndexOutOfRange", "EmptyFormula",
     "EnvLimitExceeded", "MttError", "NotDeterministic", "NotTotal",
-    "ParseError", "RankViolation", "UnknownState", "UnknownSymbol",
+    "ParseError", "RankViolation", "RhsTooDeep", "UnknownState",
+    "UnknownSymbol",
     "BOTTOM", "RankedAlphabet", "Tree", "TreeDag", "build_dag",
     "enumerate_trees", "format_term", "parse_term", "substitute",
     "term_sort_key", "tree",

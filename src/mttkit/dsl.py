@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .mtt import Call, Mtt, Out, Param, validate
+from .mtt import MAX_NESTING, Call, Mtt, Out, Param, validate
 from .multi_return import MrLet, MrMtt, MrRhs, ZVar, validate_mr
 from .tac import Tac, TacMtt, TacRule, TacTransition, validate_tac_mtt
 from .trees import RankedAlphabet
@@ -49,10 +49,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<arrow>->)"
     r"|(?P<punct>[{}()\[\],:;/=])"
 )
-
-# right-hand sides are hashed and evaluated recursively, so deeper terms
-# would overflow the interpreter stack
-MAX_NESTING = 256
 
 _XVAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 _YVAR_RE = re.compile(r"y([1-9][0-9]*)\Z")

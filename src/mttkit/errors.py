@@ -28,6 +28,10 @@ class ArityMismatch(MttError):
     """A symbol, state, or variable is used with the wrong number of arguments."""
 
 
+class RhsTooDeep(MttError):
+    """A rule's right-hand side nests deeper than MAX_NESTING levels."""
+
+
 class RankViolation(MttError):
     """A rank constraint is broken, e.g. substituting for a non-nullary symbol."""
 

@@ -217,8 +217,13 @@ def _det_output(m: Mtt, s: Tree, bound: int) -> Tree:
         vals = tuple(build(a, node, args) for a in rhs.args)
         return go(rhs.state, s_dag.kids[node][rhs.child - 1], vals)
 
-    with recursion_room(8 * s.size):
-        out = go(m.initial, s_root, ())
+    try:
+        with recursion_room(8 * s.size):
+            out = go(m.initial, s_root, ())
+    finally:
+        # go and build reach each other through closure cells, a cycle
+        # that would keep memo alive until a full garbage collection
+        del go, build
     if out.size > bound:
         raise _StageTooBig()
     return out

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 from .errors import (
     ArityMismatch,
     BadInitialRank,
+    RhsTooDeep,
     UnknownState,
     UnknownSymbol,
 )
 from .trees import RankedAlphabet
+
+# right-hand sides are hashed and evaluated recursively, so deeper terms
+# would overflow the interpreter stack; the DSL reports the same bound
+MAX_NESTING = 256
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,34 @@ def walk_rhs(r: Rhs):
             stack.extend(reversed(node.args))
 
 
-def distinct_rules(rules: dict) -> dict:
+def _nesting(terms) -> int:
+    """Levels of the deepest of the terms, a leaf (Param, ZVar) counting
+    one.  A level holds each subterm object once, so terms built in code
+    that share subterms cannot make a level grow by doubling."""
+    depth, level = 0, terms
+    while level:
+        depth += 1
+        level = {id(a): a for u in level
+                 for a in getattr(u, "args", ())}.values()
+    return depth
+
+
+def distinct_rules(rules: dict, terms) -> dict:
     """The rule table with each alternative list as a tuple, structural
-    duplicates dropped and written order kept."""
+    duplicates dropped and written order kept.
+
+    terms(alt) gives the terms of one alternative.  A term nested deeper
+    than MAX_NESTING raises RhsTooDeep here, before hashing would
+    overflow the interpreter stack.
+    """
+    for (q, sym), alts in rules.items():
+        for alt in alts:
+            depth = _nesting(terms(alt))
+            if depth > MAX_NESTING:
+                raise RhsTooDeep(
+                    f"rule {q}/{sym}: right-hand side nests {depth} levels "
+                    f"deep, more than {MAX_NESTING}"
+                )
     return {key: tuple(dict.fromkeys(alts)) for key, alts in rules.items()}
 
 
@@ -95,7 +125,7 @@ class Mtt:
             raise UnknownState(f"state {state!r} is not declared") from None
 
     def __post_init__(self):
-        self.rules = distinct_rules(self.rules)
+        self.rules = distinct_rules(self.rules, lambda rhs: (rhs,))
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """Rule alternatives for (state, sym)."""

@@ -60,7 +60,8 @@ class MrMtt:
     rules: dict = field(default_factory=dict)  # (state, sym) -> tuple[MrRhs, ...]
 
     def __post_init__(self):
-        self.rules = distinct_rules(self.rules)
+        self.rules = distinct_rules(self.rules, lambda rhs: (
+            *(a for let in rhs.lets for a in let.args), *rhs.result))
 
     def rank(self, state: str) -> int:
         if state not in self.ranks:

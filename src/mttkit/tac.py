@@ -148,7 +148,7 @@ class TacMtt:
     tac: Tac
 
     def __post_init__(self):
-        self.rules = distinct_rules(self.rules)
+        self.rules = distinct_rules(self.rules, lambda rule: (rule.rhs,))
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """The distinct right-hand sides for (state, sym), guards dropped."""

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
-from itertools import product
+from itertools import islice, product
 
 from .errors import (
     ArityMismatch,
@@ -70,16 +71,34 @@ class RankedAlphabet:
         return f"RankedAlphabet({{{inner}}})"
 
     def check_tree(self, t: "Tree") -> None:
-        """Raise UnknownSymbol/ArityMismatch unless t is well formed here."""
+        """Raise UnknownSymbol/ArityMismatch unless t is well formed here.
+
+        Each distinct subtree object is checked once, so a tree built with
+        shared subtrees costs its distinct nodes, not its paths.
+        """
         stack = [t]
+        # ids of checked inner nodes; a walk that has met no branching node
+        # cannot come back to a node, so the set starts at the first one
+        seen = None
         while stack:
             node = stack.pop()
+            kids = node.children
             r = self.rank(node.label)
-            if r != len(node.children):
+            if r != len(kids):
                 raise ArityMismatch(
-                    f"symbol {node.label!r} has rank {r} but {len(node.children)} children"
+                    f"symbol {node.label!r} has rank {r} but {len(kids)} children"
                 )
-            stack.extend(node.children)
+            if not kids:
+                continue
+            if seen is None:
+                if len(kids) == 1:
+                    stack.append(kids[0])
+                    continue
+                seen = set()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.extend(kids)
 
     def is_well_ranked(self, t: "Tree") -> bool:
         try:
@@ -111,20 +130,36 @@ class Tree:
             return True
         if not isinstance(other, Tree):
             return NotImplemented
-        # iterative compare: bench trees are deep, recursion is not safe
+        # iterative compare: bench trees are deep, recursion is not safe.
+        # Each (id(a), id(b)) pair of inner nodes is compared once, so trees
+        # built with shared subtrees cost their distinct pairs, not their
+        # paths; as in check_tree, the pair set starts at the first branching.
         stack = [(self, other)]
+        seen = None
         while stack:
             a, b = stack.pop()
             if a is b:
                 continue
+            kids = a.children
             if (
                 a._hash != b._hash
                 or a.size != b.size
                 or a.label != b.label
-                or len(a.children) != len(b.children)
+                or len(kids) != len(b.children)
             ):
                 return False
-            stack.extend(zip(a.children, b.children))
+            if not kids:
+                continue
+            if seen is None:
+                if len(kids) == 1:
+                    stack.append((kids[0], b.children[0]))
+                    continue
+                seen = set()
+            pair = (id(a), id(b))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            stack.extend(zip(kids, b.children))
         return True
 
     def __repr__(self):
@@ -148,90 +183,92 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """Parse `name` / `name(term,...,term)` text into a Tree.
 
     Rank-0 parentheses are optional: `e` and `e()` denote the same tree.
-    When an alphabet is given, symbols and arities are checked as nodes
-    are built.
+    Equal subtrees come back as one object, so the result is as shared as
+    its minimal DAG.  When an alphabet is given, symbols and arities are
+    checked as distinct nodes are built.
     """
-    tokens = _tokenize(text)
-    pos = 0
 
     def fail(msg, at):
         line = text.count("\n", 0, at) + 1
         col = at - (text.rfind("\n", 0, at) + 1) + 1
         raise ParseError(msg, line, col)
 
-    def make(name, children, at):
-        if alphabet is not None:
-            if name not in alphabet:
-                fail(f"symbol {name!r} is not declared", at)
-            r = alphabet.rank(name)
-            if r != len(children):
-                fail(f"symbol {name!r} expects {r} children, got {len(children)}", at)
-        return Tree(name, children)
+    def fail_at(msg, k):
+        # offsets are only needed here: token k is the k-th match
+        fail(msg, next(islice(_TERM_TOKEN_RE.finditer(text), k, None)).start())
 
-    # stack frames: [name, position, children list]
-    stack = []
-    result = None
-    while True:
-        if pos >= len(tokens):
-            fail("unexpected end of input", len(text))
-        tok, at = tokens[pos]
-        if not NAME_RE.fullmatch(tok):
-            fail(f"expected a symbol name, got {tok!r}", at)
-        pos += 1
-        if pos < len(tokens) and tokens[pos][0] == "(":
-            pos += 1
-            if pos < len(tokens) and tokens[pos][0] == ")":
-                pos += 1
-                node = make(tok, (), at)
-            else:
-                stack.append([tok, at, []])
-                continue
-        else:
-            node = make(tok, (), at)
-        # reduce: attach the finished node upward as far as possible
-        while True:
-            if not stack:
-                result = node
-                break
-            if pos >= len(tokens):
-                fail("unexpected end of input", len(text))
-            sep, sat = tokens[pos]
-            stack[-1][2].append(node)
-            if sep == ",":
-                pos += 1
-                break
-            if sep == ")":
-                pos += 1
-                name, nat, children = stack.pop()
-                node = make(name, tuple(children), nat)
-                continue
-            fail(f"expected ',' or ')', got {sep!r}", sat)
-        if result is not None:
-            break
-    if pos != len(tokens):
-        fail(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
-    return result
+    def check(name, arity, k):
+        if name not in alphabet:
+            fail_at(f"symbol {name!r} is not declared", k)
+        r = alphabet.rank(name)
+        if r != arity:
+            fail_at(f"symbol {name!r} expects {r} children, got {arity}", k)
 
-
-_TERM_TOKEN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[(),])")
-
-
-def _tokenize(text):
-    tokens = []
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        fail(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = _TERM_TOKEN_RE.findall(text)
+    tokens.append("")  # end marker; no token is empty
+    leaves: dict[str, Tree] = {}
+    inner: defaultdict[str, dict] = defaultdict(dict)  # name -> children -> node
+    opened = []  # token index of the name of each open node
+    starts = []  # where the children of each open node begin in `kids`
+    kids = []
     pos = 0
-    while pos < len(text):
-        m = _TERM_TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
+    while True:
+        name = tokens[pos]
+        if not name:
+            fail("unexpected end of input", len(text))
+        if name in _PUNCT:
+            fail_at(f"expected a symbol name, got {name!r}", pos)
+        if tokens[pos + 1] == "(" and tokens[pos + 2] != ")":
+            opened.append(pos)
+            starts.append(len(kids))
+            pos += 2
+            continue
+        node = leaves.get(name)
+        if node is None:
+            if alphabet is not None:
+                check(name, 0, pos)
+            node = leaves[name] = Tree(name)
+        pos += 3 if tokens[pos + 1] == "(" else 1
+        # attach the finished node upward as far as possible
+        while opened:
+            sep = tokens[pos]
+            pos += 1
+            if sep == ",":
+                kids.append(node)
                 break
-            at = len(text) - len(rest)
-            line = text.count("\n", 0, at) + 1
-            col = at - (text.rfind("\n", 0, at) + 1) + 1
-            raise ParseError(f"unexpected character {rest[0]!r}", line, col)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+            if sep != ")":
+                if not sep:
+                    fail("unexpected end of input", len(text))
+                fail_at(f"expected ',' or ')', got {sep!r}", pos - 1)
+            start = starts.pop()
+            if start == len(kids):
+                children = (node,)
+            else:
+                kids.append(node)
+                children = tuple(kids[start:])
+                del kids[start:]
+            k = opened.pop()
+            name = tokens[k]
+            node = inner[name].get(children)
+            if node is None:
+                if alphabet is not None:
+                    check(name, len(children), k)
+                node = inner[name][children] = Tree(name, children)
+        else:
+            break
+    if tokens[pos]:
+        fail_at(f"trailing input {tokens[pos]!r}", pos)
+    return node
+
+
+_TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
+# the first character no token can start or continue: one outside names,
+# parentheses, commas and whitespace, or a digit that follows no name
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),\s]|(?<![A-Za-z0-9_])[0-9]")
+_PUNCT = frozenset("(),")
 
 
 def format_term(t: Tree) -> str:

@@ -1,8 +1,11 @@
 """Command line behavior: subcommands, exit codes, output shapes."""
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mttkit.cli import main
 from mttkit.dsl import format_transducer, parse_transducer
@@ -252,6 +255,50 @@ def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
     monkeypatch.setenv("MTTKIT_MAX_SET", "abc")
     diagnosed(oracle + [m, sf, tf])
     diagnosed(["sat", cnf])
+
+
+_TERMS = [format_term(t) for t in copyfree_instance(4)] + ["f(g(e),e)", "e()"]
+_TERM_WORDS = ["a", "e", "f", "g", "z", "(", ")", ",", " ", "\n", "x1", "1"]
+
+
+@st.composite
+def _spliced_term(draw):
+    """A valid term with a short stretch replaced by arbitrary text."""
+    text = draw(st.sampled_from(_TERMS))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 6)))
+    return text[:i] + draw(st.text(max_size=4)) + text[j:]
+
+
+_TERM_TEXT = st.one_of(
+    st.sampled_from(_TERMS),
+    # chains like copyfree's inputs and outputs, so verdicts come out too
+    st.builds(lambda node, n, leaf: node * n + leaf + ")" * n,
+              st.sampled_from(["a(", "f(", "g("]), st.integers(0, 6),
+              st.sampled_from(["e", "g(e)", "a(e)"])),
+    st.text(max_size=30),
+    st.lists(st.sampled_from(_TERM_WORDS), max_size=20).map("".join),
+    _spliced_term())
+
+
+@given(engine=st.sampled_from(["io", "det", "oi-fc"]), s=_TERM_TEXT, t=_TERM_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_member_exit_codes_on_any_term_text(tmp_path_factory, engine, s, t):
+    # the exit-code contract holds whatever the term files hold
+    d = tmp_path_factory.mktemp("member")
+    m = d / "cf.mtt"
+    m.write_text(format_transducer(copyfree_mtt()))
+    (d / "s.term").write_text(s, encoding="utf-8")
+    (d / "t.term").write_text(t, encoding="utf-8")
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["member", "--engine", engine, str(m), str(d / "s.term"),
+                     str(d / "t.term")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_sat_subcommand(files, tmp_path, capsys):

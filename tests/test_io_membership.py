@@ -1,5 +1,6 @@
 """Call-by-value membership: the subtree automaton and its fast paths."""
 
+import gc
 import random
 import time
 
@@ -255,6 +256,42 @@ def test_member_det_agrees_with_member_io_on_doubling():
         (t,) = oracle_eval(m, "io", App("q0", s)).items
         assert member_det([m], "io", s, t)
         assert member_io(m, s, t)
+
+
+def test_shared_candidates_cost_distinct_nodes():
+    # doubling's output on a^40(e), built with both halves shared: 2^40
+    # paths through 40 distinct nodes, so the alphabet check and det's
+    # comparison must walk distinct nodes, not paths
+    n = 40
+    s = Tree("e")
+    for _ in range(n):
+        s = Tree("a", (s,))
+    full = [Tree("e")]
+    for _ in range(n - 1):
+        full.append(Tree("f", (full[-1], full[-1])))
+    # the same with its lowest rightmost f(e, e) pruned to e
+    pruned = Tree("e")
+    for h in range(1, n - 1):
+        pruned = Tree("f", (full[h], pruned))
+    m = doubling_mtt()
+    t0 = time.perf_counter()
+    for t, want in ((full[-1], True), (pruned, False)):
+        assert member_io(m, s, t) is want
+        assert member_det([m], "io", s, t) is want
+    assert time.perf_counter() - t0 < 10
+
+
+def test_member_det_leaves_no_cyclic_garbage():
+    # the stage memo, which holds the whole stage output, goes when
+    # member_det returns, not at the next full garbage collection
+    s, t = copyfree_instance(50)
+    gc.collect()
+    gc.disable()
+    try:
+        assert member_det([copyfree_mtt()], "io", s, t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_member_det_matches_member_io_on_random_det_transducers():

@@ -8,12 +8,14 @@ from mttkit import (
     ArityMismatch,
     BadInitialRank,
     Call,
+    MrLet,
     MrMtt,
     MrRhs,
     Mtt,
     Out,
     Param,
     RankedAlphabet,
+    RhsTooDeep,
     Tac,
     TacMtt,
     TacRule,
@@ -26,6 +28,7 @@ from mttkit import (
     walk_rhs,
 )
 from mttkit.families import copyfree_mtt, double_mtt, doubling_mtt
+from mttkit.mtt import MAX_NESTING
 
 IN1 = RankedAlphabet({"a": 1, "e": 0})
 OUT1 = RankedAlphabet({"f": 2, "e": 0})
@@ -102,6 +105,45 @@ def test_rule_key_errors():
     for check, m in _each_kind((("q0", "zz"),)):
         with pytest.raises(UnknownSymbol):
             check(m)
+
+
+def _nested(levels):
+    """g(g(...e...)), the given number of levels deep."""
+    rhs = Out("e")
+    for _ in range(levels - 1):
+        rhs = Out("g", (rhs,))
+    return rhs
+
+
+_HEAD = dict(name="m", input_alphabet=IN1,
+             output_alphabet=RankedAlphabet({"g": 1, "e": 0}), initial="q0")
+_MR = dict(ranks={"q0": 0}, dims={"q0": 1})
+
+
+@pytest.mark.parametrize("build", [
+    lambda rhs: Mtt(states={"q0": 0}, rules={("q0", "a"): (rhs,)}, **_HEAD),
+    lambda rhs: TacMtt(states={"q0": 0}, rules={("q0", "a"): (TacRule(rhs),)},
+                       tac=Tac(IN1, ()), **_HEAD),
+    lambda rhs: MrMtt(rules={("q0", "a"): (MrRhs((), (rhs,)),)}, **_MR, **_HEAD),
+    lambda rhs: MrMtt(rules={("q0", "a"): (MrRhs(
+        (MrLet((1,), "q0", 1, (rhs,)),), (Out("e"),)),)}, **_MR, **_HEAD),
+], ids=["mtt", "tac", "mr-result", "mr-let"])
+def test_deep_rhs_is_a_toolkit_error(build):
+    # a rhs built in code deeper than the DSL allows would overflow the
+    # interpreter stack when hashed; the model rejects it before that
+    assert build(_nested(MAX_NESTING)).rules  # the DSL's bound is the model's
+    with pytest.raises(RhsTooDeep,
+                       match=r"rule q0/a: right-hand side nests 600 levels"):
+        build(_nested(600))
+
+
+def test_deep_rhs_check_visits_shared_subterms_once():
+    # f(r, r) nested 600 levels: 2^599 paths through 600 distinct subterms
+    rhs = Out("e")
+    for _ in range(599):
+        rhs = Out("f", (rhs, rhs))
+    with pytest.raises(RhsTooDeep, match="nests 600 levels"):
+        _mtt({("q0", "a"): (rhs,)})
 
 
 def test_rhs_well_formedness_errors():

@@ -79,6 +79,86 @@ def test_parse_term_positions_and_alphabet():
     assert "q" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    # a bad character is reported before any syntax error
+    ("f(,) $", "unexpected character '$'", 1, 6),
+    ("f(1a)", "unexpected character '1'", 1, 3),
+    ("f(e)\n  é", "unexpected character 'é'", 2, 3),
+    ("f(e,\n ,e)", "expected a symbol name, got ','", 2, 2),
+    ("f(e e)", "expected ',' or ')', got 'e'", 1, 5),
+    ("f(e,g(e)", "unexpected end of input", 1, 9),
+    ("f(e)\n)", "trailing input ')'", 2, 1),
+], ids=["bad-char-first", "digit-starts-token", "non-ascii", "missing-name",
+        "missing-separator", "unexpected-end", "trailing"])
+def test_parse_term_error_positions(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert str(exc.value) == f"{message} (line {line}, column {column})"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_parse_term_alphabet_errors_point_at_the_symbol():
+    with pytest.raises(ParseError) as exc:
+        parse_term("a(b(q),\nb(q))", ABE)  # the first q is checked
+    assert (exc.value.line, exc.value.column) == (1, 5)
+    with pytest.raises(ParseError, match="expects 2 children, got 1"):
+        parse_term("b(a(e))", ABE)
+
+
+def test_parse_term_skips_unicode_whitespace():
+    assert parse_term("\u00a0a(\u2028e ,\u3000b(e))\u00a0") == parse_term("a(e,b(e))")
+
+
+def _distinct_nodes(t):
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
+
+
+def test_parse_shares_equal_subtrees():
+    for t in enumerate_trees(ABE, max_size=7):
+        parsed = parse_term(format_term(t))
+        assert parsed == t
+        assert _distinct_nodes(parsed) == build_dag(t)[0].node_count()
+    # the full binary tree with 2^15 leaves: 16 distinct subtrees
+    full = Tree("e")
+    for _ in range(15):
+        full = Tree("f", (full, full))
+    parsed = parse_term(format_term(full))
+    assert _distinct_nodes(parsed) == 16
+    assert parsed.size == full.size == 2 ** 16 - 1
+
+
+def test_shared_trees_are_walked_once():
+    # 2^40 paths through 40 distinct nodes: equality and the alphabet
+    # check must cost the distinct nodes (or pairs), not the paths
+    def full(depth):
+        t = Tree("e")
+        for _ in range(depth - 1):
+            t = Tree("f", (t, t))
+        return t
+
+    def bottom_right(depth, leaf):
+        """full(depth) with its rightmost leaf renamed."""
+        t = Tree(leaf)
+        for h in range(1, depth):
+            t = Tree("f", (full(h), t))
+        return t
+
+    fe = RankedAlphabet({"f": 2, "e": 0})
+    assert full(40) == full(40)
+    assert full(40) != bottom_right(40, "c")
+    assert bottom_right(40, "e") == full(40)
+    assert fe.is_well_ranked(full(40))
+    assert not fe.is_well_ranked(bottom_right(40, "c"))
+    with pytest.raises(UnknownSymbol, match="'c'"):
+        fe.check_tree(bottom_right(40, "c"))
+
+
 def test_parse_format_round_trip_examples():
     for text in ("e", "b(e)", "a(b(e),a(e,e))"):
         assert format_term(parse_term(text)) == text
