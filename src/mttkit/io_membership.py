@@ -12,7 +12,8 @@ DemandEngine computes these entries on demand from the root question,
 so only the entries the verdict depends on are visited.  _member is the
 one driver of every engine built on it: member_io here, member_io_tac,
 member_oi_fc and member_mr_io each pass their rule selector and their
-right-hand-side evaluator.
+right-hand-side evaluator, which is handed the candidate output's DAG
+and reads its intern table and label index.
 """
 
 from __future__ import annotations
@@ -20,22 +21,12 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import NotDeterministic, NotTotal
-from .mtt import Mtt, Out, Param, validate
+from .mtt import Mtt, Out, Param, _refuse_guards, validate
 from .oracle import IO, OI, check_input_tree
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
 
-class _Targets:
-    """Candidate-output DAG plus the indexes the clauses below need."""
-
-    __slots__ = ("dag", "by_label")
-
-    def __init__(self, dag: TreeDag):
-        self.dag = dag
-        self.by_label = dag.nodes_by_label()
-
-
-def _out_refs(sym: str, kid_sets, tg: _Targets) -> set:
+def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
     """References an output-symbol node can take, given child result sets.
 
     A real node v matches iff it carries sym and child i of v lies in the
@@ -55,9 +46,9 @@ def _out_refs(sym: str, kid_sets, tg: _Targets) -> set:
     if count == 0:
         # some child set is exactly {BOTTOM}, and no node has a BOTTOM child
         return {BOTTOM}
-    cands = tg.by_label.get(sym, ())
+    cands = dag.by_label.get(sym, ())
     if count <= len(cands):
-        intern = tg.dag.intern
+        intern = dag.intern
         missed = False
         for ubar in product(*real):
             ref = intern.get((sym, ubar))
@@ -70,7 +61,7 @@ def _out_refs(sym: str, kid_sets, tg: _Targets) -> set:
     else:
         # pigeonhole: some selection is not a node, so BOTTOM holds, and
         # matching nodes are found by scanning sym-nodes instead.
-        kids_of = tg.dag.kids
+        kids_of = dag.kids
         for v in cands:
             ks = kids_of[v]
             if all(u in kid_sets[i] for i, u in enumerate(ks)):
@@ -79,16 +70,17 @@ def _out_refs(sym: str, kid_sets, tg: _Targets) -> set:
     return out
 
 
-def _eval(rhs, vbar: tuple, lookup, tg: _Targets) -> set:
-    """Result references of one right-hand side under parameter refs vbar.
+def _eval(rhs, vbar: tuple, lookup, dag: TreeDag) -> set:
+    """Result references of one right-hand side under parameter refs vbar,
+    over the candidate-output DAG.
 
     lookup(j, state, ubar) resolves a state call on input child j.
     """
     if isinstance(rhs, Param):
         return {vbar[rhs.index - 1]}
     if isinstance(rhs, Out):
-        return _out_refs(rhs.sym, [_eval(a, vbar, lookup, tg) for a in rhs.args], tg)
-    kid_sets = [_eval(a, vbar, lookup, tg) for a in rhs.args]
+        return _out_refs(rhs.sym, [_eval(a, vbar, lookup, dag) for a in rhs.args], dag)
+    kid_sets = [_eval(a, vbar, lookup, dag) for a in rhs.args]
     out: set = set()
     for ks in kid_sets:
         if not ks:
@@ -105,15 +97,16 @@ class DemandEngine:
     per (input DAG node, state, parameter bindings).  alts_for(node, q)
     yields the applicable right-hand sides; plugging in a guard-aware
     selector gives the look-ahead variant of the engine.
-    evaluate(rhs, vbar, lookup, tg) gives the results of one right-hand
-    side under bindings vbar: _eval binds each parameter to one reference
+    evaluate(rhs, vbar, lookup, t_dag) gives the results of one
+    right-hand side under bindings vbar, as nodes of the candidate-output
+    DAG t_dag it is handed: _eval binds each parameter to one reference
     (call-by-value), oi_fc binds it to a set (call-by-name), and
     multi_return returns tuples of references.
     """
 
     def __init__(self, s_dag: TreeDag, t_dag: TreeDag, alts_for, evaluate):
         self.s_dag = s_dag
-        self.tg = _Targets(t_dag)
+        self.t_dag = t_dag
         self.alts_for = alts_for
         self.evaluate = evaluate
         self.memo: dict[tuple, frozenset] = {}
@@ -130,7 +123,7 @@ class DemandEngine:
 
         acc: set = set()
         for rhs in self.alts_for(node, q):
-            acc |= self.evaluate(rhs, vbar, lookup, self.tg)
+            acc |= self.evaluate(rhs, vbar, lookup, self.t_dag)
         got = frozenset(acc)
         self.memo[key] = got
         return got
@@ -155,7 +148,7 @@ def _member(m, s: Tree, t: Tree, select, evaluate, stats: dict | None,
     t_dag, t_root = build_dag(t)
     s_dag, s_root = build_dag(s)
     engine = DemandEngine(s_dag, t_dag, select(s_dag), evaluate)
-    with recursion_room(8 * s.size):
+    with recursion_room(8 * s_dag.node_count()):
         root_entry = engine.demand(s_root, m.initial, ())
     if stats is not None:
         stats.update(
@@ -168,6 +161,7 @@ def _member(m, s: Tree, t: Tree, select, evaluate, stats: dict | None,
 
 def _plain_rules(m: Mtt):
     """Rule selector for a plain transducer: every alternative of (q, sym)."""
+    _refuse_guards(m)
 
     def select(s_dag):
         labels = s_dag.labels
@@ -218,7 +212,7 @@ def _det_output(m: Mtt, s: Tree, bound: int) -> Tree:
         return go(rhs.state, s_dag.kids[node][rhs.child - 1], vals)
 
     try:
-        with recursion_room(8 * s.size):
+        with recursion_room(8 * s_dag.node_count()):
             out = go(m.initial, s_root, ())
     finally:
         # go and build reach each other through closure cells, a cycle
@@ -243,6 +237,7 @@ def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
     if not mtts:
         raise ValueError("need at least one transducer")
     for m in mtts:
+        _refuse_guards(m)
         cls = validate(m)
         if not cls.deterministic:
             raise NotDeterministic(f"{m.name}: more than one alternative for some pair")

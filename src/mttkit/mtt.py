@@ -3,7 +3,8 @@
 A transducer has states with ranks (accumulating parameter counts), an
 initial state of rank 0, and rules indexed by (state, input symbol).
 A right-hand side is a tree over output symbols, parameters y_i, and
-state calls q[x_j](args).
+state calls q[x_j](args); multi-return terms read let-bound variables
+z_j instead of calling states.
 """
 
 from __future__ import annotations
@@ -48,6 +49,18 @@ class Call:
     args: tuple = ()
 
 
+@dataclass(frozen=True)
+class ZVar:
+    """Reference to a let-bound tuple component of a multi-return rule,
+    1-based."""
+
+    index: int
+
+    def __post_init__(self):
+        if self.index < 1:
+            raise ValueError(f"z-variable index must be >= 1, got {self.index}")
+
+
 Rhs = Out | Param | Call
 
 
@@ -67,7 +80,7 @@ def walk_rhs(r: Rhs):
     while stack:
         node = stack.pop()
         yield node
-        if not isinstance(node, Param):
+        if isinstance(node, (Out, Call)):
             stack.extend(reversed(node.args))
 
 
@@ -147,8 +160,14 @@ class MttClass:
     max_state_rank: int
 
 
-def check_rhs(m, rhs: Rhs, state_rank: int, input_rank: int, where: str) -> None:
-    """Structural well-formedness of one right-hand side."""
+def check_rhs(m, rhs: Rhs, state_rank: int, input_rank: int, where: str,
+              zs: int | None = None) -> None:
+    """Structural well-formedness of one right-hand side.
+
+    zs is None for an mtt right-hand side.  For a term of a multi-return
+    rule it is the number of z-variables bound where the term stands:
+    the term may read z1..z{zs} and may call no state.
+    """
     for node in walk_rhs(rhs):
         if isinstance(node, Param):
             if not 1 <= node.index <= state_rank:
@@ -163,6 +182,11 @@ def check_rhs(m, rhs: Rhs, state_rank: int, input_rank: int, where: str) -> None
                 raise ArityMismatch(
                     f"{where}: output symbol {node.sym!r} has rank {r}, got {len(node.args)} args"
                 )
+        elif isinstance(node, ZVar):
+            if zs is None or not 1 <= node.index <= zs:
+                raise ArityMismatch(f"{where}: z{node.index} is not bound at this point")
+        elif zs is not None:
+            raise ArityMismatch(f"{where}: calls may not appear inside terms: {node!r}")
         else:
             if node.state not in m.states:
                 raise UnknownState(f"{where}: state {node.state!r} not declared")
@@ -208,6 +232,16 @@ def check_header(m, ranks: dict[str, int]) -> None:
             raise UnknownState(f"rule for undeclared state {q!r}")
         if sym not in m.input_alphabet:
             raise UnknownSymbol(f"rule on undeclared input symbol {sym!r}")
+
+
+def _refuse_guards(m) -> None:
+    """Raise TypeError for a look-ahead transducer (a TacMtt): engines
+    that read its rules through alternatives() would drop the guards."""
+    if hasattr(m, "tac"):
+        raise TypeError(
+            f"{m.name!r} has look-ahead guards, which this engine would drop; "
+            f"use member_io_tac"
+        )
 
 
 def validate(m) -> MttClass:

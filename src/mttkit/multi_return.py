@@ -14,23 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (ArityMismatch, BadInitialRank, EnvLimitExceeded,
-                     UnknownState, UnknownSymbol)
+from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
 from .io_membership import _member
-from .mtt import Out, Param, check_header, distinct_rules
+from .mtt import Param, ZVar, check_header, check_rhs, distinct_rules, walk_rhs
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
 from .trees import BOTTOM, RankedAlphabet, Tree
-
-
-@dataclass(frozen=True)
-class ZVar:
-    """Reference to a let-bound tuple component, 1-based."""
-
-    index: int
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"z-variable index must be >= 1, got {self.index}")
 
 
 @dataclass(frozen=True)
@@ -62,6 +50,12 @@ class MrMtt:
     def __post_init__(self):
         self.rules = distinct_rules(self.rules, lambda rhs: (
             *(a for let in rhs.lets for a in let.args), *rhs.result))
+        # what member_mr_io evaluates: per (state, sym), each alternative
+        # with the z-variables its environments keep after each let, and
+        # the rule's name for errors
+        self._layouts = {
+            (q, sym): tuple((rhs, _kept_after(rhs), f"{q}/{sym}") for rhs in alts)
+            for (q, sym), alts in self.rules.items()}
 
     def rank(self, state: str) -> int:
         if state not in self.ranks:
@@ -75,31 +69,6 @@ class MrMtt:
 
     def alternatives(self, state: str, sym: str) -> tuple[MrRhs, ...]:
         return self.rules.get((state, sym), ())
-
-
-def _check_term(m: MrMtt, term, n_z: int, state_rank: int, where: str) -> None:
-    if isinstance(term, Param):
-        if not 1 <= term.index <= state_rank:
-            raise ArityMismatch(
-                f"{where}: parameter y{term.index} out of range for rank {state_rank}")
-        return
-    if isinstance(term, ZVar):
-        if not 1 <= term.index <= n_z:
-            raise ArityMismatch(
-                f"{where}: z{term.index} is not bound at this point")
-        return
-    if isinstance(term, Out):
-        if term.sym not in m.output_alphabet:
-            raise UnknownSymbol(
-                f"{where}: {term.sym!r} is not an output symbol")
-        if m.output_alphabet.rank(term.sym) != len(term.args):
-            raise ArityMismatch(
-                f"{where}: {term.sym!r} expects "
-                f"{m.output_alphabet.rank(term.sym)} arguments, got {len(term.args)}")
-        for a in term.args:
-            _check_term(m, a, n_z, state_rank, where)
-        return
-    raise ArityMismatch(f"{where}: calls may not appear inside terms: {term!r}")
 
 
 def validate_mr(m: MrMtt) -> None:
@@ -136,14 +105,14 @@ def validate_mr(m: MrMtt) -> None:
                         f"{where}: {let.state!r} expects {m.ranks[let.state]} "
                         f"arguments, got {len(let.args)}")
                 for a in let.args:
-                    _check_term(m, a, n_z, rank, where)
+                    check_rhs(m, a, rank, k, where, n_z)
                 n_z += m.dims[let.state]
             if len(rhs.result) != dim:
                 raise ArityMismatch(
                     f"{where}: result tuple has {len(rhs.result)} components, "
                     f"state dimension is {dim}")
             for term in rhs.result:
-                _check_term(m, term, n_z, rank, where)
+                check_rhs(m, term, rank, k, where, n_z)
 
 
 def _term_tree(term, ys: tuple, zs: tuple) -> Tree:
@@ -240,29 +209,23 @@ def eval_mr_io(m: MrMtt, s: Tree, budget: Budget | None = None) -> TreeSet:
     return TreeSet(tup[0] for tup in tuples)
 
 
-def _kept_after(rhs: MrRhs) -> list[tuple[int, ...]]:
+def _kept_after(rhs: MrRhs) -> tuple[tuple[int, ...], ...]:
     """kept[i] = the z-indices an environment holds after let i: those
     bound by lets 0..i and read by a later let or the result tuple, in
     ascending order."""
-
-    def zreads(term, acc):
-        if isinstance(term, ZVar):
-            acc.add(term.index)
-        elif isinstance(term, Out):
-            for a in term.args:
-                zreads(a, acc)
-
-    reads: set[int] = set()
-    for term in rhs.result:
-        zreads(term, reads)
+    reads = _zreads(rhs.result)
     kept: list[tuple[int, ...]] = [()] * len(rhs.lets)
     bound = sum(len(let.targets) for let in rhs.lets)
     for i in range(len(rhs.lets) - 1, -1, -1):
         kept[i] = tuple(sorted(j for j in reads if j <= bound))
         bound -= len(rhs.lets[i].targets)
-        for a in rhs.lets[i].args:
-            zreads(a, reads)
-    return kept
+        reads |= _zreads(rhs.lets[i].args)
+    return tuple(kept)
+
+
+def _zreads(terms) -> set[int]:
+    """The z-indices the terms read."""
+    return {u.index for term in terms for u in walk_rhs(term) if isinstance(u, ZVar)}
 
 
 def _arg_ref(term, ybar: tuple, env: dict, dag) -> int:
@@ -296,25 +259,12 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     max_envs = 0
 
     def select(s_dag):
-        labels = s_dag.labels
-        prepared: dict = {}
+        labels, layouts = s_dag.labels, m._layouts
+        return lambda node, q: layouts.get((q, labels[node]), ())
 
-        def alts_for(node, q):
-            key = (q, labels[node])
-            got = prepared.get(key)
-            if got is None:
-                where = f"{q}/{key[1]}"
-                got = prepared[key] = tuple(
-                    (rhs, _kept_after(rhs), where)
-                    for rhs in m.alternatives(*key))
-            return got
-
-        return alts_for
-
-    def evaluate(alt, ybar, lookup, tg):
+    def evaluate(alt, ybar, lookup, dag):
         nonlocal max_envs
         rhs, kept, where = alt
-        dag = tg.dag
         # environment = refs for the z-vars that are both bound and still
         # needed, in ascending index order
         envs: set = {()}

@@ -44,7 +44,7 @@ class NonConforming:
 NON_CONFORMING = NonConforming()
 
 
-def _eval_sets(rhs, betabar: tuple, lookup, tg, c: int) -> set:
+def _eval_sets(rhs, betabar: tuple, lookup, dag, c: int) -> set:
     """Result nodes of rhs when parameter i may expand to any node of
     betabar[i], an ascending tuple of at most c candidate-output nodes.
 
@@ -52,10 +52,10 @@ def _eval_sets(rhs, betabar: tuple, lookup, tg, c: int) -> set:
     """
     if isinstance(rhs, Param):
         return set(betabar[rhs.index - 1])
-    kid_sets = [_eval_sets(a, betabar, lookup, tg, c) for a in rhs.args]
+    kid_sets = [_eval_sets(a, betabar, lookup, dag, c) for a in rhs.args]
     if isinstance(rhs, Out):
         # bindings never hold BOTTOM; the empty set plays its role
-        out = _out_refs(rhs.sym, kid_sets, tg)
+        out = _out_refs(rhs.sym, kid_sets, dag)
         out.discard(BOTTOM)
         return out
     # Every entry is monotone in its bindings: a larger set for a parameter
@@ -76,8 +76,8 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
 
     # a plain function, not functools.partial: a call through partial nests
     # on the C stack, which deep inputs overflow
-    def evaluate(rhs, betabar, lookup, tg):
-        return _eval_sets(rhs, betabar, lookup, tg, c)
+    def evaluate(rhs, betabar, lookup, dag):
+        return _eval_sets(rhs, betabar, lookup, dag, c)
 
     validate(m)
     return _member(m, s, t, _plain_rules(m), evaluate, stats)

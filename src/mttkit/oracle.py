@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import AlphabetMismatch, ArityMismatch, BudgetExceeded, UnknownSymbol
-from .mtt import Call, Mtt, Out, Param, validate
+from .mtt import Call, Mtt, Out, Param, _refuse_guards, validate
 from .trees import Tree, substitute, term_sort_key
 
 IO = "io"
@@ -244,6 +244,7 @@ class Evaluator:
                  prune_size: int | None = None):
         if mode not in (IO, OI):
             raise ValueError(f"mode must be {IO!r} or {OI!r}")
+        _refuse_guards(m)
         validate(m)
         self.m = m
         self.mode = mode
@@ -337,12 +338,12 @@ def oracle_member(m: Mtt, mode: str, s: Tree, t: Tree,
     check_input_tree(m, s)
     if stats is not None:
         stats.update(s_size=s.size, t_size=t.size)
-    if not m.output_alphabet.is_well_ranked(t):
-        return NO
     bud = budget or Budget()
     if bud.max_tree_size is None:
         bud = Budget(bud.max_set_size, 4 * t.size, bud.max_steps)
     ev = Evaluator(m, mode, bud, prune_size=t.size)
+    if not m.output_alphabet.is_well_ranked(t):
+        return NO
     try:
         verdict = YES if t in ev.state_set(m.initial, s) else NO
     except BudgetExceeded:

@@ -60,11 +60,14 @@ class Tac:
                     f"look-ahead transition on {tr.sym!r} lists {len(tr.states)} "
                     f"child states, symbol has rank {r}"
                 )
-            for i, j in tuple(tr.eq) + tuple(tr.neq):
-                if not (1 <= i <= r and 1 <= j <= r):
-                    raise ArityMismatch(
-                        f"constraint ({i},{j}) out of range for rank {r} symbol {tr.sym!r}"
-                    )
+            _check_constraints(tr, r, f"look-ahead transition on {tr.sym!r}")
+
+
+def _check_constraints(guard, r: int, where: str) -> None:
+    """Every eq/neq pair of a transition or rule names children 1..r."""
+    for i, j in (*guard.eq, *guard.neq):
+        if not (1 <= i <= r and 1 <= j <= r):
+            raise ArityMismatch(f"{where}: constraint ({i},{j}) out of range for rank {r}")
 
 
 def _constraints_ok(tr: TacTransition, kid_refs) -> bool:
@@ -149,11 +152,30 @@ class TacMtt:
 
     def __post_init__(self):
         self.rules = distinct_rules(self.rules, lambda rule: (rule.rhs,))
+        self._unguarded = {key: tuple(dict.fromkeys(rule.rhs for rule in alts))
+                           for key, alts in self.rules.items()}
+        # (state, sym, child look-ahead states, child equality pattern) ->
+        # the distinct right-hand sides whose guards hold there; a key is
+        # filled the first time member_io_tac meets a node of that shape
+        self._guarded: dict[tuple, tuple[Rhs, ...]] = {}
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """The distinct right-hand sides for (state, sym), guards dropped."""
-        return tuple(dict.fromkeys(
-            rule.rhs for rule in self.rules.get((state, sym), ())))
+        return self._unguarded.get((state, sym), ())
+
+    def _alternatives_at(self, state: str, sym: str, kid_states: tuple,
+                         same: tuple) -> tuple[Rhs, ...]:
+        """The distinct right-hand sides for (state, sym) whose guards hold
+        at a node whose children reached kid_states, child i being equal
+        to child j exactly when same[i] == same[j]."""
+        key = (state, sym, kid_states, same)
+        got = self._guarded.get(key)
+        if got is None:
+            got = self._guarded[key] = tuple(dict.fromkeys(
+                rule.rhs for rule in self.rules.get((state, sym), ())
+                if rule.lookahead in (None, kid_states)
+                and _constraints_ok(rule, same)))
+        return got
 
 
 def validate_tac_mtt(tm: TacMtt) -> MttClass:
@@ -179,20 +201,18 @@ def validate_tac_mtt(tm: TacMtt) -> MttClass:
                         raise UnknownState(
                             f"rule {q}/{sym}: look-ahead state {p!r} not in the automaton"
                         )
-            for i, j in tuple(rule.eq) + tuple(rule.neq):
-                if not (1 <= i <= r and 1 <= j <= r):
-                    raise ArityMismatch(
-                        f"rule {q}/{sym}: constraint ({i},{j}) out of range for rank {r}"
-                    )
+            _check_constraints(rule, r, f"rule {q}/{sym}")
     return cls
 
 
 def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     """Membership for a look-ahead transducer under call-by-value semantics.
 
-    The look-ahead automaton runs first over the input's minimal DAG;
-    rule alternatives whose guard matches at a node are then pooled, and
-    the same demand-driven automaton as member_io decides the verdict.
+    The look-ahead automaton runs first over the input's minimal DAG.
+    The rule alternatives whose guards hold at a node are then looked up
+    by the node's symbol, its children's look-ahead states and which of
+    its children are equal, and the same demand-driven automaton as
+    member_io decides the verdict.
     Equality guards compare input subtrees, so they use the input's DAG;
     output reasoning uses the candidate output's DAG.  The two stores are
     independent.
@@ -201,22 +221,14 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
 
     def select(s_dag):
         la = _run_nodes(tm.tac, s_dag, range(s_dag.node_count()))
+        labels, kids = s_dag.labels, s_dag.kids
 
         def alts_for(node, q):
-            alts = tm.rules.get((q, s_dag.labels[node]), ())
-            if not alts:
-                return ()
-            kid_refs = s_dag.kids[node]
-            kid_states = tuple(la[c] for c in kid_refs)
-            picked = []
-            for rule in alts:
-                if rule.lookahead is not None and rule.lookahead != kid_states:
-                    continue
-                if not _constraints_ok(rule, kid_refs):
-                    continue
-                if rule.rhs not in picked:
-                    picked.append(rule.rhs)
-            return tuple(picked)
+            ks = kids[node]
+            # equal children are one DAG node, so ks.index names each
+            # child's equality class by its first member
+            return tm._alternatives_at(q, labels[node], tuple(la[c] for c in ks),
+                                       tuple(map(ks.index, ks)))
 
         return alts_for
 

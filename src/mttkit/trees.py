@@ -329,15 +329,17 @@ class TreeDag:
 
     Node references are ints issued in creation order, so children always
     precede parents.  The intern table maps (label, child refs) to the
-    unique node carrying them.
+    unique node carrying them, and by_label maps each label to its nodes
+    in ascending order.
     """
 
-    __slots__ = ("labels", "kids", "intern", "root")
+    __slots__ = ("labels", "kids", "intern", "by_label", "root")
 
     def __init__(self):
         self.labels: list[str] = []
         self.kids: list[tuple[NodeRef, ...]] = []
         self.intern: dict[tuple, NodeRef] = {}
+        self.by_label: dict[str, list[NodeRef]] = defaultdict(list)
         self.root: NodeRef = BOTTOM
 
     def _add(self, label, kid_refs):
@@ -348,6 +350,7 @@ class TreeDag:
             self.labels.append(label)
             self.kids.append(kid_refs)
             self.intern[key] = ref
+            self.by_label[label].append(ref)
         return ref
 
     def node_count(self) -> int:
@@ -423,12 +426,6 @@ class TreeDag:
                 continue
             built[ref] = Tree(self.labels[ref], tuple(built[c] for c in self.kids[ref]))
         return built[v]
-
-    def nodes_by_label(self) -> dict[str, tuple[NodeRef, ...]]:
-        index: dict[str, list[NodeRef]] = {}
-        for ref, label in enumerate(self.labels):
-            index.setdefault(label, []).append(ref)
-        return {k: tuple(v) for k, v in index.items()}
 
 
 def build_dag(t: Tree) -> tuple[TreeDag, NodeRef]:

@@ -14,9 +14,11 @@ from mttkit import (
     NotTotal,
     Out,
     Param,
+    RankedAlphabet,
     Tree,
     member_det,
     member_io,
+    member_oi_fc,
     oracle_eval,
     parse_term,
 )
@@ -28,7 +30,7 @@ from mttkit.families import (
     double_mtt,
     doubling_mtt,
 )
-from mttkit.io_membership import DemandEngine, _eval, _plain_rules, _Targets
+from mttkit.io_membership import DemandEngine, _eval, _plain_rules
 from mttkit.trees import BOTTOM, build_dag
 
 from helpers import (
@@ -49,7 +51,7 @@ def _eval_on(rhs, vbar, dag, entries=None):
     def lookup(j, q, ubar):
         return entries.get((j, q, ubar), frozenset())
 
-    return _eval(rhs, vbar, lookup, _Targets(dag))
+    return _eval(rhs, vbar, lookup, dag)
 
 
 def _root_entry(m, s, t_dag):
@@ -279,6 +281,51 @@ def test_shared_candidates_cost_distinct_nodes():
         assert member_io(m, s, t) is want
         assert member_det([m], "io", s, t) is want
     assert time.perf_counter() - t0 < 10
+
+
+def test_shared_inputs_cost_distinct_nodes():
+    # p(x, x) nested 40 times: 41 distinct nodes, 2^41 - 1 paths.  The
+    # recursion budget follows the input's DAG, so no engine asks for a
+    # recursion limit the size of the path count.
+    m = Mtt(
+        name="mirror",
+        input_alphabet=RankedAlphabet({"p": 2, "e": 0}),
+        output_alphabet=RankedAlphabet({"f": 2, "e": 0, "g": 0}),
+        states={"q0": 0},
+        initial="q0",
+        rules={
+            ("q0", "p"): (Out("f", (Call("q0", 1), Call("q0", 2))),),
+            ("q0", "e"): (Out("e"),),
+        },
+    )
+
+    def full(label, leaf, n=40):
+        t = Tree(leaf)
+        for _ in range(n):
+            t = Tree(label, (t, t))
+        return t
+
+    s = full("p", "e")
+    t0 = time.perf_counter()
+    for t, want in ((full("f", "e"), True), (full("f", "g"), False)):
+        assert member_io(m, s, t) is want
+        assert member_oi_fc(m, 1, s, t) is want
+        assert member_det([m], "io", s, t) is want
+    assert time.perf_counter() - t0 < 10
+
+
+def test_deep_inputs():
+    # one depth per engine family: det at 10^6 levels, io at 10^5
+    s, t = copyfree_instance(10 ** 6)
+    assert member_det([copyfree_mtt()], "io", s, t)
+    s, t = copyfree_instance(10 ** 5)
+    assert member_io(copyfree_mtt(), s, t)
+    # the same candidate with the f halfway up changed to g
+    off = Tree("g", (Tree("e"),))
+    for k in range(10 ** 5 - 2):
+        off = Tree("g" if k == 10 ** 5 // 2 else "f", (off,))
+    assert off.size == t.size
+    assert not member_io(copyfree_mtt(), s, off)
 
 
 def test_member_det_leaves_no_cyclic_garbage():

@@ -1,5 +1,6 @@
 """Tuple-returning transducers: let semantics, oracle, and membership."""
 
+import gc
 import random
 
 import pytest
@@ -192,6 +193,20 @@ def test_env_cap_is_a_hard_error():
     with pytest.raises(EnvLimitExceeded):
         member_mr_io(m, s, t, env_cap=1)
     assert member_mr_io(m, s, t, env_cap=4)
+
+
+def test_member_mr_io_leaves_no_cyclic_garbage():
+    # the environments and the memo go by reference counting when
+    # member_mr_io returns, not at the next full garbage collection
+    m = reverse_pair_mrtt()
+    s, t = reverse_pair_instance("abababababab")
+    gc.collect()
+    gc.disable()
+    try:
+        assert member_mr_io(m, s, t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stats_reports_environment_pressure():

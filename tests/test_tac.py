@@ -18,10 +18,14 @@ from mttkit import (
     TacMtt,
     TacRule,
     TacTransition,
+    member_det,
     member_io,
     member_io_tac,
+    member_oi_fc,
+    oracle_member,
     parse_term,
     run_tac,
+    validate,
     validate_tac_mtt,
 )
 from mttkit.errors import ArityMismatch
@@ -235,3 +239,20 @@ def test_unsatisfiable_guard_is_legal_and_silent():
     validate_tac_mtt(tm)
     assert not member_io_tac(tm, parse_term("pi(e,e)"), parse_term("e"))
     assert not member_io_tac(tm, parse_term("pi(a(e),e)"), parse_term("e"))
+
+
+@pytest.mark.parametrize("engine", [
+    lambda tm, s, t: member_io(tm, s, t),
+    lambda tm, s, t: member_oi_fc(tm, 1, s, t),
+    lambda tm, s, t: oracle_member(tm, "io", s, t),
+    lambda tm, s, t: member_det([tm], "io", s, t),
+], ids=["member_io", "member_oi_fc", "oracle_member", "member_det"])
+def test_plain_engines_refuse_lookahead_transducers(engine):
+    # read without its guards, equal_pair would accept pi(a(e), e) -> e
+    tm = equal_pair_tacmtt()
+    s, t = parse_term("pi(a(e),e)"), parse_term("e")
+    assert not member_io_tac(tm, s, t)
+    with pytest.raises(TypeError, match="member_io_tac"):
+        engine(tm, s, t)
+    # the classifier still reads a guarded transducer guard-free
+    assert validate(tm).deterministic

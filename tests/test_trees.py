@@ -213,10 +213,18 @@ def test_dag_lookup_misses_give_bottom():
 
 def test_dag_nodes_by_label():
     dag, root = build_dag(parse_term("f(g(e),g(e))", None))
-    by = dag.nodes_by_label()
+    by = dag.by_label
     assert set(by) == {"e", "f", "g"}
-    assert by["f"] == (root,)
+    assert by["f"] == [root]
     assert len(by["g"]) == 1
+    # the index grows as nodes are interned, each node under its label once
+    dag2, root2 = build_dag(parse_term("f(g(e),f(e,g(g(e))))", None))
+    assert sorted(v for vs in dag2.by_label.values() for v in vs) \
+        == list(range(dag2.node_count()))
+    assert all(dag2.labels[v] == label
+               for label, vs in dag2.by_label.items() for v in vs)
+    assert dag2.by_label["f"] == sorted(dag2.by_label["f"])
+    assert dag2.by_label["f"][-1] == root2
 
 
 @given(_tree_strategy(ABE))
