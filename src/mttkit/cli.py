@@ -20,12 +20,12 @@ from .bench import FAMILIES, bench_family, fit_power_law
 from .errors import MttError
 from .dsl import format_transducer, parse_transducer
 from .io_membership import member_det, member_io
-from .mtt import Mtt, validate
+from .mtt import Mtt
 from .multi_return import MrMtt, member_mr_io
 from .oi_fc import member_oi_fc
 from .oracle import IO, NO, OI, UNKNOWN, YES, Budget, oracle_member
 from .sat import SAT, UNSAT, build_sat_mtt, encode, parse_dimacs, sat_check_small
-from .tac import TacMtt, member_io_tac, validate_tac_mtt
+from .tac import TacMtt, member_io_tac
 from .trees import format_term, parse_term
 
 ENGINES = ("io", "oi-fc", "io-tac", "mr-io", "det", "oracle")
@@ -106,7 +106,6 @@ def cmd_validate(args) -> int:
         m = _load_transducer(args.file)
         record: dict = {"name": m.name}
         if isinstance(m, TacMtt):
-            cls = validate_tac_mtt(m)
             record["kind"] = "mtt+tac"
             record["lookahead_states"] = len(m.tac.states())
             record["transitions"] = len(m.tac.transitions)
@@ -119,8 +118,8 @@ def cmd_validate(args) -> int:
             _emit(record, args.json)
             return 0
         else:
-            cls = validate(m)
             record["kind"] = "mtt"
+        cls = m.mtt_class
         record["deterministic"] = _bool(cls.deterministic)
         record["total"] = _bool(cls.total)
         record["linear_input"] = _bool(cls.linear_input)

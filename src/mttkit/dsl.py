@@ -20,22 +20,23 @@ transducers start with `mrtt`, declare `state q: rank/dim`, and write
 right-hand sides as let-bindings over z-variables ending in a result
 tuple: `let (z1, z2) = q[x1](e) in (z2, a(z1))`.  `#` starts a comment.
 
-The parser resolves names and shapes; parse_transducer then always runs
-the structural validator of the kind it built, so rank and range
-violations raise on load as well.  A rule written twice is one
-alternative: the models drop structural duplicates when built, and
-format_transducer prints each alternative once.  Terms may nest at most
-MAX_NESTING levels deep.
+The parser resolves names and shapes; the model it builds checks
+itself, so rank and range violations raise on load as well.  A rule
+written twice is one alternative: the models drop structural duplicates
+when built, and format_transducer prints each alternative once.  Terms
+may nest at most MAX_NESTING levels deep.  Names are interned, and equal
+terms of one file come back as one object.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import ParseError
-from .mtt import MAX_NESTING, Call, Mtt, Out, Param, validate
-from .multi_return import MrLet, MrMtt, MrRhs, ZVar, validate_mr
-from .tac import Tac, TacMtt, TacRule, TacTransition, validate_tac_mtt
+from .mtt import MAX_NESTING, Call, Mtt, Out, Param
+from .multi_return import MrLet, MrMtt, MrRhs, ZVar
+from .tac import Tac, TacMtt, TacRule, TacTransition
 from .trees import RankedAlphabet
 
 KEYWORDS = frozenset(
@@ -75,9 +76,10 @@ def _tokenize(text: str) -> list[_Tok]:
                              line=line, column=col)
         kind = m.lastgroup
         chunk = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind if kind in ("name", "int") else chunk,
-                             chunk, line, col))
+        if kind == "name":
+            toks.append(_Tok(kind, sys.intern(chunk), line, col))
+        elif kind not in ("ws", "comment"):
+            toks.append(_Tok(kind if kind == "int" else chunk, chunk, line, col))
         nl = chunk.count("\n")
         if nl:
             line += nl
@@ -93,6 +95,18 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        # (class, fields with child terms by id) -> the one such term
+        self.terms: dict[tuple, object] = {}
+
+    def term(self, cls, *fields):
+        """The parse's one term cls(*fields); a tuple field holds child
+        terms that are already shared, so their ids identify them."""
+        key = (cls, *(tuple(map(id, f)) if type(f) is tuple else f
+                      for f in fields))
+        got = self.terms.get(key)
+        if got is None:
+            got = self.terms[key] = cls(*fields)
+        return got
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -241,10 +255,10 @@ def _parse_term(p: _Parser, *, calls: bool, zvars: bool, depth: int = 1):
         p.error(f"term nests deeper than {MAX_NESTING} levels")
     if t.kind == "name" and _YVAR_RE.match(t.text):
         p.next()
-        return Param(int(t.text[1:]))
+        return p.term(Param, int(t.text[1:]))
     if zvars and t.kind == "name" and _ZVAR_RE.match(t.text):
         p.next()
-        return ZVar(int(t.text[1:]))
+        return p.term(ZVar, int(t.text[1:]))
     sym = p.name("term")
     if p.at("["):
         if not calls:
@@ -253,9 +267,9 @@ def _parse_term(p: _Parser, *, calls: bool, zvars: bool, depth: int = 1):
         child = p.ivar(_XVAR_RE, "x")
         p.expect("]")
         args = _parse_args(p, calls=calls, zvars=zvars, depth=depth)
-        return Call(sym, child, args)
+        return p.term(Call, sym, child, args)
     args = _parse_args(p, calls=calls, zvars=zvars, depth=depth)
-    return Out(sym, args)
+    return p.term(Out, sym, args)
 
 
 def _parse_args(p: _Parser, *, calls: bool, zvars: bool,
@@ -310,8 +324,8 @@ def _parse_mr_body(p: _Parser) -> MrRhs:
 def parse_transducer(text: str):
     """Parse one transducer block; returns Mtt, TacMtt, or MrMtt.
 
-    The structural validator runs after parsing, so rank and range
-    violations raise even though the grammar itself does not track them.
+    The model checks itself when built, so rank and range violations
+    raise even though the grammar itself does not track them.
     """
     p = _Parser(text)
     if p.at_word("mtt"):
@@ -441,23 +455,17 @@ def parse_transducer(text: str):
                 first_when)
 
     if kind == "mrtt":
-        m = MrMtt(name=name, input_alphabet=input_alphabet,
-                  output_alphabet=output_alphabet, ranks=states, dims=dims,
-                  initial=initial, rules=rules)
-        validate_mr(m)
-        return m
+        return MrMtt(name=name, input_alphabet=input_alphabet,
+                     output_alphabet=output_alphabet, ranks=states, dims=dims,
+                     initial=initial, rules=rules)
     if tac_transitions is not None:
-        tm = TacMtt(name=name, input_alphabet=input_alphabet,
-                    output_alphabet=output_alphabet, states=states,
-                    initial=initial, rules=guarded,
-                    tac=Tac(input_alphabet, tuple(tac_transitions)))
-        validate_tac_mtt(tm)
-        return tm
-    m = Mtt(name=name, input_alphabet=input_alphabet,
-            output_alphabet=output_alphabet, states=states, initial=initial,
-            rules=rules)
-    validate(m)
-    return m
+        return TacMtt(name=name, input_alphabet=input_alphabet,
+                      output_alphabet=output_alphabet, states=states,
+                      initial=initial, rules=guarded,
+                      tac=Tac(input_alphabet, tuple(tac_transitions)))
+    return Mtt(name=name, input_alphabet=input_alphabet,
+               output_alphabet=output_alphabet, states=states, initial=initial,
+               rules=rules)
 
 
 def _fmt_term(t, parts: list[str]) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import NotDeterministic, NotTotal
-from .mtt import Mtt, Out, Param, _refuse_guards, validate
+from .mtt import Mtt, Out, Param, _refuse_guards
 from .oracle import IO, OI, check_input_tree
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
@@ -137,7 +137,7 @@ def _member(m, s: Tree, t: Tree, select, evaluate, stats: dict | None,
     """Demand the initial state's entry at the root of s and look for t's
     root in it.
 
-    m is already validated by the caller.  select(s_dag) returns the
+    m checked itself when it was built.  select(s_dag) returns the
     DemandEngine rule selector alts_for(node, q), and evaluate is its
     right-hand-side evaluator.  With tuples, entries hold tuples of
     references (multi-return), and t's root is looked for as a 1-tuple.
@@ -177,7 +177,6 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     candidate t that is not well formed over the output alphabet cannot
     be produced and yields False.
     """
-    validate(m)
     return _member(m, s, t, _plain_rules(m), _eval, stats)
 
 
@@ -238,10 +237,9 @@ def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
         raise ValueError("need at least one transducer")
     for m in mtts:
         _refuse_guards(m)
-        cls = validate(m)
-        if not cls.deterministic:
+        if not m.mtt_class.deterministic:
             raise NotDeterministic(f"{m.name}: more than one alternative for some pair")
-        if not cls.total:
+        if not m.mtt_class.total:
             raise NotTotal(f"{m.name}: missing alternative for some pair")
     bound = (2 ** len(mtts)) * t.size
     cur = s

@@ -10,6 +10,7 @@ z_j instead of calling states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     ArityMismatch,
@@ -25,7 +26,7 @@ from .trees import RankedAlphabet
 MAX_NESTING = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Out:
     """An output-symbol node in a right-hand side."""
 
@@ -33,14 +34,14 @@ class Out:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     """An accumulating parameter y_index (1-based)."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     """A state call q[x_child](args); child is a 1-based input variable."""
 
@@ -49,7 +50,7 @@ class Call:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZVar:
     """Reference to a let-bound tuple component of a multi-return rule,
     1-based."""
@@ -96,9 +97,9 @@ def _nesting(terms) -> int:
     return depth
 
 
-def distinct_rules(rules: dict, terms) -> dict:
-    """The rule table with each alternative list as a tuple, structural
-    duplicates dropped and written order kept.
+def distinct_rules(rules: dict, terms) -> MappingProxyType:
+    """The rule table, read-only, with each alternative list as a tuple,
+    structural duplicates dropped and written order kept.
 
     terms(alt) gives the terms of one alternative.  A term nested deeper
     than MAX_NESTING raises RhsTooDeep here, before hashing would
@@ -112,16 +113,26 @@ def distinct_rules(rules: dict, terms) -> dict:
                     f"rule {q}/{sym}: right-hand side nests {depth} levels "
                     f"deep, more than {MAX_NESTING}"
                 )
-    return {key: tuple(dict.fromkeys(alts)) for key, alts in rules.items()}
+    return MappingProxyType({key: tuple(dict.fromkeys(alts))
+                             for key, alts in rules.items()})
 
 
-@dataclass
+def freeze(model, **attrs) -> None:
+    """Set attributes of a frozen model, from its __post_init__ only.
+    Attributes that are not fields are no init parameters and not part
+    of ==, so the indexes a model builds live there."""
+    for name, value in attrs.items():
+        object.__setattr__(model, name, value)
+
+
+@dataclass(frozen=True)
 class Mtt:
-    """A macro tree transducer.
+    """A macro tree transducer, checked when built and read-only after.
 
     rules maps (state, input symbol) to the alternatives for that pair;
     alternatives are kept in written order but mean a set, so structural
-    duplicates are dropped when the transducer is built.
+    duplicates are dropped when the transducer is built.  validate then
+    runs once, and the attribute mtt_class keeps what it returned.
     """
 
     name: str
@@ -131,14 +142,10 @@ class Mtt:
     initial: str
     rules: dict[tuple[str, str], tuple[Rhs, ...]]
 
-    def rank(self, state: str) -> int:
-        try:
-            return self.states[state]
-        except KeyError:
-            raise UnknownState(f"state {state!r} is not declared") from None
-
     def __post_init__(self):
-        self.rules = distinct_rules(self.rules, lambda rhs: (rhs,))
+        freeze(self, states=MappingProxyType(dict(self.states)),
+               rules=distinct_rules(self.rules, lambda rhs: (rhs,)))
+        freeze(self, mtt_class=validate(self))
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """Rule alternatives for (state, sym)."""
@@ -149,7 +156,7 @@ class Mtt:
         return sum(rhs_size(r) for alts in self.rules.values() for r in alts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MttClass:
     """Classification flags computed by validate."""
 
@@ -247,6 +254,7 @@ def _refuse_guards(m) -> None:
 def validate(m) -> MttClass:
     """Check structural well-formedness and classify an Mtt, or a TacMtt
     with its guards dropped (both are read through alternatives()).
+    Each runs it once, when built, and keeps the result as mtt_class.
 
     deterministic: at most one alternative per (state, symbol).  total:
     at least one alternative for every (state, symbol) pair.  Linearity

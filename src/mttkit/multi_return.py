@@ -13,15 +13,17 @@ exponentially many outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
 from .io_membership import _member
-from .mtt import Param, ZVar, check_header, check_rhs, distinct_rules, walk_rhs
+from .mtt import (Param, ZVar, check_header, check_rhs, distinct_rules, freeze,
+                  walk_rhs)
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
 from .trees import BOTTOM, RankedAlphabet, Tree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MrLet:
     """let (z_i, .., z_{i+D-1}) = state[x_child](args)"""
 
@@ -31,14 +33,17 @@ class MrLet:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MrRhs:
     lets: tuple[MrLet, ...]
     result: tuple  # terms over Out / Param / ZVar
 
 
-@dataclass
+@dataclass(frozen=True)
 class MrMtt:
+    """A multi-return transducer, checked once when built (validate_mr)
+    and read-only after."""
+
     name: str
     input_alphabet: RankedAlphabet
     output_alphabet: RankedAlphabet
@@ -48,24 +53,23 @@ class MrMtt:
     rules: dict = field(default_factory=dict)  # (state, sym) -> tuple[MrRhs, ...]
 
     def __post_init__(self):
-        self.rules = distinct_rules(self.rules, lambda rhs: (
+        rules = distinct_rules(self.rules, lambda rhs: (
             *(a for let in rhs.lets for a in let.args), *rhs.result))
-        # what member_mr_io evaluates: per (state, sym), each alternative
-        # with the z-variables its environments keep after each let, and
-        # the rule's name for errors
-        self._layouts = {
-            (q, sym): tuple((rhs, _kept_after(rhs), f"{q}/{sym}") for rhs in alts)
-            for (q, sym), alts in self.rules.items()}
+        # _layouts, what member_mr_io evaluates: per (state, sym), each
+        # alternative with the z-variables its environments keep after
+        # each let, and the rule's name for errors
+        freeze(self, ranks=MappingProxyType(dict(self.ranks)),
+               dims=MappingProxyType(dict(self.dims)),
+               rules=rules, _layouts={
+                   (q, sym): tuple((rhs, _kept_after(rhs), f"{q}/{sym}")
+                                   for rhs in alts)
+                   for (q, sym), alts in rules.items()})
+        validate_mr(self)
 
     def rank(self, state: str) -> int:
         if state not in self.ranks:
             raise UnknownState(f"unknown state {state!r}")
         return self.ranks[state]
-
-    def dim(self, state: str) -> int:
-        if state not in self.dims:
-            raise UnknownState(f"unknown state {state!r}")
-        return self.dims[state]
 
     def alternatives(self, state: str, sym: str) -> tuple[MrRhs, ...]:
         return self.rules.get((state, sym), ())
@@ -132,7 +136,6 @@ class MrEvaluator:
     """
 
     def __init__(self, m: MrMtt, budget: Budget | None = None):
-        validate_mr(m)
         self.m = m
         self.budget = budget or Budget()
         self._meter = _Meter(self.budget, prune_size=None)
@@ -255,7 +258,6 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     projected to live variables; a rule whose environment set exceeds
     env_cap raises EnvLimitExceeded rather than silently degrading.
     """
-    validate_mr(m)
     max_envs = 0
 
     def select(s_dag):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .io_membership import _member, _out_refs, _plain_rules
-from .mtt import Mtt, Out, Param, validate
+from .mtt import Mtt, Out, Param
 from .oracle import Budget, Evaluator, OI, param_index
 from .trees import BOTTOM, Tree, enumerate_trees
 
@@ -79,7 +79,6 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     def evaluate(rhs, betabar, lookup, dag):
         return _eval_sets(rhs, betabar, lookup, dag, c)
 
-    validate(m)
     return _member(m, s, t, _plain_rules(m), evaluate, stats)
 
 
@@ -93,7 +92,6 @@ def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8,
     NON_CONFORMING once the count exceeds the threshold; a count that
     keeps growing with depth means no finite bound exists.
     """
-    validate(m)
     ev = Evaluator(m, OI, budget or Budget())
     best = 0
     for s in enumerate_trees(m.input_alphabet, max_depth=depth):

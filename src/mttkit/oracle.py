@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import AlphabetMismatch, ArityMismatch, BudgetExceeded, UnknownSymbol
-from .mtt import Call, Mtt, Out, Param, _refuse_guards, validate
+from .mtt import Call, Mtt, Out, Param, _refuse_guards
 from .trees import Tree, substitute, term_sort_key
 
 IO = "io"
@@ -245,7 +245,6 @@ class Evaluator:
         if mode not in (IO, OI):
             raise ValueError(f"mode must be {IO!r} or {OI!r}")
         _refuse_guards(m)
-        validate(m)
         self.m = m
         self.mode = mode
         self.meter = _Meter(budget or Budget(), prune_size)

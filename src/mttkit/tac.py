@@ -14,6 +14,7 @@ statically, since constraint satisfiability is input-dependent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     ArityMismatch,
@@ -23,11 +24,11 @@ from .errors import (
     UnknownSymbol,
 )
 from .io_membership import _eval, _member
-from .mtt import MttClass, Rhs, distinct_rules, validate
+from .mtt import MttClass, Rhs, distinct_rules, freeze, validate
 from .trees import RankedAlphabet, Tree, TreeDag, format_term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TacTransition:
     sym: str
     states: tuple[str, ...]
@@ -36,12 +37,23 @@ class TacTransition:
     target: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tac:
-    """A look-ahead automaton; its state set is whatever transitions mention."""
+    """A look-ahead automaton; its state set is whatever transitions mention.
+
+    Checked and indexed by symbol when built, read-only after.
+    """
 
     input_alphabet: RankedAlphabet
     transitions: tuple[TacTransition, ...]
+
+    def __post_init__(self):
+        transitions = tuple(self.transitions)
+        by_sym: dict[str, list[TacTransition]] = {}
+        for tr in transitions:
+            by_sym.setdefault(tr.sym, []).append(tr)
+        freeze(self, transitions=transitions, _by_sym=by_sym)
+        self.check()
 
     def states(self) -> set[str]:
         out = set()
@@ -82,9 +94,7 @@ def _constraints_ok(tr: TacTransition, kid_refs) -> bool:
 
 def _run_nodes(a: Tac, dag: TreeDag, nodes) -> dict[int, str]:
     """Look-ahead states for the given DAG nodes, children first."""
-    by_sym: dict[str, list[TacTransition]] = {}
-    for tr in a.transitions:
-        by_sym.setdefault(tr.sym, []).append(tr)
+    by_sym = a._by_sym
     states: dict[int, str] = {}
     for v in nodes:
         kid_refs = dag.kids[v]
@@ -113,7 +123,6 @@ def _describe(dag: TreeDag, v: int) -> str:
 def run_tac(a: Tac, dag: TreeDag, v: int) -> str:
     """The look-ahead state of the subtree at node v."""
     dag._check(v)
-    a.check()
     reach = set()
     stack = [v]
     while stack:
@@ -124,7 +133,7 @@ def run_tac(a: Tac, dag: TreeDag, v: int) -> str:
     return _run_nodes(a, dag, sorted(reach))[v]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TacRule:
     """A guarded rule alternative.
 
@@ -138,9 +147,10 @@ class TacRule:
     neq: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TacMtt:
-    """A transducer whose rules are guarded by a look-ahead automaton."""
+    """A transducer whose rules are guarded by a look-ahead automaton;
+    like an Mtt, checked once when built and read-only after."""
 
     name: str
     input_alphabet: RankedAlphabet
@@ -151,13 +161,16 @@ class TacMtt:
     tac: Tac
 
     def __post_init__(self):
-        self.rules = distinct_rules(self.rules, lambda rule: (rule.rhs,))
-        self._unguarded = {key: tuple(dict.fromkeys(rule.rhs for rule in alts))
-                           for key, alts in self.rules.items()}
-        # (state, sym, child look-ahead states, child equality pattern) ->
-        # the distinct right-hand sides whose guards hold there; a key is
-        # filled the first time member_io_tac meets a node of that shape
-        self._guarded: dict[tuple, tuple[Rhs, ...]] = {}
+        rules = distinct_rules(self.rules, lambda rule: (rule.rhs,))
+        # _guarded: (state, sym, child look-ahead states, child equality
+        # pattern) -> the distinct right-hand sides whose guards hold
+        # there; a key is filled the first time member_io_tac meets a
+        # node of that shape
+        freeze(self, states=MappingProxyType(dict(self.states)),
+               rules=rules, _guarded={},
+               _unguarded={key: tuple(dict.fromkeys(rule.rhs for rule in alts))
+                           for key, alts in rules.items()})
+        freeze(self, mtt_class=validate_tac_mtt(self))
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """The distinct right-hand sides for (state, sym), guards dropped."""
@@ -182,10 +195,10 @@ def validate_tac_mtt(tm: TacMtt) -> MttClass:
     """Structural checks for rules, guards, and the look-ahead automaton.
 
     The returned classification describes the guard-free rule table;
-    guardedness itself is enforced dynamically per input.
+    guardedness itself is enforced dynamically per input.  The automaton
+    checked itself when it was built.
     """
     cls = validate(tm)
-    tm.tac.check()
     known = tm.tac.states()
     for (q, sym), alts in tm.rules.items():
         r = tm.input_alphabet.rank(sym)
@@ -217,8 +230,6 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
     output reasoning uses the candidate output's DAG.  The two stores are
     independent.
     """
-    validate_tac_mtt(tm)
-
     def select(s_dag):
         la = _run_nodes(tm.tac, s_dag, range(s_dag.node_count()))
         labels, kids = s_dag.labels, s_dag.kids

@@ -13,6 +13,7 @@ import sys
 from collections import defaultdict
 from contextlib import contextmanager
 from itertools import islice, product
+from types import MappingProxyType
 
 from .errors import (
     ArityMismatch,
@@ -32,7 +33,7 @@ BOTTOM: NodeRef = -1
 
 
 class RankedAlphabet:
-    """A finite set of symbol names, each with a fixed arity."""
+    """A finite set of symbol names, each with a fixed arity; read-only."""
 
     __slots__ = ("symbols",)
 
@@ -47,7 +48,10 @@ class RankedAlphabet:
                 )
             if not isinstance(rank, int) or rank < 0:
                 raise RankViolation(f"symbol {name!r} has bad rank {rank!r}")
-        self.symbols = symbols
+        object.__setattr__(self, "symbols", MappingProxyType(symbols))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RankedAlphabet is read-only, cannot set {name!r}")
 
     def rank(self, name: str) -> int:
         try:

@@ -9,7 +9,7 @@ from mttkit.dsl import MAX_NESTING, format_transducer, parse_transducer
 from mttkit.errors import ArityMismatch, MttError, ParseError
 from mttkit.families import (copyfree_mtt, double_mtt, doubling_mtt,
                              equal_pair_tacmtt, reverse_pair_mrtt)
-from mttkit.mtt import Mtt, Out, validate
+from mttkit.mtt import Call, Mtt, Out, Param, validate, walk_rhs
 from mttkit.multi_return import MrMtt
 from mttkit.sat import build_sat_mtt, parse_dimacs
 from mttkit.tac import TacMtt, TacRule
@@ -69,6 +69,20 @@ mtt double {
   rule q(e)(y1) -> f(y1, y1)
 }
 """
+
+
+def test_parse_shares_equal_terms_and_names():
+    m = parse_transducer(DOC_EXAMPLE.replace("q0", "start"))
+    (call,), (leaf,) = m.rules[("q", "a")], m.rules[("q", "e")]
+    assert call.args[0] is leaf  # f(y1, y1) in two rules is one object
+    assert leaf.args[0] is leaf.args[1]
+    # every occurrence of a name is one string object
+    names = [*m.states, *m.input_alphabet, *m.output_alphabet,
+             *(part for key in m.rules for part in key),
+             *(node.state if isinstance(node, Call) else node.sym
+               for alts in m.rules.values() for rhs in alts
+               for node in walk_rhs(rhs) if not isinstance(node, Param))]
+    assert len({id(n) for n in names}) == len(set(names))
 
 
 def test_parse_basic_example():

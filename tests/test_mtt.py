@@ -1,9 +1,10 @@
 """Transducer model: rule well-formedness and classification."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+import mttkit
 from mttkit import (
     ArityMismatch,
     BadInitialRank,
@@ -21,13 +22,26 @@ from mttkit import (
     TacRule,
     UnknownState,
     UnknownSymbol,
+    build_dag,
+    estimate_copy_bound,
+    eval_mr_io,
+    member_det,
+    member_io,
+    member_io_tac,
+    member_mr_io,
+    member_oi_fc,
+    oracle_member,
+    parse_term,
     rhs_size,
+    run_tac,
     validate,
     validate_mr,
     validate_tac_mtt,
     walk_rhs,
 )
-from mttkit.families import copyfree_mtt, double_mtt, doubling_mtt
+from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
+                             double_mtt, doubling_mtt, equal_pair_tacmtt,
+                             reverse_pair_instance, reverse_pair_mrtt)
 from mttkit.mtt import MAX_NESTING
 
 IN1 = RankedAlphabet({"a": 1, "e": 0})
@@ -68,43 +82,52 @@ def test_classification_of_reference_families():
 
 
 def _each_kind(keys, states=None):
-    """An Mtt, a TacMtt and an MrMtt with the same header and rule keys
-    (every right-hand side the leaf e), each with its validator."""
+    """Builders of an Mtt, a TacMtt and an MrMtt with the same header and
+    rule keys (every right-hand side the leaf e); each kind checks itself
+    when built."""
     states = states if states is not None else {"q0": 0, "q": 1}
     head = dict(name="m", input_alphabet=IN1, output_alphabet=OUT1,
                 initial="q0")
     return (
-        (validate, Mtt(states=states, rules={k: (Out("e"),) for k in keys},
-                       **head)),
-        (validate_tac_mtt, TacMtt(
+        lambda: Mtt(states=states, rules={k: (Out("e"),) for k in keys},
+                    **head),
+        lambda: TacMtt(
             states=states, rules={k: (TacRule(Out("e")),) for k in keys},
-            tac=Tac(IN1, ()), **head)),
-        (validate_mr, MrMtt(
+            tac=Tac(IN1, ()), **head),
+        lambda: MrMtt(
             ranks=states, dims={q: 1 for q in states},
-            rules={k: (MrRhs((), (Out("e"),)),) for k in keys}, **head)),
+            rules={k: (MrRhs((), (Out("e"),)),) for k in keys}, **head),
     )
 
 
 def test_initial_state_must_have_rank_zero():
     # the header checks are shared: every kind raises the same class
-    for check, m in _each_kind((), states={"q0": 1}):
+    for build in _each_kind((), states={"q0": 1}):
         with pytest.raises(BadInitialRank):
-            check(m)
-    for check, m in _each_kind((), states={"other": 0}):
+            build()
+    for build in _each_kind((), states={"other": 0}):
         with pytest.raises(UnknownState):
-            check(m)
-    for check, m in _each_kind((), states={"q0": 0, "q": -1}):
+            build()
+    for build in _each_kind((), states={"q0": 0, "q": -1}):
         with pytest.raises(ArityMismatch):
-            check(m)
+            build()
 
 
 def test_rule_key_errors():
-    for check, m in _each_kind((("nope", "e"),)):
+    for build in _each_kind((("nope", "e"),)):
         with pytest.raises(UnknownState):
-            check(m)
-    for check, m in _each_kind((("q0", "zz"),)):
+            build()
+    for build in _each_kind((("q0", "zz"),)):
         with pytest.raises(UnknownSymbol):
-            check(m)
+            build()
+
+
+def test_checkers_accept_each_kind_built():
+    # the public checkers still run on a built model, and agree with it
+    m, tm, mr = (build() for build in _each_kind((("q0", "e"),)))
+    assert validate(m) == m.mtt_class
+    assert validate_tac_mtt(tm) == tm.mtt_class
+    assert validate_mr(mr) is None
 
 
 def _nested(levels):
@@ -126,7 +149,8 @@ _MR = dict(ranks={"q0": 0}, dims={"q0": 1})
                        tac=Tac(IN1, ()), **_HEAD),
     lambda rhs: MrMtt(rules={("q0", "a"): (MrRhs((), (rhs,)),)}, **_MR, **_HEAD),
     lambda rhs: MrMtt(rules={("q0", "a"): (MrRhs(
-        (MrLet((1,), "q0", 1, (rhs,)),), (Out("e"),)),)}, **_MR, **_HEAD),
+        (MrLet((1,), "q", 1, (rhs,)),), (Out("e"),)),)},
+        ranks={"q0": 0, "q": 1}, dims={"q0": 1, "q": 1}, **_HEAD),
 ], ids=["mtt", "tac", "mr-result", "mr-let"])
 def test_deep_rhs_is_a_toolkit_error(build):
     # a rhs built in code deeper than the DSL allows would overflow the
@@ -184,3 +208,93 @@ def test_rhs_size_and_walk():
 def test_mtt_size_counts_all_alternatives():
     m = _mtt({("q0", "e"): (Out("e"), Out("f", (Out("e"), Out("e"))))})
     assert m.size() == 1 + 3
+
+
+def test_models_are_read_only():
+    m, tm, mr = (build() for build in _each_kind((("q0", "e"),)))
+    for model in (m, tm, mr):
+        with pytest.raises(FrozenInstanceError):
+            model.name = "other"
+        with pytest.raises(FrozenInstanceError):
+            model.rules = {}
+        with pytest.raises(TypeError):
+            model.rules[("q", "e")] = model.rules[("q0", "e")]
+    for table in (m.states, tm.states, mr.ranks, mr.dims, IN1.symbols):
+        with pytest.raises(TypeError):
+            table["q9"] = 0
+    with pytest.raises(AttributeError):
+        IN1.symbols = {}
+    with pytest.raises(FrozenInstanceError):
+        tm.tac.transitions = ()
+    assert validate(m) == m.mtt_class  # the failed writes changed nothing
+
+
+def test_models_copy_the_callers_tables():
+    # a model that keeps the caller's dict would change with it after
+    # its check, and then break in an engine
+    states = {"q0": 0, "q": 1}
+    ranks, dims = dict(states), {"q0": 1, "q": 1}
+    head = dict(name="m", input_alphabet=IN1, output_alphabet=OUT1,
+                initial="q0")
+    m = Mtt(states=states, rules={("q0", "e"): (Out("e"),)}, **head)
+    tm = TacMtt(states=states, rules={("q0", "e"): (TacRule(Out("e")),)},
+                tac=Tac(IN1, ()), **head)
+    mr = MrMtt(ranks=ranks, dims=dims,
+               rules={("q0", "e"): (MrRhs((), (Out("e"),)),)}, **head)
+    states["q0"] = ranks["q0"] = 1
+    dims["q0"] = 2
+    assert m.states == tm.states == mr.ranks == {"q0": 0, "q": 1}
+    assert mr.dims == {"q0": 1, "q": 1}
+    e = parse_term("e")
+    assert member_io(m, e, e)
+    assert member_mr_io(mr, e, e)
+
+
+def test_replace_checks_again():
+    m = _mtt({("q0", "e"): (Out("e"),)})
+    with pytest.raises(UnknownSymbol):
+        replace(m, rules={("q0", "e"): (Out("zz"),)})
+    with pytest.raises(BadInitialRank):
+        replace(m, states={"q0": 1})
+    assert replace(m, name="again").mtt_class == m.mtt_class
+
+
+def _count_checks(monkeypatch) -> list:
+    """Record every call of the structural checkers, in each module that
+    calls them, and of Tac.check."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (mttkit.mtt, mttkit.tac, mttkit.multi_return):
+        for name in ("check_rhs", "check_header"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    monkeypatch.setattr(Tac, "check", counted(Tac.check))
+    return calls
+
+
+def test_verdicts_do_not_check_the_model_again(monkeypatch):
+    m, cf = double_mtt(), copyfree_mtt()
+    tm, mr = equal_pair_tacmtt(), reverse_pair_mrtt()
+    calls = _count_checks(monkeypatch)
+    s, t = double_instance(2)
+    assert member_io(m, s, t)
+    assert member_oi_fc(m, 2, s, t)
+    assert oracle_member(m, "io", s, t) == "yes"
+    assert estimate_copy_bound(m, 2) >= 1
+    s, t = copyfree_instance(3)
+    assert member_det([cf], "io", s, t)
+    pair = parse_term("pi(a(e), a(e))")
+    assert member_io_tac(tm, pair, parse_term("e"))
+    assert run_tac(tm.tac, *build_dag(pair)) == "p"
+    s, t = reverse_pair_instance("ab")
+    assert member_mr_io(mr, s, t)
+    assert t in eval_mr_io(mr, s)
+    assert calls == []
+    double_mtt(), equal_pair_tacmtt(), reverse_pair_mrtt()
+    assert {"check_rhs", "check_header", "check"} <= set(calls)  # counted

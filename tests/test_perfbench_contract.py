@@ -1,11 +1,13 @@
-"""The benchmark's imports from mttkit still resolve.
+"""The benchmark's uses of mttkit still resolve.
 
-perfbench/ imports names from the package; a simplification that drops
-or renames one would break the benchmark only when it is next run.
-This test reads the benchmark's sources and changes nothing there.
+perfbench/ imports names from the package and builds models by
+position; a simplification that drops or renames one, or reorders a
+model's fields, would break the benchmark only when it is next run.
+These tests read the benchmark's sources and change nothing there.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import mttkit
@@ -26,3 +28,21 @@ def test_perfbench_imports_resolve_on_mttkit():
     names = _mttkit_imports()
     assert "member_io" in names  # the scan found the benchmark's imports
     assert sorted(n for n in names if not hasattr(mttkit, n)) == []
+
+
+MODELS = ("Mtt", "TacMtt", "MrMtt")
+
+
+def test_perfbench_model_calls_match_init_parameters():
+    path = PERFBENCH / "workloads.py"
+    calls = [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in MODELS]
+    assert {call.func.id for call in calls} == set(MODELS)
+    for call in calls:
+        where = f"{path.name}:{call.lineno}"
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        assert all(k.arg is not None for k in call.keywords), where
+        sig = inspect.signature(getattr(mttkit, call.func.id))
+        # binds exactly when the call's positions and keywords fit
+        sig.bind(*call.args, **{k.arg: k.value for k in call.keywords})

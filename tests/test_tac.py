@@ -28,7 +28,7 @@ from mttkit import (
     validate,
     validate_tac_mtt,
 )
-from mttkit.errors import ArityMismatch
+from mttkit.errors import ArityMismatch, MttError
 from mttkit.families import equal_pair_tacmtt
 from mttkit.trees import build_dag
 
@@ -256,3 +256,16 @@ def test_plain_engines_refuse_lookahead_transducers(engine):
         engine(tm, s, t)
     # the classifier still reads a guarded transducer guard-free
     assert validate(tm).deterministic
+
+
+def test_a_built_guarded_transducer_cannot_change():
+    # a rule written into the table after the check would be read through
+    # the stale index by the check and crash the engine
+    tm = equal_pair_tacmtt()
+    bad = TacRule(Out("zz", (Param(7),)), lookahead=("p", "p"), eq=((1, 2),))
+    with pytest.raises(TypeError):
+        tm.rules[("q0", "pi")] = (bad,)
+    assert member_io_tac(tm, parse_term("pi(e,e)"), parse_term("e"))
+    # built anew, the same table is refused
+    with pytest.raises(MttError):
+        replace(tm, rules={("q0", "pi"): (bad,)})
