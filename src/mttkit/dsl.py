@@ -24,14 +24,16 @@ The parser resolves names and shapes; the model it builds checks
 itself, so rank and range violations raise on load as well.  A rule
 written twice is one alternative: the models drop structural duplicates
 when built, and format_transducer prints each alternative once.  Terms
-may nest at most MAX_NESTING levels deep.  Names are interned, and equal
-terms of one file come back as one object.
+may nest at most MAX_NESTING levels deep.  Names are interned, equal
+terms of one file come back as one object, and equal alphabets, of one
+file or of many, as one object.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from weakref import WeakValueDictionary
 
 from .errors import ParseError
 from .mtt import MAX_NESTING, Call, Mtt, Out, Param
@@ -161,6 +163,11 @@ class _Parser:
         return int(m.group(1))
 
 
+# alphabets are read-only, so equal declarations, in one file or in
+# many, parse to one object, kept while some transducer holds it
+_ALPHABETS: WeakValueDictionary = WeakValueDictionary()
+
+
 def _parse_alphabet(p: _Parser, what: str) -> RankedAlphabet:
     p.expect("{")
     symbols: dict[str, int] = {}
@@ -176,7 +183,11 @@ def _parse_alphabet(p: _Parser, what: str) -> RankedAlphabet:
     p.expect("}")
     if not symbols:
         p.error(f"empty {what} alphabet")
-    return RankedAlphabet(symbols)
+    key = tuple(symbols.items())
+    got = _ALPHABETS.get(key)
+    if got is None:
+        got = _ALPHABETS[key] = RankedAlphabet(symbols)
+    return got
 
 
 def _parse_guard_body(p: _Parser, k: int, what: str):

@@ -8,16 +8,18 @@ reference, BOTTOM, abstracts every tree that is not a subtree of the
 candidate output; anything built on top of such a tree is again not a
 subtree, so one abstract value suffices.
 
-DemandEngine computes these entries on demand from the root question,
-so only the entries the verdict depends on are visited.  _member is the
-one driver of every engine built on it: member_io here, member_io_tac,
-member_oi_fc and member_mr_io each pass their rule selector and their
-right-hand-side evaluator, which is handed the candidate output's DAG
-and reads its intern table and label index.
+demand computes these entries on demand from the root question, so
+only the entries the verdict depends on are visited.  Each right-hand
+side is compiled once into a function (compile_rhs), which the
+transducer keeps.  _member is the one driver of every engine built on
+demand: member_io here, member_io_tac, member_oi_fc and member_mr_io
+each pass their rule selector, whose alternatives are called with the
+candidate output's DAG and read its intern table and label index.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .errors import NotDeterministic, NotTotal
@@ -70,104 +72,207 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
     return out
 
 
-def _eval(rhs, vbar: tuple, lookup, dag: TreeDag) -> set:
-    """Result references of one right-hand side under parameter refs vbar,
-    over the candidate-output DAG.
+def compile_rhs(term, shared: dict):
+    """A right-hand side, or a subterm of one, as a function
+    alt(vbar, kids, ask, t_dag): the set of references of the
+    candidate-output DAG t_dag that term yields under parameter
+    references vbar, at an input node whose children are kids, where
+    ask(node, state, ubar) answers a state call.
 
-    lookup(j, state, ubar) resolves a state call on input child j.
+    shared holds the terms a model compiled before (see _compile), so
+    equal terms of one model share one function.
     """
-    if isinstance(rhs, Param):
-        return {vbar[rhs.index - 1]}
-    if isinstance(rhs, Out):
-        return _out_refs(rhs.sym, [_eval(a, vbar, lookup, dag) for a in rhs.args], dag)
-    kid_sets = [_eval(a, vbar, lookup, dag) for a in rhs.args]
-    out: set = set()
-    for ks in kid_sets:
-        if not ks:
-            return out
-    for ubar in product(*kid_sets):
-        out |= lookup(rhs.child, rhs.state, ubar)
-    return out
+    one, sets = _compile(term, shared)
+    if sets is None:
+        sets = _singleton(one)
+        shared[term] = one, sets
+    return sets
 
 
-class DemandEngine:
-    """The inverse evaluation, computed on demand.
+def _compile(term, shared: dict) -> tuple:
+    """term's compiled forms (one, sets).  For a term that calls no state,
+    one(vbar, t_dag) is its one reference, BOTTOM when that is no node of
+    the candidate output, and sets is None until compile_rhs needs it.
+    For any other term one is None and sets is its compile_rhs form.
+    shared maps every term compiled before to its forms.
+    """
+    got = shared.get(term)
+    if got is None:
+        got = shared[term] = _compile_new(term, shared)
+    return got
 
-    Entries are computed only when a parent call asks for them, memoized
-    per (input DAG node, state, parameter bindings).  alts_for(node, q)
-    yields the applicable right-hand sides; plugging in a guard-aware
-    selector gives the look-ahead variant of the engine.
-    evaluate(rhs, vbar, lookup, t_dag) gives the results of one
-    right-hand side under bindings vbar, as nodes of the candidate-output
-    DAG t_dag it is handed: _eval binds each parameter to one reference
+
+def _compile_new(term, shared: dict) -> tuple:
+    if isinstance(term, Param):
+        return _param(term.index - 1)
+    if isinstance(term, Out) and not term.args:
+        return _leaf(term.sym)
+    parts = [_compile(a, shared)[0] for a in term.args]
+    if None not in parts:
+        if isinstance(term, Out):
+            return _scalar_out(term.sym, parts), None
+        return None, _scalar_call(term.state, term.child - 1, parts)
+    fs = [compile_rhs(a, shared) for a in term.args]
+    if isinstance(term, Out):
+        sym = term.sym
+        return None, lambda vbar, kids, ask, dag: _out_refs(
+            sym, [f(vbar, kids, ask, dag) for f in fs], dag)
+    return None, _set_call(term.state, term.child - 1, fs)
+
+
+def _singleton(f):
+    return lambda vbar, kids, ask, dag: {f(vbar, dag)}
+
+
+# the forms of parameters and output leaves depend on nothing else, so
+# every model shares them
+@cache
+def _param(i: int) -> tuple:
+    def one(vbar, dag):
+        return vbar[i]
+    return one, _singleton(one)
+
+
+@cache
+def _leaf(sym: str) -> tuple:
+    key = (sym, ())
+
+    def one(vbar, dag):
+        return dag.intern.get(key, BOTTOM)
+    return one, _singleton(one)
+
+
+def _scalar_out(sym: str, fs):
+    """An output node over children with one reference each: one intern
+    lookup.  Intern keys hold node references only, never BOTTOM, so a
+    lookup with a BOTTOM child misses and yields BOTTOM by itself."""
+    if len(fs) == 1:
+        (f,) = fs
+        return lambda vbar, dag: dag.intern.get((sym, (f(vbar, dag),)), BOTTOM)
+    if len(fs) == 2:
+        f, g = fs
+        return lambda vbar, dag: dag.intern.get(
+            (sym, (f(vbar, dag), g(vbar, dag))), BOTTOM)
+    return lambda vbar, dag: dag.intern.get(
+        (sym, tuple([f(vbar, dag) for f in fs])), BOTTOM)
+
+
+def _scalar_call(q: str, j: int, fs):
+    """A call whose arguments have one reference each: one question to
+    input child j, no product."""
+    if not fs:
+        return lambda vbar, kids, ask, dag: ask(kids[j], q, ())
+    if len(fs) == 1:
+        (f,) = fs
+        return lambda vbar, kids, ask, dag: ask(kids[j], q, (f(vbar, dag),))
+    if len(fs) == 2:
+        f, g = fs
+        return lambda vbar, kids, ask, dag: ask(
+            kids[j], q, (f(vbar, dag), g(vbar, dag)))
+    return lambda vbar, kids, ask, dag: ask(
+        kids[j], q, tuple([f(vbar, dag) for f in fs]))
+
+
+def _set_call(q: str, j: int, fs):
+    """A call with a set of references for some argument: one question
+    per combination."""
+    def call(vbar, kids, ask, dag):
+        kid_sets = [f(vbar, kids, ask, dag) for f in fs]
+        out: set = set()
+        for ks in kid_sets:
+            if not ks:
+                return out
+        child = kids[j]
+        for ubar in product(*kid_sets):
+            out |= ask(child, q, ubar)
+        return out
+
+    return call
+
+
+def demand(s_dag: TreeDag, t_dag: TreeDag, alts_for, node: int, q: str):
+    """The inverse evaluation, computed on demand: the entry of state q at
+    input node with no parameters, and the memo of every entry it
+    depended on.
+
+    An entry, per (input DAG node, state, parameter bindings), is
+    computed only when a parent call asks for it.  alts_for(node, q)
+    gives the applicable alternatives, each called as
+    alt(vbar, kids, ask, t_dag) with the node's children kids: compiled
+    right-hand sides bind each parameter to one reference
     (call-by-value), oi_fc binds it to a set (call-by-name), and
     multi_return returns tuples of references.
     """
+    memo: dict[tuple, frozenset] = {}
+    kids_of = s_dag.kids
 
-    def __init__(self, s_dag: TreeDag, t_dag: TreeDag, alts_for, evaluate):
-        self.s_dag = s_dag
-        self.t_dag = t_dag
-        self.alts_for = alts_for
-        self.evaluate = evaluate
-        self.memo: dict[tuple, frozenset] = {}
-
-    def demand(self, node: int, q: str, vbar: tuple) -> frozenset:
+    def ask(node, q, vbar):
         key = (node, q, vbar)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        kids = self.s_dag.kids[node]
-
-        def lookup(j, qq, ubar):
-            return self.demand(kids[j - 1], qq, ubar)
-
-        acc: set = set()
-        for rhs in self.alts_for(node, q):
-            acc |= self.evaluate(rhs, vbar, lookup, self.t_dag)
-        got = frozenset(acc)
-        self.memo[key] = got
+        got = memo.get(key)
+        if got is None:
+            kids = kids_of[node]
+            acc: set = set()
+            for alt in alts_for(node, q):
+                acc |= alt(vbar, kids, ask, t_dag)
+            got = memo[key] = frozenset(acc)
         return got
 
-    def entry_count(self) -> int:
-        return sum(len(v) for v in self.memo.values())
+    try:
+        return ask(node, q, ()), memo
+    finally:
+        # ask reaches itself through its closure cell; without this the
+        # memo would live until the next full garbage collection
+        del ask
 
 
-def _member(m, s: Tree, t: Tree, select, evaluate, stats: dict | None,
+def _member(m, s: Tree, t: Tree, select, stats: dict | None,
             tuples: bool = False) -> bool:
     """Demand the initial state's entry at the root of s and look for t's
     root in it.
 
     m checked itself when it was built.  select(s_dag) returns the
-    DemandEngine rule selector alts_for(node, q), and evaluate is its
-    right-hand-side evaluator.  With tuples, entries hold tuples of
-    references (multi-return), and t's root is looked for as a 1-tuple.
+    demand rule selector alts_for(node, q).  With tuples, entries hold
+    tuples of references (multi-return), and t's root is looked for as a
+    1-tuple.
     """
     check_input_tree(m, s)
     if not m.output_alphabet.is_well_ranked(t):
         return False
     t_dag, t_root = build_dag(t)
     s_dag, s_root = build_dag(s)
-    engine = DemandEngine(s_dag, t_dag, select(s_dag), evaluate)
     with recursion_room(8 * s_dag.node_count()):
-        root_entry = engine.demand(s_root, m.initial, ())
+        root_entry, memo = demand(s_dag, t_dag, select(s_dag), s_root, m.initial)
     if stats is not None:
         stats.update(
             s_size=s.size, t_size=t.size,
             s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
-            entries=engine.entry_count(),
+            entries=sum(map(len, memo.values())),
         )
     return ((t_root,) if tuples else t_root) in root_entry
 
 
-def _plain_rules(m: Mtt):
-    """Rule selector for a plain transducer: every alternative of (q, sym)."""
-    _refuse_guards(m)
-
+def _plain_rules(alternatives):
+    """Rule selector for a plain transducer: alternatives(q, sym) gives
+    what the core calls for a node with symbol sym."""
     def select(s_dag):
         labels = s_dag.labels
-        return lambda node, q: m.alternatives(q, labels[node])
+        return lambda node, q: alternatives(q, labels[node])
 
     return select
+
+
+def _bind_once(alternatives, bind):
+    """alternatives(q, sym) with bind applied to each alternative, once
+    per (q, sym) the first time it is asked for, not once per entry."""
+    bound: dict = {}
+
+    def bound_alternatives(q, sym):
+        got = bound.get((q, sym))
+        if got is None:
+            got = bound[q, sym] = tuple(map(bind, alternatives(q, sym)))
+        return got
+
+    return bound_alternatives
 
 
 def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -177,7 +282,8 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     candidate t that is not well formed over the output alphabet cannot
     be produced and yields False.
     """
-    return _member(m, s, t, _plain_rules(m), _eval, stats)
+    _refuse_guards(m)
+    return _member(m, s, t, _plain_rules(m.compiled), stats)
 
 
 class _StageTooBig(Exception):

@@ -133,6 +133,10 @@ class Mtt:
     alternatives are kept in written order but mean a set, so structural
     duplicates are dropped when the transducer is built.  validate then
     runs once, and the attribute mtt_class keeps what it returned.
+    compiled() compiles the alternatives of a (state, symbol) pair the
+    first time an engine asks for them and keeps the result;
+    member_oi_fc keeps its alternatives, bound to a copy bound, in
+    _by_copy_bound.
     """
 
     name: str
@@ -144,12 +148,26 @@ class Mtt:
 
     def __post_init__(self):
         freeze(self, states=MappingProxyType(dict(self.states)),
-               rules=distinct_rules(self.rules, lambda rhs: (rhs,)))
+               rules=distinct_rules(self.rules, lambda rhs: (rhs,)),
+               _compiled={}, _terms={}, _by_copy_bound={})
         freeze(self, mtt_class=validate(self))
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """Rule alternatives for (state, sym)."""
         return self.rules.get((state, sym), ())
+
+    def compiled(self, state: str, sym: str) -> tuple:
+        """alternatives(state, sym) compiled by io_membership.compile_rhs,
+        equal right-hand sides of this model sharing one function."""
+        key = (state, sym)
+        got = self._compiled.get(key)
+        if got is None:
+            # the compiler lives with the engine, which imports this module
+            from .io_membership import compile_rhs
+            got = self._compiled[key] = tuple(
+                compile_rhs(rhs, self._terms)
+                for rhs in self.alternatives(state, sym))
+        return got
 
     def size(self) -> int:
         """Total node count over all right-hand sides."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
-from .io_membership import _member
+from .io_membership import _bind_once, _member, _plain_rules
 from .mtt import (Param, ZVar, check_header, check_rhs, distinct_rules, freeze,
                   walk_rhs)
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
@@ -250,7 +250,7 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
                  stats: dict | None = None) -> bool:
     """Is t an output of m on s under call-by-value?
 
-    Demand-driven on the same DemandEngine as member_io: an entry holds,
+    Demand-driven on the same demand core as member_io: an entry holds,
     for one input DAG node, state, and vector of candidate nodes (or
     BOTTOM) for the parameters, the tuples of candidate nodes the state
     can return; only the entries the verdict depends on are computed.
@@ -260,43 +260,46 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     """
     max_envs = 0
 
-    def select(s_dag):
-        labels, layouts = s_dag.labels, m._layouts
-        return lambda node, q: layouts.get((q, labels[node]), ())
+    def bind(layout):
+        rhs, kept, where = layout
 
-    def evaluate(alt, ybar, lookup, dag):
-        nonlocal max_envs
-        rhs, kept, where = alt
-        # environment = refs for the z-vars that are both bound and still
-        # needed, in ascending index order
-        envs: set = {()}
-        order: tuple = ()
-        for i, let in enumerate(rhs.lets):
-            new_envs: set = set()
+        def alt(ybar, kids, ask, dag):
+            nonlocal max_envs
+            # environment = refs for the z-vars that are both bound and
+            # still needed, in ascending index order
+            envs: set = {()}
+            order: tuple = ()
+            for i, let in enumerate(rhs.lets):
+                new_envs: set = set()
+                child = kids[let.child - 1]
+                for packed in envs:
+                    env = dict(zip(order, packed))
+                    argrefs = tuple(_arg_ref(a, ybar, env, dag) for a in let.args)
+                    for tup in ask(child, let.state, argrefs):
+                        for zi, ref in zip(let.targets, tup):
+                            env[zi] = ref
+                        new_envs.add(tuple(env[j] for j in kept[i]))
+                envs = new_envs
+                order = kept[i]
+                if len(envs) > env_cap:
+                    raise EnvLimitExceeded(
+                        f"rule {where}: {len(envs)} environments "
+                        f"after let {i + 1}, cap is {env_cap}")
+                max_envs = max(max_envs, len(envs))
+            # tuples may carry BOTTOM components: a returned tree that is no
+            # subtree of t is legal as long as the caller never uses that
+            # component in the final output
+            out: set = set()
             for packed in envs:
                 env = dict(zip(order, packed))
-                argrefs = tuple(_arg_ref(a, ybar, env, dag) for a in let.args)
-                for tup in lookup(let.child, let.state, argrefs):
-                    for zi, ref in zip(let.targets, tup):
-                        env[zi] = ref
-                    new_envs.add(tuple(env[j] for j in kept[i]))
-            envs = new_envs
-            order = kept[i]
-            if len(envs) > env_cap:
-                raise EnvLimitExceeded(
-                    f"rule {where}: {len(envs)} environments "
-                    f"after let {i + 1}, cap is {env_cap}")
-            max_envs = max(max_envs, len(envs))
-        # tuples may carry BOTTOM components: a returned tree that is no
-        # subtree of t is legal as long as the caller never uses that
-        # component in the final output
-        out: set = set()
-        for packed in envs:
-            env = dict(zip(order, packed))
-            out.add(tuple(_arg_ref(term, ybar, env, dag) for term in rhs.result))
-        return out
+                out.add(tuple(_arg_ref(term, ybar, env, dag) for term in rhs.result))
+            return out
 
-    verdict = _member(m, s, t, select, evaluate, stats, tuples=True)
+        return alt
+
+    layouts = m._layouts
+    select = _plain_rules(_bind_once(lambda q, sym: layouts.get((q, sym), ()), bind))
+    verdict = _member(m, s, t, select, stats, tuples=True)
     if stats is not None:
         stats["max_envs"] = max_envs
     return verdict

@@ -9,7 +9,7 @@ role BOTTOM plays for call-by-value: a parameter that need not produce
 any subtree of the candidate output.
 
 The automaton is evaluated on demand from the root question by the same
-DemandEngine as member_io, with a set-binding right-hand-side evaluator;
+demand core as member_io, with a set-binding right-hand-side evaluator;
 only the entries the verdict depends on are computed.
 
 The copy bound c is declared by the caller and trusted; a wrong bound can
@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .io_membership import _member, _out_refs, _plain_rules
-from .mtt import Mtt, Out, Param
+from .io_membership import _bind_once, _member, _out_refs, _plain_rules
+from .mtt import Mtt, Out, Param, _refuse_guards
 from .oracle import Budget, Evaluator, OI, param_index
 from .trees import BOTTOM, Tree, enumerate_trees
 
@@ -44,15 +44,16 @@ class NonConforming:
 NON_CONFORMING = NonConforming()
 
 
-def _eval_sets(rhs, betabar: tuple, lookup, dag, c: int) -> set:
+def _eval_sets(rhs, betabar: tuple, kids, ask, dag, c: int) -> set:
     """Result nodes of rhs when parameter i may expand to any node of
     betabar[i], an ascending tuple of at most c candidate-output nodes.
 
-    lookup(j, state, gammabar) resolves a state call on input child j.
+    kids are the input node's children, and ask(node, state, gammabar)
+    answers a state call on one of them.
     """
     if isinstance(rhs, Param):
         return set(betabar[rhs.index - 1])
-    kid_sets = [_eval_sets(a, betabar, lookup, dag, c) for a in rhs.args]
+    kid_sets = [_eval_sets(a, betabar, kids, ask, dag, c) for a in rhs.args]
     if isinstance(rhs, Out):
         # bindings never hold BOTTOM; the empty set plays its role
         out = _out_refs(rhs.sym, kid_sets, dag)
@@ -63,9 +64,10 @@ def _eval_sets(rhs, betabar: tuple, lookup, dag, c: int) -> set:
     # all bindings gamma_i <= K_i with |gamma_i| <= c is reached by the
     # subsets of K_i of size min(c, |K_i|) alone, which cover the smaller ones.
     out: set = set()
+    child = kids[rhs.child - 1]
     choices = [combinations(sorted(ks), min(c, len(ks))) for ks in kid_sets]
     for gammabar in product(*choices):
-        out |= lookup(rhs.child, rhs.state, gammabar)
+        out |= ask(child, rhs.state, gammabar)
     return out
 
 
@@ -73,13 +75,22 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     """Is t an output of m on s under call-by-name, trusting copy bound c?"""
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
+    _refuse_guards(m)
+    alternatives = m._by_copy_bound.get(c)
+    if alternatives is None:
+        # a plain function, not functools.partial: a call through partial
+        # nests on the C stack, which deep inputs overflow
+        def bind(rhs):
+            def alt(betabar, kids, ask, dag):
+                return _eval_sets(rhs, betabar, kids, ask, dag, c)
+            return alt
 
-    # a plain function, not functools.partial: a call through partial nests
-    # on the C stack, which deep inputs overflow
-    def evaluate(rhs, betabar, lookup, dag):
-        return _eval_sets(rhs, betabar, lookup, dag, c)
-
-    return _member(m, s, t, _plain_rules(m), evaluate, stats)
+        # through the rule table, not m, so the model's cache of its own
+        # alternatives makes no reference cycle
+        rules = m.rules
+        alternatives = m._by_copy_bound[c] = _bind_once(
+            lambda q, sym: rules.get((q, sym), ()), bind)
+    return _member(m, s, t, _plain_rules(alternatives), stats)
 
 
 def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8,

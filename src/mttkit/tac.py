@@ -23,7 +23,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .io_membership import _eval, _member
+from .io_membership import _member, compile_rhs
 from .mtt import MttClass, Rhs, distinct_rules, freeze, validate
 from .trees import RankedAlphabet, Tree, TreeDag, format_term
 
@@ -164,10 +164,11 @@ class TacMtt:
         rules = distinct_rules(self.rules, lambda rule: (rule.rhs,))
         # _guarded: (state, sym, child look-ahead states, child equality
         # pattern) -> the distinct right-hand sides whose guards hold
-        # there; a key is filled the first time member_io_tac meets a
-        # node of that shape
+        # there, compiled (io_membership.compile_rhs, whose table of
+        # compiled terms is _terms); a key is filled the first time
+        # member_io_tac meets a node of that shape
         freeze(self, states=MappingProxyType(dict(self.states)),
-               rules=rules, _guarded={},
+               rules=rules, _guarded={}, _terms={},
                _unguarded={key: tuple(dict.fromkeys(rule.rhs for rule in alts))
                            for key, alts in rules.items()})
         freeze(self, mtt_class=validate_tac_mtt(self))
@@ -177,17 +178,18 @@ class TacMtt:
         return self._unguarded.get((state, sym), ())
 
     def _alternatives_at(self, state: str, sym: str, kid_states: tuple,
-                         same: tuple) -> tuple[Rhs, ...]:
+                         same: tuple) -> tuple:
         """The distinct right-hand sides for (state, sym) whose guards hold
         at a node whose children reached kid_states, child i being equal
-        to child j exactly when same[i] == same[j]."""
+        to child j exactly when same[i] == same[j], compiled."""
         key = (state, sym, kid_states, same)
         got = self._guarded.get(key)
         if got is None:
-            got = self._guarded[key] = tuple(dict.fromkeys(
-                rule.rhs for rule in self.rules.get((state, sym), ())
-                if rule.lookahead in (None, kid_states)
-                and _constraints_ok(rule, same)))
+            got = self._guarded[key] = tuple(
+                compile_rhs(rhs, self._terms) for rhs in dict.fromkeys(
+                    rule.rhs for rule in self.rules.get((state, sym), ())
+                    if rule.lookahead in (None, kid_states)
+                    and _constraints_ok(rule, same)))
         return got
 
 
@@ -243,4 +245,4 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
 
         return alts_for
 
-    return _member(tm, s, t, select, _eval, stats)
+    return _member(tm, s, t, select, stats)

@@ -35,7 +35,7 @@ BOTTOM: NodeRef = -1
 class RankedAlphabet:
     """A finite set of symbol names, each with a fixed arity; read-only."""
 
-    __slots__ = ("symbols",)
+    __slots__ = ("symbols", "__weakref__")
 
     def __init__(self, symbols):
         symbols = dict(symbols)

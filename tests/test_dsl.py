@@ -83,6 +83,14 @@ def test_parse_shares_equal_terms_and_names():
                for alts in m.rules.values() for rhs in alts
                for node in walk_rhs(rhs) if not isinstance(node, Param))]
     assert len({id(n) for n in names}) == len(set(names))
+    # equal alphabets are one object, across files too; unequal ones,
+    # or the same symbols in another order, are not
+    again = parse_transducer(DOC_EXAMPLE.replace("mtt double", "mtt twice"))
+    assert again.input_alphabet is m.input_alphabet
+    assert again.output_alphabet is m.output_alphabet
+    other = parse_transducer(DOC_EXAMPLE.replace("{ f: 2, e: 0 }", "{ e: 0, f: 2 }"))
+    assert other.output_alphabet == m.output_alphabet
+    assert other.output_alphabet is not m.output_alphabet
 
 
 def test_parse_basic_example():

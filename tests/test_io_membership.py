@@ -18,9 +18,12 @@ from mttkit import (
     Tree,
     member_det,
     member_io,
+    member_io_tac,
+    member_mr_io,
     member_oi_fc,
     oracle_eval,
     parse_term,
+    parse_transducer,
 )
 from mttkit.errors import AlphabetMismatch
 from mttkit.families import (
@@ -29,8 +32,11 @@ from mttkit.families import (
     double_instance,
     double_mtt,
     doubling_mtt,
+    equal_pair_tacmtt,
+    reverse_pair_instance,
+    reverse_pair_mrtt,
 )
-from mttkit.io_membership import DemandEngine, _eval, _plain_rules
+from mttkit.io_membership import _plain_rules, compile_rhs, demand
 from mttkit.trees import BOTTOM, build_dag
 
 from helpers import (
@@ -42,23 +48,29 @@ from helpers import (
     random_mtt,
 )
 
+# input child j stands for input node j, so entries name calls by child
+KIDS = tuple(range(1, 10))
 
-def _eval_on(rhs, vbar, dag, entries=None):
-    """_eval with state calls answered from a dict of
-    (child, state, parameter refs) -> result refs."""
+
+def _eval_on(rhs, vbar, dag, entries=None, asked=None):
+    """The compiled rhs with state calls answered from a dict of
+    (child, state, parameter refs) -> result refs; asked, if given,
+    collects each question."""
     entries = entries or {}
 
-    def lookup(j, q, ubar):
-        return entries.get((j, q, ubar), frozenset())
+    def ask(node, q, ubar):
+        if asked is not None:
+            asked.append((node, q, ubar))
+        return frozenset(entries.get((node, q, ubar), ()))
 
-    return _eval(rhs, vbar, lookup, dag)
+    return compile_rhs(rhs, {})(vbar, KIDS, ask, dag)
 
 
 def _root_entry(m, s, t_dag):
     """The initial state's demanded entry at the root of s."""
     s_dag, s_root = build_dag(s)
-    engine = DemandEngine(s_dag, t_dag, _plain_rules(m)(s_dag), _eval)
-    return engine.demand(s_root, m.initial, ())
+    alts_for = _plain_rules(m.compiled)(s_dag)
+    return demand(s_dag, t_dag, alts_for, s_root, m.initial)[0]
 
 
 def test_eval_f_parameter_returns_its_ref():
@@ -100,6 +112,76 @@ def test_eval_f_is_monotone_in_child_entries():
     small = {(1, "q", ()): {v_e}}
     big = {(1, "q", ()): {v_e, v_g}}
     assert _eval_on(rhs, (), dag, small) <= _eval_on(rhs, (), dag, big)
+
+
+def test_eval_f_bottom_parameter_reaches_calls_and_outputs():
+    dag, _ = build_dag(parse_term("f(e,g(e))", None))
+    v_e = dag.rho(parse_term("e"))
+    # g(y1) with y1 bound to BOTTOM is no node of t, whatever t holds
+    assert _eval_on(Out("g", (Param(1),)), (BOTTOM,), dag) == {BOTTOM}
+    asked = []
+    child = {(1, "q", (BOTTOM, v_e)): {v_e}}
+    rhs = Call("q", 1, (Out("g", (Param(1),)), Param(2)))
+    assert _eval_on(rhs, (BOTTOM, v_e), dag, child, asked) == {v_e}
+    assert asked == [(1, "q", (BOTTOM, v_e))]
+
+
+def test_eval_f_symbol_without_a_node_in_t_is_bottom():
+    dag, _ = build_dag(parse_term("f(e,e)", None))
+    v_e = dag.rho(parse_term("e"))
+    assert _eval_on(Out("h", (Param(1),)), (v_e,), dag) == {BOTTOM}
+    # over a call's set: the pigeonhole branch, no h-node to scan
+    child = {(1, "q", ()): {v_e, BOTTOM}}
+    assert _eval_on(Out("h", (Call("q", 1),)), (), dag, child) == {BOTTOM}
+    # an empty child set still yields nothing
+    assert _eval_on(Out("h", (Call("q", 2),)), (), dag, child) == set()
+
+
+def test_eval_f_call_with_scalar_and_set_arguments():
+    dag, root = build_dag(parse_term("f(e,g(e))", None))
+    v_e = dag.rho(parse_term("e"))
+    v_g = dag.rho(parse_term("g(e)", None))
+    child = {(2, "q", ()): {v_e, v_g}, (1, "p", (v_g, v_e)): {root},
+             (1, "p", (v_g, v_g)): {v_e}}
+    asked = []
+    rhs = Call("p", 1, (Out("g", (Param(1),)), Call("q", 2)))
+    assert _eval_on(rhs, (v_e,), dag, child, asked) == {root, v_e}
+    assert sorted(asked) == sorted([(2, "q", ()), (1, "p", (v_g, v_e)),
+                                    (1, "p", (v_g, v_g))])
+    # an empty argument set asks nothing of the callee
+    asked.clear()
+    rhs = Call("p", 1, (Param(1), Call("q", 3)))
+    assert _eval_on(rhs, (v_e,), dag, child, asked) == set()
+    assert asked == [(3, "q", ())]
+
+
+def test_equal_right_hand_sides_of_a_model_share_one_function():
+    shared = Out("f", (Call("q", 1, (Param(1),)), Param(1)))
+    m = Mtt(
+        name="shared",
+        input_alphabet=RankedAlphabet({"a": 1, "b": 1, "e": 0}),
+        output_alphabet=RankedAlphabet({"f": 2, "e": 0}),
+        states={"q0": 0, "q": 1},
+        initial="q0",
+        rules={
+            ("q0", "a"): (Call("q", 1, (Out("e"),)),),
+            # equal to the rule above, but built as a second object
+            ("q0", "b"): (Call("q", 1, (Out("e"),)),),
+            ("q", "a"): (shared,),
+            ("q", "b"): (Param(1), shared),
+            ("q", "e"): (Param(1),),
+        },
+    )
+    (alt,) = m.compiled("q", "a")
+    assert m.compiled("q", "b")[1] is alt
+    assert m.compiled("q", "e")[0] is m.compiled("q", "b")[0]
+    assert m.compiled("q0", "b")[0] is m.compiled("q0", "a")[0]
+    assert m.compiled("q", "a") is m.compiled("q", "a")
+    assert m.compiled("q0", "e") == ()
+    s = parse_term("a(a(e))")
+    assert member_io(m, s, parse_term("f(e,e)"))
+    assert not member_io(m, s, parse_term("e"))
+    assert not member_io(m, s, parse_term("f(f(e,e),e)"))
 
 
 def test_run_io_start_entry_tracks_membership():
@@ -339,6 +421,89 @@ def test_member_det_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_member_io_leaves_no_cyclic_garbage():
+    # the demand memo goes by reference counting when a verdict returns,
+    # not at the next full garbage collection, on each engine whose
+    # alternatives ask the core for entries
+    dbl, cf, eq = double_mtt(), copyfree_mtt(), equal_pair_tacmtt()
+    s, t = double_instance(2)
+    s2, t2 = copyfree_instance(50)
+    pair = Tree("pi", (s2, s2))
+    verdicts = (
+        lambda: member_io(dbl, s, t),
+        lambda: member_io(cf, s2, t2),
+        lambda: member_io_tac(eq, pair, Tree("e")),
+        lambda: member_oi_fc(dbl, 2, s, t),
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for verdict in verdicts:
+            assert verdict()
+            assert gc.collect() == 0
+        # nor do the alternatives a model keeps make it a cycle
+        del verdicts, dbl, cf, eq
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# entries demanded by the parent commit of the compiled alternatives, on
+# fixed queries: a change to the work the core does shows here even when
+# the verdicts agree
+FAN = """mtt fan {
+  input { a: 1, e: 0 }
+  output { f: 2, g: 1, e: 0 }
+  state q0: 0 init
+  state r: 0
+  state p: 2
+  rule q0(a(x1)) -> p[x1](r[x1], r[x1])
+  rule r(a(x1)) -> g(r[x1])
+  rule r(a(x1)) -> r[x1]
+  rule r(e) -> e
+  rule p(a(x1))(y1, y2) -> p[x1](g(y1), y2)
+  rule p(a(x1))(y1, y2) -> p[x1](y2, y1)
+  rule p(e)(y1, y2) -> f(y1, y2)
+}
+"""
+
+
+def _chain(n, sym="a"):
+    s = Tree("e")
+    for _ in range(n):
+        s = Tree(sym, (s,))
+    return s
+
+
+def _fan_tree(i, j):
+    return Tree("f", (_chain(i, "g"), _chain(j, "g")))
+
+
+@pytest.mark.parametrize("engine, m, s, t, want, entries", [
+    ("io", "fan", _chain(8), _fan_tree(0, 15), False, 976),
+    ("io", "fan", _chain(8), _fan_tree(7, 8), True, 837),
+    ("io", "fan", _chain(8), _fan_tree(6, 9), True, 906),
+    ("io", "fan", _chain(8), _fan_tree(5, 10), True, 950),
+    ("io", "fan", _chain(8), _fan_tree(3, 12), True, 984),
+    ("io", "copyfree", *copyfree_instance(50), True, 50),
+    ("io", "copyfree", copyfree_instance(50)[0],
+     Tree("f", (copyfree_instance(50)[1],)), False, 50),
+    ("io-tac", "eqpair", Tree("pi", (_chain(20), _chain(20))), Tree("e"), True, 1),
+    ("io-tac", "eqpair", Tree("pi", (_chain(20), _chain(17))), Tree("e"), False, 0),
+    ("oi-fc", "fan", _chain(6), _fan_tree(0, 11), False, 21),
+    ("oi-fc", "fan", _chain(6), _fan_tree(5, 6), True, 790),
+    ("mr-io", "revpair", *reverse_pair_instance("abbaabab"), True, 32),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_entries_are_pinned(engine, m, s, t, want, entries):
+    m = {"fan": lambda: parse_transducer(FAN), "copyfree": copyfree_mtt,
+         "eqpair": equal_pair_tacmtt, "revpair": reverse_pair_mrtt}[m]()
+    stats = {}
+    run = {"io": member_io, "io-tac": member_io_tac, "mr-io": member_mr_io,
+           "oi-fc": lambda m, s, t, stats: member_oi_fc(m, 2, s, t, stats)}[engine]
+    assert run(m, s, t, stats=stats) is want
+    assert stats["entries"] == entries
 
 
 def test_member_det_matches_member_io_on_random_det_transducers():

@@ -1,0 +1,49 @@
+"""The benchmark's query sets, built small, get their reference verdicts.
+
+The claimed workloads' families then fail here, in the test suite, and
+not only when the benchmark is next run.  perfbench/workloads.py is
+loaded from its file; nothing there changes.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from mttkit import (member_det, member_io, member_io_tac, member_mr_io,
+                    member_oi_fc, parse_term, parse_transducer)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the worker's engine table
+ENGINES = {
+    "io": lambda m, c, s, t: member_io(m, s, t),
+    "det": lambda m, c, s, t: member_det([m], "io", s, t),
+    "oi-fc": lambda m, c, s, t: member_oi_fc(m, c, s, t),
+    "io-tac": lambda m, c, s, t: member_io_tac(m, s, t),
+    "mr-io": lambda m, c, s, t: member_mr_io(m, s, t),
+}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are made
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["nondet_io", "large_input"])
+def test_workload_verdicts_match_their_references(name):
+    w = getattr(_workloads(), name)(7, 0.1)
+    models = {key: parse_transducer(text) for key, text in w.transducers.items()}
+    wrong = []
+    for q in w.queries:
+        got = ENGINES[q.engine](models[q.m], q.c, parse_term(q.s), parse_term(q.t))
+        if got is not q.want:
+            wrong.append((q.family, q.n, q.engine, q.want))
+    assert {q.engine for q in w.queries} >= {"io"}
+    assert len(w.queries) > 20 and wrong == []
