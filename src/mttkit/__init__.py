@@ -9,10 +9,10 @@ equality-constrained look-ahead, multi-return, deterministic stages).
 """
 
 from .errors import (AlphabetMismatch, ArityMismatch, BadInitialRank,
-                     BottomAccess, BudgetExceeded, ChildIndexOutOfRange,
-                     EmptyFormula, EnvLimitExceeded, MttError,
-                     NotDeterministic, NotTotal, ParseError, RankViolation,
-                     RhsTooDeep, UnknownState, UnknownSymbol)
+                     BottomAccess, BudgetExceeded, EmptyFormula,
+                     EnvLimitExceeded, MttError, NotDeterministic, NotTotal,
+                     ParseError, RankViolation, RhsTooDeep, UnknownState,
+                     UnknownSymbol)
 from .trees import (BOTTOM, RankedAlphabet, Tree, TreeDag, build_dag,
                     enumerate_trees, format_term, parse_term, substitute,
                     term_sort_key, tree)
@@ -35,10 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphabetMismatch", "ArityMismatch", "BadInitialRank", "BottomAccess",
-    "BudgetExceeded", "ChildIndexOutOfRange", "EmptyFormula",
-    "EnvLimitExceeded", "MttError", "NotDeterministic", "NotTotal",
-    "ParseError", "RankViolation", "RhsTooDeep", "UnknownState",
-    "UnknownSymbol",
+    "BudgetExceeded", "EmptyFormula", "EnvLimitExceeded", "MttError",
+    "NotDeterministic", "NotTotal", "ParseError", "RankViolation",
+    "RhsTooDeep", "UnknownState", "UnknownSymbol",
     "BOTTOM", "RankedAlphabet", "Tree", "TreeDag", "build_dag",
     "enumerate_trees", "format_term", "parse_term", "substitute",
     "term_sort_key", "tree",

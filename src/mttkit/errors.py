@@ -37,11 +37,8 @@ class RankViolation(MttError):
 
 
 class BottomAccess(MttError):
-    """label/child was asked of the bottom node reference."""
-
-
-class ChildIndexOutOfRange(MttError):
-    """A child index outside 1..arity was requested."""
+    """A DAG node was asked for by the bottom reference, or by one the
+    DAG does not hold (TreeDag.expand, run_tac)."""
 
 
 class UnknownState(MttError):

@@ -9,12 +9,12 @@ candidate output; anything built on top of such a tree is again not a
 subtree, so one abstract value suffices.
 
 demand computes these entries on demand from the root question, so
-only the entries the verdict depends on are visited.  Each right-hand
-side is compiled once into a function (compile_rhs), which the
-transducer keeps.  _member is the one driver of every engine built on
-demand: member_io here, member_io_tac, member_oi_fc and member_mr_io
-each pass their rule selector, whose alternatives are called with the
-candidate output's DAG and read its intern table and label index.
+only the entries the verdict depends on are visited.  _member drives
+every engine built on demand (member_io here, member_io_tac,
+member_oi_fc, member_mr_io), each giving it alternatives(q, label),
+which each model keeps (_bind_once).  Right-hand sides and multi-return
+terms compile into functions (compile_rhs, _compile) that read the
+candidate output's intern table and label index.
 """
 
 from __future__ import annotations
@@ -94,8 +94,13 @@ def _compile(term, shared: dict) -> tuple:
     one(vbar, t_dag) is its one reference, BOTTOM when that is no node of
     the candidate output, and sets is None until compile_rhs needs it.
     For any other term one is None and sets is its compile_rhs form.
-    shared maps every term compiled before to its forms.
+    shared maps every other term compiled before to its forms; those of
+    parameters and output leaves are shared by all models.
     """
+    if isinstance(term, Param):
+        return _param(term.index - 1)
+    if isinstance(term, Out) and not term.args:
+        return _leaf(term.sym)
     got = shared.get(term)
     if got is None:
         got = shared[term] = _compile_new(term, shared)
@@ -103,10 +108,6 @@ def _compile(term, shared: dict) -> tuple:
 
 
 def _compile_new(term, shared: dict) -> tuple:
-    if isinstance(term, Param):
-        return _param(term.index - 1)
-    if isinstance(term, Out) and not term.args:
-        return _leaf(term.sym)
     parts = [_compile(a, shared)[0] for a in term.args]
     if None not in parts:
         if isinstance(term, Out):
@@ -114,14 +115,16 @@ def _compile_new(term, shared: dict) -> tuple:
         return None, _scalar_call(term.state, term.child - 1, parts)
     fs = [compile_rhs(a, shared) for a in term.args]
     if isinstance(term, Out):
-        sym = term.sym
-        return None, lambda vbar, kids, ask, dag: _out_refs(
+        return None, lambda vbar, kids, ask, dag, sym=term.sym, fs=fs: _out_refs(
             sym, [f(vbar, kids, ask, dag) for f in fs], dag)
     return None, _set_call(term.state, term.child - 1, fs)
 
 
+# Compiled functions take what they were compiled from as defaults,
+# which no caller passes: read as locals, and no cell object per name.
+
 def _singleton(f):
-    return lambda vbar, kids, ask, dag: {f(vbar, dag)}
+    return lambda vbar, kids, ask, dag, f=f: {f(vbar, dag)}
 
 
 # the forms of parameters and output leaves depend on nothing else, so
@@ -148,12 +151,13 @@ def _scalar_out(sym: str, fs):
     lookup with a BOTTOM child misses and yields BOTTOM by itself."""
     if len(fs) == 1:
         (f,) = fs
-        return lambda vbar, dag: dag.intern.get((sym, (f(vbar, dag),)), BOTTOM)
+        return lambda vbar, dag, sym=sym, f=f: dag.intern.get(
+            (sym, (f(vbar, dag),)), BOTTOM)
     if len(fs) == 2:
         f, g = fs
-        return lambda vbar, dag: dag.intern.get(
+        return lambda vbar, dag, sym=sym, f=f, g=g: dag.intern.get(
             (sym, (f(vbar, dag), g(vbar, dag))), BOTTOM)
-    return lambda vbar, dag: dag.intern.get(
+    return lambda vbar, dag, sym=sym, fs=fs: dag.intern.get(
         (sym, tuple([f(vbar, dag) for f in fs])), BOTTOM)
 
 
@@ -161,22 +165,23 @@ def _scalar_call(q: str, j: int, fs):
     """A call whose arguments have one reference each: one question to
     input child j, no product."""
     if not fs:
-        return lambda vbar, kids, ask, dag: ask(kids[j], q, ())
+        return lambda vbar, kids, ask, dag, q=q, j=j: ask(kids[j], q, ())
     if len(fs) == 1:
         (f,) = fs
-        return lambda vbar, kids, ask, dag: ask(kids[j], q, (f(vbar, dag),))
+        return lambda vbar, kids, ask, dag, q=q, j=j, f=f: ask(
+            kids[j], q, (f(vbar, dag),))
     if len(fs) == 2:
         f, g = fs
-        return lambda vbar, kids, ask, dag: ask(
+        return lambda vbar, kids, ask, dag, q=q, j=j, f=f, g=g: ask(
             kids[j], q, (f(vbar, dag), g(vbar, dag)))
-    return lambda vbar, kids, ask, dag: ask(
+    return lambda vbar, kids, ask, dag, q=q, j=j, fs=fs: ask(
         kids[j], q, tuple([f(vbar, dag) for f in fs]))
 
 
 def _set_call(q: str, j: int, fs):
     """A call with a set of references for some argument: one question
     per combination."""
-    def call(vbar, kids, ask, dag):
+    def call(vbar, kids, ask, dag, q=q, j=j, fs=fs):
         kid_sets = [f(vbar, kids, ask, dag) for f in fs]
         out: set = set()
         for ks in kid_sets:
@@ -190,18 +195,19 @@ def _set_call(q: str, j: int, fs):
     return call
 
 
-def demand(s_dag: TreeDag, t_dag: TreeDag, alts_for, node: int, q: str):
+def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
     """The inverse evaluation, computed on demand: the entry of state q at
     input node with no parameters, and the memo of every entry it
     depended on.
 
     An entry, per (input DAG node, state, parameter bindings), is
-    computed only when a parent call asks for it.  alts_for(node, q)
-    gives the applicable alternatives, each called as
+    computed only when a parent call asks for it, from
+    alternatives(q, labels[node]), each called as
     alt(vbar, kids, ask, t_dag) with the node's children kids: compiled
     right-hand sides bind each parameter to one reference
     (call-by-value), oi_fc binds it to a set (call-by-name), and
-    multi_return returns tuples of references.
+    multi_return returns tuples of references (given its meter as
+    t_dag, see _member).
     """
     memo: dict[tuple, frozenset] = {}
     kids_of = s_dag.kids
@@ -212,7 +218,7 @@ def demand(s_dag: TreeDag, t_dag: TreeDag, alts_for, node: int, q: str):
         if got is None:
             kids = kids_of[node]
             acc: set = set()
-            for alt in alts_for(node, q):
+            for alt in alternatives(q, labels[node]):
                 acc |= alt(vbar, kids, ask, t_dag)
             got = memo[key] = frozenset(acc)
         return got
@@ -225,54 +231,66 @@ def demand(s_dag: TreeDag, t_dag: TreeDag, alts_for, node: int, q: str):
         del ask
 
 
-def _member(m, s: Tree, t: Tree, select, stats: dict | None,
-            tuples: bool = False) -> bool:
-    """Demand the initial state's entry at the root of s and look for t's
-    root in it.
+def _frames(m, s_dag: TreeDag) -> int:
+    """Recursion room for s_dag: along a path of at most one input level
+    per DAG node, each level takes the core's ask plus a compiled term
+    and the list it builds per level of m's deepest right-hand side."""
+    return (2 * m.nesting + 6) * s_dag.node_count()
 
-    m checked itself when it was built.  select(s_dag) returns the
-    demand rule selector alts_for(node, q).  With tuples, entries hold
-    tuples of references (multi-return), and t's root is looked for as a
-    1-tuple.
+
+def _member(m, s: Tree, t: Tree, alternatives, stats: dict | None,
+            labels=None, meter=None) -> bool:
+    """Demand the initial state's entry at the root of s and look for t's
+    root in it.  m checked itself when it was built.
+
+    The label alternatives(q, label) reads is a node's symbol, or
+    labels(s_dag)[node] when labels is given.  With meter (multi-return),
+    entries hold tuples, and the alternatives get meter, holding t's
+    intern table, in place of t's DAG.
     """
     check_input_tree(m, s)
     if not m.output_alphabet.is_well_ranked(t):
         return False
     t_dag, t_root = build_dag(t)
     s_dag, s_root = build_dag(s)
-    with recursion_room(8 * s_dag.node_count()):
-        root_entry, memo = demand(s_dag, t_dag, select(s_dag), s_root, m.initial)
+    out = t_dag
+    if meter is not None:
+        meter.intern = t_dag.intern
+        out, t_root = meter, (t_root,)
+    with recursion_room(_frames(m, s_dag)):
+        root_entry, memo = demand(
+            s_dag, out, s_dag.labels if labels is None else labels(s_dag),
+            alternatives, s_root, m.initial)
     if stats is not None:
         stats.update(
             s_size=s.size, t_size=t.size,
             s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
             entries=sum(map(len, memo.values())),
         )
-    return ((t_root,) if tuples else t_root) in root_entry
+    return t_root in root_entry
 
 
-def _plain_rules(alternatives):
-    """Rule selector for a plain transducer: alternatives(q, sym) gives
-    what the core calls for a node with symbol sym."""
-    def select(s_dag):
-        labels = s_dag.labels
-        return lambda node, q: alternatives(q, labels[node])
+def _bind_once(m, key, prepare):
+    """alternatives(q, label) of engine key on m: prepare(q, label,
+    prepared) gives them once, kept in prepared = m._prepared under
+    (key, q, label).  prepare may compile terms into prepared, but must
+    not reach m, or the model would become a cycle."""
+    prepared = m._prepared
 
-    return select
-
-
-def _bind_once(alternatives, bind):
-    """alternatives(q, sym) with bind applied to each alternative, once
-    per (q, sym) the first time it is asked for, not once per entry."""
-    bound: dict = {}
-
-    def bound_alternatives(q, sym):
-        got = bound.get((q, sym))
+    def alternatives(q, label):
+        got = prepared.get((key, q, label))
         if got is None:
-            got = bound[q, sym] = tuple(map(bind, alternatives(q, sym)))
+            got = prepared[key, q, label] = prepare(q, label, prepared)
         return got
 
-    return bound_alternatives
+    return alternatives
+
+
+def _io_rules(m: Mtt):
+    """member_io's alternatives: the rules of m, compiled."""
+    rules = m.rules
+    return _bind_once(m, "io", lambda q, sym, terms: tuple(
+        compile_rhs(rhs, terms) for rhs in rules.get((q, sym), ())))
 
 
 def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -283,7 +301,7 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     be produced and yields False.
     """
     _refuse_guards(m)
-    return _member(m, s, t, _plain_rules(m.compiled), stats)
+    return _member(m, s, t, _io_rules(m), stats)
 
 
 class _StageTooBig(Exception):
@@ -308,16 +326,18 @@ def _det_output(m: Mtt, s: Tree, bound: int) -> Tree:
             memo[key] = got = build(rhs, node, args)
         return got
 
+    # list comprehensions, not generators: tuple() resuming a generator
+    # nests on the C stack, which deep inputs overflow
     def build(rhs, node, args) -> Tree:
         if isinstance(rhs, Param):
             return args[rhs.index - 1]
         if isinstance(rhs, Out):
-            return Tree(rhs.sym, tuple(build(a, node, args) for a in rhs.args))
-        vals = tuple(build(a, node, args) for a in rhs.args)
+            return Tree(rhs.sym, [build(a, node, args) for a in rhs.args])
+        vals = tuple([build(a, node, args) for a in rhs.args])
         return go(rhs.state, s_dag.kids[node][rhs.child - 1], vals)
 
     try:
-        with recursion_room(8 * s_dag.node_count()):
+        with recursion_room(_frames(m, s_dag)):
             out = go(m.initial, s_root, ())
     finally:
         # go and build reach each other through closure cells, a cycle

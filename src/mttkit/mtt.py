@@ -97,14 +97,16 @@ def _nesting(terms) -> int:
     return depth
 
 
-def distinct_rules(rules: dict, terms) -> MappingProxyType:
+def distinct_rules(rules: dict, terms) -> tuple[MappingProxyType, int]:
     """The rule table, read-only, with each alternative list as a tuple,
-    structural duplicates dropped and written order kept.
+    structural duplicates dropped and written order kept; and the levels
+    of the deepest term (see _nesting), 0 for no rules.
 
     terms(alt) gives the terms of one alternative.  A term nested deeper
     than MAX_NESTING raises RhsTooDeep here, before hashing would
     overflow the interpreter stack.
     """
+    deepest = 0
     for (q, sym), alts in rules.items():
         for alt in alts:
             depth = _nesting(terms(alt))
@@ -113,8 +115,9 @@ def distinct_rules(rules: dict, terms) -> MappingProxyType:
                     f"rule {q}/{sym}: right-hand side nests {depth} levels "
                     f"deep, more than {MAX_NESTING}"
                 )
+            deepest = max(deepest, depth)
     return MappingProxyType({key: tuple(dict.fromkeys(alts))
-                             for key, alts in rules.items()})
+                             for key, alts in rules.items()}), deepest
 
 
 def freeze(model, **attrs) -> None:
@@ -132,11 +135,9 @@ class Mtt:
     rules maps (state, input symbol) to the alternatives for that pair;
     alternatives are kept in written order but mean a set, so structural
     duplicates are dropped when the transducer is built.  validate then
-    runs once, and the attribute mtt_class keeps what it returned.
-    compiled() compiles the alternatives of a (state, symbol) pair the
-    first time an engine asks for them and keeps the result;
-    member_oi_fc keeps its alternatives, bound to a copy bound, in
-    _by_copy_bound.
+    runs once, and the attribute mtt_class keeps what it returned;
+    nesting keeps the levels of the deepest right-hand side.  Engines
+    fill _prepared as they meet (state, symbol) pairs.
     """
 
     name: str
@@ -147,27 +148,14 @@ class Mtt:
     rules: dict[tuple[str, str], tuple[Rhs, ...]]
 
     def __post_init__(self):
-        freeze(self, states=MappingProxyType(dict(self.states)),
-               rules=distinct_rules(self.rules, lambda rhs: (rhs,)),
-               _compiled={}, _terms={}, _by_copy_bound={})
+        rules, nesting = distinct_rules(self.rules, lambda rhs: (rhs,))
+        freeze(self, states=MappingProxyType(dict(self.states)), rules=rules,
+               nesting=nesting, _prepared={})
         freeze(self, mtt_class=validate(self))
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """Rule alternatives for (state, sym)."""
         return self.rules.get((state, sym), ())
-
-    def compiled(self, state: str, sym: str) -> tuple:
-        """alternatives(state, sym) compiled by io_membership.compile_rhs,
-        equal right-hand sides of this model sharing one function."""
-        key = (state, sym)
-        got = self._compiled.get(key)
-        if got is None:
-            # the compiler lives with the engine, which imports this module
-            from .io_membership import compile_rhs
-            got = self._compiled[key] = tuple(
-                compile_rhs(rhs, self._terms)
-                for rhs in self.alternatives(state, sym))
-        return got
 
     def size(self) -> int:
         """Total node count over all right-hand sides."""

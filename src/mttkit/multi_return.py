@@ -13,14 +13,14 @@ exponentially many outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
-from .io_membership import _bind_once, _member, _plain_rules
-from .mtt import (Param, ZVar, check_header, check_rhs, distinct_rules, freeze,
-                  walk_rhs)
+from .io_membership import _bind_once, _compile, _member
+from .mtt import (Out, Param, ZVar, check_header, check_rhs, distinct_rules,
+                  freeze, walk_rhs)
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
-from .trees import BOTTOM, RankedAlphabet, Tree
+from .trees import RankedAlphabet, Tree
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,7 +42,7 @@ class MrRhs:
 @dataclass(frozen=True)
 class MrMtt:
     """A multi-return transducer, checked once when built (validate_mr)
-    and read-only after."""
+    and read-only after; nesting and _prepared as for an Mtt."""
 
     name: str
     input_alphabet: RankedAlphabet
@@ -53,17 +53,11 @@ class MrMtt:
     rules: dict = field(default_factory=dict)  # (state, sym) -> tuple[MrRhs, ...]
 
     def __post_init__(self):
-        rules = distinct_rules(self.rules, lambda rhs: (
+        rules, nesting = distinct_rules(self.rules, lambda rhs: (
             *(a for let in rhs.lets for a in let.args), *rhs.result))
-        # _layouts, what member_mr_io evaluates: per (state, sym), each
-        # alternative with the z-variables its environments keep after
-        # each let, and the rule's name for errors
         freeze(self, ranks=MappingProxyType(dict(self.ranks)),
                dims=MappingProxyType(dict(self.dims)),
-               rules=rules, _layouts={
-                   (q, sym): tuple((rhs, _kept_after(rhs), f"{q}/{sym}")
-                                   for rhs in alts)
-                   for (q, sym), alts in rules.items()})
+               rules=rules, nesting=nesting, _prepared={})
         validate_mr(self)
 
     def rank(self, state: str) -> int:
@@ -231,19 +225,67 @@ def _zreads(terms) -> set[int]:
     return {u.index for term in terms for u in walk_rhs(term) if isinstance(u, ZVar)}
 
 
-def _arg_ref(term, ybar: tuple, env: dict, dag) -> int:
-    """Evaluate an argument term to a candidate-output node, or BOTTOM."""
-    if isinstance(term, Param):
-        return ybar[term.index - 1]
+def _slotted(term, rank: int, live: tuple):
+    """term over an environment: the rank parameter references, then
+    those of the z-variables live, in ascending order.  Each z_j becomes
+    the parameter of its slot; a subterm that reads none stays as it is."""
     if isinstance(term, ZVar):
-        return env[term.index]
-    refs = []
-    for a in term.args:
-        r = _arg_ref(a, ybar, env, dag)
-        if r == BOTTOM:
-            return BOTTOM
-        refs.append(r)
-    return dag.lookup(term.sym, tuple(refs))
+        return Param(rank + live.index(term.index) + 1)
+    if isinstance(term, Param) or not term.args:
+        return term
+    args = tuple([_slotted(a, rank, live) for a in term.args])
+    return term if args == term.args else Out(term.sym, args)
+
+
+def _plan(rhs: MrRhs, rank: int, terms: dict) -> tuple:
+    """rhs as (lets, results) over environments.  A let keeps its callee,
+    child, arguments compiled over the environment before it, and where
+    in that environment and the returned tuple the next one's slots are."""
+    def one(term, live):
+        return _compile(_slotted(term, rank, live), terms)[0]
+
+    lets, live = [], ()
+    for let, kept in zip(rhs.lets, _kept_after(rhs)):
+        pool = live + let.targets
+        keep = tuple(range(rank)) + tuple(rank + pool.index(j) for j in kept)
+        lets.append((let.state, let.child - 1,
+                     tuple([one(a, live) for a in let.args]), keep))
+        live = kept
+    return tuple(lets), tuple([one(term, live) for term in rhs.result])
+
+
+def _mr_alternatives(rhss: tuple, rank: int, where: str, terms: dict) -> tuple:
+    """The alternatives rhss of rule where as one function on the demand
+    core, alt(ybar, kids, ask, meter): their result tuples of references."""
+    if not rhss:
+        return ()
+    plans = tuple([_plan(rhs, rank, terms) for rhs in rhss])
+
+    # plans and where as defaults, as the compiled terms take theirs
+    def alt(ybar, kids, ask, meter, plans=plans, where=where):
+        out: set = set()
+        for lets, results in plans:
+            envs: set = {ybar}
+            for i, (q, j, args, keep) in enumerate(lets):
+                child = kids[j]
+                new_envs: set = set()
+                for env in envs:
+                    for tup in ask(child, q, tuple([f(env, meter) for f in args])):
+                        full = env + tup
+                        new_envs.add(tuple([full[p] for p in keep]))
+                envs = new_envs
+                if len(envs) > meter.env_cap:
+                    raise EnvLimitExceeded(
+                        f"rule {where}: {len(envs)} environments "
+                        f"after let {i + 1}, cap is {meter.env_cap}")
+                meter.max_envs = max(meter.max_envs, len(envs))
+            # tuples may carry BOTTOM components: a returned tree that is
+            # no subtree of t is legal as long as the caller never uses
+            # that component in the final output
+            out.update([tuple([f(env, meter) for f in results]) for env in envs])
+        return out
+
+    return (alt,)
 
 
 def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
@@ -258,48 +300,13 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     projected to live variables; a rule whose environment set exceeds
     env_cap raises EnvLimitExceeded rather than silently degrading.
     """
-    max_envs = 0
-
-    def bind(layout):
-        rhs, kept, where = layout
-
-        def alt(ybar, kids, ask, dag):
-            nonlocal max_envs
-            # environment = refs for the z-vars that are both bound and
-            # still needed, in ascending index order
-            envs: set = {()}
-            order: tuple = ()
-            for i, let in enumerate(rhs.lets):
-                new_envs: set = set()
-                child = kids[let.child - 1]
-                for packed in envs:
-                    env = dict(zip(order, packed))
-                    argrefs = tuple(_arg_ref(a, ybar, env, dag) for a in let.args)
-                    for tup in ask(child, let.state, argrefs):
-                        for zi, ref in zip(let.targets, tup):
-                            env[zi] = ref
-                        new_envs.add(tuple(env[j] for j in kept[i]))
-                envs = new_envs
-                order = kept[i]
-                if len(envs) > env_cap:
-                    raise EnvLimitExceeded(
-                        f"rule {where}: {len(envs)} environments "
-                        f"after let {i + 1}, cap is {env_cap}")
-                max_envs = max(max_envs, len(envs))
-            # tuples may carry BOTTOM components: a returned tree that is no
-            # subtree of t is legal as long as the caller never uses that
-            # component in the final output
-            out: set = set()
-            for packed in envs:
-                env = dict(zip(order, packed))
-                out.add(tuple(_arg_ref(term, ybar, env, dag) for term in rhs.result))
-            return out
-
-        return alt
-
-    layouts = m._layouts
-    select = _plain_rules(_bind_once(lambda q, sym: layouts.get((q, sym), ()), bind))
-    verdict = _member(m, s, t, select, stats, tuples=True)
+    rules, ranks = m.rules, m.ranks
+    alternatives = _bind_once(m, "mr-io", lambda q, sym, terms: _mr_alternatives(
+        rules.get((q, sym), ()), ranks[q], f"{q}/{sym}", terms))
+    # this query's cap and largest environment set, read by the
+    # alternatives in place of t's DAG, with its intern table
+    meter = SimpleNamespace(env_cap=env_cap, max_envs=0)
+    verdict = _member(m, s, t, alternatives, stats, meter=meter)
     if stats is not None:
-        stats["max_envs"] = max_envs
+        stats["max_envs"] = meter.max_envs
     return verdict

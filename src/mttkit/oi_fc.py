@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .io_membership import _bind_once, _member, _out_refs, _plain_rules
+from .io_membership import _bind_once, _member, _out_refs
 from .mtt import Mtt, Out, Param, _refuse_guards
 from .oracle import Budget, Evaluator, OI, param_index
 from .trees import BOTTOM, Tree, enumerate_trees
@@ -76,21 +76,18 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
     _refuse_guards(m)
-    alternatives = m._by_copy_bound.get(c)
-    if alternatives is None:
-        # a plain function, not functools.partial: a call through partial
-        # nests on the C stack, which deep inputs overflow
-        def bind(rhs):
-            def alt(betabar, kids, ask, dag):
-                return _eval_sets(rhs, betabar, kids, ask, dag, c)
-            return alt
+    # a plain function, not functools.partial: a call through partial
+    # nests on the C stack, which deep inputs overflow; rhs and c are
+    # defaults, as io_membership's compiled terms take theirs
+    def bind(rhs):
+        def alt(betabar, kids, ask, dag, rhs=rhs, c=c):
+            return _eval_sets(rhs, betabar, kids, ask, dag, c)
+        return alt
 
-        # through the rule table, not m, so the model's cache of its own
-        # alternatives makes no reference cycle
-        rules = m.rules
-        alternatives = m._by_copy_bound[c] = _bind_once(
-            lambda q, sym: rules.get((q, sym), ()), bind)
-    return _member(m, s, t, _plain_rules(alternatives), stats)
+    rules = m.rules
+    alternatives = _bind_once(m, ("oi", c), lambda q, sym, _: tuple(
+        map(bind, rules.get((q, sym), ()))))
+    return _member(m, s, t, alternatives, stats)
 
 
 def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8,

@@ -23,7 +23,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .io_membership import _member, compile_rhs
+from .io_membership import _bind_once, _member, compile_rhs
 from .mtt import MttClass, Rhs, distinct_rules, freeze, validate
 from .trees import RankedAlphabet, Tree, TreeDag, format_term
 
@@ -150,7 +150,8 @@ class TacRule:
 @dataclass(frozen=True)
 class TacMtt:
     """A transducer whose rules are guarded by a look-ahead automaton;
-    like an Mtt, checked once when built and read-only after."""
+    like an Mtt, checked once when built and read-only after, and filled
+    in _prepared per state and node shape (_Shapes) by member_io_tac."""
 
     name: str
     input_alphabet: RankedAlphabet
@@ -161,14 +162,9 @@ class TacMtt:
     tac: Tac
 
     def __post_init__(self):
-        rules = distinct_rules(self.rules, lambda rule: (rule.rhs,))
-        # _guarded: (state, sym, child look-ahead states, child equality
-        # pattern) -> the distinct right-hand sides whose guards hold
-        # there, compiled (io_membership.compile_rhs, whose table of
-        # compiled terms is _terms); a key is filled the first time
-        # member_io_tac meets a node of that shape
+        rules, nesting = distinct_rules(self.rules, lambda rule: (rule.rhs,))
         freeze(self, states=MappingProxyType(dict(self.states)),
-               rules=rules, _guarded={}, _terms={},
+               rules=rules, nesting=nesting, _prepared={},
                _unguarded={key: tuple(dict.fromkeys(rule.rhs for rule in alts))
                            for key, alts in rules.items()})
         freeze(self, mtt_class=validate_tac_mtt(self))
@@ -176,21 +172,6 @@ class TacMtt:
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """The distinct right-hand sides for (state, sym), guards dropped."""
         return self._unguarded.get((state, sym), ())
-
-    def _alternatives_at(self, state: str, sym: str, kid_states: tuple,
-                         same: tuple) -> tuple:
-        """The distinct right-hand sides for (state, sym) whose guards hold
-        at a node whose children reached kid_states, child i being equal
-        to child j exactly when same[i] == same[j], compiled."""
-        key = (state, sym, kid_states, same)
-        got = self._guarded.get(key)
-        if got is None:
-            got = self._guarded[key] = tuple(
-                compile_rhs(rhs, self._terms) for rhs in dict.fromkeys(
-                    rule.rhs for rule in self.rules.get((state, sym), ())
-                    if rule.lookahead in (None, kid_states)
-                    and _constraints_ok(rule, same)))
-        return got
 
 
 def validate_tac_mtt(tm: TacMtt) -> MttClass:
@@ -220,29 +201,46 @@ def validate_tac_mtt(tm: TacMtt) -> MttClass:
     return cls
 
 
+class _Shapes:
+    """The label member_io_tac looks alternatives up by, per input node:
+    its symbol, its children's look-ahead states, and which children are
+    equal.  A shape is worked out when the demand reads it, so nodes it
+    never reaches cost nothing."""
+
+    __slots__ = ("labels", "kids", "states")
+
+    def __init__(self, a: Tac, dag: TreeDag):
+        self.labels, self.kids = dag.labels, dag.kids
+        self.states = _run_nodes(a, dag, range(dag.node_count()))
+
+    def __getitem__(self, node: int) -> tuple:
+        ks = self.kids[node]
+        la = self.states
+        # equal children are one DAG node, so ks.index names each child's
+        # equality class by its first member
+        return (self.labels[node], tuple([la[c] for c in ks]),
+                tuple(map(ks.index, ks)))
+
+
 def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     """Membership for a look-ahead transducer under call-by-value semantics.
 
     The look-ahead automaton runs first over the input's minimal DAG.
     The rule alternatives whose guards hold at a node are then looked up
-    by the node's symbol, its children's look-ahead states and which of
-    its children are equal, and the same demand-driven automaton as
-    member_io decides the verdict.
+    by the node's shape (_Shapes), and the same demand-driven automaton
+    as member_io decides the verdict.
     Equality guards compare input subtrees, so they use the input's DAG;
     output reasoning uses the candidate output's DAG.  The two stores are
     independent.
     """
-    def select(s_dag):
-        la = _run_nodes(tm.tac, s_dag, range(s_dag.node_count()))
-        labels, kids = s_dag.labels, s_dag.kids
+    rules, tac = tm.rules, tm.tac
 
-        def alts_for(node, q):
-            ks = kids[node]
-            # equal children are one DAG node, so ks.index names each
-            # child's equality class by its first member
-            return tm._alternatives_at(q, labels[node], tuple(la[c] for c in ks),
-                                       tuple(map(ks.index, ks)))
+    def guarded(q, shape, terms):
+        sym, kid_states, same = shape
+        return tuple(compile_rhs(rhs, terms) for rhs in dict.fromkeys(
+            rule.rhs for rule in rules.get((q, sym), ())
+            if rule.lookahead in (None, kid_states)
+            and _constraints_ok(rule, same)))
 
-        return alts_for
-
-    return _member(tm, s, t, select, stats)
+    return _member(tm, s, t, _bind_once(tm, "io-tac", guarded), stats,
+                   labels=lambda s_dag: _Shapes(tac, s_dag))

@@ -18,7 +18,6 @@ from types import MappingProxyType
 from .errors import (
     ArityMismatch,
     BottomAccess,
-    ChildIndexOutOfRange,
     ParseError,
     RankViolation,
     UnknownSymbol,
@@ -365,32 +364,6 @@ class TreeDag:
             raise BottomAccess("bottom has no label or children")
         if not 0 <= v < len(self.labels):
             raise BottomAccess(f"node reference {v} is not in this DAG")
-
-    def label(self, v: NodeRef) -> str:
-        self._check(v)
-        return self.labels[v]
-
-    def arity(self, v: NodeRef) -> int:
-        self._check(v)
-        return len(self.kids[v])
-
-    def child(self, v: NodeRef, i: int) -> NodeRef:
-        """1-based child access."""
-        self._check(v)
-        ks = self.kids[v]
-        if not 1 <= i <= len(ks):
-            raise ChildIndexOutOfRange(
-                f"child {i} of a node with {len(ks)} children"
-            )
-        return ks[i - 1]
-
-    def children(self, v: NodeRef) -> tuple[NodeRef, ...]:
-        self._check(v)
-        return self.kids[v]
-
-    def lookup(self, label: str, kid_refs: tuple[NodeRef, ...]) -> NodeRef:
-        """The node carrying (label, kid_refs), or BOTTOM if there is none."""
-        return self.intern.get((label, kid_refs), BOTTOM)
 
     def rho(self, t: Tree) -> NodeRef:
         """Map a tree to its node in this DAG, or BOTTOM if not a subtree."""

@@ -116,13 +116,14 @@ def _random_mr_term(rng: random.Random, my_rank: int, n_z: int, depth: int):
                           for _ in range(OUT_ALPHA.rank(sym))))
 
 
-def random_mrtt(rng: random.Random, name: str = "mrand") -> MrMtt:
+def random_mrtt(rng: random.Random, name: str = "mrand", max_lets: int = 2,
+                max_rank: int = 1) -> MrMtt:
     """A small multi-return transducer: <= 3 states, dimensions <= 2,
-    ranks <= 1, <= 2 alternatives per (state, symbol) pair, each with
-    <= 2 lets; possibly partial."""
+    ranks <= max_rank, <= 2 alternatives per (state, symbol) pair, each
+    with <= max_lets lets; possibly partial."""
     ranks, dims = {"q0": 0}, {"q0": 1}
     for i in range(1, rng.randint(1, 3)):
-        ranks[f"q{i}"] = rng.randint(0, 1)
+        ranks[f"q{i}"] = rng.randint(0, max_rank)
         dims[f"q{i}"] = rng.randint(1, 2)
     rules = {}
     for q in ranks:
@@ -131,7 +132,7 @@ def random_mrtt(rng: random.Random, name: str = "mrand") -> MrMtt:
             alts = []
             for _ in range(rng.choices((0, 1, 2), weights=(15, 55, 30))[0]):
                 lets, n_z = [], 0
-                for _ in range(rng.randint(0, 2) if k else 0):
+                for _ in range(rng.randint(0, max_lets) if k else 0):
                     p = rng.choice(list(ranks))
                     args = tuple(_random_mr_term(rng, ranks[q], n_z, 1)
                                  for _ in range(ranks[p]))
@@ -151,6 +152,30 @@ def random_mrtt(rng: random.Random, name: str = "mrand") -> MrMtt:
         dims=dims,
         initial="q0",
         rules=rules,
+    )
+
+
+def chain(n: int, sym: str = "a") -> Tree:
+    """sym applied n times to e."""
+    t = Tree("e")
+    for _ in range(n):
+        t = Tree(sym, (t,))
+    return t
+
+
+def call_under(k: int) -> Mtt:
+    """q(a(x1)) -> g(...g(q[x1])...) with k g's, q(e) -> e: each input
+    level takes the frames of a call k output symbols deep."""
+    rhs = Call("q", 1)
+    for _ in range(k):
+        rhs = Out("g", (rhs,))
+    return Mtt(
+        name=f"under{k}",
+        input_alphabet=RankedAlphabet({"a": 1, "e": 0}),
+        output_alphabet=RankedAlphabet({"g": 1, "e": 0}),
+        states={"q": 0},
+        initial="q",
+        rules={("q", "a"): (rhs,), ("q", "e"): (Out("e"),)},
     )
 
 

@@ -1,11 +1,16 @@
 """Call-by-value membership: the subtree automaton and its fast paths."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import mttkit
 from mttkit import (
     App,
     Call,
@@ -36,12 +41,14 @@ from mttkit.families import (
     reverse_pair_instance,
     reverse_pair_mrtt,
 )
-from mttkit.io_membership import _plain_rules, compile_rhs, demand
+from mttkit.io_membership import _io_rules, compile_rhs, demand
 from mttkit.trees import BOTTOM, build_dag
 
 from helpers import (
     HARNESS_BUDGET,
     all_inputs,
+    call_under,
+    chain,
     io_output_set,
     mutations,
     random_det_total_mtt,
@@ -69,8 +76,8 @@ def _eval_on(rhs, vbar, dag, entries=None, asked=None):
 def _root_entry(m, s, t_dag):
     """The initial state's demanded entry at the root of s."""
     s_dag, s_root = build_dag(s)
-    alts_for = _plain_rules(m.compiled)(s_dag)
-    return demand(s_dag, t_dag, alts_for, s_root, m.initial)[0]
+    return demand(s_dag, t_dag, s_dag.labels, _io_rules(m), s_root,
+                  m.initial)[0]
 
 
 def test_eval_f_parameter_returns_its_ref():
@@ -172,12 +179,16 @@ def test_equal_right_hand_sides_of_a_model_share_one_function():
             ("q", "e"): (Param(1),),
         },
     )
-    (alt,) = m.compiled("q", "a")
-    assert m.compiled("q", "b")[1] is alt
-    assert m.compiled("q", "e")[0] is m.compiled("q", "b")[0]
-    assert m.compiled("q0", "b")[0] is m.compiled("q0", "a")[0]
-    assert m.compiled("q", "a") is m.compiled("q", "a")
-    assert m.compiled("q0", "e") == ()
+    compiled = _io_rules(m)
+    (alt,) = compiled("q", "a")
+    assert compiled("q", "b")[1] is alt
+    assert compiled("q", "e")[0] is compiled("q", "b")[0]
+    assert compiled("q0", "b")[0] is compiled("q0", "a")[0]
+    assert compiled("q", "a") is compiled("q", "a")
+    assert compiled("q0", "e") == ()
+    # the table is the model's: another query's alternatives read it
+    assert _io_rules(m)("q", "a") is compiled("q", "a")
+    assert m._prepared["io", "q", "a"] is compiled("q", "a")
     s = parse_term("a(a(e))")
     assert member_io(m, s, parse_term("f(e,e)"))
     assert not member_io(m, s, parse_term("e"))
@@ -410,6 +421,44 @@ def test_deep_inputs():
     assert not member_io(copyfree_mtt(), s, off)
 
 
+@pytest.mark.parametrize("engine", ["io", "oi-fc"])
+def test_deep_inputs_with_calls_under_outputs(engine):
+    # the recursion budget grows with the deepest right-hand side: at
+    # 8 frames per input node these raised RecursionError
+    n, k = 2 * 10 ** 4, 8
+    run = {"io": member_io,
+           "oi-fc": lambda m, s, t: member_oi_fc(m, 1, s, t)}[engine]
+    m, s = call_under(k), chain(n)
+    assert run(m, s, chain(n * k, "g"))
+    assert not run(m, s, chain(n * k - 1, "g"))
+
+
+DEEP_DET = """
+from helpers import call_under, chain
+from mttkit import member_det
+
+for n, k in ((10 ** 5, 1), (2 * 10 ** 4, 8)):
+    m, s = call_under(k), chain(n)
+    print(member_det([m], "io", s, chain(n * k, "g")),
+          member_det([m], "io", s, chain(n * k - 1, "g")))
+"""
+
+
+def test_member_det_deep_inputs_with_calls_under_outputs():
+    # with a call under an output symbol, member_det once built each
+    # level through a generator, which nests on the C stack and crashed
+    # the interpreter; a child process keeps such a crash to this test
+    env = dict(os.environ)
+    paths = (Path(mttkit.__file__).resolve().parent.parent,
+             Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*map(str, paths), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", DEEP_DET], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["True", "False"] * 2
+
+
 def test_member_det_leaves_no_cyclic_garbage():
     # the stage memo, which holds the whole stage output, goes when
     # member_det returns, not at the next full garbage collection
@@ -428,6 +477,7 @@ def test_member_io_leaves_no_cyclic_garbage():
     # not at the next full garbage collection, on each engine whose
     # alternatives ask the core for entries
     dbl, cf, eq = double_mtt(), copyfree_mtt(), equal_pair_tacmtt()
+    rev = reverse_pair_mrtt()
     s, t = double_instance(2)
     s2, t2 = copyfree_instance(50)
     pair = Tree("pi", (s2, s2))
@@ -436,6 +486,7 @@ def test_member_io_leaves_no_cyclic_garbage():
         lambda: member_io(cf, s2, t2),
         lambda: member_io_tac(eq, pair, Tree("e")),
         lambda: member_oi_fc(dbl, 2, s, t),
+        lambda: member_mr_io(rev, *reverse_pair_instance("abba")),
     )
     gc.collect()
     gc.disable()
@@ -443,8 +494,19 @@ def test_member_io_leaves_no_cyclic_garbage():
         for verdict in verdicts:
             assert verdict()
             assert gc.collect() == 0
-        # nor do the alternatives a model keeps make it a cycle
-        del verdicts, dbl, cf, eq
+        # nor do the alternatives a model keeps in its _prepared table
+        # make it a cycle
+        # (engine, state, label) keys hold alternatives, the others terms
+        def engines(m):
+            return {key[0] for key in m._prepared if type(key) is tuple}
+
+        assert engines(dbl) == {"io", ("oi", 2)}
+        assert engines(cf) == {"io"}
+        assert engines(eq) == {"io-tac"}
+        assert engines(rev) == {"mr-io"}
+        assert all(any(type(key) is not tuple for key in m._prepared)
+                   for m in (dbl, cf, rev))
+        del verdicts, dbl, cf, eq, rev
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -470,35 +532,54 @@ FAN = """mtt fan {
 """
 
 
-def _chain(n, sym="a"):
-    s = Tree("e")
-    for _ in range(n):
-        s = Tree(sym, (s,))
-    return s
+# the second p rule binds z1, z2, reads z2 in its second let and drops it
+# there, so its environments (y1, y2, then the live z's) change shape
+# between the lets
+KEEP = """mrtt keep {
+  input { s: 1, e: 0 }
+  output { f: 2, g: 1, h: 1, e: 0 }
+  state q0: 0/1 init
+  state p: 2/2
+  rule q0(s(x1)) -> let (z1, z2) = p[x1](e, g(e)) in (f(z1, z2))
+  rule p(s(x1))(y1, y2) -> let (z1, z2) = p[x1](y2, g(y1)) in (z1, f(z2, y1))
+  rule p(s(x1))(y1, y2) -> let (z1, z2) = p[x1](g(y2), y1) in
+    let (z3, z4) = p[x1](z2, y2) in (z3, h(z1))
+  rule p(e)(y1, y2) -> (y1, y2)
+}
+"""
 
 
 def _fan_tree(i, j):
-    return Tree("f", (_chain(i, "g"), _chain(j, "g")))
+    return Tree("f", (chain(i, "g"), chain(j, "g")))
 
 
 @pytest.mark.parametrize("engine, m, s, t, want, entries", [
-    ("io", "fan", _chain(8), _fan_tree(0, 15), False, 976),
-    ("io", "fan", _chain(8), _fan_tree(7, 8), True, 837),
-    ("io", "fan", _chain(8), _fan_tree(6, 9), True, 906),
-    ("io", "fan", _chain(8), _fan_tree(5, 10), True, 950),
-    ("io", "fan", _chain(8), _fan_tree(3, 12), True, 984),
+    ("io", "fan", chain(8), _fan_tree(0, 15), False, 976),
+    ("io", "fan", chain(8), _fan_tree(7, 8), True, 837),
+    ("io", "fan", chain(8), _fan_tree(6, 9), True, 906),
+    ("io", "fan", chain(8), _fan_tree(5, 10), True, 950),
+    ("io", "fan", chain(8), _fan_tree(3, 12), True, 984),
     ("io", "copyfree", *copyfree_instance(50), True, 50),
     ("io", "copyfree", copyfree_instance(50)[0],
      Tree("f", (copyfree_instance(50)[1],)), False, 50),
-    ("io-tac", "eqpair", Tree("pi", (_chain(20), _chain(20))), Tree("e"), True, 1),
-    ("io-tac", "eqpair", Tree("pi", (_chain(20), _chain(17))), Tree("e"), False, 0),
-    ("oi-fc", "fan", _chain(6), _fan_tree(0, 11), False, 21),
-    ("oi-fc", "fan", _chain(6), _fan_tree(5, 6), True, 790),
+    ("io-tac", "eqpair", Tree("pi", (chain(20), chain(20))), Tree("e"), True, 1),
+    ("io-tac", "eqpair", Tree("pi", (chain(20), chain(17))), Tree("e"), False, 0),
+    ("oi-fc", "fan", chain(6), _fan_tree(0, 11), False, 21),
+    ("oi-fc", "fan", chain(6), _fan_tree(5, 6), True, 790),
     ("mr-io", "revpair", *reverse_pair_instance("abbaabab"), True, 32),
+    ("mr-io", "keep", chain(4, "s"),
+     parse_term("f(h(g(f(f(g(e),e),g(g(e))))),h(g(g(g(e)))))"), True, 65),
+    ("mr-io", "keep", chain(4, "s"),
+     parse_term("f(f(g(g(g(e))),g(g(e))),h(f(g(g(e)),g(e))))"), True, 55),
+    ("mr-io", "keep", chain(4, "s"),
+     parse_term("f(h(g(f(f(g(e),e),g(g(e))))),h(g(g(e))))"), False, 73),
+    ("mr-io", "keep", chain(4, "s"),
+     parse_term("f(f(g(g(g(e))),g(g(e))),h(f(g(e),g(g(e)))))"), False, 46),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_entries_are_pinned(engine, m, s, t, want, entries):
     m = {"fan": lambda: parse_transducer(FAN), "copyfree": copyfree_mtt,
-         "eqpair": equal_pair_tacmtt, "revpair": reverse_pair_mrtt}[m]()
+         "eqpair": equal_pair_tacmtt, "revpair": reverse_pair_mrtt,
+         "keep": lambda: parse_transducer(KEEP)}[m]()
     stats = {}
     run = {"io": member_io, "io-tac": member_io_tac, "mr-io": member_mr_io,
            "oi-fc": lambda m, s, t, stats: member_oi_fc(m, 2, s, t, stats)}[engine]

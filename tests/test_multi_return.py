@@ -30,6 +30,7 @@ from mttkit import (
     validate_mr,
 )
 from mttkit.families import reverse_pair_instance, reverse_pair_mrtt
+from mttkit.multi_return import _kept_after
 
 from helpers import (HARNESS_BUDGET, all_inputs, io_output_set, mutations,
                      random_mrtt, random_mtt)
@@ -256,14 +257,33 @@ def test_argument_evaluation_is_deterministic():
     assert stats["max_envs"] == 2
 
 
-def test_random_mrtts_agree_with_reference_semantics():
+def _drops_a_z_between_lets(rhs) -> bool:
+    """Some environment before rhs's last let leaves out a z-variable
+    bound by then."""
+    bound: set = set()
+    for let, kept in zip(rhs.lets[:-1], _kept_after(rhs)):
+        bound.update(let.targets)
+        if bound - set(kept):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("max_lets, max_rank", [
+    pytest.param(2, 1, id="lets2-rank1"),
+    pytest.param(3, 2, id="lets3-rank2"),
+])
+def test_random_mrtts_agree_with_reference_semantics(max_lets, max_rank):
     # tuple-returning transducers of dimension <= 2, beyond what the
-    # dimension-one embedding and reverse_pair exercise
+    # dimension-one embedding and reverse_pair exercise; with ranks up to
+    # 2, environments hold two parameters next to the live z-variables
     rng = random.Random(2024)
     checked = 0
+    wide = 0
     for i in range(30):
-        m = random_mrtt(rng, name=f"mr{i}")
+        m = random_mrtt(rng, name=f"mr{i}", max_lets=max_lets, max_rank=max_rank)
         validate_mr(m)
+        wide += any(m.ranks[q] == 2 and _drops_a_z_between_lets(rhs)
+                    for (q, _), alts in m.rules.items() for rhs in alts)
         for s in all_inputs(6):
             try:
                 out = eval_mr_io(m, s, HARNESS_BUDGET)
@@ -276,6 +296,7 @@ def test_random_mrtts_agree_with_reference_semantics():
                 assert member_mr_io(m, s, t) == (t in out)
                 checked += 1
     assert checked > 2000
+    assert wide > 0 or max_rank < 2
 
 
 def test_reverse_pair_demands_linearly_many_entries():

@@ -46,3 +46,24 @@ def test_perfbench_model_calls_match_init_parameters():
         sig = inspect.signature(getattr(mttkit, call.func.id))
         # binds exactly when the call's positions and keywords fit
         sig.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+
+
+def test_perfbench_engine_calls_match_engine_parameters():
+    # worker.py's engine table calls each engine with positions and
+    # keywords of its own; each call must bind to the engine's signature
+    path = PERFBENCH / "worker.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (table,) = [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["engines"]]
+    assert isinstance(table, ast.Dict)
+    calls = [node for value in table.values for node in ast.walk(value)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id.startswith("member_")]
+    assert len(calls) == len(table.values) == 5
+    for call in calls:
+        where = f"{path.name}:{call.lineno}"
+        assert not any(isinstance(a, ast.Starred) for a in call.args), where
+        assert all(k.arg is not None for k in call.keywords), where
+        sig = inspect.signature(getattr(mttkit, call.func.id))
+        sig.bind(*call.args, **{k.arg: k.value for k in call.keywords})

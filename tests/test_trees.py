@@ -184,7 +184,7 @@ def test_dag_shares_equal_subtrees():
     dag, root = build_dag(t)
     assert dag.node_count() == 3
     assert t.size == 5
-    assert dag.children(root) == (dag.children(root)[0],) * 2
+    assert dag.kids[root] == (dag.kids[root][0],) * 2
     assert dag.expand(root) == t
 
 
@@ -201,14 +201,15 @@ def test_dag_rho_is_injective_on_trees():
 def test_dag_lookup_misses_give_bottom():
     dag, _ = build_dag(parse_term("f(g(e),g(e))", None))
     e_ref = dag.rho(parse_term("e"))
-    assert dag.lookup("g", (e_ref,)) >= 0
-    assert dag.lookup("f", (e_ref, e_ref)) == BOTTOM
-    assert dag.lookup("zzz", ()) == BOTTOM
+    assert dag.intern.get(("g", (e_ref,)), BOTTOM) >= 0
+    assert dag.intern.get(("f", (e_ref, e_ref)), BOTTOM) == BOTTOM
+    assert dag.intern.get(("zzz", ()), BOTTOM) == BOTTOM
+    assert dag.rho(parse_term("f(e,e)", None)) == BOTTOM
     # looking under bottom is a bug, not a miss
     with pytest.raises(BottomAccess):
-        dag.label(BOTTOM)
+        dag.expand(BOTTOM)
     with pytest.raises(BottomAccess):
-        dag.children(BOTTOM)
+        dag.expand(dag.node_count())
 
 
 def test_dag_nodes_by_label():
