@@ -9,7 +9,7 @@ z_j instead of calling states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import (
@@ -21,8 +21,9 @@ from .errors import (
 )
 from .trees import RankedAlphabet
 
-# right-hand sides are hashed and evaluated recursively, so deeper terms
-# would overflow the interpreter stack; the DSL reports the same bound
+# right-hand sides are compared, printed and evaluated recursively, so
+# deeper terms would overflow the interpreter stack; the DSL reports the
+# same bound
 MAX_NESTING = 256
 
 
@@ -32,6 +33,15 @@ class Out:
 
     sym: str
     args: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # hashed once, from the arguments' kept hashes: a term sharing
+        # subterms hashes in its distinct subterms, not its paths
+        object.__setattr__(self, "_hash", hash((self.sym, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,6 +58,14 @@ class Call:
     state: str
     child: int
     args: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # hashed once, as Out is
+        object.__setattr__(self, "_hash", hash((self.state, self.child, self.args)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,10 +94,14 @@ def rhs_size(r: Rhs) -> int:
 
 
 def walk_rhs(r: Rhs):
-    """Yield every node of a right-hand side, parent before children."""
-    stack = [r]
+    """Yield each distinct subterm object of a right-hand side once,
+    parent before children, so shared subterms cost one visit."""
+    stack, seen = [r], set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         yield node
         if isinstance(node, (Out, Call)):
             stack.extend(reversed(node.args))
@@ -103,7 +125,7 @@ def distinct_rules(rules: dict, terms) -> tuple[MappingProxyType, int]:
     of the deepest term (see _nesting), 0 for no rules.
 
     terms(alt) gives the terms of one alternative.  A term nested deeper
-    than MAX_NESTING raises RhsTooDeep here, before hashing would
+    than MAX_NESTING raises RhsTooDeep here, before comparing would
     overflow the interpreter stack.
     """
     deepest = 0
@@ -215,16 +237,34 @@ def check_rhs(m, rhs: Rhs, state_rank: int, input_rank: int, where: str,
 
 
 def _linear(rhs: Rhs, kind) -> bool:
-    seen = set()
-    for node in walk_rhs(rhs):
-        if kind == "input" and isinstance(node, Call):
-            if node.child in seen:
-                return False
-            seen.add(node.child)
-        elif kind == "param" and isinstance(node, Param):
-            if node.index in seen:
-                return False
-            seen.add(node.index)
+    """No input variable (kind "input") or parameter (kind "param") is
+    used on two paths of rhs.  Each distinct subterm object is visited
+    once and keeps the indices its paths use, so a subterm shared by two
+    parents counts as used twice."""
+    uses: dict[int, set] = {}  # id(subterm) -> indices it uses
+    stack = [rhs]
+    while stack:
+        node = stack[-1]
+        if id(node) in uses:
+            stack.pop()
+            continue
+        args = getattr(node, "args", ())
+        todo = [a for a in args if id(a) not in uses]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if kind == "input":
+            own = {node.child} if isinstance(node, Call) else set()
+        else:
+            own = {node.index} if isinstance(node, Param) else set()
+        count = len(own)
+        for a in args:
+            own |= uses[id(a)]
+            count += len(uses[id(a)])
+        if len(own) < count:
+            return False
+        uses[id(node)] = own
     return True
 
 

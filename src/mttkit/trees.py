@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import defaultdict
 from contextlib import contextmanager
 from itertools import islice, product
 from types import MappingProxyType
@@ -177,6 +176,14 @@ class Tree:
             stack.extend(reversed(node.children))
 
 
+class _ParsedTree(Tree):
+    """The root parse_term returns.  _dag holds the labels and child
+    references of its minimal DAG until the first build_dag of it takes
+    them; a subclass, so other trees carry no such slot."""
+
+    __slots__ = ("_dag",)
+
+
 def tree(label: str, *children: Tree) -> Tree:
     """Shorthand constructor: tree('f', tree('e'), tree('e'))."""
     return Tree(label, children)
@@ -187,8 +194,10 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
 
     Rank-0 parentheses are optional: `e` and `e()` denote the same tree.
     Equal subtrees come back as one object, so the result is as shared as
-    its minimal DAG.  When an alphabet is given, symbols and arities are
-    checked as distinct nodes are built.
+    its minimal DAG.  That DAG is built as the parse goes, numbered in
+    left-to-right post-order, and rides on the result until the first
+    build_dag of it takes it.  When an alphabet is given, symbols and
+    arities are checked as distinct nodes are built.
     """
 
     def fail(msg, at):
@@ -212,11 +221,15 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         fail(f"unexpected character {bad.group()!r}", bad.start())
     tokens = _TERM_TOKEN_RE.findall(text)
     tokens.append("")  # end marker; no token is empty
-    leaves: dict[str, Tree] = {}
-    inner: defaultdict[str, dict] = defaultdict(dict)  # name -> children -> node
+    # the DAG: node ref -> label, child refs and Tree, children first
+    labels: list[str] = []
+    dag_kids: list[tuple[NodeRef, ...]] = []
+    nodes: list[Tree] = []
+    leaves: dict[str, NodeRef] = {}
+    inner: dict[tuple, NodeRef] = {}  # (name, child refs) -> ref
     opened = []  # token index of the name of each open node
     starts = []  # where the children of each open node begin in `kids`
-    kids = []
+    kids = []  # refs of the finished children of the open nodes
     pos = 0
     while True:
         name = tokens[pos]
@@ -229,18 +242,21 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
             starts.append(len(kids))
             pos += 2
             continue
-        node = leaves.get(name)
-        if node is None:
+        ref = leaves.get(name)
+        if ref is None:
             if alphabet is not None:
                 check(name, 0, pos)
-            node = leaves[name] = Tree(name)
+            ref = leaves[name] = len(nodes)
+            labels.append(name)
+            dag_kids.append(())
+            nodes.append(Tree(name))
         pos += 3 if tokens[pos + 1] == "(" else 1
         # attach the finished node upward as far as possible
         while opened:
             sep = tokens[pos]
             pos += 1
             if sep == ",":
-                kids.append(node)
+                kids.append(ref)
                 break
             if sep != ")":
                 if not sep:
@@ -248,23 +264,29 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
                 fail_at(f"expected ',' or ')', got {sep!r}", pos - 1)
             start = starts.pop()
             if start == len(kids):
-                children = (node,)
+                child_refs = (ref,)
             else:
-                kids.append(node)
-                children = tuple(kids[start:])
+                kids.append(ref)
+                child_refs = tuple(kids[start:])
                 del kids[start:]
             k = opened.pop()
             name = tokens[k]
-            node = inner[name].get(children)
-            if node is None:
+            key = (name, child_refs)
+            ref = inner.get(key)
+            if ref is None:
                 if alphabet is not None:
-                    check(name, len(children), k)
-                node = inner[name][children] = Tree(name, children)
+                    check(name, len(child_refs), k)
+                ref = inner[key] = len(nodes)
+                labels.append(name)
+                dag_kids.append(child_refs)
+                nodes.append(Tree(name, [nodes[r] for r in child_refs]))
         else:
             break
     if tokens[pos]:
         fail_at(f"trailing input {tokens[pos]!r}", pos)
-    return node
+    root = _ParsedTree(labels[ref], nodes[ref].children)
+    root._dag = (labels, dag_kids)
+    return root
 
 
 _TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
@@ -331,30 +353,18 @@ class TreeDag:
     """Minimal DAG of one tree: every distinct subtree is one node.
 
     Node references are ints issued in creation order, so children always
-    precede parents.  The intern table maps (label, child refs) to the
-    unique node carrying them, and by_label maps each label to its nodes
-    in ascending order.
+    precede parents and the root comes last.  labels and kids give each
+    node's label and child references.  The intern table maps (label,
+    child refs) to the unique node carrying them, and by_label maps each
+    label to its nodes in ascending order.
     """
 
-    __slots__ = ("labels", "kids", "intern", "by_label", "root")
+    __slots__ = ("labels", "kids", "root", "intern", "by_label")
 
-    def __init__(self):
-        self.labels: list[str] = []
-        self.kids: list[tuple[NodeRef, ...]] = []
-        self.intern: dict[tuple, NodeRef] = {}
-        self.by_label: dict[str, list[NodeRef]] = defaultdict(list)
-        self.root: NodeRef = BOTTOM
-
-    def _add(self, label, kid_refs):
-        key = (label, kid_refs)
-        ref = self.intern.get(key)
-        if ref is None:
-            ref = len(self.labels)
-            self.labels.append(label)
-            self.kids.append(kid_refs)
-            self.intern[key] = ref
-            self.by_label[label].append(ref)
-        return ref
+    def __init__(self, labels=None, kids=None):
+        self.labels: list[str] = [] if labels is None else labels
+        self.kids: list[tuple[NodeRef, ...]] = [] if kids is None else kids
+        self.root: NodeRef = len(self.labels) - 1 if self.labels else BOTTOM
 
     def node_count(self) -> int:
         return len(self.labels)
@@ -364,29 +374,6 @@ class TreeDag:
             raise BottomAccess("bottom has no label or children")
         if not 0 <= v < len(self.labels):
             raise BottomAccess(f"node reference {v} is not in this DAG")
-
-    def rho(self, t: Tree) -> NodeRef:
-        """Map a tree to its node in this DAG, or BOTTOM if not a subtree."""
-        # post-order with an explicit stack; short-circuits on BOTTOM
-        done: dict[int, NodeRef] = {}
-        stack = [(t, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in done:
-                continue
-            if not expanded:
-                stack.append((node, True))
-                stack.extend((c, False) for c in node.children)
-                continue
-            refs = tuple(done[id(c)] for c in node.children)
-            if BOTTOM in refs:
-                ref = BOTTOM
-            else:
-                ref = self.intern.get((node.label, refs), BOTTOM)
-            if ref == BOTTOM and node is t:
-                return BOTTOM
-            done[id(node)] = ref
-        return done[id(t)]
 
     def expand(self, v: NodeRef) -> Tree:
         """Rebuild the tree rooted at a node."""
@@ -405,9 +392,46 @@ class TreeDag:
         return built[v]
 
 
+def _label_index(labels) -> dict[str, list[NodeRef]]:
+    by_label: dict[str, list[NodeRef]] = {}
+    for ref, label in enumerate(labels):
+        by_label.setdefault(label, []).append(ref)
+    return by_label
+
+
+class _ParsedDag(TreeDag):
+    """The DAG a parse built.  Its intern table and label index are
+    derived from labels and kids when either is first read, so an input
+    DAG, read only through labels and kids, never builds them.  It then
+    becomes a plain TreeDag: a class with __getattr__ reads every
+    attribute more slowly, and the engines read intern in their inner
+    loops."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # reached only while intern and by_label are unset
+        if name not in ("intern", "by_label"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.intern = dict(zip(zip(self.labels, self.kids), range(len(self.labels))))
+        self.by_label = _label_index(self.labels)
+        self.__class__ = TreeDag
+        return getattr(self, name)
+
+
 def build_dag(t: Tree) -> tuple[TreeDag, NodeRef]:
-    """Intern a tree into a fresh minimal DAG; returns (dag, root reference)."""
-    dag = TreeDag()
+    """The minimal DAG of a tree; returns (dag, root reference).
+
+    The first call on a root that parse_term returned takes the DAG the
+    parse built, without a walk.  Any other tree is walked and interned.
+    """
+    if type(t) is _ParsedTree and t._dag is not None:
+        dag = _ParsedDag(*t._dag)
+        t._dag = None
+        return dag, dag.root
+    labels: list[str] = []
+    kids: list[tuple[NodeRef, ...]] = []
+    intern: dict[tuple, NodeRef] = {}
     done: dict[int, NodeRef] = {}
     stack = [(t, False)]
     while stack:
@@ -418,9 +442,17 @@ def build_dag(t: Tree) -> tuple[TreeDag, NodeRef]:
             stack.append((node, True))
             stack.extend((c, False) for c in node.children)
             continue
-        refs = tuple(done[id(c)] for c in node.children)
-        done[id(node)] = dag._add(node.label, refs)
-    dag.root = done[id(t)]
+        refs = tuple([done[id(c)] for c in node.children])
+        key = (node.label, refs)
+        ref = intern.get(key)
+        if ref is None:
+            ref = intern[key] = len(labels)
+            labels.append(node.label)
+            kids.append(refs)
+        done[id(node)] = ref
+    dag = TreeDag(labels, kids)
+    dag.intern = intern
+    dag.by_label = _label_index(labels)
     return dag, dag.root
 
 

@@ -82,30 +82,30 @@ def _root_entry(m, s, t_dag):
 
 def test_eval_f_parameter_returns_its_ref():
     dag, root = build_dag(parse_term("f(e,e)", None))
-    v = dag.rho(parse_term("e"))
+    v = dag.intern["e", ()]
     assert _eval_on(Param(1), (v,), dag) == {v}
 
 
 def test_eval_f_leaf_symbol_matches_its_own_node():
     dag, _ = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.rho(parse_term("e"))
+    v_e = dag.intern["e", ()]
     assert _eval_on(Out("e"), (), dag) == {v_e}
 
 
 def test_eval_f_constructor_hit_and_miss():
     rhs = Out("f", (Param(1), Param(1)))
     dag, root = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.rho(parse_term("e"))
+    v_e = dag.intern["e", ()]
     assert _eval_on(rhs, (v_e,), dag) == {root}
 
     dag2, _ = build_dag(parse_term("f(e,g(e))", None))
-    v_e2 = dag2.rho(parse_term("e"))
+    v_e2 = dag2.intern["e", ()]
     assert _eval_on(rhs, (v_e2,), dag2) == {BOTTOM}
 
 
 def test_eval_f_state_call_joins_child_entries():
     dag, root = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.rho(parse_term("e"))
+    v_e = dag.intern["e", ()]
     child = {(1, "q", (v_e,)): {root}}
     got = _eval_on(Call("q", 1, (Out("e"),)), (), dag, child)
     assert got == {root}
@@ -113,8 +113,8 @@ def test_eval_f_state_call_joins_child_entries():
 
 def test_eval_f_is_monotone_in_child_entries():
     dag, root = build_dag(parse_term("f(e,g(e))", None))
-    v_e = dag.rho(parse_term("e"))
-    v_g = dag.rho(parse_term("g(e)", None))
+    v_e = dag.intern["e", ()]
+    v_g = dag.intern["g", (v_e,)]
     rhs = Out("f", (Call("q", 1, ()), Call("q", 1, ())))
     small = {(1, "q", ()): {v_e}}
     big = {(1, "q", ()): {v_e, v_g}}
@@ -123,7 +123,7 @@ def test_eval_f_is_monotone_in_child_entries():
 
 def test_eval_f_bottom_parameter_reaches_calls_and_outputs():
     dag, _ = build_dag(parse_term("f(e,g(e))", None))
-    v_e = dag.rho(parse_term("e"))
+    v_e = dag.intern["e", ()]
     # g(y1) with y1 bound to BOTTOM is no node of t, whatever t holds
     assert _eval_on(Out("g", (Param(1),)), (BOTTOM,), dag) == {BOTTOM}
     asked = []
@@ -135,7 +135,7 @@ def test_eval_f_bottom_parameter_reaches_calls_and_outputs():
 
 def test_eval_f_symbol_without_a_node_in_t_is_bottom():
     dag, _ = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.rho(parse_term("e"))
+    v_e = dag.intern["e", ()]
     assert _eval_on(Out("h", (Param(1),)), (v_e,), dag) == {BOTTOM}
     # over a call's set: the pigeonhole branch, no h-node to scan
     child = {(1, "q", ()): {v_e, BOTTOM}}
@@ -146,8 +146,8 @@ def test_eval_f_symbol_without_a_node_in_t_is_bottom():
 
 def test_eval_f_call_with_scalar_and_set_arguments():
     dag, root = build_dag(parse_term("f(e,g(e))", None))
-    v_e = dag.rho(parse_term("e"))
-    v_g = dag.rho(parse_term("g(e)", None))
+    v_e = dag.intern["e", ()]
+    v_g = dag.intern["g", (v_e,)]
     child = {(2, "q", ()): {v_e, v_g}, (1, "p", (v_g, v_e)): {root},
              (1, "p", (v_g, v_g)): {v_e}}
     asked = []

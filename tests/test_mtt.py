@@ -1,5 +1,6 @@
 """Transducer model: rule well-formedness and classification."""
 
+import time
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -154,7 +155,7 @@ _MR = dict(ranks={"q0": 0}, dims={"q0": 1})
 ], ids=["mtt", "tac", "mr-result", "mr-let"])
 def test_deep_rhs_is_a_toolkit_error(build):
     # a rhs built in code deeper than the DSL allows would overflow the
-    # interpreter stack when hashed; the model rejects it before that
+    # interpreter stack when compared; the model rejects it before that
     assert build(_nested(MAX_NESTING)).rules  # the DSL's bound is the model's
     with pytest.raises(RhsTooDeep,
                        match=r"rule q0/a: right-hand side nests 600 levels"):
@@ -168,6 +169,33 @@ def test_deep_rhs_check_visits_shared_subterms_once():
         rhs = Out("f", (rhs, rhs))
     with pytest.raises(RhsTooDeep, match="nests 600 levels"):
         _mtt({("q0", "a"): (rhs,)})
+
+
+def test_shared_rhs_builds_in_its_distinct_subterms():
+    # f(r, r) nested 20 levels: 2^19 paths through 20 distinct subterms;
+    # checking, classifying and deduplicating once walked every path
+    rhs = Out("e")
+    for _ in range(19):
+        rhs = Out("f", (rhs, rhs))
+    start = time.perf_counter()
+    m = _mtt({("q0", "a"): (rhs, Out("f", (rhs, rhs))), ("q0", "e"): (rhs,)})
+    assert time.perf_counter() - start < 0.25
+    assert m.mtt_class.linear_input and m.mtt_class.linear_params
+    assert len(m.alternatives("q0", "a")) == 2
+
+
+def test_shared_subterms_count_once_per_path_for_linearity():
+    y1 = Param(1)
+    for shared, linear in [(Out("f", (y1, Out("e"))), False),
+                           (Out("f", (Out("e"), Out("e"))), True)]:
+        m = _mtt({("q", "e"): (Out("f", (shared, shared)),)})
+        assert m.mtt_class.linear_params is linear
+        assert m.mtt_class.linear_input
+    call = Call("q", 1, (Out("e"),))
+    m = _mtt({("q0", "a"): (Out("f", (call, call)),)})
+    assert not m.mtt_class.linear_input and m.mtt_class.linear_params
+    m = _mtt({("q0", "a"): (Out("f", (call, Out("e"))),)})
+    assert m.mtt_class.linear_input
 
 
 def test_rhs_well_formedness_errors():

@@ -2,6 +2,7 @@
 
 import gc
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -268,11 +269,16 @@ def _drops_a_z_between_lets(rhs) -> bool:
     return False
 
 
-@pytest.mark.parametrize("max_lets, max_rank", [
-    pytest.param(2, 1, id="lets2-rank1"),
-    pytest.param(3, 2, id="lets3-rank2"),
+# the pairs checked need at most 3 764 steps; mr22 on b(b(b(b(b(e)))))
+# in lets2-rank1 runs millions before it fails, so it fails here at once
+MR_BUDGET = replace(HARNESS_BUDGET, max_steps=20_000)
+
+
+@pytest.mark.parametrize("max_lets, max_rank, pairs", [
+    pytest.param(2, 1, 4569, id="lets2-rank1"),
+    pytest.param(3, 2, 4519, id="lets3-rank2"),
 ])
-def test_random_mrtts_agree_with_reference_semantics(max_lets, max_rank):
+def test_random_mrtts_agree_with_reference_semantics(max_lets, max_rank, pairs):
     # tuple-returning transducers of dimension <= 2, beyond what the
     # dimension-one embedding and reverse_pair exercise; with ranks up to
     # 2, environments hold two parameters next to the live z-variables
@@ -286,7 +292,7 @@ def test_random_mrtts_agree_with_reference_semantics(max_lets, max_rank):
                     for (q, _), alts in m.rules.items() for rhs in alts)
         for s in all_inputs(6):
             try:
-                out = eval_mr_io(m, s, HARNESS_BUDGET)
+                out = eval_mr_io(m, s, MR_BUDGET)
             except BudgetExceeded:
                 continue
             pool = list(out.items[:6])
@@ -295,7 +301,8 @@ def test_random_mrtts_agree_with_reference_semantics(max_lets, max_rank):
             for t in pool:
                 assert member_mr_io(m, s, t) == (t in out)
                 checked += 1
-    assert checked > 2000
+    # exactly the pairs the reference evaluates within the budget
+    assert checked == pairs
     assert wide > 0 or max_rank < 2
 
 

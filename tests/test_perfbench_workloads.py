@@ -36,8 +36,15 @@ def _workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["nondet_io", "large_input"])
-def test_workload_verdicts_match_their_references(name):
+@pytest.mark.parametrize("name, engines", [
+    pytest.param(name, engines, id=name) for name, engines in [
+        ("small_batch", {"io", "det", "oi-fc", "io-tac", "mr-io"}),
+        ("nondet_io", {"io", "mr-io"}),
+        ("copy_oi", {"oi-fc"}),
+        ("large_input", {"io", "det", "io-tac"}),
+    ]
+])
+def test_workload_verdicts_match_their_references(name, engines):
     w = getattr(_workloads(), name)(7, 0.1)
     models = {key: parse_transducer(text) for key, text in w.transducers.items()}
     wrong = []
@@ -45,5 +52,5 @@ def test_workload_verdicts_match_their_references(name):
         got = ENGINES[q.engine](models[q.m], q.c, parse_term(q.s), parse_term(q.t))
         if got is not q.want:
             wrong.append((q.family, q.n, q.engine, q.want))
-    assert {q.engine for q in w.queries} >= {"io"}
+    assert {q.engine for q in w.queries} == engines
     assert len(w.queries) > 20 and wrong == []

@@ -1,5 +1,7 @@
 """Ranked alphabets, terms, the interned DAG, and enumeration."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +15,11 @@ from mttkit import (
     UnknownSymbol,
     enumerate_trees,
     format_term,
+    member_io,
     parse_term,
     tree,
 )
+from mttkit.families import copyfree_instance, copyfree_mtt
 from mttkit.trees import BOTTOM, build_dag, substitute, term_sort_key
 
 ABE = RankedAlphabet({"a": 2, "b": 1, "e": 0})
@@ -188,11 +192,18 @@ def test_dag_shares_equal_subtrees():
     assert dag.expand(root) == t
 
 
-def test_dag_rho_is_injective_on_trees():
+def _ref(dag, t):
+    """t's node in dag, found by intern lookups, or BOTTOM if t is no
+    subtree of dag's tree."""
+    refs = tuple(_ref(dag, c) for c in t.children)
+    return BOTTOM if BOTTOM in refs else dag.intern.get((t.label, refs), BOTTOM)
+
+
+def test_dag_intern_is_injective_on_trees():
     dag, _ = build_dag(parse_term("f(g(e),g(e))", None))
-    r1 = dag.rho(parse_term("g(e)", None))
-    r2 = dag.rho(parse_term("g(e)", None))
-    r3 = dag.rho(parse_term("e"))
+    r1 = _ref(dag, parse_term("g(e)", None))
+    r2 = _ref(dag, parse_term("g(e)", None))
+    r3 = _ref(dag, parse_term("e"))
     assert r1 == r2
     assert r1 != r3
     assert dag.expand(r1) == parse_term("g(e)", None)
@@ -200,11 +211,11 @@ def test_dag_rho_is_injective_on_trees():
 
 def test_dag_lookup_misses_give_bottom():
     dag, _ = build_dag(parse_term("f(g(e),g(e))", None))
-    e_ref = dag.rho(parse_term("e"))
+    e_ref = dag.intern["e", ()]
     assert dag.intern.get(("g", (e_ref,)), BOTTOM) >= 0
     assert dag.intern.get(("f", (e_ref, e_ref)), BOTTOM) == BOTTOM
     assert dag.intern.get(("zzz", ()), BOTTOM) == BOTTOM
-    assert dag.rho(parse_term("f(e,e)", None)) == BOTTOM
+    assert _ref(dag, parse_term("f(e,e)", None)) == BOTTOM
     # looking under bottom is a bug, not a miss
     with pytest.raises(BottomAccess):
         dag.expand(BOTTOM)
@@ -230,11 +241,98 @@ def test_dag_nodes_by_label():
 
 @given(_tree_strategy(ABE))
 @settings(max_examples=200, deadline=None)
-def test_dag_expand_inverts_rho(t):
+def test_dag_expand_inverts_intern(t):
     dag, root = build_dag(t)
     assert dag.expand(root) == t
     assert dag.node_count() <= t.size
-    assert dag.rho(t) == root
+    assert _ref(dag, t) == root
+
+
+def _same_dag(handed, walked, t):
+    """handed and walked are minimal DAGs of t: they count the same nodes,
+    both expand to t, and one renaming of references carries handed's
+    labels, kids, intern and by_label entries onto walked's."""
+    assert handed.node_count() == walked.node_count()
+    assert handed.expand(handed.root) == t
+    assert walked.expand(walked.root) == t
+    to = []  # handed ref -> walked ref; children come first in both
+    for label, kids in zip(handed.labels, handed.kids):
+        to.append(walked.intern[label, tuple(to[k] for k in kids)])
+    assert sorted(to) == list(range(walked.node_count()))
+    assert to[handed.root] == walked.root
+    assert {(label, tuple(to[k] for k in kids)): to[ref]
+            for (label, kids), ref in handed.intern.items()} == walked.intern
+    assert {label: sorted(to[v] for v in vs)
+            for label, vs in handed.by_label.items()} == walked.by_label
+    for dag in (handed, walked):
+        assert all(vs == sorted(vs) for vs in dag.by_label.values())
+
+
+def _full(depth):
+    t = Tree("e")
+    for _ in range(depth - 1):
+        t = Tree("a", (t, t))
+    return t
+
+
+def test_parsed_dag_matches_walked_dag():
+    chain = Tree("e")
+    for k in range(3000):
+        chain = Tree("b", (chain,)) if k % 3 else Tree("a", (Tree("e"), chain))
+    comb = Tree("e")  # each level hangs a full tree beside the spine
+    for depth in range(1, 12):
+        comb = Tree("a", (_full(depth), comb))
+    for t in [*enumerate_trees(ABE, max_size=7), chain, _full(16), comb]:
+        _same_dag(build_dag(parse_term(format_term(t)))[0], build_dag(t)[0], t)
+
+
+def test_parse_hands_its_dag_to_the_first_build_only():
+    # the parse numbers in left-to-right post-order, a walk need not
+    t = parse_term("f(a,b)", None)
+    dag, root = build_dag(t)
+    assert (dag.labels, dag.kids, root) == (["a", "b", "f"], [(), (), (0, 1)], 2)
+    assert dag.intern == {("a", ()): 0, ("b", ()): 1, ("f", (0, 1)): 2}
+    assert dag.by_label == {"a": [0], "b": [1], "f": [2]}
+    again, again_root = build_dag(t)
+    assert again is not dag and again.labels is not dag.labels
+    _same_dag(dag, again, t)
+    shared = parse_term("f(g(e),g(e))", None)
+    first, second = build_dag(shared)[0], build_dag(shared)[0]
+    assert first.labels is not second.labels
+    _same_dag(first, second, shared)
+
+
+def _holding_a_dag():
+    """id -> tree for every live tree that carries a parsed DAG; holding
+    them keeps their ids from being reused."""
+    return {id(o): o for o in gc.get_objects()
+            if isinstance(o, Tree) and getattr(o, "_dag", None) is not None}
+
+
+def test_failed_parse_attaches_nothing():
+    before = _holding_a_dag()
+    # the last two fail after the whole tree is built; while the error
+    # lives, its traceback keeps the parse's nodes alive
+    for text, alphabet in [("a(e,q)", ABE), ("f(e", None),
+                           ("f(a,b) extra", None), ("f(a,b))", None)]:
+        with pytest.raises(ParseError) as exc:
+            parse_term(text, alphabet)
+        assert _holding_a_dag().keys() <= before.keys(), exc.value
+    kept = parse_term("f(a,b)", None)
+    assert _holding_a_dag().keys() - before.keys() == {id(kept)}
+    build_dag(kept)
+    assert _holding_a_dag().keys() <= before.keys()
+
+
+def test_member_io_on_deep_parsed_text():
+    n = 10 ** 5
+    s, t = copyfree_instance(n)
+    off = Tree("g", (Tree("e"),))  # t with the f halfway up changed to g
+    for k in range(n - 2):
+        off = Tree("g" if k == n // 2 else "f", (off,))
+    s_text, t_text, off_text = map(format_term, (s, t, off))
+    assert member_io(copyfree_mtt(), parse_term(s_text), parse_term(t_text))
+    assert not member_io(copyfree_mtt(), parse_term(s_text), parse_term(off_text))
 
 
 def test_enumerate_trees_by_size_counts():
