@@ -16,12 +16,12 @@ from .errors import (AlphabetMismatch, ArityMismatch, BadInitialRank,
 from .trees import (BOTTOM, RankedAlphabet, Tree, TreeDag, build_dag,
                     enumerate_trees, format_term, parse_term, substitute,
                     term_sort_key, tree)
-from .mtt import Call, Mtt, MttClass, Out, Param, rhs_size, validate, walk_rhs
+from .mtt import Call, Mtt, MttClass, Out, Param, validate, walk_rhs
 from .oracle import (IO, NO, OI, UNKNOWN, YES, App, Budget, Con, TreeSet,
                      Evaluator, check_input_tree, eval as oracle_eval,
                      io_subst, oi_subst, oracle_member, y_leaf)
 from .io_membership import member_det, member_io
-from .oi_fc import NON_CONFORMING, estimate_copy_bound, member_oi_fc
+from .oi_fc import member_oi_fc
 from .tac import (Tac, TacMtt, TacRule, TacTransition, member_io_tac,
                   run_tac, validate_tac_mtt)
 from .multi_return import (MrLet, MrMtt, MrRhs, ZVar, eval_mr_io,
@@ -41,13 +41,12 @@ __all__ = [
     "BOTTOM", "RankedAlphabet", "Tree", "TreeDag", "build_dag",
     "enumerate_trees", "format_term", "parse_term", "substitute",
     "term_sort_key", "tree",
-    "Call", "Mtt", "MttClass", "Out", "Param", "rhs_size", "validate",
-    "walk_rhs",
+    "Call", "Mtt", "MttClass", "Out", "Param", "validate", "walk_rhs",
     "IO", "NO", "OI", "UNKNOWN", "YES", "App", "Budget", "Con", "TreeSet",
     "Evaluator", "check_input_tree", "oracle_eval", "io_subst", "oi_subst",
     "oracle_member", "y_leaf",
     "member_det", "member_io",
-    "NON_CONFORMING", "estimate_copy_bound", "member_oi_fc",
+    "member_oi_fc",
     "Tac", "TacMtt", "TacRule", "TacTransition", "member_io_tac", "run_tac",
     "validate_tac_mtt",
     "MrLet", "MrMtt", "MrRhs", "ZVar", "eval_mr_io", "eval_mr_state",

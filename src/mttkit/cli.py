@@ -284,7 +284,9 @@ def build_parser() -> _Parser:
     mem.add_argument("--mode", choices=(IO, OI), default=IO,
                      help="semantics for the det and oracle engines")
     mem.add_argument("--copy-bound", type=int, default=1,
-                     help="parameter copy bound for oi-fc")
+                     help="parameter copy bound for oi-fc, trusted and not "
+                     "checked: one below the transducer's true bound can "
+                     "give a wrong 'no'")
     mem.add_argument("--env-cap", type=int, default=100_000,
                      help="environment-set cap for mr-io")
     mem.add_argument("--max-set", type=int, default=None)

@@ -22,9 +22,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .errors import NotDeterministic, NotTotal
+from .errors import ArityMismatch, NotDeterministic, NotTotal, UnknownSymbol
 from .mtt import Mtt, Out, Param, _refuse_guards
-from .oracle import IO, OI, check_input_tree
+from .oracle import IO, OI, check_input_dag
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
 
@@ -241,18 +241,22 @@ def _frames(m, s_dag: TreeDag) -> int:
 def _member(m, s: Tree, t: Tree, alternatives, stats: dict | None,
             labels=None, meter=None) -> bool:
     """Demand the initial state's entry at the root of s and look for t's
-    root in it.  m checked itself when it was built.
+    root in it.  m checked itself when it was built; s and t are checked
+    on their DAGs: an s outside the input alphabet raises
+    AlphabetMismatch, and a t outside the output alphabet is no output.
 
     The label alternatives(q, label) reads is a node's symbol, or
     labels(s_dag)[node] when labels is given.  With meter (multi-return),
     entries hold tuples, and the alternatives get meter, holding t's
     intern table, in place of t's DAG.
     """
-    check_input_tree(m, s)
-    if not m.output_alphabet.is_well_ranked(t):
-        return False
-    t_dag, t_root = build_dag(t)
     s_dag, s_root = build_dag(s)
+    check_input_dag(m, s_dag)
+    t_dag, t_root = build_dag(t)
+    try:
+        m.output_alphabet.check_dag(t_dag)
+    except (UnknownSymbol, ArityMismatch):
+        return False
     out = t_dag
     if meter is not None:
         meter.intern = t_dag.intern
@@ -312,10 +316,12 @@ def _det_output(m: Mtt, s: Tree, bound: int) -> Tree:
     """The unique output of a deterministic total transducer on s.
 
     Trees are built with full structural sharing, so sizes may be huge
-    while construction stays cheap.  Raises _StageTooBig as soon as the
-    final output exceeds the bound.
+    while construction stays cheap.  Raises AlphabetMismatch unless s is
+    over m's input alphabet, and _StageTooBig as soon as the final output
+    exceeds the bound.
     """
     s_dag, s_root = build_dag(s)
+    check_input_dag(m, s_dag)
     memo: dict = {}
 
     def go(q: str, node: int, args: tuple) -> Tree:
@@ -370,7 +376,6 @@ def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
     bound = (2 ** len(mtts)) * t.size
     cur = s
     for m in mtts:
-        check_input_tree(m, cur)
         try:
             cur = _det_output(m, cur, bound)
         except _StageTooBig:

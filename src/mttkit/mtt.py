@@ -83,16 +83,6 @@ class ZVar:
 Rhs = Out | Param | Call
 
 
-def rhs_size(r: Rhs) -> int:
-    stack, n = [r], 0
-    while stack:
-        node = stack.pop()
-        n += 1
-        if not isinstance(node, Param):
-            stack.extend(node.args)
-    return n
-
-
 def walk_rhs(r: Rhs):
     """Yield each distinct subterm object of a right-hand side once,
     parent before children, so shared subterms cost one visit."""
@@ -178,10 +168,6 @@ class Mtt:
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:
         """Rule alternatives for (state, sym)."""
         return self.rules.get((state, sym), ())
-
-    def size(self) -> int:
-        """Total node count over all right-hand sides."""
-        return sum(rhs_size(r) for alts in self.rules.values() for r in alts)
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,9 +12,9 @@ The automaton is evaluated on demand from the root question by the same
 demand core as member_io, with a set-binding right-hand-side evaluator;
 only the entries the verdict depends on are computed.
 
-The copy bound c is declared by the caller and trusted; a wrong bound can
-only under-approximate.  estimate_copy_bound is a desk-scale sanity check
-for declared bounds, not a decision procedure.
+The copy bound c is declared by the caller and trusted, not checked.  A
+bound below the transducer's true one can only under-approximate: it can
+answer a wrong "no", never a wrong "yes".
 """
 
 from __future__ import annotations
@@ -23,25 +23,7 @@ from itertools import combinations, product
 
 from .io_membership import _bind_once, _member, _out_refs
 from .mtt import Mtt, Out, Param, _refuse_guards
-from .oracle import Budget, Evaluator, OI, param_index
-from .trees import BOTTOM, Tree, enumerate_trees
-
-
-class NonConforming:
-    """Sentinel: the sweep saw more parameter copies than the threshold."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NonConforming"
-
-
-NON_CONFORMING = NonConforming()
+from .trees import BOTTOM, Tree
 
 
 def _eval_sets(rhs, betabar: tuple, kids, ask, dag, c: int) -> set:
@@ -72,7 +54,12 @@ def _eval_sets(rhs, betabar: tuple, kids, ask, dag, c: int) -> set:
 
 
 def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) -> bool:
-    """Is t an output of m on s under call-by-name, trusting copy bound c?"""
+    """Is t an output of m on s under call-by-name, trusting copy bound c?
+
+    c must be at least the largest number of copies of one parameter that
+    m can produce; it is not checked.  With a smaller c, a "no" can be
+    wrong: t may be an output that only more copies reach.
+    """
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
     _refuse_guards(m)
@@ -89,29 +76,3 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
         map(bind, rules.get((q, sym), ()))))
     return _member(m, s, t, alternatives, stats)
 
-
-def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8,
-                        budget: Budget | None = None):
-    """Max parameter-occurrence count over all state denotations up to depth.
-
-    Enumerates every input tree up to the given depth, evaluates each
-    state on it under call-by-name, and counts occurrences of each formal
-    parameter in the resulting trees.  Returns the maximum, or
-    NON_CONFORMING once the count exceeds the threshold; a count that
-    keeps growing with depth means no finite bound exists.
-    """
-    ev = Evaluator(m, OI, budget or Budget())
-    best = 0
-    for s in enumerate_trees(m.input_alphabet, max_depth=depth):
-        for q in m.states:
-            for out in ev.state_set(q, s):
-                counts: dict[int, int] = {}
-                for node in out.subtrees():
-                    i = param_index(node)
-                    if i is not None:
-                        counts[i] = counts.get(i, 0) + 1
-                if counts:
-                    best = max(best, max(counts.values()))
-                if best > limit:
-                    return NON_CONFORMING
-    return best

@@ -17,7 +17,7 @@ from itertools import product
 
 from .errors import AlphabetMismatch, ArityMismatch, BudgetExceeded, UnknownSymbol
 from .mtt import Call, Mtt, Out, Param, _refuse_guards
-from .trees import Tree, substitute, term_sort_key
+from .trees import Tree, TreeDag, build_dag, substitute, term_sort_key
 
 IO = "io"
 OI = "oi"
@@ -319,8 +319,13 @@ def eval(m: Mtt, mode: str, u, budget: Budget | None = None) -> TreeSet:
 
 def check_input_tree(m, s: Tree) -> None:
     """Raise AlphabetMismatch unless s is well formed over m's input alphabet."""
+    check_input_dag(m, build_dag(s)[0])
+
+
+def check_input_dag(m, dag: TreeDag) -> None:
+    """check_input_tree on the DAG of the input tree."""
     try:
-        m.input_alphabet.check_tree(s)
+        m.input_alphabet.check_dag(dag)
     except (UnknownSymbol, ArityMismatch) as e:
         raise AlphabetMismatch(f"input tree is not over the input alphabet: {e}") from None
 

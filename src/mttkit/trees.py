@@ -72,35 +72,26 @@ class RankedAlphabet:
         inner = ", ".join(f"{n}:{r}" for n, r in self.symbols.items())
         return f"RankedAlphabet({{{inner}}})"
 
+    def check_dag(self, dag: "TreeDag") -> None:
+        """Raise UnknownSymbol/ArityMismatch unless every node of dag is
+        well formed here.  Reads only labels and kids, one step per
+        distinct subtree."""
+        ranks = self.symbols
+        for label, kids in zip(dag.labels, dag.kids):
+            if ranks.get(label) != len(kids):
+                r = self.rank(label)
+                raise ArityMismatch(
+                    f"symbol {label!r} has rank {r} but {len(kids)} children"
+                )
+
     def check_tree(self, t: "Tree") -> None:
         """Raise UnknownSymbol/ArityMismatch unless t is well formed here.
 
-        Each distinct subtree object is checked once, so a tree built with
-        shared subtrees costs its distinct nodes, not its paths.
+        Checks t's DAG, so a tree built with shared subtrees costs its
+        distinct nodes, not its paths.  As the first build_dag of a
+        parsed tree, it takes the DAG the parse built.
         """
-        stack = [t]
-        # ids of checked inner nodes; a walk that has met no branching node
-        # cannot come back to a node, so the set starts at the first one
-        seen = None
-        while stack:
-            node = stack.pop()
-            kids = node.children
-            r = self.rank(node.label)
-            if r != len(kids):
-                raise ArityMismatch(
-                    f"symbol {node.label!r} has rank {r} but {len(kids)} children"
-                )
-            if not kids:
-                continue
-            if seen is None:
-                if len(kids) == 1:
-                    stack.append(kids[0])
-                    continue
-                seen = set()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.extend(kids)
+        self.check_dag(build_dag(t)[0])
 
     def is_well_ranked(self, t: "Tree") -> bool:
         try:
@@ -135,7 +126,8 @@ class Tree:
         # iterative compare: bench trees are deep, recursion is not safe.
         # Each (id(a), id(b)) pair of inner nodes is compared once, so trees
         # built with shared subtrees cost their distinct pairs, not their
-        # paths; as in check_tree, the pair set starts at the first branching.
+        # paths; the pair set starts at the first branching node, since a
+        # walk that has met none cannot come back to a pair.
         stack = [(self, other)]
         seen = None
         while stack:
@@ -456,67 +448,30 @@ def build_dag(t: Tree) -> tuple[TreeDag, NodeRef]:
     return dag, dag.root
 
 
-def enumerate_trees(
-    alphabet: RankedAlphabet,
-    *,
-    max_size: int | None = None,
-    max_depth: int | None = None,
-) -> list[Tree]:
-    """All trees over the alphabet within a size or depth bound.
+def enumerate_trees(alphabet: RankedAlphabet, *, max_size: int) -> list[Tree]:
+    """All trees over the alphabet with at most max_size nodes.
 
-    Exactly one bound must be given.  The result order is deterministic:
-    ascending bound, then declaration order of symbols.
+    The result order is deterministic: ascending size, then declaration
+    order of symbols.
     """
-    if (max_size is None) == (max_depth is None):
-        raise ValueError("give exactly one of max_size, max_depth")
     names = list(alphabet.symbols)
-    if max_size is not None:
-        by_size: dict[int, list[Tree]] = {}
-        for size in range(1, max_size + 1):
-            acc = []
-            for name in names:
-                r = alphabet.rank(name)
-                if r == 0:
-                    if size == 1:
-                        acc.append(Tree(name))
-                    continue
-                budget = size - 1
-                if budget < r:
-                    continue
-                for split in _compositions(budget, r):
-                    for kids in product(*(by_size[s] for s in split)):
-                        acc.append(Tree(name, kids))
-            by_size[size] = acc
-        return [t for size in range(1, max_size + 1) for t in by_size[size]]
-    exact: dict[int, list[Tree]] = {}
-    upto: dict[int, list[Tree]] = {0: []}
-    for depth in range(1, max_depth + 1):
+    by_size: dict[int, list[Tree]] = {}
+    for size in range(1, max_size + 1):
         acc = []
         for name in names:
             r = alphabet.rank(name)
             if r == 0:
-                if depth == 1:
+                if size == 1:
                     acc.append(Tree(name))
                 continue
-            if depth == 1:
+            budget = size - 1
+            if budget < r:
                 continue
-            for kids in product(upto[depth - 1], repeat=r):
-                if max(_depth(k) for k in kids) == depth - 1:
+            for split in _compositions(budget, r):
+                for kids in product(*(by_size[s] for s in split)):
                     acc.append(Tree(name, kids))
-        exact[depth] = acc
-        upto[depth] = upto[depth - 1] + acc
-    return upto[max_depth]
-
-
-def _depth(t: Tree) -> int:
-    best = 0
-    stack = [(t, 1)]
-    while stack:
-        node, d = stack.pop()
-        if d > best:
-            best = d
-        stack.extend((c, d + 1) for c in node.children)
-    return best
+        by_size[size] = acc
+    return [t for size in range(1, max_size + 1) for t in by_size[size]]
 
 
 def _compositions(total: int, parts: int):

@@ -1,15 +1,18 @@
 """Builders for randomized transducers, exhaustive inputs, and output
-mutations, shared by the module tests and the acceptance suite."""
+mutations, and the enumerated copy count that declared copy bounds are
+checked against; shared by the module tests and the acceptance suite."""
 
 from __future__ import annotations
 
 import random
 
 from mttkit import (
+    OI,
     App,
     Budget,
     BudgetExceeded,
     Call,
+    Evaluator,
     MrLet,
     MrMtt,
     MrRhs,
@@ -22,6 +25,7 @@ from mttkit import (
     enumerate_trees,
     oracle_eval,
 )
+from mttkit.oracle import param_index
 
 IN_ALPHA = RankedAlphabet({"a": 2, "b": 1, "e": 0})
 # two symbols per rank so single-node label swaps always exist
@@ -290,3 +294,44 @@ def mixed_double_mtt() -> Mtt:
             ("q", "e"): (Out("f", (Param(1), Param(1))),),
         },
     )
+
+
+class NonConforming:
+    """Sentinel type: the sweep saw more parameter copies than its limit."""
+
+    def __repr__(self):
+        return "NON_CONFORMING"
+
+
+NON_CONFORMING = NonConforming()
+
+
+def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8):
+    """The most copies of one parameter in any tree a state of m produces
+    under call-by-name on an input at most depth deep, or NON_CONFORMING
+    once that passes limit.
+
+    Enumerates the inputs and evaluates every state with the oracle, so
+    it is the reference the copy bounds declared for member_oi_fc are
+    checked against.  A count that keeps growing with depth means no
+    finite bound exists.  Inputs are enumerated by size, which equals
+    depth because every input symbol has rank at most 1.
+    """
+    alphabet = m.input_alphabet
+    if any(alphabet.rank(sym) > 1 for sym in alphabet):
+        raise ValueError(f"{m.name}: an input symbol has rank above 1")
+    ev = Evaluator(m, OI, Budget())
+    best = 0
+    for s in enumerate_trees(alphabet, max_size=depth):
+        for q in m.states:
+            for out in ev.state_set(q, s):
+                counts: dict[int, int] = {}
+                for node in out.subtrees():
+                    i = param_index(node)
+                    if i is not None:
+                        counts[i] = counts.get(i, 0) + 1
+                if counts:
+                    best = max(best, max(counts.values()))
+                if best > limit:
+                    return NON_CONFORMING
+    return best

@@ -23,9 +23,10 @@ from mttkit.sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, Cnf3, build_sat_mtt,
 from mttkit.tac import member_io_tac
 from mttkit.trees import format_term, parse_term
 
-from helpers import (OUT_ALPHA, all_inputs, io_output_set, leaf_double_mtt,
-                     linear_param_mtt, mixed_double_mtt, mutations,
-                     random_det_total_mtt, random_mtt)
+from helpers import (OUT_ALPHA, all_inputs, estimate_copy_bound,
+                     io_output_set, leaf_double_mtt, linear_param_mtt,
+                     mixed_double_mtt, mutations, random_det_total_mtt,
+                     random_mtt)
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:
@@ -249,6 +250,10 @@ def test_criterion_7_finite_copying_call_by_name(capsys):
     checks = 0
     bad = None
     for m, c in cases:
+        # the declared bound is the enumerated copy count, not an assumption
+        counted = estimate_copy_bound(m, 4)
+        if counted != c and bad is None:
+            bad = (m.name, f"declared copy bound {c}, counted {counted!r}")
         small = list(enumerate_trees(m.output_alphabet, max_size=7))
         for s in all_inputs(6, m.input_alphabet):
             oi_set = set(
@@ -264,8 +269,8 @@ def test_criterion_7_finite_copying_call_by_name(capsys):
                     bad = (m.name, format_term(s), format_term(t), got, want)
     secs = time.perf_counter() - t0
     ok = bad is None and checks >= 1_000
-    detail = (f"copy bounds 1 and 2, all |s| <= 6, {checks} membership "
-              f"checks, {secs:.1f}s")
+    detail = (f"copy bounds 1 and 2, each equal to the count at depth 4, "
+              f"all |s| <= 6, {checks} membership checks, {secs:.1f}s")
     if bad is not None:
         detail += f", first mismatch {bad}"
     _report(capsys, 7, ok, detail)

@@ -42,7 +42,7 @@ from mttkit.families import (
     reverse_pair_mrtt,
 )
 from mttkit.io_membership import _io_rules, compile_rhs, demand
-from mttkit.trees import BOTTOM, build_dag
+from mttkit.trees import BOTTOM, TreeDag, build_dag
 
 from helpers import (
     HARNESS_BUDGET,
@@ -405,6 +405,97 @@ def test_shared_inputs_cost_distinct_nodes():
         assert member_oi_fc(m, 1, s, t) is want
         assert member_det([m], "io", s, t) is want
     assert time.perf_counter() - t0 < 10
+
+
+def _mirror_engines():
+    """A verdict function per engine, on one model per transducer kind
+    over input {p: 2, e: 0}: q0(p(x1, x2)) -> f(q0[x1], q0[x2]) and
+    q0(e) -> e."""
+    head = """
+      input { p: 2, e: 0 }
+      output { f: 2, e: 0, g: 0 }
+    """
+    m = parse_transducer("mtt mirror {" + head + """
+      state q0: 0 init
+      rule q0(p(x1, x2)) -> f(q0[x1], q0[x2])
+      rule q0(e) -> e
+    }""")
+    tm = parse_transducer("mtt mirror {" + head + """
+      tac { trans e -> s trans p(s, s) -> s }
+      state q0: 0 init
+      rule q0(p(x1, x2)) when (s, s) -> f(q0[x1], q0[x2])
+      rule q0(e) -> e
+    }""")
+    mr = parse_transducer("mrtt mirror {" + head + """
+      state q0: 0/1 init
+      rule q0(p(x1, x2)) -> let (z1) = q0[x1] in let (z2) = q0[x2] in (f(z1, z2))
+      rule q0(e) -> (e)
+    }""")
+    return {
+        "io": lambda s, t: member_io(m, s, t),
+        "oi-fc": lambda s, t: member_oi_fc(m, 1, s, t),
+        "io-tac": lambda s, t: member_io_tac(tm, s, t),
+        "mr-io": lambda s, t: member_mr_io(mr, s, t),
+        "det": lambda s, t: member_det([m], "io", s, t),
+    }
+
+
+def test_engines_check_inputs_on_their_dags(monkeypatch):
+    # no engine walks a Tree to check it: each checks exactly the DAGs it
+    # builds, s and t, or s alone for det, which compares t with its output
+    def walked(self, t):
+        raise AssertionError("check_tree called")
+
+    built, checked = [], []
+    init, check_dag = TreeDag.__init__, RankedAlphabet.check_dag
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_check(self, dag):
+        checked.append(dag)
+        check_dag(self, dag)
+
+    monkeypatch.setattr(RankedAlphabet, "check_tree", walked)
+    monkeypatch.setattr(RankedAlphabet, "check_dag", counted_check)
+    monkeypatch.setattr(TreeDag, "__init__", counted_init)
+    for engine, run in _mirror_engines().items():
+        dags = 1 if engine == "det" else 2
+        for text, want in (("f(f(e,e),e)", True), ("f(e,f(e,e))", False),
+                           ("f(f(e,z),e)", False)):
+            built.clear()
+            checked.clear()
+            assert run(parse_term("p(p(e,e),e)"), parse_term(text)) is want
+            assert len(built) == dags and checked == built, engine
+        built.clear()
+        checked.clear()
+        with pytest.raises(AlphabetMismatch, match="'p' has rank 2 but 1"):
+            run(parse_term("p(p(e),e)"), parse_term("e"))
+        assert len(built) == 1 and checked == built, engine
+
+
+def test_shared_bad_node_is_checked_once():
+    # one bad node under 2^40 paths: every engine rejects the input and
+    # answers no on the candidate in the time of the distinct nodes
+    def full(label, leaf, n=40):
+        t = leaf
+        for _ in range(n):
+            t = Tree(label, (t, t))
+        return t
+
+    s, t = full("p", Tree("e")), full("f", Tree("e"))
+    bad_s = full("p", Tree("z"))
+    bad_t = full("f", Tree("g", (Tree("e"),)))
+    for engine, run in _mirror_engines().items():
+        t0 = time.perf_counter()
+        with pytest.raises(AlphabetMismatch, match="'z' is not declared"):
+            run(bad_s, t)
+        assert time.perf_counter() - t0 < 1, engine
+        t0 = time.perf_counter()
+        assert run(s, bad_t) is False
+        assert time.perf_counter() - t0 < 1, engine
+        assert run(s, t) is True
 
 
 def test_deep_inputs():

@@ -12,14 +12,12 @@ from mttkit import (
     BudgetExceeded,
     Call,
     Mtt,
-    NON_CONFORMING,
     Out,
     Param,
     RankedAlphabet,
     UNKNOWN,
     YES,
     enumerate_trees,
-    estimate_copy_bound,
     member_oi_fc,
     oracle_eval,
     oracle_member,
@@ -29,7 +27,8 @@ from mttkit import (
 from mttkit.errors import AlphabetMismatch
 from mttkit.families import copyfree_mtt, copyfree_instance, double_mtt
 
-from helpers import (HARNESS_BUDGET, all_inputs, mutations, random_mtt,
+from helpers import (HARNESS_BUDGET, NON_CONFORMING, all_inputs,
+                     estimate_copy_bound, mutations, random_mtt,
                      leaf_double_mtt as _leaf_double_mtt,
                      linear_param_mtt as _linear_mtt,
                      mixed_double_mtt as _mixed_double_mtt)

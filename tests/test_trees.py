@@ -345,16 +345,6 @@ def test_enumerate_trees_by_size_counts():
     assert out == enumerate_trees(ABE, max_size=4)
 
 
-def test_enumerate_trees_by_depth():
-    chain = RankedAlphabet({"a": 1, "e": 0})
-    got = [format_term(t) for t in enumerate_trees(chain, max_depth=3)]
-    assert got == ["e", "a(e)", "a(a(e))"]
-    with pytest.raises(ValueError):
-        enumerate_trees(chain, max_size=2, max_depth=2)
-    with pytest.raises(ValueError):
-        enumerate_trees(chain)
-
-
 def test_term_sort_key_orders_by_size_then_text():
     ts = [parse_term(x, None) for x in ("g(e)", "e", "f(e,e)", "c")]
     ordered = sorted(ts, key=term_sort_key)
