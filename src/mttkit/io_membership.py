@@ -12,18 +12,22 @@ demand computes these entries on demand from the root question, so
 only the entries the verdict depends on are visited.  _member drives
 every engine built on demand (member_io here, member_io_tac,
 member_oi_fc, member_mr_io), each giving it alternatives(q, label),
-which each model keeps (_bind_once).  Right-hand sides and multi-return
-terms compile into functions (compile_rhs, _compile) that read the
-candidate output's intern table and label index.
+one function per pair or None, which each model keeps (_bind_once).
+The right-hand sides of a pair are generated into one straight-line
+Python function (compile_rhs), and multi-return let arguments and
+results into tuple-valued ones (compile_terms): each distinct subterm
+is evaluated once, children first, against the candidate output's
+intern table and label index.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
+from types import CodeType, FunctionType
+from weakref import WeakValueDictionary
 
 from .errors import ArityMismatch, NotDeterministic, NotTotal, UnknownSymbol
-from .mtt import Mtt, Out, Param, _refuse_guards
+from .mtt import Call, Mtt, Out, Param, _refuse_guards
 from .oracle import IO, OI, check_input_dag
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
@@ -72,127 +76,145 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
     return out
 
 
-def compile_rhs(term, shared: dict):
-    """A right-hand side, or a subterm of one, as a function
-    alt(vbar, kids, ask, t_dag): the set of references of the
-    candidate-output DAG t_dag that term yields under parameter
-    references vbar, at an input node whose children are kids, where
-    ask(node, state, ubar) answers a state call.
+def _ask_all(ask, child, q: str, kid_sets) -> set:
+    """A call with a set of references for some argument: one question
+    to input node child per combination, none when a set is empty."""
+    out: set = set()
+    for ks in kid_sets:
+        if not ks:
+            return out
+    for ubar in product(*kid_sets):
+        out |= ask(child, q, ubar)
+    return out
 
-    shared holds the terms a model compiled before (see _compile), so
-    equal terms of one model share one function.
+
+# The globals of every generated function.  Generated source names only
+# these, its parameters v, kids, ask and dag, the intern table I, locals
+# t<k> and constants K<k>: symbols, states and intern keys come in as
+# defaults, so no user name enters source text.  The functions are not
+# stored here, so none of them is part of a cycle.
+_SCOPE = {"BOTTOM": BOTTOM, "_out_refs": _out_refs, "_ask_all": _ask_all}
+
+
+class _Program:
+    """Straight-line source over the distinct subterms of some terms,
+    children first.  Each subterm but a parameter, which reads v[i] in
+    place, is evaluated once into a local t<k>, holding one reference
+    (an output node over one-reference children: one intern lookup) or
+    a set of them (a call, or an output node over a set)."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.consts: dict = {}
+        self.values: dict = {}  # term -> (expression, is a set)
+        self.intern = False
+
+    def const(self, value) -> str:
+        return f"K{self.consts.setdefault(value, len(self.consts))}"
+
+    def value(self, term) -> tuple[str, bool]:
+        if isinstance(term, Param):
+            return f"v[{term.index - 1}]", False
+        got = self.values.get(term)
+        if got is None:
+            got = self.values[term] = self._local(term)
+        return got
+
+    def _local(self, term) -> tuple[str, bool]:
+        args = [self.value(a) for a in term.args]
+        over_sets = any(is_set for _, is_set in args)
+        if over_sets:
+            sets = ", ".join(e if is_set else f"{{{e}}}" for e, is_set in args)
+            if isinstance(term, Out):
+                expr = f"_out_refs({self.const(term.sym)}, [{sets}], dag)"
+            else:
+                expr = (f"_ask_all(ask, kids[{term.child - 1}], "
+                        f"{self.const(term.state)}, [{sets}])")
+        else:
+            refs = _tuple([e for e, _ in args])
+            if isinstance(term, Call):
+                expr = f"ask(kids[{term.child - 1}], {self.const(term.state)}, {refs})"
+            else:
+                self.intern = True
+                # intern keys hold node references only, never BOTTOM, so
+                # a lookup with a BOTTOM child misses and yields BOTTOM
+                key = (f"({self.const(term.sym)}, {refs})" if args
+                       else self.const((term.sym, ())))
+                expr = f"I.get({key}, BOTTOM)"
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {expr}\n")
+        return name, over_sets or isinstance(term, Call)
+
+    def function(self, params: str, result: str):
+        """The function of the source, with the constants as defaults."""
+        intern = "    I = dag.intern\n" if self.intern else ""
+        ks = "".join(f", K{k}" for k in range(len(self.consts)))
+        source = (f"def _({params}{ks}):\n{intern}{''.join(self.lines)}"
+                  f"    return {result}\n")
+        return FunctionType(_code(source), _SCOPE, "_", tuple(self.consts))
+
+
+def _tuple(exprs: list) -> str:
+    """Source of the tuple of exprs."""
+    return f"({', '.join(exprs)}{',' if len(exprs) == 1 else ''})"
+
+
+# Generated source depends only on the shape of the terms, so many
+# functions share one text; they share its code object too, kept here
+# while some function uses it.
+_CODES: WeakValueDictionary = WeakValueDictionary()
+
+
+def _code(source: str) -> CodeType:
+    """The code of the one function source defines."""
+    code = _CODES.get(source)
+    if code is None:
+        (code,) = [c for c in compile(source, "<rhs>", "exec").co_consts
+                   if isinstance(c, CodeType)]
+        _CODES[source] = code
+    return code
+
+
+def compile_rhs(rhss: tuple, prepared: dict):
+    """The right-hand sides rhss of one (state, label) as one function
+    alt(v, kids, ask, t_dag): the set of references of the
+    candidate-output DAG t_dag they yield under parameter references v,
+    at an input node whose children are kids, where ask(node, state,
+    ubar) answers a state call; None when rhss is empty.
+
+    The function is generated once per equal rhss, kept in prepared, the
+    model's table: straight-line code over the distinct subterms of
+    rhss (_Program), each evaluated once per entry, that returns the
+    union of the alternatives.
     """
-    one, sets = _compile(term, shared)
-    if sets is None:
-        sets = _singleton(one)
-        shared[term] = one, sets
-    return sets
-
-
-def _compile(term, shared: dict) -> tuple:
-    """term's compiled forms (one, sets).  For a term that calls no state,
-    one(vbar, t_dag) is its one reference, BOTTOM when that is no node of
-    the candidate output, and sets is None until compile_rhs needs it.
-    For any other term one is None and sets is its compile_rhs form.
-    shared maps every other term compiled before to its forms; those of
-    parameters and output leaves are shared by all models.
-    """
-    if isinstance(term, Param):
-        return _param(term.index - 1)
-    if isinstance(term, Out) and not term.args:
-        return _leaf(term.sym)
-    got = shared.get(term)
+    if not rhss:
+        return None
+    got = prepared.get(rhss)
     if got is None:
-        got = shared[term] = _compile_new(term, shared)
+        prog = _Program()
+        roots = [prog.value(rhs) for rhs in rhss]
+        one = ", ".join(e for e, is_set in roots if not is_set)
+        result = " | ".join([e for e, is_set in roots if is_set]
+                            + ([f"{{{one}}}"] if one else []))
+        got = prepared[rhss] = prog.function("v, kids, ask, dag", result)
     return got
 
 
-def _compile_new(term, shared: dict) -> tuple:
-    parts = [_compile(a, shared)[0] for a in term.args]
-    if None not in parts:
-        if isinstance(term, Out):
-            return _scalar_out(term.sym, parts), None
-        return None, _scalar_call(term.state, term.child - 1, parts)
-    fs = [compile_rhs(a, shared) for a in term.args]
-    if isinstance(term, Out):
-        return None, lambda vbar, kids, ask, dag, sym=term.sym, fs=fs: _out_refs(
-            sym, [f(vbar, kids, ask, dag) for f in fs], dag)
-    return None, _set_call(term.state, term.child - 1, fs)
+def compile_terms(terms: tuple, prepared: dict):
+    """Terms that call no state, such as multi-return let arguments and
+    results, as one function f(v, t_dag): the tuple of their
+    references, BOTTOM for one that is no node of the candidate
+    output.  Generated as compile_rhs's functions are, and kept in
+    prepared once per equal terms."""
+    got = prepared.get(terms)
+    if got is None:
+        prog = _Program()
+        result = _tuple([prog.value(term)[0] for term in terms])
+        got = prepared[terms] = prog.function("v, dag", result)
+    return got
 
 
-# Compiled functions take what they were compiled from as defaults,
-# which no caller passes: read as locals, and no cell object per name.
-
-def _singleton(f):
-    return lambda vbar, kids, ask, dag, f=f: {f(vbar, dag)}
-
-
-# the forms of parameters and output leaves depend on nothing else, so
-# every model shares them
-@cache
-def _param(i: int) -> tuple:
-    def one(vbar, dag):
-        return vbar[i]
-    return one, _singleton(one)
-
-
-@cache
-def _leaf(sym: str) -> tuple:
-    key = (sym, ())
-
-    def one(vbar, dag):
-        return dag.intern.get(key, BOTTOM)
-    return one, _singleton(one)
-
-
-def _scalar_out(sym: str, fs):
-    """An output node over children with one reference each: one intern
-    lookup.  Intern keys hold node references only, never BOTTOM, so a
-    lookup with a BOTTOM child misses and yields BOTTOM by itself."""
-    if len(fs) == 1:
-        (f,) = fs
-        return lambda vbar, dag, sym=sym, f=f: dag.intern.get(
-            (sym, (f(vbar, dag),)), BOTTOM)
-    if len(fs) == 2:
-        f, g = fs
-        return lambda vbar, dag, sym=sym, f=f, g=g: dag.intern.get(
-            (sym, (f(vbar, dag), g(vbar, dag))), BOTTOM)
-    return lambda vbar, dag, sym=sym, fs=fs: dag.intern.get(
-        (sym, tuple([f(vbar, dag) for f in fs])), BOTTOM)
-
-
-def _scalar_call(q: str, j: int, fs):
-    """A call whose arguments have one reference each: one question to
-    input child j, no product."""
-    if not fs:
-        return lambda vbar, kids, ask, dag, q=q, j=j: ask(kids[j], q, ())
-    if len(fs) == 1:
-        (f,) = fs
-        return lambda vbar, kids, ask, dag, q=q, j=j, f=f: ask(
-            kids[j], q, (f(vbar, dag),))
-    if len(fs) == 2:
-        f, g = fs
-        return lambda vbar, kids, ask, dag, q=q, j=j, f=f, g=g: ask(
-            kids[j], q, (f(vbar, dag), g(vbar, dag)))
-    return lambda vbar, kids, ask, dag, q=q, j=j, fs=fs: ask(
-        kids[j], q, tuple([f(vbar, dag) for f in fs]))
-
-
-def _set_call(q: str, j: int, fs):
-    """A call with a set of references for some argument: one question
-    per combination."""
-    def call(vbar, kids, ask, dag, q=q, j=j, fs=fs):
-        kid_sets = [f(vbar, kids, ask, dag) for f in fs]
-        out: set = set()
-        for ks in kid_sets:
-            if not ks:
-                return out
-        child = kids[j]
-        for ubar in product(*kid_sets):
-            out |= ask(child, q, ubar)
-        return out
-
-    return call
+_EMPTY: frozenset = frozenset()
 
 
 def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
@@ -201,12 +223,12 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
     depended on.
 
     An entry, per (input DAG node, state, parameter bindings), is
-    computed only when a parent call asks for it, from
-    alternatives(q, labels[node]), each called as
-    alt(vbar, kids, ask, t_dag) with the node's children kids: compiled
-    right-hand sides bind each parameter to one reference
-    (call-by-value), oi_fc binds it to a set (call-by-name), and
-    multi_return returns tuples of references (given its meter as
+    computed only when a parent call asks for it, by one call of
+    alt = alternatives(q, labels[node]), alt(vbar, kids, ask, t_dag)
+    with the node's children kids, or is empty when alt is None.  The
+    generated functions of compile_rhs bind each parameter to one
+    reference (call-by-value), oi_fc binds it to a set (call-by-name),
+    and multi_return returns tuples of references (given its meter as
     t_dag, see _member).
     """
     memo: dict[tuple, frozenset] = {}
@@ -216,11 +238,9 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
         key = (node, q, vbar)
         got = memo.get(key)
         if got is None:
-            kids = kids_of[node]
-            acc: set = set()
-            for alt in alternatives(q, labels[node]):
-                acc |= alt(vbar, kids, ask, t_dag)
-            got = memo[key] = frozenset(acc)
+            alt = alternatives(q, labels[node])
+            got = memo[key] = (_EMPTY if alt is None else
+                               frozenset(alt(vbar, kids_of[node], ask, t_dag)))
         return got
 
     try:
@@ -233,8 +253,11 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
 
 def _frames(m, s_dag: TreeDag) -> int:
     """Recursion room for s_dag: along a path of at most one input level
-    per DAG node, each level takes the core's ask plus a compiled term
-    and the list it builds per level of m's deepest right-hand side."""
+    per DAG node, each level takes the core's ask and a generated
+    function with its set-call helper, a fixed number of frames; oi_fc's
+    set evaluator and member_det's stages, which walk the right-hand
+    side, take a frame and the list it builds per level of m's deepest
+    one."""
     return (2 * m.nesting + 6) * s_dag.node_count()
 
 
@@ -276,16 +299,18 @@ def _member(m, s: Tree, t: Tree, alternatives, stats: dict | None,
 
 def _bind_once(m, key, prepare):
     """alternatives(q, label) of engine key on m: prepare(q, label,
-    prepared) gives them once, kept in prepared = m._prepared under
-    (key, q, label).  prepare may compile terms into prepared, but must
-    not reach m, or the model would become a cycle."""
+    prepared) gives the one function of the pair, or None, once, kept in
+    prepared = m._prepared under (key, q, label).  prepare may generate
+    functions into prepared, but must not reach m, or the model would
+    become a cycle."""
     prepared = m._prepared
 
     def alternatives(q, label):
-        got = prepared.get((key, q, label))
-        if got is None:
+        try:
+            return prepared[key, q, label]
+        except KeyError:
             got = prepared[key, q, label] = prepare(q, label, prepared)
-        return got
+            return got
 
     return alternatives
 
@@ -293,8 +318,8 @@ def _bind_once(m, key, prepare):
 def _io_rules(m: Mtt):
     """member_io's alternatives: the rules of m, compiled."""
     rules = m.rules
-    return _bind_once(m, "io", lambda q, sym, terms: tuple(
-        compile_rhs(rhs, terms) for rhs in rules.get((q, sym), ())))
+    return _bind_once(m, "io", lambda q, sym, prepared: compile_rhs(
+        rules.get((q, sym), ()), prepared))
 
 
 def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -354,6 +379,29 @@ def _det_output(m: Mtt, s: Tree, bound: int) -> Tree:
     return out
 
 
+def _ref_in(tree: Tree, dag: TreeDag):
+    """The reference of tree in dag, BOTTOM when tree is no subtree of
+    dag's tree.  One intern lookup per distinct subtree object, children
+    first, by an explicit stack, so deep trees need no recursion."""
+    intern = dag.intern
+    refs: dict[int, int] = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            # a node over None has had its children looked up
+            node = stack.pop()
+            ref = intern.get((node.label, tuple([refs[id(c)] for c in node.children])))
+            if ref is None:
+                return BOTTOM
+            refs[id(node)] = ref
+        elif id(node) not in refs:
+            # a copy of node lower on the stack is met after this one is
+            # looked up, and skipped
+            stack += (node, None, *node.children)
+    return refs[id(tree)]
+
+
 def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
     """Membership for a composition of deterministic total transducers.
 
@@ -361,6 +409,10 @@ def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
     only.  Stages are evaluated in order; as soon as a stage output
     exceeds 2^n * |t| nodes (n = number of stages) the answer is False,
     because compositions reaching t keep every intermediate that small.
+    The last stage's output is then looked up in t's DAG.  As in _member,
+    an s outside the first stage's input alphabet raises
+    AlphabetMismatch, and a t outside the last one's output alphabet is
+    no output.
     """
     if mode not in (IO, OI):
         raise ValueError(f"mode must be {IO!r} or {OI!r}")
@@ -374,10 +426,19 @@ def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
         if not m.mtt_class.total:
             raise NotTotal(f"{m.name}: missing alternative for some pair")
     bound = (2 ** len(mtts)) * t.size
-    cur = s
-    for m in mtts:
-        try:
-            cur = _det_output(m, cur, bound)
-        except _StageTooBig:
-            return False
-    return cur == t
+    out = s
+    try:
+        for m in mtts:
+            out = _det_output(m, out, bound)
+    except _StageTooBig:
+        out = None
+    # built on every path, so a parsed t hands its parse lists over
+    t_dag, t_root = build_dag(t)
+    if out is None:
+        return False
+    try:
+        mtts[-1].output_alphabet.check_dag(t_dag)
+    except (UnknownSymbol, ArityMismatch):
+        return False
+    # equal trees have equal sizes: most wrong candidates need no walk
+    return out.size == t.size and _ref_in(out, t_dag) == t_root

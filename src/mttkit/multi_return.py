@@ -13,10 +13,11 @@ exponentially many outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from types import MappingProxyType, SimpleNamespace
 
 from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
-from .io_membership import _bind_once, _compile, _member
+from .io_membership import _bind_once, _member, compile_terms
 from .mtt import (Out, Param, ZVar, check_header, check_rhs, distinct_rules,
                   freeze, walk_rhs)
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
@@ -225,43 +226,52 @@ def _zreads(terms) -> set[int]:
     return {u.index for term in terms for u in walk_rhs(term) if isinstance(u, ZVar)}
 
 
-def _slotted(term, rank: int, live: tuple):
+def _slotted(term, rank: int, live: tuple, done: dict):
     """term over an environment: the rank parameter references, then
     those of the z-variables live, in ascending order.  Each z_j becomes
-    the parameter of its slot; a subterm that reads none stays as it is."""
+    the parameter of its slot; a subterm that reads none stays as it is.
+    done keeps each distinct subterm rewritten, so shared subterms cost
+    their distinct nodes, not their paths."""
     if isinstance(term, ZVar):
         return Param(rank + live.index(term.index) + 1)
     if isinstance(term, Param) or not term.args:
         return term
-    args = tuple([_slotted(a, rank, live) for a in term.args])
-    return term if args == term.args else Out(term.sym, args)
+    got = done.get(term)
+    if got is None:
+        args = tuple([_slotted(a, rank, live, done) for a in term.args])
+        got = done[term] = (term if all(map(is_, args, term.args))
+                            else Out(term.sym, args))
+    return got
 
 
-def _plan(rhs: MrRhs, rank: int, terms: dict) -> tuple:
+def _plan(rhs: MrRhs, rank: int, prepared: dict) -> tuple:
     """rhs as (lets, results) over environments.  A let keeps its callee,
-    child, arguments compiled over the environment before it, and where
-    in that environment and the returned tuple the next one's slots are."""
-    def one(term, live):
-        return _compile(_slotted(term, rank, live), terms)[0]
+    child, the function of its arguments over the environment before it
+    and where in that environment and the returned tuple the next one's
+    slots are; results is the function of the result tuple."""
+    def terms(ts, live):
+        done: dict = {}
+        return compile_terms(tuple([_slotted(u, rank, live, done) for u in ts]),
+                             prepared)
 
     lets, live = [], ()
     for let, kept in zip(rhs.lets, _kept_after(rhs)):
         pool = live + let.targets
         keep = tuple(range(rank)) + tuple(rank + pool.index(j) for j in kept)
-        lets.append((let.state, let.child - 1,
-                     tuple([one(a, live) for a in let.args]), keep))
+        lets.append((let.state, let.child - 1, terms(let.args, live), keep))
         live = kept
-    return tuple(lets), tuple([one(term, live) for term in rhs.result])
+    return tuple(lets), terms(rhs.result, live)
 
 
-def _mr_alternatives(rhss: tuple, rank: int, where: str, terms: dict) -> tuple:
+def _mr_alternatives(rhss: tuple, rank: int, where: str, prepared: dict):
     """The alternatives rhss of rule where as one function on the demand
-    core, alt(ybar, kids, ask, meter): their result tuples of references."""
+    core, alt(ybar, kids, ask, meter): their result tuples of references;
+    None when rhss is empty."""
     if not rhss:
-        return ()
-    plans = tuple([_plan(rhs, rank, terms) for rhs in rhss])
+        return None
+    plans = tuple([_plan(rhs, rank, prepared) for rhs in rhss])
 
-    # plans and where as defaults, as the compiled terms take theirs
+    # plans and where as defaults, as the generated functions take theirs
     def alt(ybar, kids, ask, meter, plans=plans, where=where):
         out: set = set()
         for lets, results in plans:
@@ -270,7 +280,7 @@ def _mr_alternatives(rhss: tuple, rank: int, where: str, terms: dict) -> tuple:
                 child = kids[j]
                 new_envs: set = set()
                 for env in envs:
-                    for tup in ask(child, q, tuple([f(env, meter) for f in args])):
+                    for tup in ask(child, q, args(env, meter)):
                         full = env + tup
                         new_envs.add(tuple([full[p] for p in keep]))
                 envs = new_envs
@@ -282,10 +292,10 @@ def _mr_alternatives(rhss: tuple, rank: int, where: str, terms: dict) -> tuple:
             # tuples may carry BOTTOM components: a returned tree that is
             # no subtree of t is legal as long as the caller never uses
             # that component in the final output
-            out.update([tuple([f(env, meter) for f in results]) for env in envs])
+            out.update([results(env, meter) for env in envs])
         return out
 
-    return (alt,)
+    return alt
 
 
 def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
@@ -301,8 +311,8 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     env_cap raises EnvLimitExceeded rather than silently degrading.
     """
     rules, ranks = m.rules, m.ranks
-    alternatives = _bind_once(m, "mr-io", lambda q, sym, terms: _mr_alternatives(
-        rules.get((q, sym), ()), ranks[q], f"{q}/{sym}", terms))
+    alternatives = _bind_once(m, "mr-io", lambda q, sym, prepared: _mr_alternatives(
+        rules.get((q, sym), ()), ranks[q], f"{q}/{sym}", prepared))
     # this query's cap and largest environment set, read by the
     # alternatives in place of t's DAG, with its intern table
     meter = SimpleNamespace(env_cap=env_cap, max_envs=0)

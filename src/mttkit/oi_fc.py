@@ -64,15 +64,22 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
     _refuse_guards(m)
     # a plain function, not functools.partial: a call through partial
-    # nests on the C stack, which deep inputs overflow; rhs and c are
-    # defaults, as io_membership's compiled terms take theirs
-    def bind(rhs):
-        def alt(betabar, kids, ask, dag, rhs=rhs, c=c):
-            return _eval_sets(rhs, betabar, kids, ask, dag, c)
+    # nests on the C stack, which deep inputs overflow; rhss and c are
+    # defaults, as io_membership's generated functions take their
+    # constants
+    def bind(rhss):
+        if not rhss:
+            return None
+
+        def alt(betabar, kids, ask, dag, rhss=rhss, c=c):
+            out: set = set()
+            for rhs in rhss:
+                out |= _eval_sets(rhs, betabar, kids, ask, dag, c)
+            return out
         return alt
 
     rules = m.rules
-    alternatives = _bind_once(m, ("oi", c), lambda q, sym, _: tuple(
-        map(bind, rules.get((q, sym), ()))))
+    alternatives = _bind_once(m, ("oi", c), lambda q, sym, _: bind(
+        rules.get((q, sym), ())))
     return _member(m, s, t, alternatives, stats)
 

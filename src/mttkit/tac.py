@@ -235,12 +235,12 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
     """
     rules, tac = tm.rules, tm.tac
 
-    def guarded(q, shape, terms):
+    def guarded(q, shape, prepared):
         sym, kid_states, same = shape
-        return tuple(compile_rhs(rhs, terms) for rhs in dict.fromkeys(
+        return compile_rhs(tuple(dict.fromkeys(
             rule.rhs for rule in rules.get((q, sym), ())
             if rule.lookahead in (None, kid_states)
-            and _constraints_ok(rule, same)))
+            and _constraints_ok(rule, same))), prepared)
 
     return _member(tm, s, t, _bind_once(tm, "io-tac", guarded), stats,
                    labels=lambda s_dag: _Shapes(tac, s_dag))

@@ -3,6 +3,7 @@
 import gc
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,11 @@ import pytest
 import mttkit
 from mttkit import (
     App,
+    BudgetExceeded,
     Call,
+    MrLet,
+    MrMtt,
+    MrRhs,
     Mtt,
     NotDeterministic,
     NotTotal,
@@ -21,6 +26,8 @@ from mttkit import (
     Param,
     RankedAlphabet,
     Tree,
+    ZVar,
+    eval_mr_io,
     member_det,
     member_io,
     member_io_tac,
@@ -41,7 +48,7 @@ from mttkit.families import (
     reverse_pair_instance,
     reverse_pair_mrtt,
 )
-from mttkit.io_membership import _io_rules, compile_rhs, demand
+from mttkit.io_membership import _SCOPE, _io_rules, compile_rhs, demand
 from mttkit.trees import BOTTOM, TreeDag, build_dag
 
 from helpers import (
@@ -70,7 +77,7 @@ def _eval_on(rhs, vbar, dag, entries=None, asked=None):
             asked.append((node, q, ubar))
         return frozenset(entries.get((node, q, ubar), ()))
 
-    return compile_rhs(rhs, {})(vbar, KIDS, ask, dag)
+    return compile_rhs((rhs,), {})(vbar, KIDS, ask, dag)
 
 
 def _root_entry(m, s, t_dag):
@@ -180,19 +187,153 @@ def test_equal_right_hand_sides_of_a_model_share_one_function():
         },
     )
     compiled = _io_rules(m)
-    (alt,) = compiled("q", "a")
-    assert compiled("q", "b")[1] is alt
-    assert compiled("q", "e")[0] is compiled("q", "b")[0]
-    assert compiled("q0", "b")[0] is compiled("q0", "a")[0]
+    # one function per equal tuple of right-hand sides
+    assert compiled("q0", "b") is compiled("q0", "a")
+    assert len({id(compiled(q, sym)) for q, sym in m.rules}) == 4
+    # the same object on a second lookup, also through another query's
+    # alternatives: the table is the model's
     assert compiled("q", "a") is compiled("q", "a")
-    assert compiled("q0", "e") == ()
-    # the table is the model's: another query's alternatives read it
     assert _io_rules(m)("q", "a") is compiled("q", "a")
     assert m._prepared["io", "q", "a"] is compiled("q", "a")
+    assert m._prepared[m.rules["q", "b"]] is compiled("q", "b")
+    # None where a state has no rule
+    assert compiled("q0", "e") is None
+    assert m._prepared["io", "q0", "e"] is None
     s = parse_term("a(a(e))")
     assert member_io(m, s, parse_term("f(e,e)"))
     assert not member_io(m, s, parse_term("e"))
     assert not member_io(m, s, parse_term("f(f(e,e),e)"))
+
+
+def _shared_tower(n):
+    """f(r, r) nested n levels over e with r shared, as a right-hand-side
+    term and as the tree it builds: n + 1 distinct subterms, 2^n leaves."""
+    r, t = Out("e"), Tree("e")
+    for _ in range(n):
+        r, t = Out("f", (r, r)), Tree("f", (t, t))
+    return r, t
+
+
+def test_shared_subterms_are_evaluated_once():
+    # each distinct subterm of a right-hand side, a let argument or a
+    # result term runs once per entry, not once per path (2^24 here)
+    n = 24
+    r, t = _shared_tower(n)
+    ins = RankedAlphabet({"a": 1, "e": 0})
+    outs = RankedAlphabet({"f": 2, "e": 0})
+    m = Mtt(name="tower", input_alphabet=ins, output_alphabet=outs,
+            states={"q0": 0}, initial="q0", rules={("q0", "a"): (r,)})
+    result = MrMtt(name="result", input_alphabet=ins, output_alphabet=outs,
+                   ranks={"q0": 0}, dims={"q0": 1}, initial="q0",
+                   rules={("q0", "a"): (MrRhs((), (r,)),)})
+    argument = MrMtt(
+        name="argument", input_alphabet=ins, output_alphabet=outs,
+        ranks={"q0": 0, "p": 1}, dims={"q0": 1, "p": 1}, initial="q0",
+        rules={("q0", "a"): (MrRhs((MrLet((1,), "p", 1, (r,)),), (ZVar(1),)),),
+               ("p", "e"): (MrRhs((), (Param(1),)),)})
+    s = Tree("a", (Tree("e"),))
+    pruned = Tree("f", (t.children[0], Tree("e")))
+    for run, model, entries in ((member_io, m, 1), (member_mr_io, result, 1),
+                                (member_mr_io, argument, 2)):
+        stats = {}
+        t0 = time.perf_counter()
+        assert run(model, s, t, stats=stats)
+        assert not run(model, s, pruned)
+        assert time.perf_counter() - t0 < 0.25, model.name
+        assert stats["entries"] == entries, model.name
+
+
+# symbols and states named as Python keywords and constants, and as the
+# names generated functions use; G1, G2 and EQ mark the guards of the
+# look-ahead variant
+NAMES_HEAD = """
+  input { def: 2, v: 1, kids: 0 }
+  output { ask: 2, K0: 1, None: 0, I: 0 }
+  state I: 0 init
+  state kids: 2
+  state def: 1
+"""
+NAMES_RULES = """
+  rule I(def(x1, x2)) G2 -> ask(kids[x1](None, I), def[x2](K0(None)))
+  rule I(v(x1)) G1 -> kids[x1](def[x1](None), K0(I))
+  rule I(kids) -> K0(None)
+  rule kids(def(x1, x2))(y1, y2) G2 -> kids[x2](y2, ask(y1, y1))
+  rule kids(def(x1, x2))(y1, y2) G2 -> ask(y1, def[x1](y2))
+  rule kids(def(x1, x2))(y1, y2) EQ -> ask(y1, def[x1](y2))
+  rule kids(v(x1))(y1, y2) G1 -> K0(kids[x1](y2, y1))
+  rule kids(v(x1))(y1, y2) G1 -> y1
+  rule kids(kids)(y1, y2) -> ask(y1, y2)
+  rule kids(kids)(y1, y2) -> y2
+  rule def(def(x1, x2))(y1) G2 -> def[x1](K0(y1))
+  rule def(def(x1, x2))(y1) G2 -> def[x2](y1)
+  rule def(v(x1))(y1) G1 -> ask(y1, def[x1](y1))
+  rule def(kids)(y1) -> y1
+  rule def(kids)(y1) -> None
+"""
+NAMES_MR = """mrtt names {
+  input { def: 2, v: 1, kids: 0 }
+  output { ask: 2, K0: 1, None: 0, I: 0 }
+  state I: 0/1 init
+  state kids: 1/2
+  rule I(def(x1, x2)) -> let (z1, z2) = kids[x1](None) in
+    let (z3, z4) = kids[x2](ask(z1, z2)) in (ask(z3, K0(z4)))
+  rule I(v(x1)) -> let (z1, z2) = kids[x1](I) in (K0(z2))
+  rule I(kids) -> (None)
+  rule kids(def(x1, x2))(y1) -> let (z1, z2) = kids[x1](K0(y1)) in (ask(z1, y1), z2)
+  rule kids(def(x1, x2))(y1) -> (y1, y1)
+  rule kids(v(x1))(y1) -> let (z1, z2) = kids[x1](y1) in (z2, ask(z1, z1))
+  rule kids(kids)(y1) -> (y1, K0(y1))
+  rule kids(kids)(y1) -> (I, y1)
+}"""
+
+
+def test_user_names_never_enter_generated_code():
+    plain = NAMES_RULES
+    for mark in (" G2", " G1", " EQ"):
+        plain = plain.replace(mark, "")
+    m = parse_transducer("mtt names {" + NAMES_HEAD + plain + "}")
+    # every guard holds, so the look-ahead variant translates as m does
+    tm = parse_transducer("mtt names {" + NAMES_HEAD + """
+      tac { trans kids -> K0 trans v(K0) -> K0 trans def(K0, K0) -> K0 }
+    """ + NAMES_RULES.replace("G2", "when (K0, K0)").replace(
+        "G1", "when (K0)").replace("EQ", "when (K0, K0; eq 1 2)") + "}")
+    mr = parse_transducer(NAMES_MR)
+    checked = yes = 0
+    for s in all_inputs(7, m.input_alphabet):
+        runs = [(lambda s, t: member_mr_io(mr, s, t), mr.output_alphabet,
+                 _mr_output_set(mr, s))]
+        out = io_output_set(m, s)
+        if out is not None:
+            runs.append((lambda s, t: member_io(m, s, t), m.output_alphabet, out))
+            runs.append((lambda s, t: member_io_tac(tm, s, t), m.output_alphabet, out))
+        for run, alphabet, out in runs:
+            if out is None:
+                continue
+            pool = list(out.items[:6])
+            for t in out.items[:2]:
+                pool.extend(mutations(t, alphabet)[:4])
+            for t in pool:
+                assert run(s, t) == (t in out)
+                checked += 1
+                yes += t in out
+    assert checked > 1000 and 0 < yes < checked
+    # what the generated functions name: their parameters, locals and
+    # constants, and the globals they share
+    made = [f for model in (m, tm, mr) for f in model._prepared.values()
+            if getattr(f, "__globals__", None) is _SCOPE]
+    assert made
+    for f in made:
+        code = f.__code__
+        for name in code.co_varnames + code.co_names:
+            assert (name in ("v", "kids", "ask", "dag", "I", "get", "intern")
+                    or name in _SCOPE or re.fullmatch(r"[tK]\d+", name)), name
+
+
+def _mr_output_set(m, s):
+    try:
+        return eval_mr_io(m, s, HARNESS_BUDGET)
+    except BudgetExceeded:
+        return None
 
 
 def test_run_io_start_entry_tracks_membership():
@@ -342,6 +483,8 @@ def test_member_det_abort_on_exponential_stage():
     t = parse_term("f(e,e)")
     # output would have ~2^20 nodes; the stage bound rejects it outright
     assert member_det([m], "io", s, t) is False
+    # and t's DAG is built on this path too, so t gives up its parse lists
+    assert t._dag is None
 
 
 def test_member_det_agrees_with_member_io_on_doubling():
@@ -442,7 +585,7 @@ def _mirror_engines():
 
 def test_engines_check_inputs_on_their_dags(monkeypatch):
     # no engine walks a Tree to check it: each checks exactly the DAGs it
-    # builds, s and t, or s alone for det, which compares t with its output
+    # builds, s and t; det looks its output up in t's DAG
     def walked(self, t):
         raise AssertionError("check_tree called")
 
@@ -461,13 +604,12 @@ def test_engines_check_inputs_on_their_dags(monkeypatch):
     monkeypatch.setattr(RankedAlphabet, "check_dag", counted_check)
     monkeypatch.setattr(TreeDag, "__init__", counted_init)
     for engine, run in _mirror_engines().items():
-        dags = 1 if engine == "det" else 2
         for text, want in (("f(f(e,e),e)", True), ("f(e,f(e,e))", False),
                            ("f(f(e,z),e)", False)):
             built.clear()
             checked.clear()
             assert run(parse_term("p(p(e,e),e)"), parse_term(text)) is want
-            assert len(built) == dags and checked == built, engine
+            assert len(built) == 2 and checked == built, engine
         built.clear()
         checked.clear()
         with pytest.raises(AlphabetMismatch, match="'p' has rank 2 but 1"):
@@ -587,16 +729,19 @@ def test_member_io_leaves_no_cyclic_garbage():
             assert gc.collect() == 0
         # nor do the alternatives a model keeps in its _prepared table
         # make it a cycle
-        # (engine, state, label) keys hold alternatives, the others terms
+        # (engine, state, label) keys hold alternatives, tuples of terms
+        # the functions generated from them
+        def of_terms(key):
+            return all(isinstance(u, (Out, Param, Call)) for u in key)
+
         def engines(m):
-            return {key[0] for key in m._prepared if type(key) is tuple}
+            return {key[0] for key in m._prepared if not of_terms(key)}
 
         assert engines(dbl) == {"io", ("oi", 2)}
         assert engines(cf) == {"io"}
         assert engines(eq) == {"io-tac"}
         assert engines(rev) == {"mr-io"}
-        assert all(any(type(key) is not tuple for key in m._prepared)
-                   for m in (dbl, cf, rev))
+        assert all(any(map(of_terms, m._prepared)) for m in (dbl, cf, eq, rev))
         del verdicts, dbl, cf, eq, rev
         assert gc.collect() == 0
     finally:
