@@ -25,7 +25,7 @@ from .errors import (
 )
 from .io_membership import _bind_once, _member, compile_rhs
 from .mtt import MttClass, Rhs, distinct_rules, freeze, validate
-from .trees import RankedAlphabet, Tree, TreeDag, format_term
+from .trees import RankedAlphabet, Tree, TreeDag
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +116,7 @@ def _run_nodes(a: Tac, dag: TreeDag, nodes) -> dict[int, str]:
 
 
 def _describe(dag: TreeDag, v: int) -> str:
-    text = format_term(dag.expand(v))
+    text = dag.format_prefix(v, 61)
     return text if len(text) <= 60 else text[:57] + "..."
 
 

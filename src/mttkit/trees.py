@@ -169,11 +169,38 @@ class Tree:
 
 
 class _ParsedTree(Tree):
-    """The root parse_term returns.  _dag holds the labels and child
+    """A root parse_term returned.  _dag holds the labels and child
     references of its minimal DAG until the first build_dag of it takes
-    them; a subclass, so other trees carry no such slot."""
+    them; a subclass, so other trees carry no such slots."""
 
-    __slots__ = ("_dag",)
+    __slots__ = ("_dag", "_lists")
+
+
+class _UnbuiltTree(_ParsedTree):
+    """A parsed root with label and size set, whose children and _hash
+    are built from the DAG lists in _lists when either is first read.  It
+    then becomes a plain _ParsedTree: a class with __getattr__ reads every
+    attribute more slowly, and walks read the root like any node."""
+
+    __slots__ = ()
+
+    def __init__(self, labels, kids, size: int):
+        self.label = labels[-1]
+        self.size = size
+        self._dag = self._lists = (labels, kids)
+
+    def __getattr__(self, name):
+        # reached only while children and _hash are unset
+        if name not in ("children", "_hash"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels, kids = self._lists
+        # the root is the last node, and every other node lies under it
+        built = _build_trees(labels, kids, range(len(labels) - 1))
+        self.children = tuple([built[c] for c in kids[-1]])
+        self._hash = hash((self.label, self.children))
+        del self._lists
+        self.__class__ = _ParsedTree
+        return getattr(self, name)
 
 
 def tree(label: str, *children: Tree) -> Tree:
@@ -185,11 +212,14 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """Parse `name` / `name(term,...,term)` text into a Tree.
 
     Rank-0 parentheses are optional: `e` and `e()` denote the same tree.
-    Equal subtrees come back as one object, so the result is as shared as
-    its minimal DAG.  That DAG is built as the parse goes, numbered in
-    left-to-right post-order, and rides on the result until the first
-    build_dag of it takes it.  When an alphabet is given, symbols and
-    arities are checked as distinct nodes are built.
+    The parse builds the tree's minimal DAG, numbered in left-to-right
+    post-order, and no Tree node but the root, whose label and size are
+    set at once.  The DAG rides on the root until the first build_dag of
+    it takes it.  The root's children are built from the DAG when
+    children or the hash is first read, equal subtrees as one object, so
+    a caller that reads only size and the DAG builds no other node.
+    When an alphabet is given, symbols and arities are checked as
+    distinct nodes are found.
     """
 
     def fail(msg, at):
@@ -213,10 +243,10 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         fail(f"unexpected character {bad.group()!r}", bad.start())
     tokens = _TERM_TOKEN_RE.findall(text)
     tokens.append("")  # end marker; no token is empty
-    # the DAG: node ref -> label, child refs and Tree, children first
+    # the DAG: node ref -> label, child refs and size, children first
     labels: list[str] = []
     dag_kids: list[tuple[NodeRef, ...]] = []
-    nodes: list[Tree] = []
+    sizes: list[int] = []
     leaves: dict[str, NodeRef] = {}
     inner: dict[tuple, NodeRef] = {}  # (name, child refs) -> ref
     opened = []  # token index of the name of each open node
@@ -238,10 +268,10 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         if ref is None:
             if alphabet is not None:
                 check(name, 0, pos)
-            ref = leaves[name] = len(nodes)
+            ref = leaves[name] = len(labels)
             labels.append(name)
             dag_kids.append(())
-            nodes.append(Tree(name))
+            sizes.append(1)
         pos += 3 if tokens[pos + 1] == "(" else 1
         # attach the finished node upward as far as possible
         while opened:
@@ -268,17 +298,18 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
             if ref is None:
                 if alphabet is not None:
                     check(name, len(child_refs), k)
-                ref = inner[key] = len(nodes)
+                ref = inner[key] = len(labels)
                 labels.append(name)
                 dag_kids.append(child_refs)
-                nodes.append(Tree(name, [nodes[r] for r in child_refs]))
+                size = 1
+                for r in child_refs:
+                    size += sizes[r]
+                sizes.append(size)
         else:
             break
     if tokens[pos]:
         fail_at(f"trailing input {tokens[pos]!r}", pos)
-    root = _ParsedTree(labels[ref], nodes[ref].children)
-    root._dag = (labels, dag_kids)
-    return root
+    return _UnbuiltTree(labels, dag_kids, sizes[ref])
 
 
 _TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
@@ -368,20 +399,48 @@ class TreeDag:
             raise BottomAccess(f"node reference {v} is not in this DAG")
 
     def expand(self, v: NodeRef) -> Tree:
-        """Rebuild the tree rooted at a node."""
+        """Rebuild the tree rooted at a node, equal subtrees as one object."""
         self._check(v)
-        built: dict[NodeRef, Tree] = {}
-        stack = [(v, False)]
+        kids = self.kids
+        under = {v}
+        stack = [v]
         while stack:
-            ref, expanded = stack.pop()
-            if ref in built:
-                continue
-            if not expanded:
-                stack.append((ref, True))
-                stack.extend((c, False) for c in self.kids[ref])
-                continue
-            built[ref] = Tree(self.labels[ref], tuple(built[c] for c in self.kids[ref]))
-        return built[v]
+            for c in kids[stack.pop()]:
+                if c not in under:
+                    under.add(c)
+                    stack.append(c)
+        return _build_trees(self.labels, kids, sorted(under))[v]
+
+    def format_prefix(self, v: NodeRef, limit: int) -> str:
+        """The first limit characters of format_term(self.expand(v)).
+        Builds no Tree and visits only the nodes those characters show."""
+        self._check(v)
+        out = []
+        n = 0
+        work = [v]
+        while work and n < limit:
+            item = work.pop()
+            if isinstance(item, int):
+                kids = self.kids[item]
+                if kids:
+                    work.append(")")
+                    for c in reversed(kids[1:]):
+                        work += (c, ",")
+                    work.append(kids[0])
+                item = self.labels[item] + ("(" if kids else "")
+            out.append(item)
+            n += len(item)
+        return "".join(out)[:limit]
+
+
+def _build_trees(labels, kids, refs) -> dict[NodeRef, Tree]:
+    """The Tree of each node in refs, by one forward pass.  refs must
+    ascend and hold every node below each of its nodes; since children
+    precede parents, each child is built before its parent reads it."""
+    built: dict[NodeRef, Tree] = {}
+    for ref in refs:
+        built[ref] = Tree(labels[ref], [built[c] for c in kids[ref]])
+    return built
 
 
 def _label_index(labels) -> dict[str, list[NodeRef]]:
@@ -415,9 +474,11 @@ def build_dag(t: Tree) -> tuple[TreeDag, NodeRef]:
     """The minimal DAG of a tree; returns (dag, root reference).
 
     The first call on a root that parse_term returned takes the DAG the
-    parse built, without a walk.  Any other tree is walked and interned.
+    parse built, without a walk, and builds no Tree.  Any other tree is
+    walked and interned; a parsed root builds its children for that
+    walk, if they were not yet read.
     """
-    if type(t) is _ParsedTree and t._dag is not None:
+    if isinstance(t, _ParsedTree) and t._dag is not None:
         dag = _ParsedDag(*t._dag)
         t._dag = None
         return dag, dag.root

@@ -167,6 +167,21 @@ def chain(n: int, sym: str = "a") -> Tree:
     return t
 
 
+def count_trees(monkeypatch) -> list[int]:
+    """Count the Trees built from now to the end of the test, in the one
+    item of the returned list.  A parsed root is no Tree built: it has an
+    __init__ of its own."""
+    built = [0]
+    init = Tree.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Tree, "__init__", counted)
+    return built
+
+
 def call_under(k: int) -> Mtt:
     """q(a(x1)) -> g(...g(q[x1])...) with k g's, q(e) -> e: each input
     level takes the frames of a call k output symbols deep."""

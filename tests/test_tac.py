@@ -23,6 +23,7 @@ from mttkit import (
     member_io_tac,
     member_oi_fc,
     oracle_member,
+    format_term,
     parse_term,
     run_tac,
     validate,
@@ -32,7 +33,7 @@ from mttkit.errors import ArityMismatch, MttError
 from mttkit.families import equal_pair_tacmtt
 from mttkit.trees import build_dag
 
-from helpers import all_inputs, io_output_set, random_mtt
+from helpers import all_inputs, count_trees, io_output_set, random_mtt
 
 PI = RankedAlphabet({"pi": 2, "a": 1, "e": 0})
 
@@ -105,6 +106,33 @@ def test_run_tac_rejects_overlap_and_gap():
     dag, root = build_dag(parse_term("a(e)"))
     with pytest.raises(NotTotal):
         run_tac(partial, dag, root)
+
+
+def test_tac_errors_render_deep_subtrees_from_the_dag(monkeypatch):
+    arm = "a(" * 10 ** 5 + "e" + ")" * 10 ** 5
+    partial = Tac(input_alphabet=PI, transitions=(
+        TacTransition("e", (), target="p"), TacTransition("a", ("p",), target="p")))
+    overlapping = Tac(input_alphabet=PI, transitions=(
+        *partial.transitions,
+        TacTransition("pi", ("p", "p"), eq=((1, 2),), target="x"),
+        TacTransition("pi", ("p", "p"), target="y")))
+    cases = []
+    for tac, error, text in [
+            (partial, NotTotal, "pi(a(e),e)"),
+            (partial, NotTotal, f"pi({arm},a({arm}))"),
+            (overlapping, NotDeterministic, f"pi({arm},{arm})")]:
+        dag, root = build_dag(parse_term(text))
+        # as the messages read when they expanded the subtree
+        shown = format_term(dag.expand(root))
+        shown = shown if len(shown) <= 60 else shown[:57] + "..."
+        cases.append((tac, error, dag, root, shown))
+    assert cases[0][-1] == "pi(a(e),e)"
+    built = count_trees(monkeypatch)
+    for tac, error, dag, root, shown in cases:
+        with pytest.raises(error) as exc:
+            run_tac(tac, dag, root)
+        assert str(exc.value).endswith(f" at subtree {shown}")
+    assert built[0] == 0
 
 
 def test_tac_check_rejects_bad_transitions():

@@ -15,12 +15,16 @@ from mttkit import (
     UnknownSymbol,
     enumerate_trees,
     format_term,
+    member_det,
     member_io,
+    member_io_tac,
     parse_term,
     tree,
 )
-from mttkit.families import copyfree_instance, copyfree_mtt
+from mttkit.families import copyfree_instance, copyfree_mtt, equal_pair_tacmtt
 from mttkit.trees import BOTTOM, build_dag, substitute, term_sort_key
+
+from helpers import chain, count_trees
 
 ABE = RankedAlphabet({"a": 2, "b": 1, "e": 0})
 
@@ -244,6 +248,8 @@ def test_dag_nodes_by_label():
 def test_dag_expand_inverts_intern(t):
     dag, root = build_dag(t)
     assert dag.expand(root) == t
+    text = format_term(t)
+    assert [dag.format_prefix(root, k) for k in (1, 5, 61)] == [text[:1], text[:5], text[:61]]
     assert dag.node_count() <= t.size
     assert _ref(dag, t) == root
 
@@ -311,8 +317,8 @@ def _holding_a_dag():
 
 def test_failed_parse_attaches_nothing():
     before = _holding_a_dag()
-    # the last two fail after the whole tree is built; while the error
-    # lives, its traceback keeps the parse's nodes alive
+    # the last two fail after the whole DAG is built; while the error
+    # lives, its traceback keeps the parse's lists alive
     for text, alphabet in [("a(e,q)", ABE), ("f(e", None),
                            ("f(a,b) extra", None), ("f(a,b))", None)]:
         with pytest.raises(ParseError) as exc:
@@ -322,6 +328,60 @@ def test_failed_parse_attaches_nothing():
     assert _holding_a_dag().keys() - before.keys() == {id(kept)}
     build_dag(kept)
     assert _holding_a_dag().keys() <= before.keys()
+
+
+# each way to read a parsed root that builds its children
+_FIRST_READS = {
+    "children": lambda t: t.children,
+    "hash": hash,
+    "==": lambda t: t == Tree("e"),
+    "format_term": format_term,
+    "subtrees": lambda t: list(t.subtrees()),
+}
+
+
+def test_parsed_root_builds_its_children_on_first_read(monkeypatch):
+    deep = chain(10 ** 5, "b")
+    twins = [*enumerate_trees(ABE, max_size=7), _full(16), deep]
+    cases = [(t, format_term(t), build_dag(t)[0]) for t in twins]
+    built = count_trees(monkeypatch)
+    for k, (name, read) in enumerate(_FIRST_READS.items()):
+        for handed in (False, True):
+            # the chain, slow to build, is read before the hand-off or
+            # after it, in turn
+            for twin, text, walked in cases[:-1] if handed == k % 2 else cases:
+                parsed = parse_term(text)
+                built[0] = 0
+                assert (parsed.label, parsed.size) == (twin.label, twin.size)
+                if handed:
+                    build_dag(parsed)
+                assert built[0] == 0, name
+                read(parsed)
+                assert parsed == twin and hash(parsed) == hash(twin), name
+                assert _distinct_nodes(parsed) == walked.node_count()
+                if not handed:  # the lists are still handed over
+                    handed_dag = build_dag(parsed)[0]
+                    assert parsed._dag is None
+                    if twin is not deep:
+                        _same_dag(handed_dag, walked, twin)
+
+
+def test_verdicts_on_parsed_text_build_no_input_or_candidate_tree(monkeypatch):
+    s, t = copyfree_instance(300)
+    s_text, t_text = format_term(s), format_term(t)
+    arm = format_term(chain(300))
+    cf, eq = copyfree_mtt(), equal_pair_tacmtt()
+    built = count_trees(monkeypatch)
+    assert member_io(cf, parse_term(s_text), parse_term(t_text))
+    assert not member_io(cf, parse_term(s_text), parse_term(f"f({t_text})"))
+    assert member_io_tac(eq, parse_term(f"pi({arm},{arm})"), parse_term("e"))
+    assert not member_io_tac(eq, parse_term(f"pi({arm},a({arm}))"), parse_term("e"))
+    assert built[0] == 0
+    # member_det builds its stage outputs, and no other tree
+    assert member_det([cf], "io", parse_term(s_text), parse_term(t_text))
+    from_text, built[0] = built[0], 0
+    assert member_det([cf], "io", s, t)
+    assert from_text == built[0] > 0
 
 
 def test_member_io_on_deep_parsed_text():
