@@ -158,8 +158,7 @@ def _run_member(args, budget, m, s, t) -> tuple[str, dict]:
     if engine == "det":
         if not isinstance(m, Mtt):
             raise MttError("engine det needs a plain mtt file")
-        ok = member_det([m], args.mode, s, t)
-        stats.update(s_size=s.size, t_size=t.size)
+        ok = member_det([m], args.mode, s, t, stats=stats)
         return (YES if ok else NO), stats
     if not isinstance(m, Mtt):
         raise MttError("engine oracle needs a plain mtt file")
@@ -282,7 +281,9 @@ def build_parser() -> _Parser:
                          "transducer's translation")
     mem.add_argument("--engine", choices=ENGINES, required=True)
     mem.add_argument("--mode", choices=(IO, OI), default=IO,
-                     help="semantics for the det and oracle engines")
+                     help="semantics for the oracle engine; det takes it "
+                     "and ignores it, since both coincide on a "
+                     "deterministic total transducer")
     mem.add_argument("--copy-bound", type=int, default=1,
                      help="parameter copy bound for oi-fc, trusted and not "
                      "checked: one below the transducer's true bound can "

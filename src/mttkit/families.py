@@ -34,7 +34,7 @@ def double_mtt() -> Mtt:
 def doubling_mtt() -> Mtt:
     """Deterministic total variant: output on a^n(e) is the full binary
     f-tree of size 2^n - 1, exponential in the input size.  Exercises
-    the size abort of the deterministic membership path."""
+    member_det, as a last stage and as a stage feeding another."""
     return Mtt(
         name="doubling",
         input_alphabet=RankedAlphabet({"a": 1, "e": 0}),

@@ -10,9 +10,10 @@ subtree, so one abstract value suffices.
 
 demand computes these entries on demand from the root question, so
 only the entries the verdict depends on are visited.  _member drives
-every engine built on demand (member_io here, member_io_tac,
-member_oi_fc, member_mr_io), each giving it alternatives(q, label),
-one function per pair or None, which each model keeps (_bind_once).
+every engine built on demand (member_io and the last stage of
+member_det here, member_io_tac, member_oi_fc, member_mr_io), each
+giving it alternatives(q, label), one function per pair or None, which
+each model keeps (_bind_once).
 The right-hand sides of a pair are generated into one straight-line
 Python function (compile_rhs), and multi-return let arguments and
 results into tuple-valued ones (compile_terms): each distinct subterm
@@ -255,9 +256,9 @@ def _frames(m, s_dag: TreeDag) -> int:
     """Recursion room for s_dag: along a path of at most one input level
     per DAG node, each level takes the core's ask and a generated
     function with its set-call helper, a fixed number of frames; oi_fc's
-    set evaluator and member_det's stages, which walk the right-hand
-    side, take a frame and the list it builds per level of m's deepest
-    one."""
+    set evaluator and the stages member_det evaluates before its last
+    (_det_output), which walk the right-hand side, take a frame and the
+    list it builds per level of m's deepest one."""
     return (2 * m.nesting + 6) * s_dag.node_count()
 
 
@@ -333,17 +334,12 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     return _member(m, s, t, _io_rules(m), stats)
 
 
-class _StageTooBig(Exception):
-    pass
-
-
-def _det_output(m: Mtt, s: Tree, bound: int) -> Tree:
+def _det_output(m: Mtt, s: Tree) -> Tree:
     """The unique output of a deterministic total transducer on s.
 
     Trees are built with full structural sharing, so sizes may be huge
     while construction stays cheap.  Raises AlphabetMismatch unless s is
-    over m's input alphabet, and _StageTooBig as soon as the final output
-    exceeds the bound.
+    over m's input alphabet.
     """
     s_dag, s_root = build_dag(s)
     check_input_dag(m, s_dag)
@@ -369,50 +365,24 @@ def _det_output(m: Mtt, s: Tree, bound: int) -> Tree:
 
     try:
         with recursion_room(_frames(m, s_dag)):
-            out = go(m.initial, s_root, ())
+            return go(m.initial, s_root, ())
     finally:
         # go and build reach each other through closure cells, a cycle
         # that would keep memo alive until a full garbage collection
         del go, build
-    if out.size > bound:
-        raise _StageTooBig()
-    return out
 
 
-def _ref_in(tree: Tree, dag: TreeDag):
-    """The reference of tree in dag, BOTTOM when tree is no subtree of
-    dag's tree.  One intern lookup per distinct subtree object, children
-    first, by an explicit stack, so deep trees need no recursion."""
-    intern = dag.intern
-    refs: dict[int, int] = {}
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            # a node over None has had its children looked up
-            node = stack.pop()
-            ref = intern.get((node.label, tuple([refs[id(c)] for c in node.children])))
-            if ref is None:
-                return BOTTOM
-            refs[id(node)] = ref
-        elif id(node) not in refs:
-            # a copy of node lower on the stack is met after this one is
-            # looked up, and skipped
-            stack += (node, None, *node.children)
-    return refs[id(tree)]
-
-
-def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
+def member_det(mtts, mode: str, s: Tree, t: Tree,
+               stats: dict | None = None) -> bool:
     """Membership for a composition of deterministic total transducers.
 
     Call-by-value and call-by-name coincide here, so mode is interface
-    only.  Stages are evaluated in order; as soon as a stage output
-    exceeds 2^n * |t| nodes (n = number of stages) the answer is False,
-    because compositions reaching t keep every intermediate that small.
-    The last stage's output is then looked up in t's DAG.  As in _member,
-    an s outside the first stage's input alphabet raises
-    AlphabetMismatch, and a t outside the last one's output alphabet is
-    no output.
+    only.  Each stage but the last is evaluated to its unique output
+    tree (_det_output), the next stage's input; the last stage is then
+    decided by the core, as member_io decides it, so stats describe the
+    last stage.  An s, or a stage output, outside the input alphabet of
+    the stage it feeds raises AlphabetMismatch, and a t outside the last
+    stage's output alphabet is no output.
     """
     if mode not in (IO, OI):
         raise ValueError(f"mode must be {IO!r} or {OI!r}")
@@ -425,20 +395,7 @@ def member_det(mtts, mode: str, s: Tree, t: Tree) -> bool:
             raise NotDeterministic(f"{m.name}: more than one alternative for some pair")
         if not m.mtt_class.total:
             raise NotTotal(f"{m.name}: missing alternative for some pair")
-    bound = (2 ** len(mtts)) * t.size
-    out = s
-    try:
-        for m in mtts:
-            out = _det_output(m, out, bound)
-    except _StageTooBig:
-        out = None
-    # built on every path, so a parsed t hands its parse lists over
-    t_dag, t_root = build_dag(t)
-    if out is None:
-        return False
-    try:
-        mtts[-1].output_alphabet.check_dag(t_dag)
-    except (UnknownSymbol, ArityMismatch):
-        return False
-    # equal trees have equal sizes: most wrong candidates need no walk
-    return out.size == t.size and _ref_in(out, t_dag) == t_root
+    *stages, last = mtts
+    for m in stages:
+        s = _det_output(m, s)
+    return _member(last, s, t, _io_rules(last), stats)

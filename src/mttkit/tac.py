@@ -204,8 +204,10 @@ def validate_tac_mtt(tm: TacMtt) -> MttClass:
 class _Shapes:
     """The label member_io_tac looks alternatives up by, per input node:
     its symbol, its children's look-ahead states, and which children are
-    equal.  A shape is worked out when the demand reads it, so nodes it
-    never reaches cost nothing."""
+    equal.  The look-ahead automaton runs over every DAG node when the
+    shapes are made, since a NotTotal or NotDeterministic anywhere in the
+    input is an error; only a node's shape tuple is put together when the
+    demand reads it."""
 
     __slots__ = ("labels", "kids", "states")
 

@@ -85,20 +85,22 @@ def random_mtt(rng: random.Random, name: str = "rand") -> Mtt:
     )
 
 
-def random_det_total_mtt(rng: random.Random, name: str = "det") -> Mtt:
-    """Exactly one alternative for every (state, symbol) pair."""
+def random_det_total_mtt(rng: random.Random, name: str = "det",
+                         input_alphabet: RankedAlphabet = IN_ALPHA) -> Mtt:
+    """Exactly one alternative for every (state, symbol) pair; the input
+    alphabet may be OUT_ALPHA, so that it reads another one's output."""
     n_states = rng.randint(1, 3)
     states = {"q0": 0}
     for i in range(1, n_states):
         states[f"q{i}"] = rng.randint(0, 2)
     rules = {
-        (q, sym): (_random_rhs(rng, states, rank, IN_ALPHA.rank(sym), depth=2),)
+        (q, sym): (_random_rhs(rng, states, rank, input_alphabet.rank(sym), depth=2),)
         for q, rank in states.items()
-        for sym in IN_ALPHA
+        for sym in input_alphabet
     }
     return Mtt(
         name=name,
-        input_alphabet=IN_ALPHA,
+        input_alphabet=input_alphabet,
         output_alphabet=OUT_ALPHA,
         states=states,
         initial="q0",

@@ -13,7 +13,7 @@ from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
                              double_mtt, equal_pair_tacmtt,
                              reverse_pair_instance, reverse_pair_mrtt)
 from mttkit.sat import Cnf3, build_sat_mtt, encode, parse_dimacs
-from mttkit.trees import format_term, parse_term
+from mttkit.trees import Tree, format_term, parse_term
 
 from helpers import first_rule_twice
 
@@ -127,6 +127,23 @@ def test_member_json_record(files, capsys):
     assert rec["engine"] == "io"
     assert rec["elapsed_ms"] >= 0
     assert rec["stats"]["s_size"] == s.size
+
+
+def test_member_det_json_stats_match_io(files, capsys):
+    # det decides on the same core as io, so it reports the same stats
+    m = files("cf.mtt", format_transducer(copyfree_mtt()))
+    s, t = copyfree_instance(5)
+    sf = term_file(files, "s.term", s)
+    for cand, code in ((t, 0), (Tree("f", (t,)), 1)):
+        tf = term_file(files, "t.term", cand)
+        stats = {}
+        for engine in ("io", "det"):
+            argv = ["member", "--engine", engine, "--json", m, sf, tf]
+            assert main(argv) == code
+            stats[engine] = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["det"] == stats["io"]
+        assert stats["io"].keys() == {"s_size", "t_size", "s_dag_nodes",
+                                      "t_dag_nodes", "entries"}
 
 
 def test_member_other_engines(files, capsys):

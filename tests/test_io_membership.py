@@ -36,6 +36,7 @@ from mttkit import (
     oracle_eval,
     parse_term,
     parse_transducer,
+    walk_rhs,
 )
 from mttkit.errors import AlphabetMismatch
 from mttkit.families import (
@@ -53,6 +54,7 @@ from mttkit.trees import BOTTOM, TreeDag, build_dag
 
 from helpers import (
     HARNESS_BUDGET,
+    OUT_ALPHA,
     all_inputs,
     call_under,
     chain,
@@ -481,7 +483,8 @@ def test_member_det_abort_on_exponential_stage():
     m = doubling_mtt()
     s = parse_term("a(" * 20 + "e" + ")" * 20)
     t = parse_term("f(e,e)")
-    # output would have ~2^20 nodes; the stage bound rejects it outright
+    # output would have ~2^20 nodes; the core rejects it on the DAGs of
+    # s and t, without building that output
     assert member_det([m], "io", s, t) is False
     # and t's DAG is built on this path too, so t gives up its parse lists
     assert t._dag is None
@@ -496,10 +499,33 @@ def test_member_det_agrees_with_member_io_on_doubling():
         assert member_io(m, s, t)
 
 
+CONST = """mtt const {
+  input { f: 2, e: 0 }
+  output { f: 2, e: 0 }
+  state q: 0 init
+  rule q(f(x1, x2)) -> e
+  rule q(e) -> e
+}
+"""
+
+
+def test_member_det_composition_with_a_deleting_stage():
+    # const maps doubling's 2^n - 1 nodes to e: a later stage may delete
+    # its input, so no intermediate output is bounded by t's size
+    m, const = doubling_mtt(), parse_transducer(CONST)
+    for n in (3, 20):
+        s = chain(n)
+        assert member_det([m, const], "io", s, Tree("e"))
+        assert not member_det([m, const], "io", s, parse_term("f(e,e)"))
+    # stage by stage on the oracle at n = 3
+    (mid,) = oracle_eval(m, "io", App("q0", chain(3))).items
+    assert mid.size == 7 and member_io(const, mid, Tree("e"))
+
+
 def test_shared_candidates_cost_distinct_nodes():
     # doubling's output on a^40(e), built with both halves shared: 2^40
-    # paths through 40 distinct nodes, so the alphabet check and det's
-    # comparison must walk distinct nodes, not paths
+    # paths through 40 distinct nodes, so the alphabet check and the
+    # core must walk distinct nodes, not paths
     n = 40
     s = Tree("e")
     for _ in range(n):
@@ -585,7 +611,7 @@ def _mirror_engines():
 
 def test_engines_check_inputs_on_their_dags(monkeypatch):
     # no engine walks a Tree to check it: each checks exactly the DAGs it
-    # builds, s and t; det looks its output up in t's DAG
+    # builds, s and t; det's one stage is decided on the core, as io is
     def walked(self, t):
         raise AssertionError("check_tree called")
 
@@ -838,3 +864,42 @@ def test_member_det_matches_member_io_on_random_det_transducers():
             assert member_det([m], "io", s, bad) == member_io(m, s, bad)
             pairs += 1
     assert pairs > 50
+
+
+def _drops_a_parameter(m: Mtt) -> bool:
+    """Some right-hand side of a state with parameters omits one."""
+    return any(
+        len({p.index for p in walk_rhs(rhs) if isinstance(p, Param)})
+        < m.states[q]
+        for (q, _), alts in m.rules.items() for rhs in alts)
+
+
+def test_member_det_compositions_match_stage_by_stage_outputs():
+    # the only cover of the stages before the last: each candidate is
+    # checked against the oracle's output sets, stage after stage
+    rng = random.Random(1414)
+    checks = yes = shrunk = dropping = 0
+    for i in range(16):
+        first = random_det_total_mtt(rng, name=f"first{i}")
+        second = random_det_total_mtt(rng, name=f"second{i}",
+                                      input_alphabet=OUT_ALPHA)
+        dropping += _drops_a_parameter(second)
+        for s in all_inputs(6):
+            mid = io_output_set(first, s)
+            out = None if mid is None else io_output_set(second, *mid.items)
+            if out is None:
+                continue
+            (t,) = out.items
+            # intermediates above 2^2 * |t|, which a size bound on stages
+            # would reject, though the composition yields t
+            shrunk += mid.items[0].size > 4 * t.size
+            for cand in [t, *mutations(t, OUT_ALPHA)]:
+                want = cand in out
+                assert member_det([first, second], "io", s, cand) is want
+                checks += 1
+                yes += want
+        # a stage output feeds a stage over another input alphabet
+        for stages in ([first, first], [first, first, second]):
+            with pytest.raises(AlphabetMismatch, match="is not declared"):
+                member_det(stages, "io", chain(2, "b"), Tree("c"))
+    assert dropping >= 4 and shrunk >= 20 and yes > 500 and checks > 2500
