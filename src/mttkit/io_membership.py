@@ -15,15 +15,18 @@ member_det here, member_io_tac, member_oi_fc, member_mr_io), each
 giving it alternatives(q, label), one function per pair or None, which
 each model keeps (_bind_once).
 The right-hand sides of a pair are generated into one straight-line
-Python function (compile_rhs), and multi-return let arguments and
-results into tuple-valued ones (compile_terms): each distinct subterm
-is evaluated once, children first, against the candidate output's
-intern table and label index.
+Python function (compile_rhs), under reference bindings for the
+call-by-value engines and under set bindings for member_oi_fc, and
+multi-return let arguments and results into tuple-valued ones
+(compile_terms): each distinct subterm is evaluated once, children
+first, against the candidate output's intern table and label index.
+Only _det_output, member_det's stages before its last, walks right-hand
+sides recursively.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
 
@@ -77,13 +80,18 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
     return out
 
 
-def _ask_all(ask, child, q: str, kid_sets) -> set:
+def _ask_all(ask, child, q: str, kid_sets, c=None) -> set:
     """A call with a set of references for some argument: one question
-    to input node child per combination, none when a set is empty."""
+    to input node child per combination, none when a set is empty.
+
+    Under call-by-name (copy bound c), each argument set K binds its
+    parameter to each ascending c-subset of K instead, or to K itself
+    when smaller, so an empty K binds ().  Every entry is monotone in its
+    bindings: a larger set for a parameter lets each of its occurrences
+    pick from more nodes, so these subsets cover the smaller ones."""
+    if c is not None:
+        kid_sets = [combinations(sorted(ks), min(c, len(ks))) for ks in kid_sets]
     out: set = set()
-    for ks in kid_sets:
-        if not ks:
-            return out
     for ubar in product(*kid_sets):
         out |= ask(child, q, ubar)
     return out
@@ -102,9 +110,15 @@ class _Program:
     children first.  Each subterm but a parameter, which reads v[i] in
     place, is evaluated once into a local t<k>, holding one reference
     (an output node over one-reference children: one intern lookup) or
-    a set of them (a call, or an output node over a set)."""
+    a set of them (a call, or an output node over a set).
 
-    def __init__(self):
+    With a copy bound c (call-by-name), every value is a set: v[i] is an
+    ascending tuple of at most c references, an output node goes through
+    _out_refs with BOTTOM dropped, since the empty set plays its role,
+    and a call over sets binds c-subsets of them (_ask_all)."""
+
+    def __init__(self, c=None):
+        self.c = c
         self.lines: list[str] = []
         self.consts: dict = {}
         self.values: dict = {}  # term -> (expression, is a set)
@@ -115,7 +129,7 @@ class _Program:
 
     def value(self, term) -> tuple[str, bool]:
         if isinstance(term, Param):
-            return f"v[{term.index - 1}]", False
+            return f"v[{term.index - 1}]", self.c is not None
         got = self.values.get(term)
         if got is None:
             got = self.values[term] = self._local(term)
@@ -123,14 +137,18 @@ class _Program:
 
     def _local(self, term) -> tuple[str, bool]:
         args = [self.value(a) for a in term.args]
-        over_sets = any(is_set for _, is_set in args)
+        name = f"t{len(self.values)}"
+        # under call-by-name the empty set, not BOTTOM, means no node of t
+        drop_bottom = self.c is not None and isinstance(term, Out)
+        over_sets = drop_bottom or any(is_set for _, is_set in args)
         if over_sets:
             sets = ", ".join(e if is_set else f"{{{e}}}" for e, is_set in args)
             if isinstance(term, Out):
                 expr = f"_out_refs({self.const(term.sym)}, [{sets}], dag)"
             else:
+                c = "" if self.c is None else f", {self.const(self.c)}"
                 expr = (f"_ask_all(ask, kids[{term.child - 1}], "
-                        f"{self.const(term.state)}, [{sets}])")
+                        f"{self.const(term.state)}, [{sets}]{c})")
         else:
             refs = _tuple([e for e, _ in args])
             if isinstance(term, Call):
@@ -142,8 +160,9 @@ class _Program:
                 key = (f"({self.const(term.sym)}, {refs})" if args
                        else self.const((term.sym, ())))
                 expr = f"I.get({key}, BOTTOM)"
-        name = f"t{len(self.lines)}"
         self.lines.append(f"    {name} = {expr}\n")
+        if drop_bottom:
+            self.lines.append(f"    {name}.discard(BOTTOM)\n")
         return name, over_sets or isinstance(term, Call)
 
     def function(self, params: str, result: str):
@@ -176,28 +195,34 @@ def _code(source: str) -> CodeType:
     return code
 
 
-def compile_rhs(rhss: tuple, prepared: dict):
+def compile_rhs(rhss: tuple, prepared: dict, c: int | None = None):
     """The right-hand sides rhss of one (state, label) as one function
-    alt(v, kids, ask, t_dag): the set of references of the
-    candidate-output DAG t_dag they yield under parameter references v,
-    at an input node whose children are kids, where ask(node, state,
-    ubar) answers a state call; None when rhss is empty.
+    alt(v, kids, ask, t_dag): the references of the candidate-output
+    DAG t_dag they yield under parameter references v, at an input node
+    whose children are kids, where ask(node, state, ubar) answers a
+    state call; None when rhss is empty.  With a copy bound c, each v[i]
+    is a set of references (call-by-name, see _Program).
 
-    The function is generated once per equal rhss, kept in prepared, the
-    model's table: straight-line code over the distinct subterms of
-    rhss (_Program), each evaluated once per entry, that returns the
-    union of the alternatives.
+    The function is generated once per equal rhss and c, kept in
+    prepared, the model's table: straight-line code over the distinct
+    subterms of rhss (_Program), each evaluated once per entry, that
+    returns the union of the alternatives.
     """
     if not rhss:
         return None
-    got = prepared.get(rhss)
+    key = rhss if c is None else (rhss, c)
+    got = prepared.get(key)
     if got is None:
-        prog = _Program()
+        prog = _Program(c)
         roots = [prog.value(rhs) for rhs in rhss]
+        if c is not None:
+            # a parameter's binding is a tuple: joined as a set
+            roots = [(f"{{*{e}}}" if isinstance(rhs, Param) else e, True)
+                     for rhs, (e, _) in zip(rhss, roots)]
         one = ", ".join(e for e, is_set in roots if not is_set)
         result = " | ".join([e for e, is_set in roots if is_set]
                             + ([f"{{{one}}}"] if one else []))
-        got = prepared[rhss] = prog.function("v, kids, ask, dag", result)
+        got = prepared[key] = prog.function("v, kids, ask, dag", result)
     return got
 
 
@@ -228,9 +253,9 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
     alt = alternatives(q, labels[node]), alt(vbar, kids, ask, t_dag)
     with the node's children kids, or is empty when alt is None.  The
     generated functions of compile_rhs bind each parameter to one
-    reference (call-by-value), oi_fc binds it to a set (call-by-name),
-    and multi_return returns tuples of references (given its meter as
-    t_dag, see _member).
+    reference (call-by-value) or, given a copy bound, to a set
+    (call-by-name, member_oi_fc), and those of multi_return return
+    tuples of references (given its meter as t_dag, see _member).
     """
     memo: dict[tuple, frozenset] = {}
     kids_of = s_dag.kids
@@ -255,10 +280,10 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
 def _frames(m, s_dag: TreeDag) -> int:
     """Recursion room for s_dag: along a path of at most one input level
     per DAG node, each level takes the core's ask and a generated
-    function with its set-call helper, a fixed number of frames; oi_fc's
-    set evaluator and the stages member_det evaluates before its last
-    (_det_output), which walk the right-hand side, take a frame and the
-    list it builds per level of m's deepest one."""
+    function with its set-call helper, a fixed number of frames; the
+    stages member_det evaluates before its last (_det_output), which
+    walk the right-hand side, take a frame and the list it builds per
+    level of m's deepest one."""
     return (2 * m.nesting + 6) * s_dag.node_count()
 
 

@@ -68,10 +68,10 @@ from helpers import (
 KIDS = tuple(range(1, 10))
 
 
-def _eval_on(rhs, vbar, dag, entries=None, asked=None):
-    """The compiled rhs with state calls answered from a dict of
-    (child, state, parameter refs) -> result refs; asked, if given,
-    collects each question."""
+def _eval_on(rhs, vbar, dag, entries=None, asked=None, c=None):
+    """The compiled rhs, under copy bound c if given, with state calls
+    answered from a dict of (child, state, parameter bindings) -> result
+    refs; asked, if given, collects each question."""
     entries = entries or {}
 
     def ask(node, q, ubar):
@@ -79,7 +79,7 @@ def _eval_on(rhs, vbar, dag, entries=None, asked=None):
             asked.append((node, q, ubar))
         return frozenset(entries.get((node, q, ubar), ()))
 
-    return compile_rhs((rhs,), {})(vbar, KIDS, ask, dag)
+    return set(compile_rhs((rhs,), {}, c)(vbar, KIDS, ask, dag))
 
 
 def _root_entry(m, s, t_dag):
@@ -171,6 +171,58 @@ def test_eval_f_call_with_scalar_and_set_arguments():
     assert asked == [(3, "q", ())]
 
 
+# call-by-name: each parameter is bound to an ascending tuple of at most
+# c candidate-output nodes
+
+def test_eval_n_call_binds_each_c_subset_in_ascending_order():
+    dag, root = build_dag(parse_term("f(e,g(e))", None))
+    a, b, c = sorted(dag.intern.values())
+    child = {(2, "q", ()): {c, a, b}, (1, "p", ((a, c),)): {root},
+             (1, "p", ((b, c),)): {a}}
+    asked = []
+    rhs = Call("p", 1, (Call("q", 2),))
+    assert _eval_on(rhs, (), dag, child, asked, c=2) == {root, a}
+    assert asked == [(2, "q", ()), (1, "p", ((a, b),)), (1, "p", ((a, c),)),
+                     (1, "p", ((b, c),))]
+    # a binding, at most c nodes already, is passed on as it is
+    asked.clear()
+    assert _eval_on(Call("p", 1, (Param(1),)), ((b, c),), dag, child,
+                    asked, c=2) == {a}
+    assert asked == [(1, "p", ((b, c),))]
+
+
+def test_eval_n_empty_argument_set_binds_the_empty_tuple():
+    # call-by-name is not strict: an argument with no candidate node
+    # binds its parameter to (), and the call is still asked
+    dag, _ = build_dag(parse_term("f(e,e)", None))
+    v_e = dag.intern["e", ()]
+    child = {(1, "p", ((), (v_e,))): {v_e}}
+    asked = []
+    rhs = Call("p", 1, (Call("q", 3), Param(1)))
+    assert _eval_on(rhs, ((v_e,),), dag, child, asked, c=1) == {v_e}
+    assert asked == [(3, "q", ()), (1, "p", ((), (v_e,)))]
+    asked.clear()
+    rhs = Call("p", 1, (Param(2), Param(1)))
+    assert _eval_on(rhs, ((v_e,), ()), dag, child, asked, c=1) == {v_e}
+    assert asked == [(1, "p", ((), (v_e,)))]
+    # an output node over an empty set yields nothing
+    assert _eval_on(Out("f", (Param(1), Param(2))), ((v_e,), ()), dag,
+                    c=1) == set()
+
+
+def test_eval_n_output_node_missing_from_t_is_the_empty_set():
+    # where call-by-value yields BOTTOM, call-by-name yields nothing
+    dag, root = build_dag(parse_term("f(e,e)", None))
+    v_e = dag.intern["e", ()]
+    assert _eval_on(Out("h"), (), dag, c=1) == set()
+    assert _eval_on(Out("h", (Param(1),)), ((v_e,),), dag, c=1) == set()
+    assert _eval_on(Out("e"), (), dag, c=1) == {v_e}
+    # f over {e, root} twice: root's selection is a node, the others not
+    assert _eval_on(Out("f", (Param(1), Param(1))), ((v_e, root),), dag,
+                    c=2) == {root}
+    assert _eval_on(Param(1), ((v_e, root),), dag, c=2) == {v_e, root}
+
+
 def test_equal_right_hand_sides_of_a_model_share_one_function():
     shared = Out("f", (Call("q", 1, (Param(1),)), Param(1)))
     m = Mtt(
@@ -205,6 +257,19 @@ def test_equal_right_hand_sides_of_a_model_share_one_function():
     assert member_io(m, s, parse_term("f(e,e)"))
     assert not member_io(m, s, parse_term("e"))
     assert not member_io(m, s, parse_term("f(f(e,e),e)"))
+    # call-by-name: one function per equal tuple of right-hand sides and
+    # copy bound, apart from call-by-value's and from another bound's
+    for c in (1, 2):
+        for s in (parse_term("a(a(e))"), parse_term("b(b(e))")):
+            assert member_oi_fc(m, c, s, parse_term("f(e,e)"))
+    oi = {c: {pair: m._prepared[("oi", c), *pair] for pair in m.rules}
+          for c in (1, 2)}
+    for c, compiled_oi in oi.items():
+        assert compiled_oi["q0", "b"] is compiled_oi["q0", "a"]
+        assert len(set(map(id, compiled_oi.values()))) == 4
+        assert m._prepared[m.rules["q", "b"], c] is compiled_oi["q", "b"]
+    for pair in m.rules:
+        assert len({id(oi[1][pair]), id(oi[2][pair]), id(compiled(*pair))}) == 3
 
 
 def _shared_tower(n):
@@ -235,8 +300,11 @@ def test_shared_subterms_are_evaluated_once():
                ("p", "e"): (MrRhs((), (Param(1),)),)})
     s = Tree("a", (Tree("e"),))
     pruned = Tree("f", (t.children[0], Tree("e")))
+    def oi_fc(model, s, t, stats=None):
+        return member_oi_fc(model, 1, s, t, stats)
+
     for run, model, entries in ((member_io, m, 1), (member_mr_io, result, 1),
-                                (member_mr_io, argument, 2)):
+                                (member_mr_io, argument, 2), (oi_fc, m, 1)):
         stats = {}
         t0 = time.perf_counter()
         assert run(model, s, t, stats=stats)
@@ -319,6 +387,10 @@ def test_user_names_never_enter_generated_code():
                 checked += 1
                 yes += t in out
     assert checked > 1000 and 0 < yes < checked
+    # call-by-name functions too, under set bindings
+    for s in all_inputs(5, m.input_alphabet):
+        member_oi_fc(m, 2, s, Tree("ask", (Tree("None"), Tree("I"))))
+    assert any(key[0] == ("oi", 2) for key in m._prepared)
     # what the generated functions name: their parameters, locals and
     # constants, and the globals they share
     made = [f for model in (m, tm, mr) for f in model._prepared.values()
@@ -327,7 +399,8 @@ def test_user_names_never_enter_generated_code():
     for f in made:
         code = f.__code__
         for name in code.co_varnames + code.co_names:
-            assert (name in ("v", "kids", "ask", "dag", "I", "get", "intern")
+            assert (name in ("v", "kids", "ask", "dag", "I", "get", "intern",
+                             "discard")
                     or name in _SCOPE or re.fullmatch(r"[tK]\d+", name)), name
 
 
@@ -755,9 +828,12 @@ def test_member_io_leaves_no_cyclic_garbage():
             assert gc.collect() == 0
         # nor do the alternatives a model keeps in its _prepared table
         # make it a cycle
-        # (engine, state, label) keys hold alternatives, tuples of terms
-        # the functions generated from them
+        # (engine, state, label) keys hold alternatives; tuples of terms,
+        # or (tuple of terms, copy bound) for call-by-name, the functions
+        # generated from them
         def of_terms(key):
+            if len(key) == 2 and isinstance(key[1], int):
+                key = key[0]
             return all(isinstance(u, (Out, Param, Call)) for u in key)
 
         def engines(m):
