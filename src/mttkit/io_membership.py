@@ -20,8 +20,8 @@ call-by-value engines and under set bindings for member_oi_fc, and
 multi-return let arguments and results into tuple-valued ones
 (compile_terms): each distinct subterm is evaluated once, children
 first, against the candidate output's intern table and label index.
-Only _det_output, member_det's stages before its last, walks right-hand
-sides recursively.
+member_det's stages before its last run on demand too, with functions
+that grow the stage's output DAG (_det_output).
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ def _ask_all(ask, child, q: str, kid_sets, c=None) -> set:
 
 
 # The globals of every generated function.  Generated source names only
-# these, its parameters v, kids, ask and dag, the intern table I, locals
-# t<k> and constants K<k>: symbols, states and intern keys come in as
-# defaults, so no user name enters source text.  The functions are not
+# these, the builtin len, its parameters v, kids, ask and dag, the intern
+# table I, locals t<k> and constants K<k>: symbols, states and intern
+# keys come in as defaults, so no user name enters source text.  The functions are not
 # stored here, so none of them is part of a cycle.
 _SCOPE = {"BOTTOM": BOTTOM, "_out_refs": _out_refs, "_ask_all": _ask_all}
 
@@ -115,10 +115,15 @@ class _Program:
     With a copy bound c (call-by-name), every value is a set: v[i] is an
     ascending tuple of at most c references, an output node goes through
     _out_refs with BOTTOM dropped, since the empty set plays its role,
-    and a call over sets binds c-subsets of them (_ask_all)."""
+    and a call over sets binds c-subsets of them (_ask_all).
 
-    def __init__(self, c=None):
+    With grow (member_det's stages before its last), no value is a set:
+    an output node is interned if missing, and a call unpacks its entry,
+    one reference in a deterministic total stage."""
+
+    def __init__(self, c=None, grow=False):
         self.c = c
+        self.grow = grow
         self.lines: list[str] = []
         self.consts: dict = {}
         self.values: dict = {}  # term -> (expression, is a set)
@@ -141,6 +146,7 @@ class _Program:
         # under call-by-name the empty set, not BOTTOM, means no node of t
         drop_bottom = self.c is not None and isinstance(term, Out)
         over_sets = drop_bottom or any(is_set for _, is_set in args)
+        target = name
         if over_sets:
             sets = ", ".join(e if is_set else f"{{{e}}}" for e, is_set in args)
             if isinstance(term, Out):
@@ -153,17 +159,20 @@ class _Program:
             refs = _tuple([e for e, _ in args])
             if isinstance(term, Call):
                 expr = f"ask(kids[{term.child - 1}], {self.const(term.state)}, {refs})"
+                if self.grow:
+                    target = f"({name},)"
             else:
                 self.intern = True
                 # intern keys hold node references only, never BOTTOM, so
                 # a lookup with a BOTTOM child misses and yields BOTTOM
                 key = (f"({self.const(term.sym)}, {refs})" if args
                        else self.const((term.sym, ())))
-                expr = f"I.get({key}, BOTTOM)"
-        self.lines.append(f"    {name} = {expr}\n")
+                expr = (f"I.setdefault({key}, len(I))" if self.grow
+                        else f"I.get({key}, BOTTOM)")
+        self.lines.append(f"    {target} = {expr}\n")
         if drop_bottom:
             self.lines.append(f"    {name}.discard(BOTTOM)\n")
-        return name, over_sets or isinstance(term, Call)
+        return name, over_sets or (isinstance(term, Call) and not self.grow)
 
     def function(self, params: str, result: str):
         """The function of the source, with the constants as defaults."""
@@ -195,25 +204,27 @@ def _code(source: str) -> CodeType:
     return code
 
 
-def compile_rhs(rhss: tuple, prepared: dict, c: int | None = None):
+def compile_rhs(rhss: tuple, prepared: dict, c: int | None = None,
+                grow: bool = False):
     """The right-hand sides rhss of one (state, label) as one function
     alt(v, kids, ask, t_dag): the references of the candidate-output
     DAG t_dag they yield under parameter references v, at an input node
     whose children are kids, where ask(node, state, ubar) answers a
     state call; None when rhss is empty.  With a copy bound c, each v[i]
-    is a set of references (call-by-name, see _Program).
+    is a set of references (call-by-name, see _Program); with grow, the
+    output nodes are added to t_dag (member_det's earlier stages).
 
-    The function is generated once per equal rhss and c, kept in
+    The function is generated once per equal rhss, c and grow, kept in
     prepared, the model's table: straight-line code over the distinct
     subterms of rhss (_Program), each evaluated once per entry, that
     returns the union of the alternatives.
     """
     if not rhss:
         return None
-    key = rhss if c is None else (rhss, c)
+    key = (rhss, "grow") if grow else rhss if c is None else (rhss, c)
     got = prepared.get(key)
     if got is None:
-        prog = _Program(c)
+        prog = _Program(c, grow)
         roots = [prog.value(rhs) for rhs in rhss]
         if c is not None:
             # a parameter's binding is a tuple: joined as a set
@@ -277,14 +288,11 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
         del ask
 
 
-def _frames(m, s_dag: TreeDag) -> int:
+def _frames(s_dag: TreeDag) -> int:
     """Recursion room for s_dag: along a path of at most one input level
-    per DAG node, each level takes the core's ask and a generated
-    function with its set-call helper, a fixed number of frames; the
-    stages member_det evaluates before its last (_det_output), which
-    walk the right-hand side, take a frame and the list it builds per
-    level of m's deepest one."""
-    return (2 * m.nesting + 6) * s_dag.node_count()
+    per DAG node, each level takes three frames, the core's ask and a
+    generated function with its set-call helper, whatever the model."""
+    return 3 * s_dag.node_count()
 
 
 def _member(m, s: Tree, t: Tree, alternatives, stats: dict | None,
@@ -310,7 +318,7 @@ def _member(m, s: Tree, t: Tree, alternatives, stats: dict | None,
     if meter is not None:
         meter.intern = t_dag.intern
         out, t_root = meter, (t_root,)
-    with recursion_room(_frames(m, s_dag)):
+    with recursion_room(_frames(s_dag)):
         root_entry, memo = demand(
             s_dag, out, s_dag.labels if labels is None else labels(s_dag),
             alternatives, s_root, m.initial)
@@ -360,41 +368,23 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
 
 
 def _det_output(m: Mtt, s: Tree) -> Tree:
-    """The unique output of a deterministic total transducer on s.
-
-    Trees are built with full structural sharing, so sizes may be huge
-    while construction stays cheap.  Raises AlphabetMismatch unless s is
-    over m's input alphabet.
+    """The unique output of a deterministic total transducer on s: the
+    root's entry, demanded over an output DAG that the functions grow
+    (compile_rhs with grow), rebuilt with full structural sharing, so
+    sizes may be huge while construction stays cheap.  Raises
+    AlphabetMismatch unless s is over m's input alphabet.
     """
     s_dag, s_root = build_dag(s)
     check_input_dag(m, s_dag)
-    memo: dict = {}
-
-    def go(q: str, node: int, args: tuple) -> Tree:
-        key = (q, node, args)
-        got = memo.get(key)
-        if got is None:
-            rhs = m.alternatives(q, s_dag.labels[node])[0]
-            memo[key] = got = build(rhs, node, args)
-        return got
-
-    # list comprehensions, not generators: tuple() resuming a generator
-    # nests on the C stack, which deep inputs overflow
-    def build(rhs, node, args) -> Tree:
-        if isinstance(rhs, Param):
-            return args[rhs.index - 1]
-        if isinstance(rhs, Out):
-            return Tree(rhs.sym, [build(a, node, args) for a in rhs.args])
-        vals = tuple([build(a, node, args) for a in rhs.args])
-        return go(rhs.state, s_dag.kids[node][rhs.child - 1], vals)
-
-    try:
-        with recursion_room(_frames(m, s_dag)):
-            return go(m.initial, s_root, ())
-    finally:
-        # go and build reach each other through closure cells, a cycle
-        # that would keep memo alive until a full garbage collection
-        del go, build
+    out = TreeDag()
+    out.intern = intern = {}
+    rules = m.rules
+    alternatives = _bind_once(m, "det", lambda q, sym, prepared: compile_rhs(
+        rules.get((q, sym), ()), prepared, grow=True))
+    with recursion_room(_frames(s_dag)):
+        (root,), _ = demand(s_dag, out, s_dag.labels, alternatives, s_root,
+                            m.initial)
+    return TreeDag(*zip(*intern)).expand(root)
 
 
 def member_det(mtts, mode: str, s: Tree, t: Tree,

@@ -109,16 +109,14 @@ def _nesting(terms) -> int:
     return depth
 
 
-def distinct_rules(rules: dict, terms) -> tuple[MappingProxyType, int]:
+def distinct_rules(rules: dict, terms) -> MappingProxyType:
     """The rule table, read-only, with each alternative list as a tuple,
-    structural duplicates dropped and written order kept; and the levels
-    of the deepest term (see _nesting), 0 for no rules.
+    structural duplicates dropped and written order kept.
 
     terms(alt) gives the terms of one alternative.  A term nested deeper
-    than MAX_NESTING raises RhsTooDeep here, before comparing would
-    overflow the interpreter stack.
+    than MAX_NESTING (see _nesting) raises RhsTooDeep here, before
+    comparing would overflow the interpreter stack.
     """
-    deepest = 0
     for (q, sym), alts in rules.items():
         for alt in alts:
             depth = _nesting(terms(alt))
@@ -127,9 +125,8 @@ def distinct_rules(rules: dict, terms) -> tuple[MappingProxyType, int]:
                     f"rule {q}/{sym}: right-hand side nests {depth} levels "
                     f"deep, more than {MAX_NESTING}"
                 )
-            deepest = max(deepest, depth)
     return MappingProxyType({key: tuple(dict.fromkeys(alts))
-                             for key, alts in rules.items()}), deepest
+                             for key, alts in rules.items()})
 
 
 def freeze(model, **attrs) -> None:
@@ -147,9 +144,8 @@ class Mtt:
     rules maps (state, input symbol) to the alternatives for that pair;
     alternatives are kept in written order but mean a set, so structural
     duplicates are dropped when the transducer is built.  validate then
-    runs once, and the attribute mtt_class keeps what it returned;
-    nesting keeps the levels of the deepest right-hand side.  Engines
-    fill _prepared as they meet (state, symbol) pairs.
+    runs once, and the attribute mtt_class keeps what it returned.
+    Engines fill _prepared as they meet (state, symbol) pairs.
     """
 
     name: str
@@ -160,9 +156,9 @@ class Mtt:
     rules: dict[tuple[str, str], tuple[Rhs, ...]]
 
     def __post_init__(self):
-        rules, nesting = distinct_rules(self.rules, lambda rhs: (rhs,))
-        freeze(self, states=MappingProxyType(dict(self.states)), rules=rules,
-               nesting=nesting, _prepared={})
+        freeze(self, states=MappingProxyType(dict(self.states)),
+               rules=distinct_rules(self.rules, lambda rhs: (rhs,)),
+               _prepared={})
         freeze(self, mtt_class=validate(self))
 
     def alternatives(self, state: str, sym: str) -> tuple[Rhs, ...]:

@@ -43,7 +43,7 @@ class MrRhs:
 @dataclass(frozen=True)
 class MrMtt:
     """A multi-return transducer, checked once when built (validate_mr)
-    and read-only after; nesting and _prepared as for an Mtt."""
+    and read-only after; _prepared as for an Mtt."""
 
     name: str
     input_alphabet: RankedAlphabet
@@ -54,11 +54,11 @@ class MrMtt:
     rules: dict = field(default_factory=dict)  # (state, sym) -> tuple[MrRhs, ...]
 
     def __post_init__(self):
-        rules, nesting = distinct_rules(self.rules, lambda rhs: (
+        rules = distinct_rules(self.rules, lambda rhs: (
             *(a for let in rhs.lets for a in let.args), *rhs.result))
         freeze(self, ranks=MappingProxyType(dict(self.ranks)),
                dims=MappingProxyType(dict(self.dims)),
-               rules=rules, nesting=nesting, _prepared={})
+               rules=rules, _prepared={})
         validate_mr(self)
 
     def rank(self, state: str) -> int:

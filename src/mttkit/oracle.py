@@ -337,7 +337,8 @@ def oracle_member(m: Mtt, mode: str, s: Tree, t: Tree,
 
     Trees larger than |t| are pruned during enumeration; that can only
     discard outputs different from t.  'unknown' reports budget
-    exhaustion, never an engine guess.
+    exhaustion, or an enumeration that exhausts the recursion limit on a
+    deep input, never an engine guess.
     """
     check_input_tree(m, s)
     if stats is not None:
@@ -350,7 +351,7 @@ def oracle_member(m: Mtt, mode: str, s: Tree, t: Tree,
         return NO
     try:
         verdict = YES if t in ev.state_set(m.initial, s) else NO
-    except BudgetExceeded:
+    except (BudgetExceeded, RecursionError):
         verdict = UNKNOWN
     if stats is not None:
         stats.update(steps=ev.meter.steps)

@@ -162,9 +162,9 @@ class TacMtt:
     tac: Tac
 
     def __post_init__(self):
-        rules, nesting = distinct_rules(self.rules, lambda rule: (rule.rhs,))
+        rules = distinct_rules(self.rules, lambda rule: (rule.rhs,))
         freeze(self, states=MappingProxyType(dict(self.states)),
-               rules=rules, nesting=nesting, _prepared={},
+               rules=rules, _prepared={},
                _unguarded={key: tuple(dict.fromkeys(rule.rhs for rule in alts))
                            for key, alts in rules.items()})
         freeze(self, mtt_class=validate_tac_mtt(self))

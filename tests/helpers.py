@@ -185,8 +185,8 @@ def count_trees(monkeypatch) -> list[int]:
 
 
 def call_under(k: int) -> Mtt:
-    """q(a(x1)) -> g(...g(q[x1])...) with k g's, q(e) -> e: each input
-    level takes the frames of a call k output symbols deep."""
+    """q(a(x1)) -> g(...g(q[x1])...) with k g's, q(e) -> e: a call k
+    output symbols deep, whose output chain is k times its input's."""
     rhs = Call("q", 1)
     for _ in range(k):
         rhs = Out("g", (rhs,))
@@ -197,6 +197,19 @@ def call_under(k: int) -> Mtt:
         states={"q": 0},
         initial="q",
         rules={("q", "a"): (rhs,), ("q", "e"): (Out("e"),)},
+    )
+
+
+def relabel(src: str, dst: str) -> Mtt:
+    """q(src(x1)) -> dst(q[x1]), q(e) -> e: a deterministic total stage
+    that relabels a chain."""
+    return Mtt(
+        name=f"{src}to{dst}",
+        input_alphabet=RankedAlphabet({src: 1, "e": 0}),
+        output_alphabet=RankedAlphabet({dst: 1, "e": 0}),
+        states={"q": 0},
+        initial="q",
+        rules={("q", src): (Out(dst, (Call("q", 1),)),), ("q", "e"): (Out("e"),)},
     )
 
 

@@ -214,6 +214,18 @@ def test_member_oracle_unknown(files, capsys):
     assert "result: unknown" in capsys.readouterr().out
 
 
+def test_member_oracle_unknown_on_deep_input(files, capsys):
+    # enumeration recurses per input level and runs out of recursion
+    # depth here: that is unknown, exit 2, not a traceback and exit 1
+    m = files("cf.mtt", format_transducer(copyfree_mtt()))
+    s, t = copyfree_instance(1000)
+    sf = term_file(files, "s.term", s)
+    tf = term_file(files, "t.term", t)
+    assert main(["member", "--engine", "oracle", m, sf, tf]) == 2
+    assert "result: unknown" in capsys.readouterr().out
+    assert main(["member", "--engine", "io", m, sf, tf]) == 0
+
+
 def test_member_oracle_mode_flag(files, capsys):
     m = files("double.mtt", format_transducer(double_mtt()))
     s, _ = double_instance(1)

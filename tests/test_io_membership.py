@@ -62,6 +62,7 @@ from helpers import (
     mutations,
     random_det_total_mtt,
     random_mtt,
+    relabel,
 )
 
 # input child j stands for input node j, so entries name calls by child
@@ -755,8 +756,8 @@ def test_deep_inputs():
 
 @pytest.mark.parametrize("engine", ["io", "oi-fc"])
 def test_deep_inputs_with_calls_under_outputs(engine):
-    # the recursion budget grows with the deepest right-hand side: at
-    # 8 frames per input node these raised RecursionError
+    # a call 8 output symbols deep takes no more frames per input level
+    # than a call at the root: the recursion room per DAG node is fixed
     n, k = 2 * 10 ** 4, 8
     run = {"io": member_io,
            "oi-fc": lambda m, s, t: member_oi_fc(m, 1, s, t)}[engine]
@@ -766,13 +767,19 @@ def test_deep_inputs_with_calls_under_outputs(engine):
 
 
 DEEP_DET = """
-from helpers import call_under, chain
+from helpers import call_under, chain, relabel
 from mttkit import member_det
 
 for n, k in ((10 ** 5, 1), (2 * 10 ** 4, 8)):
     m, s = call_under(k), chain(n)
     print(member_det([m], "io", s, chain(n * k, "g")),
           member_det([m], "io", s, chain(n * k - 1, "g")))
+# two stages: the second one's input is 8 times deeper than s, so its
+# recursion room must come from its own input DAG
+n, k = 5 * 10 ** 3, 8
+stages, s = [call_under(k), relabel("g", "h")], chain(n)
+print(member_det(stages, "io", s, chain(n * k, "h")),
+      member_det(stages, "io", s, chain(n * k - 1, "h")))
 """
 
 
@@ -788,20 +795,38 @@ def test_member_det_deep_inputs_with_calls_under_outputs():
     done = subprocess.run([sys.executable, "-c", DEEP_DET], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split() == ["True", "False"] * 2
+    assert done.stdout.split() == ["True", "False"] * 3
 
 
 def test_member_det_leaves_no_cyclic_garbage():
-    # the stage memo, which holds the whole stage output, goes when
-    # member_det returns, not at the next full garbage collection
+    # the memo of each stage and the output DAG an earlier stage grows,
+    # which hold the whole stage output, go when member_det returns, not
+    # at the next full garbage collection
     s, t = copyfree_instance(50)
+    stages = [call_under(2), relabel("g", "h")]
     gc.collect()
     gc.disable()
     try:
         assert member_det([copyfree_mtt()], "io", s, t)
         assert gc.collect() == 0
+        assert member_det(stages, "io", chain(50), chain(100, "h"))
+        assert gc.collect() == 0
+        assert any(key[0] == "det" for key in stages[0]._prepared)
+        del stages
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_growing_functions_take_no_sets():
+    # a stage before the last interns its outputs into the DAG it grows
+    # and unpacks each one-node entry, so no set helper is generated
+    stages = [call_under(2), relabel("g", "h")]
+    assert member_det(stages, "io", chain(3), chain(6, "h"))
+    made = [f for key, f in stages[0]._prepared.items() if key[-1] == "grow"]
+    assert any("setdefault" in f.__code__.co_names for f in made)
+    for f in made:
+        assert not {"_out_refs", "_ask_all", "get"} & set(f.__code__.co_names)
 
 
 def test_member_io_leaves_no_cyclic_garbage():

@@ -23,7 +23,8 @@ from mttkit import (
     parse_term,
 )
 from mttkit.errors import AlphabetMismatch
-from mttkit.families import double_mtt, doubling_mtt
+from mttkit.families import (copyfree_instance, copyfree_mtt, double_mtt,
+                             doubling_mtt)
 
 from helpers import all_inputs, random_mtt
 
@@ -122,6 +123,12 @@ def test_oracle_member_unknown_on_tiny_budget():
     t = parse_term("f(f(e,e),f(e,e))")
     verdict = oracle_member(m, "io", s, t, Budget(max_steps=5))
     assert verdict == UNKNOWN
+
+
+def test_oracle_member_unknown_past_the_recursion_limit():
+    # enumeration recurses per input level, and 1000 levels exhaust the
+    # recursion limit: no verdict, as for an exhausted budget
+    assert oracle_member(copyfree_mtt(), "io", *copyfree_instance(1000)) == UNKNOWN
 
 
 def test_oracle_member_stats():
