@@ -175,17 +175,19 @@ def cmd_member(args) -> int:
             if value < 1:
                 raise MttError(f"{flag} must be positive, got {value}")
         m = _load_transducer(args.mtt)
+        t0 = time.perf_counter()
         s = _load_term(args.s)
         t = _load_term(args.t)
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         verdict, stats = _run_member(args, budget, m, s, t)
-        elapsed = time.perf_counter() - t0
+        elapsed = time.perf_counter() - t1
     except (MttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     record = {
         "result": verdict,
         "engine": args.engine,
+        "parse_ms": round((t1 - t0) * 1000, 3),
         "elapsed_ms": round(elapsed * 1000, 3),
         "stats": stats,
     }

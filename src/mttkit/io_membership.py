@@ -295,19 +295,19 @@ def _frames(s_dag: TreeDag) -> int:
     return 3 * s_dag.node_count()
 
 
-def _member(m, s: Tree, t: Tree, alternatives, stats: dict | None,
+def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
             labels=None, meter=None) -> bool:
-    """Demand the initial state's entry at the root of s and look for t's
-    root in it.  m checked itself when it was built; s and t are checked
-    on their DAGs: an s outside the input alphabet raises
-    AlphabetMismatch, and a t outside the output alphabet is no output.
+    """Demand the initial state's entry at the root of the input DAG
+    s_dag and look for t's root in it.  m checked itself when it was
+    built; s_dag and t's DAG are checked: an input outside the input
+    alphabet raises AlphabetMismatch, and a t outside the output
+    alphabet is no output.
 
     The label alternatives(q, label) reads is a node's symbol, or
     labels(s_dag)[node] when labels is given.  With meter (multi-return),
     entries hold tuples, and the alternatives get meter, holding t's
     intern table, in place of t's DAG.
     """
-    s_dag, s_root = build_dag(s)
     check_input_dag(m, s_dag)
     t_dag, t_root = build_dag(t)
     try:
@@ -321,10 +321,10 @@ def _member(m, s: Tree, t: Tree, alternatives, stats: dict | None,
     with recursion_room(_frames(s_dag)):
         root_entry, memo = demand(
             s_dag, out, s_dag.labels if labels is None else labels(s_dag),
-            alternatives, s_root, m.initial)
+            alternatives, s_dag.root, m.initial)
     if stats is not None:
         stats.update(
-            s_size=s.size, t_size=t.size,
+            s_size=s_dag.tree_size(), t_size=t.size,
             s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
             entries=sum(map(len, memo.values())),
         )
@@ -364,17 +364,18 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     be produced and yields False.
     """
     _refuse_guards(m)
-    return _member(m, s, t, _io_rules(m), stats)
+    return _member(m, build_dag(s)[0], t, _io_rules(m), stats)
 
 
-def _det_output(m: Mtt, s: Tree) -> Tree:
-    """The unique output of a deterministic total transducer on s: the
-    root's entry, demanded over an output DAG that the functions grow
-    (compile_rhs with grow), rebuilt with full structural sharing, so
-    sizes may be huge while construction stays cheap.  Raises
-    AlphabetMismatch unless s is over m's input alphabet.
+def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
+    """The minimal DAG of the unique output of a deterministic total
+    transducer on the tree of s_dag: the root's entry, demanded over an
+    output DAG that the functions grow (compile_rhs with grow), so sizes
+    may be huge while construction stays cheap.  Only the nodes under
+    the output's root are kept: the grown DAG also holds the outputs of
+    arguments a rule drops, whose symbols the next stage need not know.
+    Raises AlphabetMismatch unless s_dag is over m's input alphabet.
     """
-    s_dag, s_root = build_dag(s)
     check_input_dag(m, s_dag)
     out = TreeDag()
     out.intern = intern = {}
@@ -382,9 +383,9 @@ def _det_output(m: Mtt, s: Tree) -> Tree:
     alternatives = _bind_once(m, "det", lambda q, sym, prepared: compile_rhs(
         rules.get((q, sym), ()), prepared, grow=True))
     with recursion_room(_frames(s_dag)):
-        (root,), _ = demand(s_dag, out, s_dag.labels, alternatives, s_root,
-                            m.initial)
-    return TreeDag(*zip(*intern)).expand(root)
+        (root,), _ = demand(s_dag, out, s_dag.labels, alternatives,
+                            s_dag.root, m.initial)
+    return TreeDag(*zip(*intern)).below(root)
 
 
 def member_det(mtts, mode: str, s: Tree, t: Tree,
@@ -392,12 +393,13 @@ def member_det(mtts, mode: str, s: Tree, t: Tree,
     """Membership for a composition of deterministic total transducers.
 
     Call-by-value and call-by-name coincide here, so mode is interface
-    only.  Each stage but the last is evaluated to its unique output
-    tree (_det_output), the next stage's input; the last stage is then
-    decided by the core, as member_io decides it, so stats describe the
-    last stage.  An s, or a stage output, outside the input alphabet of
-    the stage it feeds raises AlphabetMismatch, and a t outside the last
-    stage's output alphabet is no output.
+    only.  Each stage but the last is evaluated to the minimal DAG of its
+    unique output tree (_det_output), the next stage's input DAG, and no
+    stage output is built as a tree; the last stage is then decided by
+    the core, as member_io decides it, so stats describe the last stage.
+    An s, or a stage output, outside the input alphabet of the stage it
+    feeds raises AlphabetMismatch, and a t outside the last stage's
+    output alphabet is no output.
     """
     if mode not in (IO, OI):
         raise ValueError(f"mode must be {IO!r} or {OI!r}")
@@ -411,6 +413,7 @@ def member_det(mtts, mode: str, s: Tree, t: Tree,
         if not m.mtt_class.total:
             raise NotTotal(f"{m.name}: missing alternative for some pair")
     *stages, last = mtts
+    s_dag = build_dag(s)[0]
     for m in stages:
-        s = _det_output(m, s)
-    return _member(last, s, t, _io_rules(last), stats)
+        s_dag = _det_output(m, s_dag)
+    return _member(last, s_dag, t, _io_rules(last), stats)

@@ -21,7 +21,7 @@ from .io_membership import _bind_once, _member, compile_terms
 from .mtt import (Out, Param, ZVar, check_header, check_rhs, distinct_rules,
                   freeze, walk_rhs)
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
-from .trees import RankedAlphabet, Tree
+from .trees import RankedAlphabet, Tree, build_dag
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,7 +316,7 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     # this query's cap and largest environment set, read by the
     # alternatives in place of t's DAG, with its intern table
     meter = SimpleNamespace(env_cap=env_cap, max_envs=0)
-    verdict = _member(m, s, t, alternatives, stats, meter=meter)
+    verdict = _member(m, build_dag(s)[0], t, alternatives, stats, meter=meter)
     if stats is not None:
         stats["max_envs"] = meter.max_envs
     return verdict

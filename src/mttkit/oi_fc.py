@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .io_membership import _bind_once, _member, compile_rhs
 from .mtt import Mtt, _refuse_guards
-from .trees import Tree
+from .trees import Tree, build_dag
 
 
 def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -38,4 +38,4 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     rules = m.rules
     alternatives = _bind_once(m, ("oi", c), lambda q, sym, prepared: compile_rhs(
         rules.get((q, sym), ()), prepared, c))
-    return _member(m, s, t, alternatives, stats)
+    return _member(m, build_dag(s)[0], t, alternatives, stats)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .io_membership import _bind_once, _member, compile_rhs
 from .mtt import MttClass, Rhs, distinct_rules, freeze, validate
-from .trees import RankedAlphabet, Tree, TreeDag
+from .trees import RankedAlphabet, Tree, TreeDag, build_dag
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,5 +244,5 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
             if rule.lookahead in (None, kid_states)
             and _constraints_ok(rule, same))), prepared)
 
-    return _member(tm, s, t, _bind_once(tm, "io-tac", guarded), stats,
+    return _member(tm, build_dag(s)[0], t, _bind_once(tm, "io-tac", guarded), stats,
                    labels=lambda s_dag: _Shapes(tac, s_dag))

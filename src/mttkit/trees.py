@@ -219,7 +219,9 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     children or the hash is first read, equal subtrees as one object, so
     a caller that reads only size and the DAG builds no other node.
     When an alphabet is given, symbols and arities are checked as
-    distinct nodes are found.
+    distinct nodes are found.  Tokens are cut by str methods, and the
+    regular expressions only locate an error or a digit that starts a
+    name; the root's size is the number of name tokens, one per node.
     """
 
     def fail(msg, at):
@@ -238,15 +240,16 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         if r != arity:
             fail_at(f"symbol {name!r} expects {r} children, got {arity}", k)
 
-    bad = _BAD_CHAR_RE.search(text)
-    if bad:
-        fail(f"unexpected character {bad.group()!r}", bad.start())
-    tokens = _TERM_TOKEN_RE.findall(text)
+    # a digit or a bad character: the scan finds the first that starts no name
+    if text.translate(_NAME_PUNCT).strip():
+        bad = _BAD_CHAR_RE.search(text)
+        if bad:
+            fail(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
     tokens.append("")  # end marker; no token is empty
-    # the DAG: node ref -> label, child refs and size, children first
+    # the DAG: node ref -> label and child refs, children first
     labels: list[str] = []
     dag_kids: list[tuple[NodeRef, ...]] = []
-    sizes: list[int] = []
     leaves: dict[str, NodeRef] = {}
     inner: dict[tuple, NodeRef] = {}  # (name, child refs) -> ref
     opened = []  # token index of the name of each open node
@@ -271,7 +274,6 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
             ref = leaves[name] = len(labels)
             labels.append(name)
             dag_kids.append(())
-            sizes.append(1)
         pos += 3 if tokens[pos + 1] == "(" else 1
         # attach the finished node upward as far as possible
         while opened:
@@ -301,15 +303,11 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
                 ref = inner[key] = len(labels)
                 labels.append(name)
                 dag_kids.append(child_refs)
-                size = 1
-                for r in child_refs:
-                    size += sizes[r]
-                sizes.append(size)
         else:
             break
     if tokens[pos]:
         fail_at(f"trailing input {tokens[pos]!r}", pos)
-    return _UnbuiltTree(labels, dag_kids, sizes[ref])
+    return _UnbuiltTree(labels, dag_kids, len(tokens) - 1 - sum(map(text.count, "(),")))
 
 
 _TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
@@ -317,6 +315,7 @@ _TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
 # parentheses, commas and whitespace, or a digit that follows no name
 _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),\s]|(?<![A-Za-z0-9_])[0-9]")
 _PUNCT = frozenset("(),")
+_NAME_PUNCT = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_(),")
 
 
 def format_term(t: Tree) -> str:
@@ -398,8 +397,10 @@ class TreeDag:
         if not 0 <= v < len(self.labels):
             raise BottomAccess(f"node reference {v} is not in this DAG")
 
-    def expand(self, v: NodeRef) -> Tree:
-        """Rebuild the tree rooted at a node, equal subtrees as one object."""
+    def below(self, v: NodeRef) -> "TreeDag":
+        """The minimal DAG of the tree rooted at a node: the nodes under
+        it, renumbered children first, so v becomes the root.  Its intern
+        table and label index are built when first read (_ParsedDag)."""
         self._check(v)
         kids = self.kids
         under = {v}
@@ -409,7 +410,23 @@ class TreeDag:
                 if c not in under:
                     under.add(c)
                     stack.append(c)
-        return _build_trees(self.labels, kids, sorted(under))[v]
+        order = sorted(under)
+        new = dict(zip(order, range(len(order))))
+        labels = self.labels
+        return _ParsedDag([labels[u] for u in order],
+                          [tuple([new[c] for c in kids[u]]) for u in order])
+
+    def expand(self, v: NodeRef) -> Tree:
+        """Rebuild the tree rooted at a node, equal subtrees as one object."""
+        sub = self.below(v)
+        return _build_trees(sub.labels, sub.kids, range(len(sub.labels)))[sub.root]
+
+    def tree_size(self) -> int:
+        """The number of nodes of the tree at the root."""
+        sizes: list[int] = []
+        for kids in self.kids:
+            sizes.append(sum(map(sizes.__getitem__, kids), 1))
+        return sizes[-1]
 
     def format_prefix(self, v: NodeRef, limit: int) -> str:
         """The first limit characters of format_term(self.expand(v)).
@@ -451,12 +468,12 @@ def _label_index(labels) -> dict[str, list[NodeRef]]:
 
 
 class _ParsedDag(TreeDag):
-    """The DAG a parse built.  Its intern table and label index are
-    derived from labels and kids when either is first read, so an input
-    DAG, read only through labels and kids, never builds them.  It then
-    becomes a plain TreeDag: a class with __getattr__ reads every
-    attribute more slowly, and the engines read intern in their inner
-    loops."""
+    """The DAG a parse built, or TreeDag.below.  Its intern table and
+    label index are derived from labels and kids when either is first
+    read, so an input DAG, read only through labels and kids, never
+    builds them.  It then becomes a plain TreeDag: a class with
+    __getattr__ reads every attribute more slowly, and the engines read
+    intern in their inner loops."""
 
     __slots__ = ()
 

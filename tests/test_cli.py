@@ -126,6 +126,7 @@ def test_member_json_record(files, capsys):
     assert rec["result"] == "yes"
     assert rec["engine"] == "io"
     assert rec["elapsed_ms"] >= 0
+    assert rec["parse_ms"] >= 0
     assert rec["stats"]["s_size"] == s.size
 
 

@@ -596,6 +596,32 @@ def test_member_det_composition_with_a_deleting_stage():
     assert mid.size == 7 and member_io(const, mid, Tree("e"))
 
 
+DROPS_G = """mtt dropsg {
+  input { a: 1, e: 0 }
+  output { g: 1, h: 1, e: 0 }
+  state q: 0 init
+  state p: 1
+  rule q(a(x1)) -> p[x1](g(e))
+  rule q(e) -> e
+  rule p(a(x1))(y1) -> h(p[x1](y1))
+  rule p(e)(y1) -> e
+}
+"""
+
+
+def test_member_det_hands_over_only_the_stage_output():
+    # p's leaf rule drops its parameter, so g(e) is built under
+    # call-by-value but is no part of the stage output h^(n-1)(e); the
+    # next stage, which has no g, must not see it
+    stages = [parse_transducer(DROPS_G), relabel("h", "k")]
+    assert "g" not in stages[1].input_alphabet
+    for n in (1, 2, 5):
+        stats = {}
+        assert member_det(stages, "io", chain(n), chain(n - 1, "k"), stats)
+        assert (stats["s_size"], stats["s_dag_nodes"]) == (n, n)
+        assert not member_det(stages, "io", chain(n), chain(n, "k"))
+
+
 def test_shared_candidates_cost_distinct_nodes():
     # doubling's output on a^40(e), built with both halves shared: 2^40
     # paths through 40 distinct nodes, so the alphabet check and the

@@ -1,6 +1,7 @@
 """Ranked alphabets, terms, the interned DAG, and enumeration."""
 
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from mttkit import (
     tree,
 )
 from mttkit.families import copyfree_instance, copyfree_mtt, equal_pair_tacmtt
+from mttkit import trees
 from mttkit.trees import BOTTOM, build_dag, substitute, term_sort_key
 
 from helpers import chain, count_trees
@@ -115,6 +117,84 @@ def test_parse_term_alphabet_errors_point_at_the_symbol():
 
 def test_parse_term_skips_unicode_whitespace():
     assert parse_term("\u00a0a(\u2028e ,\u3000b(e))\u00a0") == parse_term("a(e,b(e))")
+
+
+# whitespace that str.split and the regular expressions' \s both skip
+_SPACES = ["", "", " ", "\t", "\n", "\x1c", "\x85", "\u2028", "\u00a0"]
+# symbols of ranks 0-3, names with digits and underscores among them
+_RANKS = {"e": 0, "c_1": 0, "b": 1, "g2": 1, "a": 2, "_f": 3}
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Tree(rng.choice(["e", "c_1"]))
+    name = rng.choice(["b", "g2", "a", "_f"])
+    return Tree(name, [_random_tree(rng, depth - 1) for _ in range(_RANKS[name])])
+
+
+def _spaced_text(rng, t):
+    """t in term syntax, with random whitespace between its tokens and
+    some leaves written with empty parentheses."""
+    tokens, work = [], [t]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            tokens.append(item)
+            continue
+        tokens.append(item.label)
+        if item.children or rng.random() < 0.3:
+            tokens.append("(")
+            work.append(")")
+            for j, c in enumerate(reversed(item.children)):
+                work += [c] if j == 0 else [",", c]
+    return "".join(rng.choice(_SPACES) + tok for tok in tokens) + rng.choice(_SPACES)
+
+
+def test_parse_of_spaced_text_matches_the_walked_dag():
+    rng = random.Random(17)
+    alphabet = RankedAlphabet(_RANKS)
+    for _ in range(400):
+        t = _random_tree(rng, rng.randint(0, 5))
+        text = _spaced_text(rng, t)
+        for parsed in (parse_term(text), parse_term(text, alphabet)):
+            assert (parsed.label, parsed.size) == (t.label, t.size), text
+            # the same lists as the text without whitespace or e() leaves
+            assert parsed._dag == parse_term(format_term(t))._dag, text
+            _same_dag(build_dag(parsed)[0], build_dag(t)[0], t)
+
+
+def test_bad_characters_are_reported_where_they_stand():
+    rng = random.Random(23)
+    for _ in range(400):
+        text = _spaced_text(rng, _random_tree(rng, rng.randint(0, 4)))
+        at = rng.randint(0, len(text))
+        # a digit that continues a name is part of it, so a digit-led
+        # name goes only where no name character precedes it
+        bad = rng.choice(["$", "é", "-", "\x00", "·"] if at and (
+            text[at - 1].isalnum() or text[at - 1] == "_") else ["$", "é", "7x", "0"])
+        with pytest.raises(ParseError) as exc:
+            parse_term(text[:at] + bad + text[at:])
+        line = text.count("\n", 0, at) + 1
+        column = at - text.rfind("\n", 0, at)
+        assert str(exc.value) == (f"unexpected character {bad[0]!r} "
+                                  f"(line {line}, column {column})")
+
+
+class _NoRegex:
+    def __getattr__(self, name):
+        raise AssertionError(f"a regular expression was used: {name}")
+
+
+def test_valid_digit_free_text_is_parsed_without_regular_expressions(monkeypatch):
+    rng = random.Random(29)
+    texts = [_spaced_text(rng, _random_tree(rng, 4)).replace("c_1", "c")
+             .replace("g2", "g") for _ in range(50)]
+    alphabet = RankedAlphabet({"e": 0, "c": 0, "b": 1, "g": 1, "a": 2, "_f": 3})
+    want = [parse_term(text)._dag for text in texts]
+    for name in ("_BAD_CHAR_RE", "_TERM_TOKEN_RE"):
+        monkeypatch.setattr(trees, name, _NoRegex())
+    for text, dag in zip(texts, want):
+        assert parse_term(text)._dag == parse_term(text, alphabet)._dag == dag
 
 
 def _distinct_nodes(t):
@@ -252,6 +332,9 @@ def test_dag_expand_inverts_intern(t):
     assert [dag.format_prefix(root, k) for k in (1, 5, 61)] == [text[:1], text[:5], text[:61]]
     assert dag.node_count() <= t.size
     assert _ref(dag, t) == root
+    assert dag.tree_size() == t.size
+    for u in t.subtrees():
+        _same_dag(dag.below(_ref(dag, u)), build_dag(u)[0], u)
 
 
 def _same_dag(handed, walked, t):
