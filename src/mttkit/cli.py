@@ -24,7 +24,8 @@ from .mtt import Mtt
 from .multi_return import MrMtt, member_mr_io
 from .oi_fc import member_oi_fc
 from .oracle import IO, NO, OI, UNKNOWN, YES, Budget, oracle_member
-from .sat import SAT, UNSAT, build_sat_mtt, encode, parse_dimacs, sat_check_small
+from .sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, build_sat_mtt, encode,
+                  parse_dimacs, sat_check_small)
 from .tac import TacMtt, member_io_tac
 from .trees import format_term, parse_term
 
@@ -39,7 +40,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _budget(args) -> Budget:
+def _budget(args, defaults: Budget) -> Budget:
+    # each bound not set by flag or environment keeps the caller's default
     def pick(flag, env, default):
         if flag is not None:
             return flag
@@ -53,21 +55,13 @@ def _budget(args) -> Budget:
 
     try:
         return Budget(
-            max_set_size=pick(args.max_set, "MTTKIT_MAX_SET", 100_000),
+            max_set_size=pick(args.max_set, "MTTKIT_MAX_SET",
+                              defaults.max_set_size),
             max_tree_size=args.max_tree,
-            max_steps=pick(args.max_steps, "MTTKIT_MAX_STEPS", 10_000_000),
+            max_steps=pick(args.max_steps, "MTTKIT_MAX_STEPS", defaults.max_steps),
         )
     except ValueError as exc:
         raise MttError(str(exc)) from None
-
-
-def _budget_or_none(args) -> Budget | None:
-    # distinguish "nothing asked for" so callees can apply their own default
-    if (args.max_set is None and args.max_steps is None
-            and not os.environ.get("MTTKIT_MAX_SET", "").strip()
-            and not os.environ.get("MTTKIT_MAX_STEPS", "").strip()):
-        return None
-    return _budget(args)
 
 
 def _read_text(path: str) -> str:
@@ -169,7 +163,7 @@ def _run_member(args, budget, m, s, t) -> tuple[str, dict]:
 def cmd_member(args) -> int:
     try:
         # every flag is checked, whichever engine reads it
-        budget = _budget(args)
+        budget = _budget(args, Budget())
         for flag, value in (("--copy-bound", args.copy_bound),
                             ("--env-cap", args.env_cap)):
             if value < 1:
@@ -207,7 +201,7 @@ def cmd_sat(args) -> int:
         s_file.write_text(format_term(inst.s) + "\n")
         t_file.write_text(format_term(inst.t) + "\n")
         t0 = time.perf_counter()
-        verdict = sat_check_small(f, _budget_or_none(args))
+        verdict = sat_check_small(f, _budget(args, DEFAULT_SAT_BUDGET))
         elapsed = time.perf_counter() - t0
     except (MttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,14 @@ between the parameter list and the arrow, with the automaton declared in
 a `tac { trans sym(s1, s2; eq 1 2) -> s ... }` block.  Multi-return
 transducers start with `mrtt`, declare `state q: rank/dim`, and write
 right-hand sides as let-bindings over z-variables ending in a result
-tuple: `let (z1, z2) = q[x1](e) in (z2, a(z1))`.  `#` starts a comment.
+tuple: `let (z1, z2) = q[x1](e) in (z2, a(z1))`.  `#` starts a comment
+that runs to the end of its line.
+
+Every bracketed list is comma-separated with no trailing comma:
+alphabets, pattern children, parameters, arguments, let targets and
+result tuples.  An error names its line and column, with lines ending
+where str.splitlines ends them (ParseError.at), as in parse_term and
+parse_dimacs.
 
 The parser resolves names and shapes; the model it builds checks
 itself, so rank and range violations raise on load as well.  A rule
@@ -46,12 +53,13 @@ KEYWORDS = frozenset(
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
+    # a comment ends where str.splitlines ends a line
+    r"|(?P<comment>#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<int>[0-9]+)"
     r"|(?P<arrow>->)"
     r"|(?P<punct>[{}()\[\],:;/=])"
-)
+    r"|(?P<bad>.)", re.S)
 
 _XVAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 _YVAR_RE = re.compile(r"y([1-9][0-9]*)\Z")
@@ -59,42 +67,32 @@ _ZVAR_RE = re.compile(r"z([1-9][0-9]*)\Z")
 
 
 class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "at")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, at):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.at = at  # offset in the parsed text
 
 
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line=line, column=col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         chunk = m.group()
         if kind == "name":
-            toks.append(_Tok(kind, sys.intern(chunk), line, col))
+            toks.append(_Tok(kind, sys.intern(chunk), m.start()))
+        elif kind == "bad":
+            raise ParseError.at(f"unexpected character {chunk!r}", text, m.start())
         elif kind not in ("ws", "comment"):
-            toks.append(_Tok(kind if kind == "int" else chunk, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+            toks.append(_Tok(kind if kind == "int" else chunk, chunk, m.start()))
+    toks.append(_Tok("eof", "", len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         # (class, fields with child terms by id) -> the one such term
@@ -126,8 +124,20 @@ class _Parser:
         return t.kind == "name" and t.text == word
 
     def error(self, msg: str, tok: _Tok | None = None):
-        t = tok or self.peek()
-        raise ParseError(msg, line=t.line, column=t.col)
+        raise ParseError.at(msg, self.text, (tok or self.peek()).at)
+
+    def more(self, close: str, n: int) -> bool:
+        """The loop condition of a comma list with n items read: False
+        at the closing bracket, which it takes; else True, after taking
+        the ',' that every item but the first follows."""
+        if self.at(close):
+            self.pos += 1
+            return False
+        if n:
+            t = self.next()
+            if t.kind != ",":
+                self.error(f"expected ',' or {close!r}, found {t.text!r}", t)
+        return True
 
     def expect(self, kind: str) -> _Tok:
         if not self.at(kind):
@@ -171,16 +181,13 @@ _ALPHABETS: WeakValueDictionary = WeakValueDictionary()
 def _parse_alphabet(p: _Parser, what: str) -> RankedAlphabet:
     p.expect("{")
     symbols: dict[str, int] = {}
-    while not p.at("}"):
+    while p.more("}", len(symbols)):
         tok = p.peek()
         sym = p.name(f"{what} symbol")
         if sym in symbols:
             p.error(f"duplicate symbol {sym!r}", tok)
         p.expect(":")
         symbols[sym] = p.integer("rank")
-        if p.at(","):
-            p.next()
-    p.expect("}")
     if not symbols:
         p.error(f"empty {what} alphabet")
     key = tuple(symbols.items())
@@ -225,39 +232,24 @@ def _parse_pattern(p: _Parser, input_alphabet: RankedAlphabet):
     if sym not in input_alphabet:
         p.error(f"{sym!r} is not an input symbol", tok)
     k = input_alphabet.rank(sym)
-    seen = 0
-    if p.at("("):
-        p.next()
-        while not p.at(")"):
-            tok = p.peek()
-            i = p.ivar(_XVAR_RE, "x")
-            seen += 1
-            if i != seen:
-                p.error(f"pattern children must be x1..x{k} in order", tok)
-            if p.at(","):
-                p.next()
-        p.expect(")")
+    seen = _parse_vars(p, _XVAR_RE, "x",
+                       f"pattern children must be x1..x{k} in order")
     if seen != k:
         p.error(f"{sym!r} has rank {k}, pattern names {seen} children", tok)
     return sym, k
 
 
-def _parse_params(p: _Parser) -> int:
-    """Optional (y1, .., ym); returns m."""
-    if not p.at("("):
-        return 0
-    p.next()
-    seen = 0
-    while not p.at(")"):
-        tok = p.peek()
-        i = p.ivar(_YVAR_RE, "y")
-        seen += 1
-        if i != seen:
-            p.error("parameters must be y1..ym in order", tok)
-        if p.at(","):
-            p.next()
-    p.expect(")")
-    return seen
+def _parse_vars(p: _Parser, regex, letter: str, disorder: str) -> int:
+    """Optional (v1, .., vn) for the letter v; returns n."""
+    n = 0
+    if p.at("("):
+        p.next()
+        while p.more(")", n):
+            tok = p.peek()
+            n += 1
+            if p.ivar(regex, letter) != n:
+                p.error(disorder, tok)
+    return n
 
 
 def _parse_term(p: _Parser, *, calls: bool, zvars: bool, depth: int = 1):
@@ -289,11 +281,8 @@ def _parse_args(p: _Parser, *, calls: bool, zvars: bool,
         return ()
     p.next()
     args = []
-    while not p.at(")"):
+    while p.more(")", len(args)):
         args.append(_parse_term(p, calls=calls, zvars=zvars, depth=depth + 1))
-        if p.at(","):
-            p.next()
-    p.expect(")")
     return tuple(args)
 
 
@@ -304,11 +293,8 @@ def _parse_mr_body(p: _Parser) -> MrRhs:
         targets = []
         if p.at("("):
             p.next()
-            while not p.at(")"):
+            while p.more(")", len(targets)):
                 targets.append(p.ivar(_ZVAR_RE, "z"))
-                if p.at(","):
-                    p.next()
-            p.expect(")")
         else:
             targets.append(p.ivar(_ZVAR_RE, "z"))
         p.expect("=")
@@ -322,11 +308,8 @@ def _parse_mr_body(p: _Parser) -> MrRhs:
     if p.at("("):
         p.next()
         result = []
-        while not p.at(")"):
+        while p.more(")", len(result)):
             result.append(_parse_term(p, calls=False, zvars=True))
-            if p.at(","):
-                p.next()
-        p.expect(")")
     else:
         result = [_parse_term(p, calls=False, zvars=True)]
     return MrRhs(tuple(lets), tuple(result))
@@ -349,7 +332,7 @@ def parse_transducer(text: str):
     name = p.name("transducer name")
     p.expect("{")
 
-    input_alphabet = output_alphabet = None
+    alphabets: dict[str, RankedAlphabet] = {}  # section word -> alphabet
     states: dict[str, int] = {}
     dims: dict[str, int] = {}
     initial = None
@@ -360,16 +343,11 @@ def parse_transducer(text: str):
     tac_transitions = None
 
     while not p.at("}"):
-        if p.at_word("input"):
+        if p.at_word("input") or p.at_word("output"):
             tok = p.next()
-            if input_alphabet is not None:
-                p.error("duplicate input section", tok)
-            input_alphabet = _parse_alphabet(p, "input")
-        elif p.at_word("output"):
-            tok = p.next()
-            if output_alphabet is not None:
-                p.error("duplicate output section", tok)
-            output_alphabet = _parse_alphabet(p, "output")
+            if tok.text in alphabets:
+                p.error(f"duplicate {tok.text} section", tok)
+            alphabets[tok.text] = _parse_alphabet(p, tok.text)
         elif p.at_word("state"):
             p.next()
             tok = p.peek()
@@ -388,15 +366,16 @@ def parse_transducer(text: str):
                 initial = q
         elif p.at_word("rule"):
             tok = p.next()
-            if input_alphabet is None or output_alphabet is None or not states:
+            if len(alphabets) < 2 or not states:
                 p.error("rules must follow alphabet and state sections", tok)
             q = p.name("state")
             if q not in states:
                 p.error(f"rule for undeclared state {q!r}", tok)
             p.expect("(")
-            sym, k = _parse_pattern(p, input_alphabet)
+            sym, k = _parse_pattern(p, alphabets["input"])
             p.expect(")")
-            m_params = _parse_params(p)
+            m_params = _parse_vars(p, _YVAR_RE, "y",
+                                   "parameters must be y1..ym in order")
             if m_params != states[q]:
                 p.error(f"state {q!r} has rank {states[q]}, "
                         f"rule lists {m_params} parameters", tok)
@@ -425,7 +404,7 @@ def parse_transducer(text: str):
                 p.error("mrtt files cannot declare a tac block", tok)
             if tac_transitions is not None:
                 p.error("duplicate tac block", tok)
-            if input_alphabet is None:
+            if "input" not in alphabets:
                 p.error("tac block must follow the input section", tok)
             p.expect("{")
             tac_transitions = []
@@ -433,9 +412,9 @@ def parse_transducer(text: str):
                 p.expect_word("trans")
                 stok = p.peek()
                 sym = p.name("input symbol")
-                if sym not in input_alphabet:
+                if sym not in alphabets["input"]:
                     p.error(f"{sym!r} is not an input symbol", stok)
-                k = input_alphabet.rank(sym)
+                k = alphabets["input"].rank(sym)
                 la, eq, neq = (), (), ()
                 if p.at("("):
                     p.next()
@@ -455,16 +434,16 @@ def parse_transducer(text: str):
     p.expect("}")
     p.expect("eof")
 
-    if input_alphabet is None:
-        raise ParseError("missing input section", line=1, column=1)
-    if output_alphabet is None:
-        raise ParseError("missing output section", line=1, column=1)
+    for section in ("input", "output"):
+        if section not in alphabets:
+            raise ParseError.at(f"missing {section} section", text, 0)
     if initial is None:
-        raise ParseError("no state marked init", line=1, column=1)
+        raise ParseError.at("no state marked init", text, 0)
     if any_when and tac_transitions is None:
         p.error("when-guards need a tac block declaring the automaton",
                 first_when)
 
+    input_alphabet, output_alphabet = alphabets["input"], alphabets["output"]
     if kind == "mrtt":
         return MrMtt(name=name, input_alphabet=input_alphabet,
                      output_alphabet=output_alphabet, ranks=states, dims=dims,
@@ -519,10 +498,9 @@ def _fmt_rule_head(q: str, sym: str, k: int, rank: int) -> str:
 
 
 def _fmt_guard(la, eq, neq) -> str:
-    head = ", ".join(la) if la else ""
-    cons = "".join(f"; eq {i} {j}" for i, j in eq)
-    cons += "".join(f"; neq {i} {j}" for i, j in neq)
-    return f" when ({head}{cons})"
+    """What a when-guard or a transition holds inside its parentheses."""
+    return (", ".join(la or ()) + "".join(f"; eq {i} {j}" for i, j in eq)
+            + "".join(f"; neq {i} {j}" for i, j in neq))
 
 
 def format_transducer(m) -> str:
@@ -542,7 +520,13 @@ def format_transducer(m) -> str:
         k = m.input_alphabet.rank(sym)
         head = _fmt_rule_head(q, sym, k, ranks[q])
         for alt in alts:
-            parts: list[str] = []
+            parts = [f"  {head}"]
+            if is_tac:
+                if alt.lookahead is not None or alt.eq or alt.neq:
+                    parts.append(
+                        f" when ({_fmt_guard(alt.lookahead, alt.eq, alt.neq)})")
+                alt = alt.rhs
+            parts.append(" -> ")
             if is_mr:
                 for let in alt.lets:
                     tg = (f"z{let.targets[0]}" if len(let.targets) == 1 else
@@ -553,34 +537,16 @@ def format_transducer(m) -> str:
                 if len(alt.result) == 1:
                     _fmt_term(alt.result[0], parts)
                 else:
-                    parts.append("(")
-                    for i, r in enumerate(alt.result):
-                        if i:
-                            parts.append(", ")
-                        _fmt_term(r, parts)
-                    parts.append(")")
-                lines.append(f"  {head} -> {''.join(parts)}")
-            elif is_tac:
-                guard = ("" if alt.lookahead is None and not alt.eq
-                         and not alt.neq
-                         else _fmt_guard(alt.lookahead, alt.eq, alt.neq))
-                parts = []
-                _fmt_term(alt.rhs, parts)
-                lines.append(f"  {head}{guard} -> {''.join(parts)}")
+                    _fmt_args(alt.result, parts)
             else:
-                parts = []
                 _fmt_term(alt, parts)
-                lines.append(f"  {head} -> {''.join(parts)}")
+            lines.append("".join(parts))
     if is_tac:
         lines.append("")
         lines.append("  tac {")
         for tr in m.tac.transitions:
-            bits = ", ".join(tr.states)
-            for i, j in tr.eq:
-                bits += f"; eq {i} {j}"
-            for i, j in tr.neq:
-                bits += f"; neq {i} {j}"
-            inner = f"({bits})" if bits else ""
+            inner = _fmt_guard(tr.states, tr.eq, tr.neq)
+            inner = f"({inner})" if inner else ""
             lines.append(f"    trans {tr.sym}{inner} -> {tr.target}")
         lines.append("  }")
     lines.append("}")

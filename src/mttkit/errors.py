@@ -19,6 +19,15 @@ class ParseError(MttError):
         self.line = line
         self.column = column
 
+    @classmethod
+    def at(cls, message, text, offset):
+        """The error at text[offset].  Lines end where str.splitlines
+        ends them: at \\r, \\r\\n, \\x85 and \\u2028 as well as \\n.
+        Lines and columns count from 1."""
+        # a character that ends no line stands in for text[offset]
+        lines = (text[:offset] + ".").splitlines()
+        return cls(message, len(lines), len(lines[-1]))
+
 
 class UnknownSymbol(MttError):
     """A symbol is used that the relevant alphabet does not declare."""

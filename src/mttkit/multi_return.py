@@ -188,17 +188,8 @@ def eval_mr_state(m: MrMtt, state: str, s: Tree, args: tuple[Tree, ...],
     if len(args) != m.rank(state):
         raise ArityMismatch(
             f"state {state!r} expects {m.rank(state)} arguments, got {len(args)}")
-    b = ev.budget
-    out: set = set()
-    for tup in ev.state_tuples(state, s):
-        subbed = []
-        for comp in tup:
-            if args:
-                sets = io_subst((comp,), [(a,) for a in args], b)
-                (comp,) = sets
-            subbed.append(comp)
-        out.add(tuple(subbed))
-    return frozenset(out)
+    return frozenset(tuple(ev._apply_args(comp, args) for comp in tup)
+                     for tup in ev.state_tuples(state, s))
 
 
 def eval_mr_io(m: MrMtt, s: Tree, budget: Budget | None = None) -> TreeSet:

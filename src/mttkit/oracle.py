@@ -45,8 +45,7 @@ def param_index(t: Tree) -> int | None:
 class Budget:
     """Resource bounds for enumeration.
 
-    max_tree_size None means unbounded; membership queries default it to
-    four times the candidate output size.  Exceeding any bound raises
+    max_tree_size None means unbounded.  Exceeding any bound raises
     BudgetExceeded; it never silently drops trees.
     """
 
@@ -343,10 +342,7 @@ def oracle_member(m: Mtt, mode: str, s: Tree, t: Tree,
     check_input_tree(m, s)
     if stats is not None:
         stats.update(s_size=s.size, t_size=t.size)
-    bud = budget or Budget()
-    if bud.max_tree_size is None:
-        bud = Budget(bud.max_set_size, 4 * t.size, bud.max_steps)
-    ev = Evaluator(m, mode, bud, prune_size=t.size)
+    ev = Evaluator(m, mode, budget or Budget(), prune_size=t.size)
     if not m.output_alphabet.is_well_ranked(t):
         return NO
     try:

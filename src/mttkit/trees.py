@@ -225,9 +225,7 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """
 
     def fail(msg, at):
-        line = text.count("\n", 0, at) + 1
-        col = at - (text.rfind("\n", 0, at) + 1) + 1
-        raise ParseError(msg, line, col)
+        raise ParseError.at(msg, text, at)
 
     def fail_at(msg, k):
         # offsets are only needed here: token k is the k-th match

@@ -7,12 +7,15 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mttkit import cli
 from mttkit.cli import main
 from mttkit.dsl import format_transducer, parse_transducer
 from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
                              double_mtt, equal_pair_tacmtt,
                              reverse_pair_instance, reverse_pair_mrtt)
-from mttkit.sat import Cnf3, build_sat_mtt, encode, parse_dimacs
+from mttkit.oracle import Budget
+from mttkit.sat import (DEFAULT_SAT_BUDGET, Cnf3, build_sat_mtt, encode,
+                        parse_dimacs)
 from mttkit.trees import Tree, format_term, parse_term
 
 from helpers import first_rule_twice
@@ -352,6 +355,27 @@ def test_sat_subcommand(files, tmp_path, capsys):
     bad = files("bad.cnf", "p cnf 1 1\n1 1 0\n")
     assert main(["sat", bad]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_sat_budget_keeps_the_sat_default_for_each_bound_not_set(
+        files, capsys, monkeypatch):
+    cnf = files("one.cnf", "p cnf 1 1\n1 1 1 0\n")
+    seen = []
+    monkeypatch.setattr(cli, "sat_check_small",
+                        lambda f, budget: seen.append(budget) or "sat")
+    default = DEFAULT_SAT_BUDGET
+    assert main(["sat", cnf]) == 0
+    assert main(["sat", "--max-set", "3000000", cnf]) == 0
+    assert main(["sat", "--max-steps", "7", cnf]) == 0
+    monkeypatch.setenv("MTTKIT_MAX_STEPS", "9")
+    assert main(["sat", cnf]) == 0
+    assert main(["sat", "--max-set", "5", cnf]) == 0
+    capsys.readouterr()
+    assert seen == [default,
+                    Budget(3_000_000, None, default.max_steps),
+                    Budget(default.max_set_size, None, 7),
+                    Budget(default.max_set_size, None, 9),
+                    Budget(5, None, 9)]
 
 
 def test_sat_out_dir_and_json(files, tmp_path, capsys):

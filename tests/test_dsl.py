@@ -271,6 +271,57 @@ def test_mr_errors():
         parse_transducer(unbound)
 
 
+_LIST_MTT = ("mtt m {\n  input { a: 2, e: 0 }\n  output { f: 2, e: 0 }\n"
+             "  state q0: 0 init\n  state q: 2\n"
+             "  rule q0(a(x1, x2)) -> q[x1](e, e)\n  rule q0(e) -> f(e, e)\n"
+             "  rule q(e)(y1, y2) -> f(y1, y2)\n}\n")
+# each comma list the format has: a text with `@@` where its items go
+_COMMA_LISTS = {
+    "alphabet": (_LIST_MTT.replace("a: 2, e: 0", "@@"), ["a: 2", "e: 0"]),
+    "pattern": (_LIST_MTT.replace("a(x1, x2)", "a(@@)"), ["x1", "x2"]),
+    "parameters": (_LIST_MTT.replace("(y1, y2) ->", "(@@) ->"), ["y1", "y2"]),
+    "arguments": (_LIST_MTT.replace("-> f(e, e)", "-> f(@@)"), ["e", "e"]),
+    "let targets": (MR_EXAMPLE.replace("let (z1, z2) = q[x1] in (a",
+                                       "let (@@) = q[x1] in (a"), ["z1", "z2"]),
+    "result": (MR_EXAMPLE.replace("q(z) -> (b, b)", "q(z) -> (@@)"), ["b", "b"]),
+}
+
+
+def _error_at(text: str, offset: int, fragment: str):
+    err = _expect_error(text, fragment, line=text.count("\n", 0, offset) + 1)
+    assert err.column == offset - text.rfind("\n", 0, offset)
+
+
+@pytest.mark.parametrize("form", _COMMA_LISTS)
+def test_comma_lists_reject_missing_and_trailing_commas(form):
+    text, items = _COMMA_LISTS[form]
+    at = text.index("@@")
+    close = text[at + 2:].lstrip()[0]
+    parse_transducer(text.replace("@@", ", ".join(items)))
+    # the item after the missing comma, and the bracket after the
+    # trailing one, are the offending tokens
+    _error_at(text.replace("@@", " ".join(items)), at + len(items[0]) + 1,
+              f"expected ',' or {close!r}, found {items[1].split(':')[0]!r}")
+    trailing = text.replace("@@", ", ".join(items) + ",")
+    _error_at(trailing, trailing.index(close, at), f"found {close!r}")
+
+
+@pytest.mark.parametrize("br", ["\n", "\r", "\r\n", "\x85", "\u2028"],
+                         ids=["LF", "CR", "CRLF", "NEL", "LS"])
+def test_parsers_count_lines_as_splitlines_does(br):
+    def position(parse, text):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        return e.value.line, e.value.column
+
+    assert position(parse_term, f"f(e,{br}g(e),{br}  $)") == (3, 3)
+    assert position(parse_transducer,
+                    f"mtt m {{{br}  input {{ e: 0 }}{br}  $ }}") == (3, 3)
+    # a comment ends with its line
+    assert position(parse_transducer, f"mtt m {{ # note{br}  $ }}") == (2, 3)
+    assert position(parse_dimacs, f"c note{br}p cnf 3 1{br}1 2 x 0")[0] == 3
+
+
 def test_mrtt_rejects_tac_block():
     text = MR_EXAMPLE.replace(
         "rule q0(z) -> pair(b, b)",

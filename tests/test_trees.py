@@ -174,8 +174,9 @@ def test_bad_characters_are_reported_where_they_stand():
             text[at - 1].isalnum() or text[at - 1] == "_") else ["$", "é", "7x", "0"])
         with pytest.raises(ParseError) as exc:
             parse_term(text[:at] + bad + text[at:])
-        line = text.count("\n", 0, at) + 1
-        column = at - text.rfind("\n", 0, at)
+        # lines end where str.splitlines ends them, as an editor shows them
+        before = (text[:at] + bad).splitlines()
+        line, column = len(before), len(before[-1]) - len(bad) + 1
         assert str(exc.value) == (f"unexpected character {bad[0]!r} "
                                   f"(line {line}, column {column})")
 
