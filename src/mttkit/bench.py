@@ -8,12 +8,18 @@ import time
 from dataclasses import dataclass
 
 from .families import (copyfree_instance, copyfree_mtt, double_instance,
-                       double_mtt)
+                       double_mtt, fan_instance, fan_mtt)
 from .io_membership import member_io
 from .mtt import Mtt
 from .trees import Tree
 
-FAMILIES = ("double", "copyfree")
+# family -> (transducer, instance of size n)
+_FAMILIES = {
+    "double": (double_mtt, double_instance),
+    "copyfree": (copyfree_mtt, copyfree_instance),
+    "fan": (fan_mtt, fan_instance),
+}
+FAMILIES = tuple(_FAMILIES)
 
 
 @dataclass
@@ -40,24 +46,18 @@ def bench_family(family: str, ns, repeats: int = 3) -> list[BenchRow]:
     are skipped with a note instead of timed."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, choose from {FAMILIES}")
+    make_mtt, instance = _FAMILIES[family]
+    m = make_mtt()
     rows: list[BenchRow] = []
-    if family == "double":
-        m = double_mtt()
-        for n in ns:
-            if n >= 3:
-                rows.append(BenchRow(
-                    n, None, None, None,
-                    note=f"skipped: output size is 2^(2^{n})-scale"))
-                continue
-            s, t = double_instance(n)
-            rows.append(BenchRow(n, s.size, t.size,
-                                 time_member_io(m, s, t, repeats)))
-    else:
-        m = copyfree_mtt()
-        for n in ns:
-            s, t = copyfree_instance(n)
-            rows.append(BenchRow(n, s.size, t.size,
-                                 time_member_io(m, s, t, repeats)))
+    for n in ns:
+        if family == "double" and n >= 3:
+            rows.append(BenchRow(
+                n, None, None, None,
+                note=f"skipped: output size is 2^(2^{n})-scale"))
+            continue
+        s, t = instance(n)
+        rows.append(BenchRow(n, s.size, t.size,
+                             time_member_io(m, s, t, repeats)))
     return rows
 
 

@@ -20,7 +20,7 @@ from .bench import FAMILIES, bench_family, fit_power_law
 from .errors import MttError
 from .dsl import format_transducer, parse_transducer
 from .io_membership import member_det, member_io
-from .mtt import Mtt
+from .mtt import Mtt, copy_counts
 from .multi_return import MrMtt, member_mr_io
 from .oi_fc import member_oi_fc
 from .oracle import IO, NO, OI, UNKNOWN, YES, Budget, oracle_member
@@ -113,6 +113,10 @@ def cmd_validate(args) -> int:
             return 0
         else:
             record["kind"] = "mtt"
+            counts = copy_counts(m)
+            record["copied_params"] = ", ".join(
+                f"{q}.{j}" for q in m.states
+                for j, n in enumerate(counts[q], 1) if n > 1) or "none"
         cls = m.mtt_class
         record["deterministic"] = _bool(cls.deterministic)
         record["total"] = _bool(cls.total)
@@ -231,7 +235,11 @@ def _parse_ns(spec: str) -> list[int]:
 
 def cmd_bench(args) -> int:
     try:
+        if args.repeats < 1:
+            raise MttError(f"--repeats must be positive, got {args.repeats}")
         ns = _parse_ns(args.ns)
+        if not ns:
+            raise MttError(f"--ns {args.ns!r} names no size")
         rows = bench_family(args.family, ns, repeats=args.repeats)
     except (MttError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

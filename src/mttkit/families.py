@@ -95,6 +95,44 @@ def copyfree_instance(n: int) -> tuple[Tree, Tree]:
     return s, t
 
 
+def fan_mtt() -> Mtt:
+    """Nondeterministic parameter swapper: on a^n(e), r yields g^k(e) for
+    each k < n, chosen apart for each of its two calls, and each of p's
+    n - 1 steps adds one g to y1 or swaps y1 and y2.  No output copies a
+    parameter of p, so member_io binds each to its whole argument set.
+    Not total: no rule reads e in the start state."""
+    r, y1, y2 = Call("r", 1), Param(1), Param(2)
+    return Mtt(
+        name="fan",
+        input_alphabet=RankedAlphabet({"a": 1, "e": 0}),
+        output_alphabet=RankedAlphabet({"f": 2, "g": 1, "e": 0}),
+        states={"q0": 0, "r": 0, "p": 2},
+        initial="q0",
+        rules={
+            ("q0", "a"): (Call("p", 1, (r, r)),),
+            ("r", "a"): (Out("g", (r,)), r),
+            ("r", "e"): (Out("e"),),
+            ("p", "a"): (Call("p", 1, (Out("g", (y1,)), y2)),
+                         Call("p", 1, (y2, y1))),
+            ("p", "e"): (Out("f", (y1, y2)),),
+        },
+    )
+
+
+def fan_instance(n: int) -> tuple[Tree, Tree]:
+    """(a^n(e), f(g^(n-1)(e), g^n(e))), a member of fan_mtt's translation
+    for n >= 3 and not below: |s| = n + 1 and |t| = 2n + 2."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    s = tree("e")
+    for _ in range(n):
+        s = Tree("a", (s,))
+    low = tree("e")
+    for _ in range(n - 1):
+        low = Tree("g", (low,))
+    return s, Tree("f", (low, Tree("g", (low,))))
+
+
 def reverse_pair_mrtt() -> MrMtt:
     """Two-component state whose returned pairs are always mutual
     reverses: on s^k(z) the outputs are r(w(e), reverse(w)(E)) for every

@@ -20,6 +20,11 @@ call-by-value engines and under set bindings for member_oi_fc, and
 multi-return let arguments and results into tuple-valued ones
 (compile_terms): each distinct subterm is evaluated once, children
 first, against the candidate output's intern table and label index.
+member_io binds a parameter that no output of its state copies
+(mtt.copy_counts) to its whole argument set when that holds two or
+more references, one question under state key (q, mask) in place of
+one per reference (_ask_all): each output holds the parameter at most
+once, so the entry of the set is the union of its references' entries.
 member_det's stages before its last run on demand too, with functions
 that grow the stage's output DAG (_det_output).
 """
@@ -31,7 +36,7 @@ from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
 
 from .errors import ArityMismatch, NotDeterministic, NotTotal, UnknownSymbol
-from .mtt import Call, Mtt, Out, Param, _refuse_guards
+from .mtt import Call, Mtt, Out, Param, _refuse_guards, copy_counts
 from .oracle import IO, OI, check_input_dag
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
@@ -49,6 +54,20 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
     for ks in kid_sets:
         if not ks:
             return out
+    if len(kid_sets) == 1 and len(ks) > 1:
+        # a unary sym: each child has at most one sym-parent, found in
+        # the DAG's child -> parent index of sym; a child without one, or
+        # BOTTOM, maps to None, which stands for BOTTOM in the result
+        index = dag.parents.get(sym)
+        if index is None:
+            kids_of = dag.kids
+            index = dag.parents[sym] = {kids_of[v][0]: v
+                                        for v in dag.by_label.get(sym, ())}
+        out = set(map(index.get, ks))
+        if None in out:
+            out.discard(None)
+            out.add(BOTTOM)
+        return out
     real = [ks if BOTTOM not in ks else ks - {BOTTOM} for ks in kid_sets]
     count = 1
     for r in real:
@@ -80,9 +99,17 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
     return out
 
 
-def _ask_all(ask, child, q: str, kid_sets, c=None) -> set:
+def _ask_all(ask, child, q: str, kid_sets, c=None, whole=()) -> set:
     """A call with a set of references for some argument: one question
     to input node child per combination, none when a set is empty.
+
+    Under call-by-value, whole holds the positions of q's parameters
+    that no output of q copies (mtt.copy_counts).  Such a parameter whose
+    set holds two or more references is bound to the whole set, as a
+    frozenset, in one question to state key (q, mask), mask having bit j
+    set for each position j so bound: each output of q holds the
+    parameter at most once, so the entry of the set is the union of the
+    entries of its references.
 
     Under call-by-name (copy bound c), each argument set K binds its
     parameter to each ascending c-subset of K instead, or to K itself
@@ -91,6 +118,15 @@ def _ask_all(ask, child, q: str, kid_sets, c=None) -> set:
     pick from more nodes, so these subsets cover the smaller ones."""
     if c is not None:
         kid_sets = [combinations(sorted(ks), min(c, len(ks))) for ks in kid_sets]
+    else:
+        mask = 0
+        for j in whole:
+            ks = kid_sets[j]
+            if len(ks) > 1:
+                kid_sets[j] = (frozenset(ks),)
+                mask |= 1 << j
+        if mask:
+            q = (q, mask)
     out: set = set()
     for ubar in product(*kid_sets):
         out |= ask(child, q, ubar)
@@ -99,9 +135,10 @@ def _ask_all(ask, child, q: str, kid_sets, c=None) -> set:
 
 # The globals of every generated function.  Generated source names only
 # these, the builtin len, its parameters v, kids, ask and dag, the intern
-# table I, locals t<k> and constants K<k>: symbols, states and intern
-# keys come in as defaults, so no user name enters source text.  The functions are not
-# stored here, so none of them is part of a cycle.
+# table I, locals t<k>, constants K<k> and _ask_all's keyword whole:
+# symbols, states and intern keys come in as defaults, so no user name
+# enters source text.  The functions are not stored here, so none of
+# them is part of a cycle.
 _SCOPE = {"BOTTOM": BOTTOM, "_out_refs": _out_refs, "_ask_all": _ask_all}
 
 
@@ -119,11 +156,18 @@ class _Program:
 
     With grow (member_det's stages before its last), no value is a set:
     an output node is interned if missing, and a call unpacks its entry,
-    one reference in a deterministic total stage."""
+    one reference in a deterministic total stage.
 
-    def __init__(self, c=None, grow=False):
+    With counts (member_io), the model's copy_counts, a call over sets
+    passes _ask_all the positions of the callee's parameters that are
+    never copied, and v[i] is a frozenset for each bit i of mask: the
+    function of state key (q, mask)."""
+
+    def __init__(self, c=None, grow=False, counts=None, mask=0):
         self.c = c
         self.grow = grow
+        self.counts = counts
+        self.mask = mask
         self.lines: list[str] = []
         self.consts: dict = {}
         self.values: dict = {}  # term -> (expression, is a set)
@@ -134,7 +178,8 @@ class _Program:
 
     def value(self, term) -> tuple[str, bool]:
         if isinstance(term, Param):
-            return f"v[{term.index - 1}]", self.c is not None
+            i = term.index - 1
+            return f"v[{i}]", self.c is not None or bool(self.mask >> i & 1)
         got = self.values.get(term)
         if got is None:
             got = self.values[term] = self._local(term)
@@ -153,6 +198,10 @@ class _Program:
                 expr = f"_out_refs({self.const(term.sym)}, [{sets}], dag)"
             else:
                 c = "" if self.c is None else f", {self.const(self.c)}"
+                whole = () if self.counts is None else tuple(
+                    j for j, n in enumerate(self.counts[term.state]) if n < 2)
+                if whole:
+                    c = f", whole={self.const(whole)}"
                 expr = (f"_ask_all(ask, kids[{term.child - 1}], "
                         f"{self.const(term.state)}, [{sets}]{c})")
         else:
@@ -205,26 +254,31 @@ def _code(source: str) -> CodeType:
 
 
 def compile_rhs(rhss: tuple, prepared: dict, c: int | None = None,
-                grow: bool = False):
+                grow: bool = False, counts: dict | None = None,
+                mask: int = 0):
     """The right-hand sides rhss of one (state, label) as one function
     alt(v, kids, ask, t_dag): the references of the candidate-output
     DAG t_dag they yield under parameter references v, at an input node
     whose children are kids, where ask(node, state, ubar) answers a
     state call; None when rhss is empty.  With a copy bound c, each v[i]
     is a set of references (call-by-name, see _Program); with grow, the
-    output nodes are added to t_dag (member_det's earlier stages).
+    output nodes are added to t_dag (member_det's earlier stages).  With
+    the model's copy counts, calls bind never-copied parameters to whole
+    sets (member_io, see _ask_all), and v[i] is such a set for each bit
+    i of mask.
 
-    The function is generated once per equal rhss, c and grow, kept in
-    prepared, the model's table: straight-line code over the distinct
-    subterms of rhss (_Program), each evaluated once per entry, that
-    returns the union of the alternatives.
+    The function is generated once per equal rhss, c, grow and mask,
+    kept in prepared, the model's table: straight-line code over the
+    distinct subterms of rhss (_Program), each evaluated once per entry,
+    that returns the union of the alternatives.
     """
     if not rhss:
         return None
-    key = (rhss, "grow") if grow else rhss if c is None else (rhss, c)
+    key = ((rhss, "grow") if grow else (rhss, c) if c is not None
+           else (rhss, IO, mask) if mask else rhss)
     got = prepared.get(key)
     if got is None:
-        prog = _Program(c, grow)
+        prog = _Program(c, grow, counts, mask)
         roots = [prog.value(rhs) for rhs in rhss]
         if c is not None:
             # a parameter's binding is a tuple: joined as a set
@@ -264,9 +318,10 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
     alt = alternatives(q, labels[node]), alt(vbar, kids, ask, t_dag)
     with the node's children kids, or is empty when alt is None.  The
     generated functions of compile_rhs bind each parameter to one
-    reference (call-by-value) or, given a copy bound, to a set
-    (call-by-name, member_oi_fc), and those of multi_return return
-    tuples of references (given its meter as t_dag, see _member).
+    reference (call-by-value), or to a set: a whole argument set under
+    a state key (q, mask) (member_io), or a subset of at most c given a
+    copy bound c (call-by-name, member_oi_fc).  Those of multi_return
+    return tuples of references (given its meter as t_dag, see _member).
     """
     memo: dict[tuple, frozenset] = {}
     kids_of = s_dag.kids
@@ -350,10 +405,16 @@ def _bind_once(m, key, prepare):
 
 
 def _io_rules(m: Mtt):
-    """member_io's alternatives: the rules of m, compiled."""
-    rules = m.rules
-    return _bind_once(m, "io", lambda q, sym, prepared: compile_rhs(
-        rules.get((q, sym), ()), prepared))
+    """member_io's alternatives: the rules of m, compiled, for state
+    keys q and (q, mask) (see _ask_all)."""
+    rules, counts = m.rules, copy_counts(m)
+
+    def prepare(q, sym, prepared):
+        q, mask = (q, 0) if isinstance(q, str) else q
+        return compile_rhs(rules.get((q, sym), ()), prepared, counts=counts,
+                           mask=mask)
+
+    return _bind_once(m, "io", prepare)
 
 
 def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:

@@ -1,4 +1,5 @@
-"""Macro tree transducer model: rule right-hand sides, validation, classes.
+"""Macro tree transducer model: rule right-hand sides, validation, classes,
+and the static count of how often a state's outputs copy each parameter.
 
 A transducer has states with ranks (accumulating parameter counts), an
 initial state of rank 0, and rules indexed by (state, input symbol).
@@ -218,36 +219,89 @@ def check_rhs(m, rhs: Rhs, state_rank: int, input_rank: int, where: str,
                 )
 
 
+def _children_first(r: Rhs):
+    """Yield each distinct subterm object of a right-hand side once,
+    every child before its parents."""
+    done: set[int] = set()
+    stack = [r]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        todo = [a for a in getattr(node, "args", ()) if id(a) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        done.add(id(node))
+        yield node
+
+
 def _linear(rhs: Rhs, kind) -> bool:
     """No input variable (kind "input") or parameter (kind "param") is
     used on two paths of rhs.  Each distinct subterm object is visited
     once and keeps the indices its paths use, so a subterm shared by two
     parents counts as used twice."""
     uses: dict[int, set] = {}  # id(subterm) -> indices it uses
-    stack = [rhs]
-    while stack:
-        node = stack[-1]
-        if id(node) in uses:
-            stack.pop()
-            continue
-        args = getattr(node, "args", ())
-        todo = [a for a in args if id(a) not in uses]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
+    for node in _children_first(rhs):
         if kind == "input":
             own = {node.child} if isinstance(node, Call) else set()
         else:
             own = {node.index} if isinstance(node, Param) else set()
         count = len(own)
-        for a in args:
+        for a in getattr(node, "args", ()):
             own |= uses[id(a)]
             count += len(uses[id(a)])
         if len(own) < count:
             return False
         uses[id(node)] = own
     return True
+
+
+def copy_counts(m) -> dict[str, tuple[int, ...]]:
+    """For each state of m, one count per parameter: 0 or 1 when no
+    output of the state, on any input, holds the parameter more than
+    that often, and 2 when some output may hold it twice or more.
+
+    A least fixpoint over the rules, with counts capped at 2: a Param
+    counts 1, an Out the sum of its children, and a Call, summed over
+    the callee's parameters j, the callee's count for j times the count
+    of argument j.  Each distinct subterm object is counted once and
+    each of its parents adds that count, so a subterm shared by two
+    parents counts in both.  The callee's count is its largest over all
+    inputs and rules, so a 2 may be spurious; a 0 or 1 is sound.
+    Computed on first use and kept in m._prepared.
+    """
+    got = m._prepared.get("copy_counts")
+    if got is not None:
+        return got
+    counts = {q: [0] * rank for q, rank in m.states.items()}
+    changed = True
+    while changed:
+        changed = False
+        for (q, _), alts in m.rules.items():
+            best, zero = counts[q], [0] * len(counts[q])
+            for rhs in alts:
+                vec: dict[int, list[int]] = {}  # id(subterm) -> its counts
+                for node in _children_first(rhs):
+                    v = zero[:]
+                    if isinstance(node, Param):
+                        v[node.index - 1] = 1
+                    else:
+                        callee = (counts[node.state] if isinstance(node, Call)
+                                  else [1] * len(node.args))
+                        for times, a in zip(callee, node.args):
+                            if times:
+                                for j, n in enumerate(vec[id(a)]):
+                                    v[j] = min(2, v[j] + times * n)
+                    vec[id(node)] = v
+                for j, n in enumerate(vec[id(rhs)]):
+                    if n > best[j]:
+                        best[j] = n
+                        changed = True
+    got = m._prepared["copy_counts"] = {q: tuple(c) for q, c in counts.items()}
+    return got
 
 
 def check_header(m, ranks: dict[str, int]) -> None:

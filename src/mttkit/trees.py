@@ -376,15 +376,18 @@ class TreeDag:
     precede parents and the root comes last.  labels and kids give each
     node's label and child references.  The intern table maps (label,
     child refs) to the unique node carrying them, and by_label maps each
-    label to its nodes in ascending order.
+    label to its nodes in ascending order.  parents maps a label of rank
+    1 to its index from child to parent, which the membership engines
+    build the first time they look a label's parents up.
     """
 
-    __slots__ = ("labels", "kids", "root", "intern", "by_label")
+    __slots__ = ("labels", "kids", "root", "intern", "by_label", "parents")
 
     def __init__(self, labels=None, kids=None):
         self.labels: list[str] = [] if labels is None else labels
         self.kids: list[tuple[NodeRef, ...]] = [] if kids is None else kids
         self.root: NodeRef = len(self.labels) - 1 if self.labels else BOTTOM
+        self.parents: dict[str, dict[NodeRef, NodeRef]] = {}
 
     def node_count(self) -> int:
         return len(self.labels)

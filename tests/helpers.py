@@ -58,7 +58,8 @@ def _random_rhs(rng: random.Random, states: dict[str, int], my_rank: int,
     return Out(sym, kids)
 
 
-def random_mtt(rng: random.Random, name: str = "rand") -> Mtt:
+def random_mtt(rng: random.Random, name: str = "rand",
+               input_alphabet: RankedAlphabet = IN_ALPHA) -> Mtt:
     """A small transducer: <= 3 states, ranks <= 2, <= 2 alternatives
     per (state, symbol) pair, possibly partial."""
     n_states = rng.randint(1, 3)
@@ -67,17 +68,17 @@ def random_mtt(rng: random.Random, name: str = "rand") -> Mtt:
         states[f"q{i}"] = rng.randint(0, 2)
     rules = {}
     for q, rank in states.items():
-        for sym in IN_ALPHA:
+        for sym in input_alphabet:
             n_alts = rng.choices((0, 1, 2), weights=(15, 55, 30))[0]
             alts = tuple(
-                _random_rhs(rng, states, rank, IN_ALPHA.rank(sym), depth=2)
+                _random_rhs(rng, states, rank, input_alphabet.rank(sym), depth=2)
                 for _ in range(n_alts)
             )
             if alts:
                 rules[(q, sym)] = alts
     return Mtt(
         name=name,
-        input_alphabet=IN_ALPHA,
+        input_alphabet=input_alphabet,
         output_alphabet=OUT_ALPHA,
         states=states,
         initial="q0",
@@ -336,10 +337,11 @@ class NonConforming:
 NON_CONFORMING = NonConforming()
 
 
-def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8):
+def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8, params=None):
     """The most copies of one parameter in any tree a state of m produces
     under call-by-name on an input at most depth deep, or NON_CONFORMING
-    once that passes limit.
+    once that passes limit.  With params, a set of (state, parameter
+    number) pairs, only those parameters are counted.
 
     Enumerates the inputs and evaluates every state with the oracle, so
     it is the reference the copy bounds declared for member_oi_fc are
@@ -358,7 +360,7 @@ def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8):
                 counts: dict[int, int] = {}
                 for node in out.subtrees():
                     i = param_index(node)
-                    if i is not None:
+                    if i is not None and (params is None or (q, i) in params):
                         counts[i] = counts.get(i, 0) + 1
                 if counts:
                     best = max(best, max(counts.values()))

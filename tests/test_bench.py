@@ -4,11 +4,13 @@ import pytest
 
 from mttkit.bench import (BenchRow, FAMILIES, bench_family, fit_power_law,
                           time_member_io)
-from mttkit.families import copyfree_instance, copyfree_mtt
+from mttkit import App, Budget, member_io, oracle_eval
+from mttkit.families import (copyfree_instance, copyfree_mtt, fan_instance,
+                             fan_mtt)
 
 
 def test_family_list():
-    assert FAMILIES == ("double", "copyfree")
+    assert FAMILIES == ("double", "copyfree", "fan")
     with pytest.raises(ValueError):
         bench_family("nope", [1])
 
@@ -28,6 +30,21 @@ def test_copyfree_rows():
         s, t = copyfree_instance(r.n)
         assert (r.s_size, r.t_size) == (s.size, t.size)
     assert rows[0].s_size < rows[-1].s_size
+
+
+def test_fan_rows():
+    rows = bench_family("fan", [3, 6], repeats=1)
+    for r in rows:
+        assert r.seconds > 0
+        s, t = fan_instance(r.n)
+        assert (r.s_size, r.t_size) == (s.size, t.size) == (r.n + 1, 2 * r.n + 2)
+
+
+def test_fan_instance_is_a_member_from_three_on():
+    for n in range(1, 7):
+        s, t = fan_instance(n)
+        out = oracle_eval(fan_mtt(), "io", App("q0", s), Budget())
+        assert (t in out) is (n >= 3) is member_io(fan_mtt(), s, t)
 
 
 def test_time_member_io_positive():

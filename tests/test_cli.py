@@ -11,8 +11,8 @@ from mttkit import cli
 from mttkit.cli import main
 from mttkit.dsl import format_transducer, parse_transducer
 from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
-                             double_mtt, equal_pair_tacmtt,
-                             reverse_pair_instance, reverse_pair_mrtt)
+                             double_mtt, doubling_mtt, equal_pair_tacmtt,
+                             fan_mtt, reverse_pair_instance, reverse_pair_mrtt)
 from mttkit.oracle import Budget
 from mttkit.sat import (DEFAULT_SAT_BUDGET, Cnf3, build_sat_mtt, encode,
                         parse_dimacs)
@@ -50,6 +50,15 @@ def test_validate_plain(files, capsys):
         assert rec["name"] == "double"
         assert rec["m"] == 1
         assert rec["rules"] == 4  # a repeated rule counts once
+
+
+def test_validate_reports_copied_parameters(files, capsys):
+    for make, copied in ((fan_mtt, "none"), (doubling_mtt, "q.1")):
+        path = files("m.mtt", format_transducer(make()))
+        assert main(["validate", path]) == 0
+        assert f"copied_params: {copied}\n" in capsys.readouterr().out
+        assert main(["validate", "--json", path]) == 0
+        assert json.loads(capsys.readouterr().out)["copied_params"] == copied
 
 
 def test_validate_tac_and_mr(files, capsys):
@@ -405,8 +414,11 @@ def test_bench_subcommand(files, capsys):
     assert "skipped" in rec["rows"][3]["note"]
     assert isinstance(rec["exponent"], float)
 
-    assert main(["bench", "copyfree", "--ns", ""]) == 0
-    assert "exponent" not in capsys.readouterr().out
+    # one size is no fit
+    assert main(["bench", "fan", "--ns", "4", "--repeats", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "family: fan" in out and "s_size: 5  t_size: 10" in out
+    assert "exponent" not in out
 
 
 def test_bench_usage_errors(files, capsys):
@@ -416,6 +428,16 @@ def test_bench_usage_errors(files, capsys):
     capsys.readouterr()
     assert main(["bench", "copyfree", "--ns", "x..y"]) == 3
     assert "error:" in capsys.readouterr().err
+    # no timing and no table where a flag leaves nothing to time
+    for flags, message in (
+            (["--ns", "2", "--repeats", "0"], "--repeats must be positive, got 0"),
+            (["--ns", "2", "--repeats", "-1"], "--repeats must be positive, got -1"),
+            (["--ns", "5..2"], "--ns '5..2' names no size"),
+            (["--ns", ","], "--ns ',' names no size"),
+            (["--ns", ""], "--ns '' names no size")):
+        assert main(["bench", "copyfree", *flags]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and message in out.err
 
 
 def test_usage_error_exit_code(capsys):

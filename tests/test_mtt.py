@@ -1,5 +1,6 @@
 """Transducer model: rule well-formedness and classification."""
 
+import random
 import time
 from dataclasses import FrozenInstanceError, replace
 
@@ -40,8 +41,12 @@ from mttkit import (
 )
 from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
                              double_mtt, doubling_mtt, equal_pair_tacmtt,
-                             reverse_pair_instance, reverse_pair_mrtt)
-from mttkit.mtt import MAX_NESTING
+                             fan_instance, fan_mtt, reverse_pair_instance,
+                             reverse_pair_mrtt)
+from mttkit.mtt import MAX_NESTING, copy_counts
+
+from helpers import (CHAIN_ALPHA, estimate_copy_bound, leaf_double_mtt,
+                     mixed_double_mtt, random_mtt)
 
 IN1 = RankedAlphabet({"a": 1, "e": 0})
 OUT1 = RankedAlphabet({"f": 2, "e": 0})
@@ -194,6 +199,51 @@ def test_shared_subterms_count_once_per_path_for_linearity():
     assert not m.mtt_class.linear_input and m.mtt_class.linear_params
     m = _mtt({("q0", "a"): (Out("f", (call, Out("e"))),)})
     assert m.mtt_class.linear_input
+
+
+def test_copy_counts_of_reference_families():
+    fan = fan_mtt()
+    # validate does not run the analysis; member_io's first verdict does
+    assert "copy_counts" not in fan._prepared
+    assert member_io(fan, *fan_instance(3))
+    assert fan._prepared["copy_counts"] is copy_counts(fan)
+    assert copy_counts(fan) == {"q0": (), "r": (), "p": (1, 1)}
+    assert copy_counts(copyfree_mtt())["acc"] == (1,)
+    for m, q in ((doubling_mtt(), "q"), (double_mtt(), "double"),
+                 (leaf_double_mtt(), "q"), (mixed_double_mtt(), "q")):
+        assert copy_counts(m)[q] == (2,), m.name
+
+
+def test_copy_counts_see_a_parameter_shared_by_two_parents():
+    # right-hand sides built in code: one Param object under two parents,
+    # or one subterm holding it under one parent twice
+    y1, e = Param(1), Out("e")
+    shared = Out("f", (y1, e))
+    for rhs, count in ((Out("f", (Out("f", (y1, e)), Out("f", (e, y1)))), 2),
+                       (Out("f", (shared, shared)), 2),
+                       (Out("f", (shared, e)), 1)):
+        m = _mtt({("q0", "a"): (Call("q", 1, (e,)),), ("q", "e"): (rhs,)})
+        assert copy_counts(m)["q"] == (count,)
+        # a caller passing its own parameter inherits the count
+        m = _mtt({("q", "a"): (Call("q", 1, (y1,)),), ("q", "e"): (rhs,)})
+        assert copy_counts(m)["q"] == (count,)
+
+
+def test_never_copied_parameters_are_never_copied():
+    # sound where it says "never copied": the enumerated count of every
+    # such (state, parameter) stays at most 1
+    rng = random.Random(17)
+    never = copied = 0
+    for i in range(150):
+        m = random_mtt(rng, f"chain{i}", CHAIN_ALPHA)
+        counts = copy_counts(m)
+        flags = {(q, j): n < 2 for q, c in counts.items()
+                 for j, n in enumerate(c, 1)}
+        ones = {key for key, ok in flags.items() if ok}
+        assert estimate_copy_bound(m, 4, params=ones) in (0, 1), m
+        never += len(ones)
+        copied += len(flags) - len(ones)
+    assert never > 100 and copied > 20
 
 
 def test_rhs_well_formedness_errors():
