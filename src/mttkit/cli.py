@@ -29,7 +29,25 @@ from .sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, build_sat_mtt, encode,
 from .tac import TacMtt, member_io_tac
 from .trees import format_term, parse_term
 
-ENGINES = ("io", "oi-fc", "io-tac", "mr-io", "det", "oracle")
+_PLAIN = (Mtt, "a plain mtt file")
+
+# engine -> (model kind, what a mismatch error says the engine needs,
+# verdict call (args, budget, m, s, t, stats): True, False or a verdict)
+ENGINES = {
+    "io": (*_PLAIN, lambda args, budget, m, s, t, stats:
+           member_io(m, s, t, stats=stats)),
+    "oi-fc": (*_PLAIN, lambda args, budget, m, s, t, stats:
+              member_oi_fc(m, args.copy_bound, s, t, stats=stats)),
+    "io-tac": (TacMtt, "an mtt file with a tac block",
+               lambda args, budget, m, s, t, stats:
+               member_io_tac(m, s, t, stats=stats)),
+    "mr-io": (MrMtt, "an mrtt file", lambda args, budget, m, s, t, stats:
+              member_mr_io(m, s, t, env_cap=args.env_cap, stats=stats)),
+    "det": (*_PLAIN, lambda args, budget, m, s, t, stats:
+            member_det([m], args.mode, s, t, stats=stats)),
+    "oracle": (*_PLAIN, lambda args, budget, m, s, t, stats:
+               oracle_member(m, args.mode, s, t, budget, stats=stats)),
+}
 
 _EXIT = {YES: 0, NO: 1, UNKNOWN: 2, SAT: 0, UNSAT: 1}
 
@@ -133,34 +151,13 @@ def cmd_validate(args) -> int:
 
 
 def _run_member(args, budget, m, s, t) -> tuple[str, dict]:
+    kind, needs, run = ENGINES[args.engine]
+    if not isinstance(m, kind):
+        raise MttError(f"engine {args.engine} needs {needs}")
     stats: dict = {}
-    engine = args.engine
-    if engine == "io":
-        if not isinstance(m, Mtt):
-            raise MttError("engine io needs a plain mtt file")
-        return (YES if member_io(m, s, t, stats=stats) else NO), stats
-    if engine == "oi-fc":
-        if not isinstance(m, Mtt):
-            raise MttError("engine oi-fc needs a plain mtt file")
-        ok = member_oi_fc(m, args.copy_bound, s, t, stats=stats)
-        return (YES if ok else NO), stats
-    if engine == "io-tac":
-        if not isinstance(m, TacMtt):
-            raise MttError("engine io-tac needs an mtt file with a tac block")
-        return (YES if member_io_tac(m, s, t, stats=stats) else NO), stats
-    if engine == "mr-io":
-        if not isinstance(m, MrMtt):
-            raise MttError("engine mr-io needs an mrtt file")
-        ok = member_mr_io(m, s, t, env_cap=args.env_cap, stats=stats)
-        return (YES if ok else NO), stats
-    if engine == "det":
-        if not isinstance(m, Mtt):
-            raise MttError("engine det needs a plain mtt file")
-        ok = member_det([m], args.mode, s, t, stats=stats)
-        return (YES if ok else NO), stats
-    if not isinstance(m, Mtt):
-        raise MttError("engine oracle needs a plain mtt file")
-    verdict = oracle_member(m, args.mode, s, t, budget, stats=stats)
+    verdict = run(args, budget, m, s, t, stats)
+    if isinstance(verdict, bool):
+        verdict = YES if verdict else NO
     return verdict, stats
 
 
@@ -195,6 +192,8 @@ def cmd_member(args) -> int:
 
 def cmd_sat(args) -> int:
     try:
+        # the budget is checked before anything is written
+        budget = _budget(args, DEFAULT_SAT_BUDGET)
         f = parse_dimacs(_read_text(args.cnf))
         inst = encode(f)
         out_dir = Path(args.out_dir) if args.out_dir else Path(args.cnf).parent
@@ -205,7 +204,7 @@ def cmd_sat(args) -> int:
         s_file.write_text(format_term(inst.s) + "\n")
         t_file.write_text(format_term(inst.t) + "\n")
         t0 = time.perf_counter()
-        verdict = sat_check_small(f, _budget(args, DEFAULT_SAT_BUDGET))
+        verdict = sat_check_small(f, budget)
         elapsed = time.perf_counter() - t0
     except (MttError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,14 +12,16 @@ demand computes these entries on demand from the root question, so
 only the entries the verdict depends on are visited.  _member drives
 every engine built on demand (member_io and the last stage of
 member_det here, member_io_tac, member_oi_fc, member_mr_io), each
-giving it alternatives(q, label), one function per pair or None, which
-each model keeps (_bind_once).
+giving it the engine's one table on the model (_table):
+alternatives[q, label] is the pair's function or None, generated the
+first time the pair is read and kept.
 The right-hand sides of a pair are generated into one straight-line
 Python function (compile_rhs), under reference bindings for the
 call-by-value engines and under set bindings for member_oi_fc, and
 multi-return let arguments and results into tuple-valued ones
 (compile_terms): each distinct subterm is evaluated once, children
 first, against the candidate output's intern table and label index.
+Functions of equal source share one code object (_code).
 member_io binds a parameter that no output of its state copies
 (mtt.copy_counts) to its whole argument set when that holds two or
 more references, one question under state key (q, mask) in place of
@@ -253,9 +255,8 @@ def _code(source: str) -> CodeType:
     return code
 
 
-def compile_rhs(rhss: tuple, prepared: dict, c: int | None = None,
-                grow: bool = False, counts: dict | None = None,
-                mask: int = 0):
+def compile_rhs(rhss: tuple, c: int | None = None, grow: bool = False,
+                counts: dict | None = None, mask: int = 0):
     """The right-hand sides rhss of one (state, label) as one function
     alt(v, kids, ask, t_dag): the references of the candidate-output
     DAG t_dag they yield under parameter references v, at an input node
@@ -267,42 +268,32 @@ def compile_rhs(rhss: tuple, prepared: dict, c: int | None = None,
     sets (member_io, see _ask_all), and v[i] is such a set for each bit
     i of mask.
 
-    The function is generated once per equal rhss, c, grow and mask,
-    kept in prepared, the model's table: straight-line code over the
-    distinct subterms of rhss (_Program), each evaluated once per entry,
-    that returns the union of the alternatives.
+    The function is straight-line code over the distinct subterms of
+    rhss (_Program), each evaluated once per entry, that returns the
+    union of the alternatives.  Nothing is kept here: an engine's table
+    (_table) keeps the function of each pair.
     """
     if not rhss:
         return None
-    key = ((rhss, "grow") if grow else (rhss, c) if c is not None
-           else (rhss, IO, mask) if mask else rhss)
-    got = prepared.get(key)
-    if got is None:
-        prog = _Program(c, grow, counts, mask)
-        roots = [prog.value(rhs) for rhs in rhss]
-        if c is not None:
-            # a parameter's binding is a tuple: joined as a set
-            roots = [(f"{{*{e}}}" if isinstance(rhs, Param) else e, True)
-                     for rhs, (e, _) in zip(rhss, roots)]
-        one = ", ".join(e for e, is_set in roots if not is_set)
-        result = " | ".join([e for e, is_set in roots if is_set]
-                            + ([f"{{{one}}}"] if one else []))
-        got = prepared[key] = prog.function("v, kids, ask, dag", result)
-    return got
+    prog = _Program(c, grow, counts, mask)
+    roots = [prog.value(rhs) for rhs in rhss]
+    if c is not None:
+        # a parameter's binding is a tuple: joined as a set
+        roots = [(f"{{*{e}}}" if isinstance(rhs, Param) else e, True)
+                 for rhs, (e, _) in zip(rhss, roots)]
+    one = ", ".join(e for e, is_set in roots if not is_set)
+    result = " | ".join([e for e, is_set in roots if is_set]
+                        + ([f"{{{one}}}"] if one else []))
+    return prog.function("v, kids, ask, dag", result)
 
 
-def compile_terms(terms: tuple, prepared: dict):
+def compile_terms(terms: tuple):
     """Terms that call no state, such as multi-return let arguments and
     results, as one function f(v, t_dag): the tuple of their
     references, BOTTOM for one that is no node of the candidate
-    output.  Generated as compile_rhs's functions are, and kept in
-    prepared once per equal terms."""
-    got = prepared.get(terms)
-    if got is None:
-        prog = _Program()
-        result = _tuple([prog.value(term)[0] for term in terms])
-        got = prepared[terms] = prog.function("v, dag", result)
-    return got
+    output.  Generated as compile_rhs's functions are."""
+    prog = _Program()
+    return prog.function("v, dag", _tuple([prog.value(term)[0] for term in terms]))
 
 
 _EMPTY: frozenset = frozenset()
@@ -315,7 +306,7 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
 
     An entry, per (input DAG node, state, parameter bindings), is
     computed only when a parent call asks for it, by one call of
-    alt = alternatives(q, labels[node]), alt(vbar, kids, ask, t_dag)
+    alt = alternatives[q, labels[node]], alt(vbar, kids, ask, t_dag)
     with the node's children kids, or is empty when alt is None.  The
     generated functions of compile_rhs bind each parameter to one
     reference (call-by-value), or to a set: a whole argument set under
@@ -330,7 +321,7 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
         key = (node, q, vbar)
         got = memo.get(key)
         if got is None:
-            alt = alternatives(q, labels[node])
+            alt = alternatives[q, labels[node]]
             got = memo[key] = (_EMPTY if alt is None else
                                frozenset(alt(vbar, kids_of[node], ask, t_dag)))
         return got
@@ -358,7 +349,7 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
     alphabet raises AlphabetMismatch, and a t outside the output
     alphabet is no output.
 
-    The label alternatives(q, label) reads is a node's symbol, or
+    The label alternatives[q, label] reads is a node's symbol, or
     labels(s_dag)[node] when labels is given.  With meter (multi-return),
     entries hold tuples, and the alternatives get meter, holding t's
     intern table, in place of t's DAG.
@@ -386,35 +377,39 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
     return t_root in root_entry
 
 
-def _bind_once(m, key, prepare):
-    """alternatives(q, label) of engine key on m: prepare(q, label,
-    prepared) gives the one function of the pair, or None, once, kept in
-    prepared = m._prepared under (key, q, label).  prepare may generate
-    functions into prepared, but must not reach m, or the model would
-    become a cycle."""
-    prepared = m._prepared
+class _Table(dict):
+    """One engine's alternatives on one model (_table): table[q, label]
+    is the pair's function or None, made by prepare(q, label) the first
+    time the pair is read, and kept."""
 
-    def alternatives(q, label):
-        try:
-            return prepared[key, q, label]
-        except KeyError:
-            got = prepared[key, q, label] = prepare(q, label, prepared)
-            return got
+    __slots__ = ("prepare",)
 
-    return alternatives
+    def __missing__(self, key):
+        got = self[key] = self.prepare(*key)
+        return got
 
 
-def _io_rules(m: Mtt):
+def _table(m, key, prepare) -> _Table:
+    """The table of engine key on m, kept in m._prepared under key and
+    given prepare when made.  prepare must not reach m, or the model
+    would become a cycle."""
+    got = m._prepared.get(key)
+    if got is None:
+        got = m._prepared[key] = _Table()
+        got.prepare = prepare
+    return got
+
+
+def _io_rules(m: Mtt) -> _Table:
     """member_io's alternatives: the rules of m, compiled, for state
     keys q and (q, mask) (see _ask_all)."""
     rules, counts = m.rules, copy_counts(m)
 
-    def prepare(q, sym, prepared):
+    def prepare(q, sym):
         q, mask = (q, 0) if isinstance(q, str) else q
-        return compile_rhs(rules.get((q, sym), ()), prepared, counts=counts,
-                           mask=mask)
+        return compile_rhs(rules.get((q, sym), ()), counts=counts, mask=mask)
 
-    return _bind_once(m, "io", prepare)
+    return _table(m, "io", prepare)
 
 
 def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -441,8 +436,8 @@ def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
     out = TreeDag()
     out.intern = intern = {}
     rules = m.rules
-    alternatives = _bind_once(m, "det", lambda q, sym, prepared: compile_rhs(
-        rules.get((q, sym), ()), prepared, grow=True))
+    alternatives = _table(m, "det", lambda q, sym: compile_rhs(
+        rules.get((q, sym), ()), grow=True))
     with recursion_room(_frames(s_dag)):
         (root,), _ = demand(s_dag, out, s_dag.labels, alternatives,
                             s_dag.root, m.initial)

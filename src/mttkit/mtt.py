@@ -146,7 +146,9 @@ class Mtt:
     alternatives are kept in written order but mean a set, so structural
     duplicates are dropped when the transducer is built.  validate then
     runs once, and the attribute mtt_class keeps what it returned.
-    Engines fill _prepared as they meet (state, symbol) pairs.
+    _prepared holds one table per engine, filled with a function per
+    (state, symbol) pair as the engine meets the pair, and member_io's
+    copy analysis under "copy_counts".
     """
 
     name: str
@@ -340,33 +342,23 @@ def validate(m) -> MttClass:
 
     deterministic: at most one alternative per (state, symbol).  total:
     at least one alternative for every (state, symbol) pair.  Linearity
-    is per right-hand side.
+    is per right-hand side.  All are read in one pass over the rule
+    table, whose pairs check_header has placed in states x symbols.
     """
     check_header(m, m.states)
+    deterministic = linear_input = linear_params = True
+    covered = 0
     for q, sym in m.rules:
-        where = f"rule {q}/{sym}"
-        for rhs in m.alternatives(q, sym):
+        alts, where = m.alternatives(q, sym), f"rule {q}/{sym}"
+        deterministic &= len(alts) < 2
+        covered += bool(alts)
+        for rhs in alts:
             check_rhs(m, rhs, m.states[q], m.input_alphabet.rank(sym), where)
-
-    deterministic = True
-    total = True
-    linear_input = True
-    linear_params = True
-    for q in m.states:
-        for sym in m.input_alphabet:
-            alts = m.alternatives(q, sym)
-            if len(alts) > 1:
-                deterministic = False
-            if not alts:
-                total = False
-            for rhs in alts:
-                if linear_input and not _linear(rhs, "input"):
-                    linear_input = False
-                if linear_params and not _linear(rhs, "param"):
-                    linear_params = False
+            linear_input = linear_input and _linear(rhs, "input")
+            linear_params = linear_params and _linear(rhs, "param")
     return MttClass(
         deterministic=deterministic,
-        total=total,
+        total=covered == len(m.states) * len(m.input_alphabet.symbols),
         linear_input=linear_input,
         linear_params=linear_params,
         max_state_rank=max(m.states.values(), default=0),

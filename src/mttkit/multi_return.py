@@ -17,7 +17,7 @@ from operator import is_
 from types import MappingProxyType, SimpleNamespace
 
 from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
-from .io_membership import _bind_once, _member, compile_terms
+from .io_membership import _member, _table, compile_terms
 from .mtt import (Out, Param, ZVar, check_header, check_rhs, distinct_rules,
                   freeze, walk_rhs)
 from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
@@ -235,15 +235,14 @@ def _slotted(term, rank: int, live: tuple, done: dict):
     return got
 
 
-def _plan(rhs: MrRhs, rank: int, prepared: dict) -> tuple:
+def _plan(rhs: MrRhs, rank: int) -> tuple:
     """rhs as (lets, results) over environments.  A let keeps its callee,
     child, the function of its arguments over the environment before it
     and where in that environment and the returned tuple the next one's
     slots are; results is the function of the result tuple."""
     def terms(ts, live):
         done: dict = {}
-        return compile_terms(tuple([_slotted(u, rank, live, done) for u in ts]),
-                             prepared)
+        return compile_terms(tuple([_slotted(u, rank, live, done) for u in ts]))
 
     lets, live = [], ()
     for let, kept in zip(rhs.lets, _kept_after(rhs)):
@@ -254,13 +253,13 @@ def _plan(rhs: MrRhs, rank: int, prepared: dict) -> tuple:
     return tuple(lets), terms(rhs.result, live)
 
 
-def _mr_alternatives(rhss: tuple, rank: int, where: str, prepared: dict):
+def _mr_alternatives(rhss: tuple, rank: int, where: str):
     """The alternatives rhss of rule where as one function on the demand
     core, alt(ybar, kids, ask, meter): their result tuples of references;
     None when rhss is empty."""
     if not rhss:
         return None
-    plans = tuple([_plan(rhs, rank, prepared) for rhs in rhss])
+    plans = tuple([_plan(rhs, rank) for rhs in rhss])
 
     # plans and where as defaults, as the generated functions take theirs
     def alt(ybar, kids, ask, meter, plans=plans, where=where):
@@ -302,8 +301,8 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     env_cap raises EnvLimitExceeded rather than silently degrading.
     """
     rules, ranks = m.rules, m.ranks
-    alternatives = _bind_once(m, "mr-io", lambda q, sym, prepared: _mr_alternatives(
-        rules.get((q, sym), ()), ranks[q], f"{q}/{sym}", prepared))
+    alternatives = _table(m, "mr-io", lambda q, sym: _mr_alternatives(
+        rules.get((q, sym), ()), ranks[q], f"{q}/{sym}"))
     # this query's cap and largest environment set, read by the
     # alternatives in place of t's DAG, with its intern table
     meter = SimpleNamespace(env_cap=env_cap, max_envs=0)

@@ -20,7 +20,7 @@ answer a wrong "no", never a wrong "yes".
 
 from __future__ import annotations
 
-from .io_membership import _bind_once, _member, compile_rhs
+from .io_membership import _member, _table, compile_rhs
 from .mtt import Mtt, _refuse_guards
 from .trees import Tree, build_dag
 
@@ -36,6 +36,6 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
     _refuse_guards(m)
     rules = m.rules
-    alternatives = _bind_once(m, ("oi", c), lambda q, sym, prepared: compile_rhs(
-        rules.get((q, sym), ()), prepared, c))
+    alternatives = _table(m, ("oi", c), lambda q, sym: compile_rhs(
+        rules.get((q, sym), ()), c))
     return _member(m, build_dag(s)[0], t, alternatives, stats)

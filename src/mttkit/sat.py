@@ -181,15 +181,22 @@ def solve_truth_table(f: Cnf3) -> bool:
 def parse_dimacs(text: str) -> Cnf3:
     """DIMACS-style CNF: `p cnf n m` then m clause lines of three nonzero
     integers terminated by 0; `c` lines are comments.  1-based DIMACS
-    variable k is p_{k-1}; a negative integer negates."""
+    variable k is p_{k-1}; a negative integer negates.  There is one
+    problem line, and a clause count that does not match its m is
+    reported at it."""
     n = None
     m = None
+    header = 1
     clauses: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n is not None:
+                raise ParseError(f"second problem line, the first is line {header}",
+                                 line=lineno, column=1)
+            header = lineno
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("malformed problem line, want `p cnf n m`",
@@ -223,5 +230,5 @@ def parse_dimacs(text: str) -> Cnf3:
         raise ParseError("missing `p cnf` line", line=1, column=1)
     if len(clauses) != m:
         raise ParseError(f"header promised {m} clauses, found {len(clauses)}",
-                         line=1, column=1)
+                         line=header, column=1)
     return Cnf3(n=n, clauses=tuple(clauses))

@@ -23,7 +23,7 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .io_membership import _bind_once, _member, compile_rhs
+from .io_membership import _member, _table, compile_rhs
 from .mtt import MttClass, Rhs, distinct_rules, freeze, validate
 from .trees import RankedAlphabet, Tree, TreeDag, build_dag
 
@@ -150,8 +150,8 @@ class TacRule:
 @dataclass(frozen=True)
 class TacMtt:
     """A transducer whose rules are guarded by a look-ahead automaton;
-    like an Mtt, checked once when built and read-only after, and filled
-    in _prepared per state and node shape (_Shapes) by member_io_tac."""
+    like an Mtt, checked once when built and read-only after; the table
+    of member_io_tac is per state and node shape (_Shapes)."""
 
     name: str
     input_alphabet: RankedAlphabet
@@ -237,12 +237,12 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
     """
     rules, tac = tm.rules, tm.tac
 
-    def guarded(q, shape, prepared):
+    def guarded(q, shape):
         sym, kid_states, same = shape
         return compile_rhs(tuple(dict.fromkeys(
             rule.rhs for rule in rules.get((q, sym), ())
             if rule.lookahead in (None, kid_states)
-            and _constraints_ok(rule, same))), prepared)
+            and _constraints_ok(rule, same))))
 
-    return _member(tm, build_dag(s)[0], t, _bind_once(tm, "io-tac", guarded), stats,
+    return _member(tm, build_dag(s)[0], t, _table(tm, "io-tac", guarded), stats,
                    labels=lambda s_dag: _Shapes(tac, s_dag))

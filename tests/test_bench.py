@@ -4,7 +4,7 @@ import pytest
 
 from mttkit.bench import (BenchRow, FAMILIES, bench_family, fit_power_law,
                           time_member_io)
-from mttkit import App, Budget, member_io, oracle_eval
+from mttkit import App, Budget, bench, member_io, oracle_eval
 from mttkit.families import (copyfree_instance, copyfree_mtt, fan_instance,
                              fan_mtt)
 
@@ -51,6 +51,18 @@ def test_time_member_io_positive():
     m = copyfree_mtt()
     s, t = copyfree_instance(3)
     assert time_member_io(m, s, t, repeats=2) > 0
+
+
+def test_time_member_io_times_prepared_verdicts_only(monkeypatch):
+    # one untimed verdict first, then one per repeat
+    calls = []
+    monkeypatch.setattr(bench, "member_io", lambda *args: calls.append(args))
+    m = copyfree_mtt()
+    s, t = copyfree_instance(3)
+    for repeats in (1, 3):
+        calls.clear()
+        time_member_io(m, s, t, repeats=repeats)
+        assert calls == [(m, s, t)] * (repeats + 1)
 
 
 def test_fit_power_law():

@@ -3,6 +3,7 @@
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +280,11 @@ def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def sat_diagnosed(argv):
+        # a bad budget is found before the encoded terms are written
+        diagnosed(["sat", *argv, cnf])
+        assert not list(Path(cnf).parent.glob("one.*.term"))
+
     oracle = ["member", "--engine", "oracle"]
     diagnosed(oracle + ["--max-set", "0", m, sf, tf])
     diagnosed(oracle + ["--max-steps", "-5", m, sf, tf])
@@ -291,12 +297,13 @@ def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
         diagnosed(member + ["--copy-bound", "0", m, sf, tf])
     deep = files("deep.mtt", deep_mtt_text(3000))
     diagnosed(["member", "--engine", "io", deep, sf, tf])
-    diagnosed(["sat", "--max-set", "0", cnf])
+    sat_diagnosed(["--max-set", "0"])
+    sat_diagnosed(["--max-steps", "0"])
     diagnosed(["member", "--engine", "io", m, bad, tf])
     diagnosed(["member", "--engine", "io", m, sf, bad])
     monkeypatch.setenv("MTTKIT_MAX_SET", "abc")
     diagnosed(oracle + [m, sf, tf])
-    diagnosed(["sat", cnf])
+    sat_diagnosed([])
 
 
 _TERMS = [format_term(t) for t in copyfree_instance(4)] + ["f(g(e),e)", "e()"]

@@ -85,7 +85,7 @@ def _eval_on(rhs, vbar, dag, entries=None, asked=None, c=None):
             asked.append((node, q, ubar))
         return frozenset(entries.get((node, q, ubar), ()))
 
-    return set(compile_rhs((rhs,), {}, c)(vbar, KIDS, ask, dag))
+    return set(compile_rhs((rhs,), c)(vbar, KIDS, ask, dag))
 
 
 def _root_entry(m, s, t_dag):
@@ -247,35 +247,33 @@ def test_equal_right_hand_sides_of_a_model_share_one_function():
         },
     )
     compiled = _io_rules(m)
-    # one function per equal tuple of right-hand sides
-    assert compiled("q0", "b") is compiled("q0", "a")
-    assert len({id(compiled(q, sym)) for q, sym in m.rules}) == 4
+    # one code object per equal tuple of right-hand sides
+    assert compiled["q0", "b"].__code__ is compiled["q0", "a"].__code__
+    assert len({compiled[q, sym].__code__ for q, sym in m.rules}) == 4
     # the same object on a second lookup, also through another query's
     # alternatives: the table is the model's
-    assert compiled("q", "a") is compiled("q", "a")
-    assert _io_rules(m)("q", "a") is compiled("q", "a")
-    assert m._prepared["io", "q", "a"] is compiled("q", "a")
-    assert m._prepared[m.rules["q", "b"]] is compiled("q", "b")
+    assert compiled["q", "a"] is compiled["q", "a"]
+    assert _io_rules(m)["q", "a"] is compiled["q", "a"]
+    assert m._prepared["io"] is compiled
     # None where a state has no rule
-    assert compiled("q0", "e") is None
-    assert m._prepared["io", "q0", "e"] is None
+    assert compiled["q0", "e"] is None
     s = parse_term("a(a(e))")
     assert member_io(m, s, parse_term("f(e,e)"))
     assert not member_io(m, s, parse_term("e"))
     assert not member_io(m, s, parse_term("f(f(e,e),e)"))
-    # call-by-name: one function per equal tuple of right-hand sides and
-    # copy bound, apart from call-by-value's and from another bound's
+    # call-by-name: one code object per equal tuple of right-hand sides,
+    # and one table per copy bound, apart from call-by-value's
     for c in (1, 2):
         for s in (parse_term("a(a(e))"), parse_term("b(b(e))")):
             assert member_oi_fc(m, c, s, parse_term("f(e,e)"))
-    oi = {c: {pair: m._prepared[("oi", c), *pair] for pair in m.rules}
+    oi = {c: {pair: m._prepared["oi", c][pair] for pair in m.rules}
           for c in (1, 2)}
     for c, compiled_oi in oi.items():
-        assert compiled_oi["q0", "b"] is compiled_oi["q0", "a"]
-        assert len(set(map(id, compiled_oi.values()))) == 4
-        assert m._prepared[m.rules["q", "b"], c] is compiled_oi["q", "b"]
+        assert compiled_oi["q0", "b"].__code__ is compiled_oi["q0", "a"].__code__
+        assert len({f.__code__ for f in compiled_oi.values()}) == 4
+        assert m._prepared["oi", c]["q", "b"] is compiled_oi["q", "b"]
     for pair in m.rules:
-        assert len({id(oi[1][pair]), id(oi[2][pair]), id(compiled(*pair))}) == 3
+        assert len({id(oi[1][pair]), id(oi[2][pair]), id(compiled[pair])}) == 3
 
 
 def _shared_tower(n):
@@ -396,18 +394,34 @@ def test_user_names_never_enter_generated_code():
     # call-by-name functions too, under set bindings
     for s in all_inputs(5, m.input_alphabet):
         member_oi_fc(m, 2, s, Tree("ask", (Tree("None"), Tree("I"))))
-    assert any(key[0] == ("oi", 2) for key in m._prepared)
+    assert m._prepared["oi", 2]
     # what the generated functions name: their parameters, locals and
     # constants, and the globals they share
-    made = [f for model in (m, tm, mr) for f in model._prepared.values()
-            if getattr(f, "__globals__", None) is _SCOPE]
-    assert made
-    for f in made:
+    made = [list(_generated(model)) for model in (m, tm, mr)]
+    assert all(made)
+    for f in sum(made, []):
+        assert f.__globals__ is _SCOPE
         code = f.__code__
         for name in code.co_varnames + code.co_names:
             assert (name in ("v", "kids", "ask", "dag", "I", "get", "intern",
                              "discard")
                     or name in _SCOPE or re.fullmatch(r"[tK]\d+", name)), name
+
+
+def _generated(m):
+    """The functions generated for m: those in each engine's table, and
+    for multi-return the let-argument and result functions of each
+    alternative's plans (its first default)."""
+    for key, table in m._prepared.items():
+        if key == "copy_counts":
+            continue
+        for f in filter(None, table.values()):
+            if f.__globals__ is _SCOPE:
+                yield f
+                continue
+            for lets, results in f.__defaults__[0]:
+                yield results
+                yield from (args for _, _, args, _ in lets)
 
 
 def _mr_output_set(m, s):
@@ -548,8 +562,8 @@ def _io_checks(m, inputs, limit=6, bad_limit=4):
 def _whole_keys(m):
     """The state keys (q, mask) member_io has met on m: a whole set bound
     to a never-copied parameter."""
-    return {key[1] for key in m._prepared
-            if key[0] == "io" and not isinstance(key[1], str)}
+    return {key[0] for key in m._prepared.get("io", ())
+            if not isinstance(key[0], str)}
 
 
 def _lin_over_sets() -> Mtt:
@@ -902,7 +916,7 @@ def test_member_det_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
         assert member_det(stages, "io", chain(50), chain(100, "h"))
         assert gc.collect() == 0
-        assert any(key[0] == "det" for key in stages[0]._prepared)
+        assert set(stages[0]._prepared) == {"det"} and stages[0]._prepared["det"]
         del stages
         assert gc.collect() == 0
     finally:
@@ -914,7 +928,7 @@ def test_growing_functions_take_no_sets():
     # and unpacks each one-node entry, so no set helper is generated
     stages = [call_under(2), relabel("g", "h")]
     assert member_det(stages, "io", chain(3), chain(6, "h"))
-    made = [f for key, f in stages[0]._prepared.items() if key[-1] == "grow"]
+    made = list(filter(None, stages[0]._prepared["det"].values()))
     assert any("setdefault" in f.__code__.co_names for f in made)
     for f in made:
         assert not {"_out_refs", "_ask_all", "get"} & set(f.__code__.co_names)
@@ -944,23 +958,17 @@ def test_member_io_leaves_no_cyclic_garbage():
             assert gc.collect() == 0
         # nor do the alternatives a model keeps in its _prepared table
         # make it a cycle
-        # (engine, state, label) keys hold alternatives; tuples of terms,
-        # or (tuple of terms, copy bound) for call-by-name, the functions
-        # generated from them; "copy_counts" the copy analysis of member_io
-        def of_terms(key):
-            if len(key) == 2 and isinstance(key[1], int):
-                key = key[0]
-            return all(isinstance(u, (Out, Param, Call)) for u in key)
-
+        # an engine's key holds its table of alternatives per (state,
+        # label); "copy_counts" the copy analysis of member_io
         def engines(m):
-            return {key[0] for key in m._prepared
-                    if not of_terms(key) and key != "copy_counts"}
+            return set(m._prepared) - {"copy_counts"}
 
         assert engines(dbl) == {"io", ("oi", 2)}
         assert engines(cf) == {"io"}
         assert engines(eq) == {"io-tac"}
         assert engines(rev) == {"mr-io"}
-        assert all(any(map(of_terms, m._prepared)) for m in (dbl, cf, eq, rev))
+        assert all(any(m._prepared[key].values()) for m in (dbl, cf, eq, rev)
+                   for key in engines(m))
         del verdicts, dbl, cf, eq, rev
         assert gc.collect() == 0
     finally:

@@ -186,6 +186,14 @@ def test_parse_dimacs_errors():
         parse_dimacs("c nothing here\n")
     with pytest.raises(ParseError):
         parse_dimacs("p cnf 1 2\n1 1 1 0\n")
+    # one problem line only, and a clause count that misses it is
+    # reported on its line
+    with pytest.raises(ParseError, match="second problem line") as e:
+        parse_dimacs("p cnf 3 1\n1 2 3 0\np cnf 5 1\n")
+    assert e.value.line == 3
+    with pytest.raises(ParseError, match="promised 2 clauses, found 1") as e:
+        parse_dimacs("c hi\np cnf 3 2\n1 2 3 0\n")
+    assert e.value.line == 2
 
 
 def test_generated_set_on_smallest_ladder():
