@@ -20,8 +20,7 @@ from .mtt import Call, Mtt, MttClass, Out, Param, validate, walk_rhs
 from .oracle import (IO, NO, OI, UNKNOWN, YES, App, Budget, Con, TreeSet,
                      Evaluator, check_input_tree, eval as oracle_eval,
                      io_subst, oi_subst, oracle_member, y_leaf)
-from .io_membership import member_det, member_io
-from .oi_fc import member_oi_fc
+from .io_membership import member_det, member_io, member_oi_fc
 from .tac import (Tac, TacMtt, TacRule, TacTransition, member_io_tac,
                   run_tac, validate_tac_mtt)
 from .multi_return import (MrLet, MrMtt, MrRhs, ZVar, eval_mr_io,
@@ -45,8 +44,7 @@ __all__ = [
     "IO", "NO", "OI", "UNKNOWN", "YES", "App", "Budget", "Con", "TreeSet",
     "Evaluator", "check_input_tree", "oracle_eval", "io_subst", "oi_subst",
     "oracle_member", "y_leaf",
-    "member_det", "member_io",
-    "member_oi_fc",
+    "member_det", "member_io", "member_oi_fc",
     "Tac", "TacMtt", "TacRule", "TacTransition", "member_io_tac", "run_tac",
     "validate_tac_mtt",
     "MrLet", "MrMtt", "MrRhs", "ZVar", "eval_mr_io", "eval_mr_state",

@@ -19,10 +19,9 @@ from pathlib import Path
 from .bench import FAMILIES, bench_family, fit_power_law
 from .errors import MttError
 from .dsl import format_transducer, parse_transducer
-from .io_membership import member_det, member_io
+from .io_membership import member_det, member_io, member_oi_fc
 from .mtt import Mtt, copy_counts
 from .multi_return import MrMtt, member_mr_io
-from .oi_fc import member_oi_fc
 from .oracle import IO, NO, OI, UNKNOWN, YES, Budget, oracle_member
 from .sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, build_sat_mtt, encode,
                   parse_dimacs, sat_check_small)
@@ -131,10 +130,10 @@ def cmd_validate(args) -> int:
             return 0
         else:
             record["kind"] = "mtt"
-            counts = copy_counts(m)
-            record["copied_params"] = ", ".join(
-                f"{q}.{j}" for q in m.states
-                for j, n in enumerate(counts[q], 1) if n > 1) or "none"
+        counts = copy_counts(m)
+        record["copied_params"] = ", ".join(
+            f"{q}.{j}" for q in m.states
+            for j, n in enumerate(counts[q], 1) if n > 1) or "none"
         cls = m.mtt_class
         record["deterministic"] = _bool(cls.deterministic)
         record["total"] = _bool(cls.total)

@@ -1,4 +1,5 @@
-"""Polynomial-time translation membership for call-by-value semantics.
+"""Polynomial-time translation membership for call-by-value semantics,
+and for call-by-name under a copy bound.
 
 The decision procedure evaluates the transducer inversely over the DAGs
 of the input and the candidate output: for each input DAG node, each
@@ -10,9 +11,9 @@ subtree, so one abstract value suffices.
 
 demand computes these entries on demand from the root question, so
 only the entries the verdict depends on are visited.  _member drives
-every engine built on demand (member_io and the last stage of
-member_det here, member_io_tac, member_oi_fc, member_mr_io), each
-giving it the engine's one table on the model (_table):
+every engine built on demand (member_io, the last stage of member_det
+and member_oi_fc here, member_io_tac, member_mr_io), each giving it
+the engine's one table on the model (_table):
 alternatives[q, label] is the pair's function or None, generated the
 first time the pair is read and kept.
 The right-hand sides of a pair are generated into one straight-line
@@ -21,14 +22,19 @@ call-by-value engines and under set bindings for member_oi_fc, and
 multi-return let arguments and results into tuple-valued ones
 (compile_terms): each distinct subterm is evaluated once, children
 first, against the candidate output's intern table and label index.
-Functions of equal source share one code object (_code).
-member_io binds a parameter that no output of its state copies
-(mtt.copy_counts) to its whole argument set when that holds two or
-more references, one question under state key (q, mask) in place of
-one per reference (_ask_all): each output holds the parameter at most
-once, so the entry of the set is the union of its references' entries.
+Functions of equal source share one code object (_code), and every
+table of them comes from one builder (_compiled).
+member_io and member_io_tac bind a parameter that no output of its
+state copies (mtt.copy_counts) to its whole argument set when that
+holds two or more references, one question under state key (q, mask)
+in place of one per reference (_ask_all): each output holds the
+parameter at most once, so the entry of the set is the union of its
+references' entries.
 member_det's stages before its last run on demand too, with functions
 that grow the stage's output DAG (_det_output).
+Under call-by-name the occurrences of a parameter may expand to
+different trees, so member_oi_fc binds it to a set of at most c nodes,
+c a trusted copy bound; the empty set plays the role of BOTTOM.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
 
 from .errors import ArityMismatch, NotDeterministic, NotTotal, UnknownSymbol
-from .mtt import Call, Mtt, Out, Param, _refuse_guards, copy_counts
+from .mtt import Call, Mtt, Out, Param, check_kind, copy_counts
 from .oracle import IO, OI, check_input_dag
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
@@ -400,16 +406,20 @@ def _table(m, key, prepare) -> _Table:
     return got
 
 
-def _io_rules(m: Mtt) -> _Table:
-    """member_io's alternatives: the rules of m, compiled, for state
-    keys q and (q, mask) (see _ask_all)."""
-    rules, counts = m.rules, copy_counts(m)
+def _compiled(m, key, lookup=None, **binding) -> _Table:
+    """The table of engine key on m: pair (q, label) holds
+    compile_rhs(lookup(q, label), mask=mask, **binding), lookup giving
+    m's rules at symbol label by default, and mask 0 but for a state key
+    (q, mask) (see _ask_all).  lookup must not reach m (see _table)."""
+    if lookup is None:
+        rules = m.rules
+        lookup = lambda q, sym: rules.get((q, sym), ())
 
-    def prepare(q, sym):
+    def prepare(q, label):
         q, mask = (q, 0) if isinstance(q, str) else q
-        return compile_rhs(rules.get((q, sym), ()), counts=counts, mask=mask)
+        return compile_rhs(lookup(q, label), mask=mask, **binding)
 
-    return _table(m, "io", prepare)
+    return _table(m, key, prepare)
 
 
 def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -419,8 +429,22 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     candidate t that is not well formed over the output alphabet cannot
     be produced and yields False.
     """
-    _refuse_guards(m)
-    return _member(m, build_dag(s)[0], t, _io_rules(m), stats)
+    check_kind(m, Mtt)
+    return _member(m, build_dag(s)[0], t,
+                   _compiled(m, "io", counts=copy_counts(m)), stats)
+
+
+def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) -> bool:
+    """Is t an output of m on s under call-by-name, trusting copy bound c?
+
+    c must be at least the largest number of copies of one parameter that
+    m can produce; it is not checked.  With a smaller c, a "no" can be
+    wrong: t may be an output that only more copies reach.
+    """
+    if not isinstance(c, int) or c < 1:
+        raise ValueError(f"copy bound must be a positive int, got {c!r}")
+    check_kind(m, Mtt)
+    return _member(m, build_dag(s)[0], t, _compiled(m, ("oi", c), c=c), stats)
 
 
 def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
@@ -435,12 +459,9 @@ def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
     check_input_dag(m, s_dag)
     out = TreeDag()
     out.intern = intern = {}
-    rules = m.rules
-    alternatives = _table(m, "det", lambda q, sym: compile_rhs(
-        rules.get((q, sym), ()), grow=True))
     with recursion_room(_frames(s_dag)):
-        (root,), _ = demand(s_dag, out, s_dag.labels, alternatives,
-                            s_dag.root, m.initial)
+        (root,), _ = demand(s_dag, out, s_dag.labels,
+                            _compiled(m, "det", grow=True), s_dag.root, m.initial)
     return TreeDag(*zip(*intern)).below(root)
 
 
@@ -463,7 +484,7 @@ def member_det(mtts, mode: str, s: Tree, t: Tree,
     if not mtts:
         raise ValueError("need at least one transducer")
     for m in mtts:
-        _refuse_guards(m)
+        check_kind(m, Mtt)
         if not m.mtt_class.deterministic:
             raise NotDeterministic(f"{m.name}: more than one alternative for some pair")
         if not m.mtt_class.total:
@@ -472,4 +493,5 @@ def member_det(mtts, mode: str, s: Tree, t: Tree,
     s_dag = build_dag(s)[0]
     for m in stages:
         s_dag = _det_output(m, s_dag)
-    return _member(last, s_dag, t, _io_rules(last), stats)
+    return _member(last, s_dag, t,
+                   _compiled(last, "io", counts=copy_counts(last)), stats)

@@ -265,6 +265,8 @@ def copy_counts(m) -> dict[str, tuple[int, ...]]:
     """For each state of m, one count per parameter: 0 or 1 when no
     output of the state, on any input, holds the parameter more than
     that often, and 2 when some output may hold it twice or more.
+    A TacMtt's rules are read without their guards (m.alternatives),
+    which only remove alternatives, so its counts over-approximate.
 
     A least fixpoint over the rules, with counts capped at 2: a Param
     counts 1, an Out the sum of its children, and a Call, summed over
@@ -282,9 +284,9 @@ def copy_counts(m) -> dict[str, tuple[int, ...]]:
     changed = True
     while changed:
         changed = False
-        for (q, _), alts in m.rules.items():
+        for q, sym in m.rules:
             best, zero = counts[q], [0] * len(counts[q])
-            for rhs in alts:
+            for rhs in m.alternatives(q, sym):
                 vec: dict[int, list[int]] = {}  # id(subterm) -> its counts
                 for node in _children_first(rhs):
                     v = zero[:]
@@ -325,14 +327,21 @@ def check_header(m, ranks: dict[str, int]) -> None:
             raise UnknownSymbol(f"rule on undeclared input symbol {sym!r}")
 
 
-def _refuse_guards(m) -> None:
-    """Raise TypeError for a look-ahead transducer (a TacMtt): engines
-    that read its rules through alternatives() would drop the guards."""
-    if hasattr(m, "tac"):
-        raise TypeError(
-            f"{m.name!r} has look-ahead guards, which this engine would drop; "
-            f"use member_io_tac"
-        )
+# the engine that takes each transducer kind, by class name: two kinds
+# live in modules that import this one
+_ENGINE_OF = {"Mtt": "member_io", "TacMtt": "member_io_tac", "MrMtt": "member_mr_io"}
+
+
+def check_kind(m, kind: type) -> None:
+    """Raise TypeError unless m is of kind, the transducer class an
+    engine reads: it would misread another kind's rules, such as a
+    TacMtt's without their guards.  The message names the engine that
+    takes m's kind."""
+    if not isinstance(m, kind):
+        given = type(m).__name__
+        use = _ENGINE_OF.get(given)
+        raise TypeError(f"this engine takes {kind.__name__}, not {given}"
+                        + (f"; use {use}" if use else ""))
 
 
 def validate(m) -> MttClass:

@@ -18,10 +18,10 @@ from types import MappingProxyType, SimpleNamespace
 
 from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
 from .io_membership import _member, _table, compile_terms
-from .mtt import (Out, Param, ZVar, check_header, check_rhs, distinct_rules,
-                  freeze, walk_rhs)
-from .oracle import Budget, TreeSet, _Meter, io_subst, y_leaf
-from .trees import RankedAlphabet, Tree, build_dag
+from .mtt import (Out, Param, ZVar, check_header, check_kind, check_rhs,
+                  distinct_rules, freeze, walk_rhs)
+from .oracle import Budget, TreeSet, _Meter, y_leaf
+from .trees import RankedAlphabet, Tree, build_dag, substitute
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,6 +131,7 @@ class MrEvaluator:
     """
 
     def __init__(self, m: MrMtt, budget: Budget | None = None):
+        check_kind(m, MrMtt)
         self.m = m
         self.budget = budget or Budget()
         self._meter = _Meter(self.budget, prune_size=None)
@@ -173,12 +174,14 @@ class MrEvaluator:
 
     def _apply_args(self, comp: Tree, ys: tuple) -> Tree:
         # components are parameterized in the *callee's* y's; lets in this
-        # rhs use terms over the caller's scope, already ground here
+        # rhs use terms over the caller's scope, already ground here; one
+        # step of this evaluator's budget, under its tree-size bound
         if not ys:
             return comp
-        sets = io_subst((comp,), [(y,) for y in ys], self.budget)
-        (only,) = sets
-        return only
+        self._meter.tick()
+        out = substitute(comp, {f"y{i}": y for i, y in enumerate(ys, 1)})
+        self._meter.admits(out.size)
+        return out
 
 
 def eval_mr_state(m: MrMtt, state: str, s: Tree, args: tuple[Tree, ...],
@@ -300,6 +303,7 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     projected to live variables; a rule whose environment set exceeds
     env_cap raises EnvLimitExceeded rather than silently degrading.
     """
+    check_kind(m, MrMtt)
     rules, ranks = m.rules, m.ranks
     alternatives = _table(m, "mr-io", lambda q, sym: _mr_alternatives(
         rules.get((q, sym), ()), ranks[q], f"{q}/{sym}"))

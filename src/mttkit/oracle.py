@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import AlphabetMismatch, ArityMismatch, BudgetExceeded, UnknownSymbol
-from .mtt import Call, Mtt, Out, Param, _refuse_guards
+from .mtt import Call, Mtt, Out, Param, check_kind
 from .trees import Tree, TreeDag, build_dag, substitute, term_sort_key
 
 IO = "io"
@@ -243,7 +243,7 @@ class Evaluator:
                  prune_size: int | None = None):
         if mode not in (IO, OI):
             raise ValueError(f"mode must be {IO!r} or {OI!r}")
-        _refuse_guards(m)
+        check_kind(m, Mtt)
         self.m = m
         self.mode = mode
         self.meter = _Meter(budget or Budget(), prune_size)
@@ -339,10 +339,10 @@ def oracle_member(m: Mtt, mode: str, s: Tree, t: Tree,
     exhaustion, or an enumeration that exhausts the recursion limit on a
     deep input, never an engine guess.
     """
+    ev = Evaluator(m, mode, budget or Budget(), prune_size=t.size)
     check_input_tree(m, s)
     if stats is not None:
         stats.update(s_size=s.size, t_size=t.size)
-    ev = Evaluator(m, mode, budget or Budget(), prune_size=t.size)
     if not m.output_alphabet.is_well_ranked(t):
         return NO
     try:

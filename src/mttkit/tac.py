@@ -9,6 +9,9 @@ each check is constant time.
 The automaton must behave total-deterministically on the given input:
 exactly one transition per node.  This is enforced while running, not
 statically, since constraint satisfiability is input-dependent.
+
+member_io_tac binds parameters as member_io does, by the guard-free
+copy counts: guards only remove alternatives, so these over-approximate.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .errors import (
     UnknownState,
     UnknownSymbol,
 )
-from .io_membership import _member, _table, compile_rhs
-from .mtt import MttClass, Rhs, distinct_rules, freeze, validate
+from .io_membership import _compiled, _member
+from .mtt import (MttClass, Rhs, check_kind, copy_counts, distinct_rules,
+                  freeze, validate)
 from .trees import RankedAlphabet, Tree, TreeDag, build_dag
 
 
@@ -150,8 +154,9 @@ class TacRule:
 @dataclass(frozen=True)
 class TacMtt:
     """A transducer whose rules are guarded by a look-ahead automaton;
-    like an Mtt, checked once when built and read-only after; the table
-    of member_io_tac is per state and node shape (_Shapes)."""
+    like an Mtt, checked once when built and read-only after, with
+    _prepared as for an Mtt; member_io_tac's table is per state and node
+    shape (_Shapes)."""
 
     name: str
     input_alphabet: RankedAlphabet
@@ -235,14 +240,16 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
     output reasoning uses the candidate output's DAG.  The two stores are
     independent.
     """
+    check_kind(tm, TacMtt)
     rules, tac = tm.rules, tm.tac
 
     def guarded(q, shape):
         sym, kid_states, same = shape
-        return compile_rhs(tuple(dict.fromkeys(
+        return tuple(dict.fromkeys(
             rule.rhs for rule in rules.get((q, sym), ())
             if rule.lookahead in (None, kid_states)
-            and _constraints_ok(rule, same))))
+            and _constraints_ok(rule, same)))
 
-    return _member(tm, build_dag(s)[0], t, _table(tm, "io-tac", guarded), stats,
+    alternatives = _compiled(tm, "io-tac", guarded, counts=copy_counts(tm))
+    return _member(tm, build_dag(s)[0], t, alternatives, stats,
                    labels=lambda s_dag: _Shapes(tac, s_dag))

@@ -1,6 +1,7 @@
 """Builders for randomized transducers, exhaustive inputs, and output
-mutations, and the enumerated copy count that declared copy bounds are
-checked against; shared by the module tests and the acceptance suite."""
+mutations, the enumerated copy count that declared copy bounds are
+checked against, and the reference outputs of guarded transducers;
+shared by the module tests and the acceptance suite."""
 
 from __future__ import annotations
 
@@ -20,6 +21,10 @@ from mttkit import (
     Out,
     Param,
     RankedAlphabet,
+    Tac,
+    TacMtt,
+    TacRule,
+    TacTransition,
     Tree,
     ZVar,
     enumerate_trees,
@@ -367,3 +372,110 @@ def estimate_copy_bound(m: Mtt, depth: int, limit: int = 8, params=None):
                 if best > limit:
                     return NON_CONFORMING
     return best
+
+
+# look-ahead: e -> p0, b flips p0/p1, a says whether its children are equal
+_TAC = Tac(IN_ALPHA, (
+    TacTransition("e", (), target="p0"),
+    TacTransition("b", ("p0",), target="p1"),
+    TacTransition("b", ("p1",), target="p0"),
+    *(TacTransition("a", (x, y), eq=((1, 2),), target="p0")
+      for x in ("p0", "p1") for y in ("p0", "p1")),
+    *(TacTransition("a", (x, y), neq=((1, 2),), target="p1")
+      for x in ("p0", "p1") for y in ("p0", "p1")),
+))
+
+
+def random_tac_mtt(rng: random.Random, name: str = "tac") -> TacMtt:
+    """A random_mtt whose alternatives carry random look-ahead and
+    (dis)equality guards over the fixed automaton above."""
+    plain = random_mtt(rng, name)
+    rules = {}
+    for (q, sym), alts in plain.rules.items():
+        k = IN_ALPHA.rank(sym)
+        guarded = []
+        for rhs in alts:
+            la = (None if k == 0 or rng.random() < 0.5 else
+                  tuple(rng.choice(("p0", "p1")) for _ in range(k)))
+            eq = neq = ()
+            if k == 2:
+                eq, neq = rng.choice((((), ()), (((1, 2),), ()), ((), ((1, 2),))))
+            guarded.append(TacRule(rhs, lookahead=la, eq=eq, neq=neq))
+        rules[(q, sym)] = tuple(guarded)
+    return TacMtt(name, IN_ALPHA, OUT_ALPHA, plain.states, "q0", rules, _TAC)
+
+
+def parity_guarded(m: Mtt) -> TacMtt:
+    """m over a chain alphabet, guarded by the parity of the child's
+    depth: at a unary symbol the first alternative of a pair is written
+    once per parity, so it holds everywhere, and each further one holds
+    only above a child of even depth."""
+    (sym,) = [a for a in m.input_alphabet if m.input_alphabet.rank(a) == 1]
+    (leaf,) = [a for a in m.input_alphabet if m.input_alphabet.rank(a) == 0]
+    tac = Tac(m.input_alphabet, (TacTransition(leaf, (), target="p0"),
+                                 TacTransition(sym, ("p0",), target="p1"),
+                                 TacTransition(sym, ("p1",), target="p0")))
+    rules = {}
+    for (q, a), (first, *more) in m.rules.items():
+        if a == leaf:
+            rules[q, a] = tuple(TacRule(rhs) for rhs in (first, *more))
+        else:
+            rules[q, a] = (TacRule(first, ("p0",)), TacRule(first, ("p1",)),
+                           *(TacRule(rhs, ("p0",)) for rhs in more))
+    return TacMtt(m.name, m.input_alphabet, m.output_alphabet, m.states,
+                  m.initial, rules, tac)
+
+
+def _tac_states(a: Tac, s: Tree) -> dict:
+    """Look-ahead state of every node of s, by plain recursion on trees
+    with structural equality (no DAG, no engine code)."""
+    out: dict[int, str] = {}
+
+    def go(node):
+        kid_states = tuple(go(c) for c in node.children)
+        hits = [tr.target for tr in a.transitions
+                if tr.sym == node.label and tr.states == kid_states
+                and all(node.children[i - 1] == node.children[j - 1] for i, j in tr.eq)
+                and all(node.children[i - 1] != node.children[j - 1] for i, j in tr.neq)]
+        if len(hits) != 1:
+            raise AssertionError(f"look-ahead not deterministic-total at {node!r}")
+        out[id(node)] = hits[0]
+        return hits[0]
+
+    go(s)
+    return out
+
+
+def tac_outputs(tm: TacMtt, s: Tree, budget: Budget = HARNESS_BUDGET):
+    """Call-by-value outputs of a guarded transducer on s, or None over
+    budget.
+
+    Each node of s gets its own input symbol, and a plain transducer is
+    built whose rules at that symbol are the alternatives whose guards
+    hold there; the oracle then enumerates its outputs.
+    """
+    la = _tac_states(tm.tac, s)
+    ranks: dict[str, int] = {}
+    rules = {}
+
+    # per position, not per node object: equal subtrees may be one object
+    def relabel(node):
+        kids = node.children
+        new_kids = tuple(relabel(c) for c in kids)
+        sym = f"n{len(ranks)}"
+        ranks[sym] = len(kids)
+        kid_states = tuple(la[id(c)] for c in kids)
+        for q in tm.states:
+            alts = tuple(
+                rule.rhs for rule in tm.rules.get((q, node.label), ())
+                if (rule.lookahead is None or rule.lookahead == kid_states)
+                and all(kids[i - 1] == kids[j - 1] for i, j in rule.eq)
+                and all(kids[i - 1] != kids[j - 1] for i, j in rule.neq))
+            if alts:
+                rules[(q, sym)] = alts
+        return Tree(sym, new_kids)
+
+    s2 = relabel(s)
+    m = Mtt(tm.name, RankedAlphabet(ranks), tm.output_alphabet,
+            dict(tm.states), tm.initial, rules)
+    return io_output_set(m, s2, budget)

@@ -14,9 +14,8 @@ from mttkit import (App, Budget, Evaluator, IO, OI, Tree, enumerate_trees,
 from mttkit.bench import bench_family, fit_power_law
 from mttkit.families import (double_mtt, doubling_mtt, equal_pair_tacmtt,
                              reverse_pair_instance, reverse_pair_mrtt)
-from mttkit.io_membership import member_det, member_io
+from mttkit.io_membership import member_det, member_io, member_oi_fc
 from mttkit.multi_return import eval_mr_io, member_mr_io
-from mttkit.oi_fc import member_oi_fc
 from mttkit.oracle import io_subst, oi_subst
 from mttkit.sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, Cnf3, build_sat_mtt,
                         encode, sat_check_small, solve_truth_table)

@@ -19,7 +19,7 @@ from mttkit.sat import (DEFAULT_SAT_BUDGET, Cnf3, build_sat_mtt, encode,
                         parse_dimacs)
 from mttkit.trees import Tree, format_term, parse_term
 
-from helpers import first_rule_twice
+from helpers import first_rule_twice, parity_guarded
 
 
 @pytest.fixture
@@ -54,7 +54,10 @@ def test_validate_plain(files, capsys):
 
 
 def test_validate_reports_copied_parameters(files, capsys):
-    for make, copied in ((fan_mtt, "none"), (doubling_mtt, "q.1")):
+    # with a tac block too, counted with the guards dropped
+    for make, copied in ((fan_mtt, "none"), (doubling_mtt, "q.1"),
+                         (equal_pair_tacmtt, "none"),
+                         (lambda: parity_guarded(doubling_mtt()), "q.1")):
         path = files("m.mtt", format_transducer(make()))
         assert main(["validate", path]) == 0
         assert f"copied_params: {copied}\n" in capsys.readouterr().out

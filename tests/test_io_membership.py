@@ -51,7 +51,8 @@ from mttkit.families import (
     reverse_pair_instance,
     reverse_pair_mrtt,
 )
-from mttkit.io_membership import _SCOPE, _io_rules, compile_rhs, demand
+from mttkit.io_membership import _SCOPE, _compiled, compile_rhs, demand
+from mttkit.mtt import copy_counts
 from mttkit.trees import BOTTOM, TreeDag, build_dag
 
 from helpers import (
@@ -86,6 +87,11 @@ def _eval_on(rhs, vbar, dag, entries=None, asked=None, c=None):
         return frozenset(entries.get((node, q, ubar), ()))
 
     return set(compile_rhs((rhs,), c)(vbar, KIDS, ask, dag))
+
+
+def _io_rules(m):
+    """member_io's table on m."""
+    return _compiled(m, "io", counts=copy_counts(m))
 
 
 def _root_entry(m, s, t_dag):

@@ -367,3 +367,31 @@ def test_verdicts_do_not_check_the_model_again(monkeypatch):
     assert calls == []
     double_mtt(), equal_pair_tacmtt(), reverse_pair_mrtt()
     assert {"check_rhs", "check_header", "check"} <= set(calls)  # counted
+
+
+# each entry point, with the kind of transducer it takes
+_ENTRY_POINTS = {
+    "member_io": (Mtt, lambda m, s, t: member_io(m, s, t)),
+    "member_det": (Mtt, lambda m, s, t: member_det([m], "io", s, t)),
+    "member_oi_fc": (Mtt, lambda m, s, t: member_oi_fc(m, 1, s, t)),
+    "oracle_member": (Mtt, lambda m, s, t: oracle_member(m, "io", s, t)),
+    "member_io_tac": (TacMtt, lambda m, s, t: member_io_tac(m, s, t)),
+    "member_mr_io": (MrMtt, lambda m, s, t: member_mr_io(m, s, t)),
+    "eval_mr_io": (MrMtt, lambda m, s, t: eval_mr_io(m, s)),
+}
+# a model of each kind, and the engine its refusal names
+_KINDS = {Mtt: (double_mtt, "member_io"),
+          TacMtt: (equal_pair_tacmtt, "member_io_tac"),
+          MrMtt: (reverse_pair_mrtt, "member_mr_io")}
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry, (takes, _) in _ENTRY_POINTS.items()
+    for kind in _KINDS if kind is not takes
+], ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_entry_points_refuse_other_kinds(entry, kind):
+    # refused before the input is read, so e, outside two of the three
+    # input alphabets, does not matter
+    make, engine = _KINDS[kind]
+    with pytest.raises(TypeError, match=f"not {kind.__name__}; use {engine}$"):
+        _ENTRY_POINTS[entry][1](make(), parse_term("e"), parse_term("e"))

@@ -10,6 +10,7 @@ from mttkit import (
     App,
     ArityMismatch,
     BadInitialRank,
+    Budget,
     BudgetExceeded,
     Call,
     EnvLimitExceeded,
@@ -321,3 +322,14 @@ def test_reverse_pair_demands_linearly_many_entries():
     lower = reverse_pair_instance(flipped)[1].children[0]
     assert not member_mr_io(m, s, Tree("r", (lower, t.children[1])), stats=stats)
     assert stats["entries"] <= 5 * k
+
+
+def test_argument_substitution_counts_against_the_evaluators_budget():
+    # on s^4(z) the evaluator takes 61 steps of its own and 60 argument
+    # substitutions, each one step of the same budget
+    m = reverse_pair_mrtt()
+    s, t = reverse_pair_instance("abab")
+    assert t in eval_mr_io(m, s, Budget(max_steps=121))
+    for steps in (100, 120):
+        with pytest.raises(BudgetExceeded):
+            eval_mr_io(m, s, Budget(max_steps=steps))

@@ -18,6 +18,7 @@ from mttkit import (
     TacMtt,
     TacRule,
     TacTransition,
+    enumerate_trees,
     member_det,
     member_io,
     member_io_tac,
@@ -30,10 +31,13 @@ from mttkit import (
     validate_tac_mtt,
 )
 from mttkit.errors import ArityMismatch, MttError
-from mttkit.families import equal_pair_tacmtt
+from mttkit.families import double_mtt, equal_pair_tacmtt, fan_mtt
 from mttkit.trees import build_dag
 
-from helpers import all_inputs, count_trees, io_output_set, random_mtt
+from helpers import (_TAC, IN_ALPHA, OUT_ALPHA, all_inputs, chain,
+                     count_trees, io_output_set, leaf_double_mtt,
+                     mixed_double_mtt, mutations, parity_guarded, random_mtt,
+                     random_tac_mtt, tac_outputs)
 
 PI = RankedAlphabet({"pi": 2, "a": 1, "e": 0})
 
@@ -267,6 +271,72 @@ def test_unsatisfiable_guard_is_legal_and_silent():
     validate_tac_mtt(tm)
     assert not member_io_tac(tm, parse_term("pi(e,e)"), parse_term("e"))
     assert not member_io_tac(tm, parse_term("pi(a(e),e)"), parse_term("e"))
+
+
+def _agrees_with_reference(tm, s, pool=None, extra=()) -> int:
+    """member_io_tac against tac_outputs on s: on its first pool outputs,
+    or all of them, their one-label mutations and the trees extra; the
+    checks made."""
+    outs = tac_outputs(tm, s)
+    if outs is None:
+        return 0
+    cands = [*extra]
+    for t in outs.items[:pool]:
+        cands += [t, *mutations(t, tm.output_alphabet)]
+    for u in cands:
+        assert member_io_tac(tm, s, u) == (u in outs), (tm.name, s, u)
+    return len(cands)
+
+
+def _binds_whole(tm) -> bool:
+    """Whether some question bound a parameter to a whole argument set:
+    its state key is (q, mask) (see io_membership._ask_all)."""
+    return any(not isinstance(q, str) for q, _ in tm._prepared["io-tac"])
+
+
+def test_random_guarded_transducers_agree_with_reference_semantics():
+    rng = random.Random(2021)
+    inputs = all_inputs(6)
+    checks = 0
+    for i in range(300):
+        tm = random_tac_mtt(rng, f"t{i}")
+        for s in inputs:
+            checks += _agrees_with_reference(tm, s, pool=3)
+    assert checks > 20_000
+
+
+def test_guarded_copies_are_bound_per_reference():
+    # d copies y1, so its argument r, g(c) or u(c), is bound one tree at
+    # a time: f(g(c), u(c)) is no output, although d never sees a guard
+    y1, c = Param(1), Out("c")
+    tm = TacMtt("copy", IN_ALPHA, OUT_ALPHA, {"q0": 0, "r": 0, "d": 1}, "q0", {
+        ("q0", "b"): (TacRule(Call("d", 1, (Call("r", 1),)), lookahead=("p0",)),),
+        ("r", "e"): (TacRule(Out("g", (c,))), TacRule(Out("u", (c,)))),
+        ("d", "e"): (TacRule(Out("f", (y1, y1))),),
+    }, _TAC)
+    s = parse_term("b(e)")
+    assert member_io_tac(tm, s, parse_term("f(g(c),g(c))"))
+    assert not member_io_tac(tm, s, parse_term("f(g(c),u(c))"))
+    assert _agrees_with_reference(tm, s)
+    assert not _binds_whole(tm)
+
+
+@pytest.mark.parametrize("make, sizes, whole", [
+    (fan_mtt, range(1, 6), True),
+    (double_mtt, range(1, 3), False),
+    (leaf_double_mtt, range(1, 5), False),
+    (mixed_double_mtt, range(1, 5), False),
+], ids=["fan", "double", "leafdouble", "mixeddouble"])
+def test_guarded_families_bind_only_never_copied_parameters_whole(make, sizes,
+                                                                  whole):
+    # the guard-free copy counts decide: fan's p copies neither
+    # parameter, the doubling families copy theirs.  Their outputs have
+    # few one-label mutations, so every small tree is checked too
+    tm = parity_guarded(make())
+    small = enumerate_trees(tm.output_alphabet, max_size=7)
+    for n in sizes:
+        assert _agrees_with_reference(tm, chain(n), extra=small)
+    assert _binds_whole(tm) is whole
 
 
 @pytest.mark.parametrize("engine", [
