@@ -9,6 +9,14 @@ from .tac import Tac, TacMtt, TacRule, TacTransition
 from .trees import RankedAlphabet, Tree, tree
 
 
+def _word(syms, leaf: str = "e") -> Tree:
+    """syms[0](syms[1](...(leaf))), each symbol unary."""
+    t = tree(leaf)
+    for sym in reversed(syms):
+        t = Tree(sym, (t,))
+    return t
+
+
 def double_mtt() -> Mtt:
     """Nondeterministic doubler: on a^n(e) the call-by-value output set
     has 2^(2^n) trees and the call-by-name set far more; the workhorse
@@ -54,13 +62,10 @@ def double_instance(n: int) -> tuple[Tree, Tree]:
     """(a^n(e), the all-f output): output size 2^(2^n + 1) - 1; keep n <= 2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = tree("e")
-    for _ in range(n):
-        s = Tree("a", (s,))
     t = tree("e")
     for _ in range(2 ** n):
         t = Tree("f", (t, t))
-    return s, t
+    return _word("a" * n), t
 
 
 def copyfree_mtt() -> Mtt:
@@ -86,13 +91,7 @@ def copyfree_instance(n: int) -> tuple[Tree, Tree]:
     """Matching (s, t) with |s| = |t| = n, n >= 2."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    s = tree("e")
-    for _ in range(n - 1):
-        s = Tree("a", (s,))
-    t = Tree("g", (tree("e"),))
-    for _ in range(n - 2):
-        t = Tree("f", (t,))
-    return s, t
+    return _word("a" * (n - 1)), _word("f" * (n - 2) + "g")
 
 
 def fan_mtt() -> Mtt:
@@ -124,13 +123,39 @@ def fan_instance(n: int) -> tuple[Tree, Tree]:
     for n >= 3 and not below: |s| = n + 1 and |t| = 2n + 2."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    s = tree("e")
-    for _ in range(n):
-        s = Tree("a", (s,))
-    low = tree("e")
-    for _ in range(n - 1):
-        low = Tree("g", (low,))
-    return s, Tree("f", (low, Tree("g", (low,))))
+    low = _word("g" * (n - 1))
+    return _word("a" * n), Tree("f", (low, Tree("g", (low,))))
+
+
+def choose_mtt() -> Mtt:
+    """Copy-free chooser: on a^(d+1)(e) the outputs are the 2^d words of
+    length d over {g, h} on e.  Each level of q wraps y1 in g, or has s
+    wrap it in g or h, so the sets bound whole to y1 take exponentially
+    many values."""
+    y1 = Param(1)
+    gh = (Out("g", (y1,)), Out("h", (y1,)))
+    return Mtt(
+        name="choose",
+        input_alphabet=RankedAlphabet({"a": 1, "e": 0}),
+        output_alphabet=RankedAlphabet({"f": 2, "g": 1, "h": 1, "e": 0}),
+        states={"q0": 0, "q": 1, "s": 1},
+        initial="q0",
+        rules={("q0", "a"): (Call("q", 1, (Out("e"),)),),
+               ("q", "a"): (Call("q", 1, gh[:1]),
+                            Call("q", 1, (Call("s", 1, (y1,)),))),
+               ("q", "e"): (y1,), ("s", "a"): gh, ("s", "e"): gh},
+    )
+
+
+def choose_instance(d: int) -> tuple[Tree, Tree]:
+    """(a^(d+1)(e), the right-nested f of the d words of length d with
+    one h), a member of choose_mtt's translation for d = 1 only."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    t = _word("g" * (d - 1) + "h")
+    for i in reversed(range(d - 1)):
+        t = Tree("f", (_word("g" * i + "h" + "g" * (d - 1 - i)), t))
+    return _word("a" * (d + 1)), t
 
 
 def reverse_pair_mrtt() -> MrMtt:
@@ -175,16 +200,8 @@ def reverse_pair_instance(word: str) -> tuple[Tree, Tree]:
     """(s^k(z), r(word(e), reversed-uppercase(E))) for a word over {a, b}."""
     if any(ch not in "ab" for ch in word):
         raise ValueError(f"word must be over letters a and b, got {word!r}")
-    s = tree("z")
-    for _ in word:
-        s = Tree("s", (s,))
-    lo = tree("e")
-    for ch in reversed(word):
-        lo = Tree(ch, (lo,))
-    hi = tree("E")
-    for ch in word:
-        hi = Tree(ch.upper(), (hi,))
-    return s, Tree("r", (lo, hi))
+    return (_word("s" * len(word), "z"),
+            Tree("r", (_word(word), _word(word[::-1].upper(), "E"))))
 
 
 def equal_pair_tacmtt() -> TacMtt:

@@ -17,24 +17,18 @@ the engine's one table on the model (_table):
 alternatives[q, label] is the pair's function or None, generated the
 first time the pair is read and kept.
 The right-hand sides of a pair are generated into one straight-line
-Python function (compile_rhs), under reference bindings for the
-call-by-value engines and under set bindings for member_oi_fc, and
-multi-return let arguments and results into tuple-valued ones
-(compile_terms): each distinct subterm is evaluated once, children
-first, against the candidate output's intern table and label index.
-Functions of equal source share one code object (_code), and every
-table of them comes from one builder (_compiled).
-member_io and member_io_tac bind a parameter that no output of its
-state copies (mtt.copy_counts) to its whole argument set when that
-holds two or more references, one question under state key (q, mask)
-in place of one per reference (_ask_all): each output holds the
-parameter at most once, so the entry of the set is the union of its
-references' entries.
+Python function (compile_rhs), and multi-return let arguments and
+results into tuple-valued ones (compile_terms): each distinct subterm
+is evaluated once, children first, against the candidate output's
+intern table and label index.  Functions of equal source share one
+code object (_code), and every table of them comes from one builder
+(_compiled).
+The two semantics differ only in how a call binds its argument sets,
+so member_oi_fc runs on member_io's table, and _ask_all alone binds a
+set, by the semantics demand carries: per reference, whole, or to its
+subsets of at most c nodes, c a trusted copy bound (call-by-name).
 member_det's stages before its last run on demand too, with functions
 that grow the stage's output DAG (_det_output).
-Under call-by-name the occurrences of a parameter may expand to
-different trees, so member_oi_fc binds it to a set of at most c nodes,
-c a trusted copy bound; the empty set plays the role of BOTTOM.
 """
 
 from __future__ import annotations
@@ -107,34 +101,46 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
     return out
 
 
-def _ask_all(ask, child, q: str, kid_sets, c=None, whole=()) -> set:
-    """A call with a set of references for some argument: one question
-    to input node child per combination, none when a set is empty.
+def _ask_all(ask, child, q: str, kid_sets, whole=()) -> set:
+    """A call with a set of references K for some argument: one question
+    to input node child per combination of bindings, under state key
+    (q, mask) when a parameter j is bound to a frozenset, mask having
+    bit j set.  whole holds the positions of q's parameters that no
+    output of q copies (mtt.copy_counts, under either semantics).
 
-    Under call-by-value, whole holds the positions of q's parameters
-    that no output of q copies (mtt.copy_counts).  Such a parameter whose
-    set holds two or more references is bound to the whole set, as a
-    frozenset, in one question to state key (q, mask), mask having bit j
-    set for each position j so bound: each output of q holds the
-    parameter at most once, so the entry of the set is the union of the
-    entries of its references.
-
-    Under call-by-name (copy bound c), each argument set K binds its
-    parameter to each ascending c-subset of K instead, or to K itself
-    when smaller, so an empty K binds ().  Every entry is monotone in its
-    bindings: a larger set for a parameter lets each of its occurrences
-    pick from more nodes, so these subsets cover the smaller ones."""
-    if c is not None:
-        kid_sets = [combinations(sorted(ks), min(c, len(ks))) for ks in kid_sets]
-    else:
-        mask = 0
+    Call-by-value (ask.c None) binds K whole for a never-copied
+    parameter when |K| >= 2, its entry being the union of its
+    references' entries; else per reference, and an empty K asks
+    nothing.  Call-by-name (copy bound ask.c) drops BOTTOM from K, each
+    occurrence picking its own tree: an emptied K binds BOTTOM and a
+    singleton its reference.  A larger K is bound whole for a
+    never-copied parameter or when |K| <= c, since an output picks at
+    most c nodes of it; else to each c-subset (entries are monotone in
+    their bindings), or per reference when c is 1.  Once ask.budget is
+    spent (see demand), a never-copied parameter binds as a copied one."""
+    c, mask = ask.c, 0
+    if c is None:
         for j in whole:
             ks = kid_sets[j]
-            if len(ks) > 1:
+            if len(ks) > 1 and ask.budget > 0:
                 kid_sets[j] = (frozenset(ks),)
                 mask |= 1 << j
-        if mask:
-            q = (q, mask)
+    else:
+        for j, ks in enumerate(kid_sets):
+            if BOTTOM in ks:
+                ks = ks - {BOTTOM}
+            if len(ks) < 2:
+                kid_sets[j] = ks or (BOTTOM,)
+            elif len(ks) <= c or j in whole and ask.budget > 0:
+                kid_sets[j] = (frozenset(ks),)
+                mask |= 1 << j
+            elif c == 1:
+                kid_sets[j] = ks
+            else:
+                kid_sets[j] = map(frozenset, combinations(ks, c))
+                mask |= 1 << j
+    if mask:
+        q = (q, mask)
     out: set = set()
     for ubar in product(*kid_sets):
         out |= ask(child, q, ubar)
@@ -157,22 +163,16 @@ class _Program:
     (an output node over one-reference children: one intern lookup) or
     a set of them (a call, or an output node over a set).
 
-    With a copy bound c (call-by-name), every value is a set: v[i] is an
-    ascending tuple of at most c references, an output node goes through
-    _out_refs with BOTTOM dropped, since the empty set plays its role,
-    and a call over sets binds c-subsets of them (_ask_all).
-
     With grow (member_det's stages before its last), no value is a set:
     an output node is interned if missing, and a call unpacks its entry,
     one reference in a deterministic total stage.
 
-    With counts (member_io), the model's copy_counts, a call over sets
-    passes _ask_all the positions of the callee's parameters that are
-    never copied, and v[i] is a frozenset for each bit i of mask: the
-    function of state key (q, mask)."""
+    With counts, the model's copy_counts, a call over sets passes
+    _ask_all the positions of the callee's parameters that are never
+    copied, and v[i] is a frozenset for each bit i of mask: the function
+    of state key (q, mask)."""
 
-    def __init__(self, c=None, grow=False, counts=None, mask=0):
-        self.c = c
+    def __init__(self, grow=False, counts=None, mask=0):
         self.grow = grow
         self.counts = counts
         self.mask = mask
@@ -187,7 +187,7 @@ class _Program:
     def value(self, term) -> tuple[str, bool]:
         if isinstance(term, Param):
             i = term.index - 1
-            return f"v[{i}]", self.c is not None or bool(self.mask >> i & 1)
+            return f"v[{i}]", bool(self.mask >> i & 1)
         got = self.values.get(term)
         if got is None:
             got = self.values[term] = self._local(term)
@@ -196,22 +196,18 @@ class _Program:
     def _local(self, term) -> tuple[str, bool]:
         args = [self.value(a) for a in term.args]
         name = f"t{len(self.values)}"
-        # under call-by-name the empty set, not BOTTOM, means no node of t
-        drop_bottom = self.c is not None and isinstance(term, Out)
-        over_sets = drop_bottom or any(is_set for _, is_set in args)
+        over_sets = any(is_set for _, is_set in args)
         target = name
         if over_sets:
             sets = ", ".join(e if is_set else f"{{{e}}}" for e, is_set in args)
             if isinstance(term, Out):
                 expr = f"_out_refs({self.const(term.sym)}, [{sets}], dag)"
             else:
-                c = "" if self.c is None else f", {self.const(self.c)}"
                 whole = () if self.counts is None else tuple(
                     j for j, n in enumerate(self.counts[term.state]) if n < 2)
-                if whole:
-                    c = f", whole={self.const(whole)}"
+                whole = f", whole={self.const(whole)}" if whole else ""
                 expr = (f"_ask_all(ask, kids[{term.child - 1}], "
-                        f"{self.const(term.state)}, [{sets}]{c})")
+                        f"{self.const(term.state)}, [{sets}]{whole})")
         else:
             refs = _tuple([e for e, _ in args])
             if isinstance(term, Call):
@@ -227,8 +223,6 @@ class _Program:
                 expr = (f"I.setdefault({key}, len(I))" if self.grow
                         else f"I.get({key}, BOTTOM)")
         self.lines.append(f"    {target} = {expr}\n")
-        if drop_bottom:
-            self.lines.append(f"    {name}.discard(BOTTOM)\n")
         return name, over_sets or (isinstance(term, Call) and not self.grow)
 
     def function(self, params: str, result: str):
@@ -261,18 +255,16 @@ def _code(source: str) -> CodeType:
     return code
 
 
-def compile_rhs(rhss: tuple, c: int | None = None, grow: bool = False,
-                counts: dict | None = None, mask: int = 0):
+def compile_rhs(rhss: tuple, grow: bool = False, counts: dict | None = None,
+                mask: int = 0):
     """The right-hand sides rhss of one (state, label) as one function
     alt(v, kids, ask, t_dag): the references of the candidate-output
     DAG t_dag they yield under parameter references v, at an input node
     whose children are kids, where ask(node, state, ubar) answers a
-    state call; None when rhss is empty.  With a copy bound c, each v[i]
-    is a set of references (call-by-name, see _Program); with grow, the
-    output nodes are added to t_dag (member_det's earlier stages).  With
-    the model's copy counts, calls bind never-copied parameters to whole
-    sets (member_io, see _ask_all), and v[i] is such a set for each bit
-    i of mask.
+    state call; None when rhss is empty.  With grow, the output nodes
+    are added to t_dag (member_det's earlier stages).  With the model's
+    copy counts, calls bind sets as _ask_all decides by the query's
+    semantics, and v[i] is a set for each bit i of mask.
 
     The function is straight-line code over the distinct subterms of
     rhss (_Program), each evaluated once per entry, that returns the
@@ -281,12 +273,8 @@ def compile_rhs(rhss: tuple, c: int | None = None, grow: bool = False,
     """
     if not rhss:
         return None
-    prog = _Program(c, grow, counts, mask)
+    prog = _Program(grow, counts, mask)
     roots = [prog.value(rhs) for rhs in rhss]
-    if c is not None:
-        # a parameter's binding is a tuple: joined as a set
-        roots = [(f"{{*{e}}}" if isinstance(rhs, Param) else e, True)
-                 for rhs, (e, _) in zip(rhss, roots)]
     one = ", ".join(e for e, is_set in roots if not is_set)
     result = " | ".join([e for e, is_set in roots if is_set]
                         + ([f"{{{one}}}"] if one else []))
@@ -305,7 +293,8 @@ def compile_terms(terms: tuple):
 _EMPTY: frozenset = frozenset()
 
 
-def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
+def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
+           c: int | None = None, budget: int = 0):
     """The inverse evaluation, computed on demand: the entry of state q at
     input node with no parameters, and the memo of every entry it
     depended on.
@@ -315,10 +304,10 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
     alt = alternatives[q, labels[node]], alt(vbar, kids, ask, t_dag)
     with the node's children kids, or is empty when alt is None.  The
     generated functions of compile_rhs bind each parameter to one
-    reference (call-by-value), or to a set: a whole argument set under
-    a state key (q, mask) (member_io), or a subset of at most c given a
-    copy bound c (call-by-name, member_oi_fc).  Those of multi_return
-    return tuples of references (given its meter as t_dag, see _member).
+    reference, or to a set under a state key (q, mask), as _ask_all
+    decides by ask.c, the semantics c, and ask.budget, which each entry
+    made under such a key spends.  Those of multi_return return tuples
+    of references (given its meter as t_dag, see _member).
     """
     memo: dict[tuple, frozenset] = {}
     kids_of = s_dag.kids
@@ -328,10 +317,13 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str):
         got = memo.get(key)
         if got is None:
             alt = alternatives[q, labels[node]]
+            if type(q) is tuple:
+                ask.budget -= 1
             got = memo[key] = (_EMPTY if alt is None else
                                frozenset(alt(vbar, kids_of[node], ask, t_dag)))
         return got
 
+    ask.c, ask.budget = c, budget
     try:
         return ask(node, q, ()), memo
     finally:
@@ -348,7 +340,7 @@ def _frames(s_dag: TreeDag) -> int:
 
 
 def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
-            labels=None, meter=None) -> bool:
+            labels=None, meter=None, c=None) -> bool:
     """Demand the initial state's entry at the root of the input DAG
     s_dag and look for t's root in it.  m checked itself when it was
     built; s_dag and t's DAG are checked: an input outside the input
@@ -356,9 +348,11 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
     alphabet is no output.
 
     The label alternatives[q, label] reads is a node's symbol, or
-    labels(s_dag)[node] when labels is given.  With meter (multi-return),
-    entries hold tuples, and the alternatives get meter, holding t's
-    intern table, in place of t's DAG.
+    labels(s_dag)[node] when labels is given, and c the semantics.  The
+    whole-set budget (see demand) is per-reference binding's key bound,
+    |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank.  With meter
+    (multi-return), entries hold tuples, and the alternatives get meter,
+    holding t's intern table, in place of t's DAG.
     """
     check_input_dag(m, s_dag)
     t_dag, t_root = build_dag(t)
@@ -366,14 +360,17 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
         m.output_alphabet.check_dag(t_dag)
     except (UnknownSymbol, ArityMismatch):
         return False
-    out = t_dag
+    out, budget = t_dag, 0
     if meter is not None:
         meter.intern = t_dag.intern
         out, t_root = meter, (t_root,)
+    else:
+        budget = (s_dag.node_count() * len(m.states)
+                  * (t_dag.node_count() + 1) ** m.mtt_class.max_state_rank)
     with recursion_room(_frames(s_dag)):
         root_entry, memo = demand(
             s_dag, out, s_dag.labels if labels is None else labels(s_dag),
-            alternatives, s_dag.root, m.initial)
+            alternatives, s_dag.root, m.initial, c, budget)
     if stats is not None:
         stats.update(
             s_size=s_dag.tree_size(), t_size=t.size,
@@ -406,18 +403,20 @@ def _table(m, key, prepare) -> _Table:
     return got
 
 
-def _compiled(m, key, lookup=None, **binding) -> _Table:
+def _compiled(m, key, lookup=None, grow=False) -> _Table:
     """The table of engine key on m: pair (q, label) holds
-    compile_rhs(lookup(q, label), mask=mask, **binding), lookup giving
-    m's rules at symbol label by default, and mask 0 but for a state key
-    (q, mask) (see _ask_all).  lookup must not reach m (see _table)."""
+    compile_rhs(lookup(q, label), grow, counts, mask), lookup giving m's
+    rules at symbol label by default, counts m's copy_counts unless
+    grow, and mask 0 but for a state key (q, mask) (see _ask_all).
+    lookup must not reach m (see _table)."""
     if lookup is None:
         rules = m.rules
         lookup = lambda q, sym: rules.get((q, sym), ())
+    counts = None if grow else copy_counts(m)
 
     def prepare(q, label):
         q, mask = (q, 0) if isinstance(q, str) else q
-        return compile_rhs(lookup(q, label), mask=mask, **binding)
+        return compile_rhs(lookup(q, label), grow, counts, mask)
 
     return _table(m, key, prepare)
 
@@ -430,21 +429,21 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     be produced and yields False.
     """
     check_kind(m, Mtt)
-    return _member(m, build_dag(s)[0], t,
-                   _compiled(m, "io", counts=copy_counts(m)), stats)
+    return _member(m, build_dag(s)[0], t, _compiled(m, "io"), stats)
 
 
 def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     """Is t an output of m on s under call-by-name, trusting copy bound c?
 
-    c must be at least the largest number of copies of one parameter that
-    m can produce; it is not checked.  With a smaller c, a "no" can be
-    wrong: t may be an output that only more copies reach.
+    It runs on member_io's table, binding sets by _ask_all.  c must be
+    at least the largest number of copies of one parameter that m can
+    produce; it is not checked.  With a smaller c, a "no" can be wrong:
+    t may be an output that only more copies of a copied parameter reach.
     """
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
     check_kind(m, Mtt)
-    return _member(m, build_dag(s)[0], t, _compiled(m, ("oi", c), c=c), stats)
+    return _member(m, build_dag(s)[0], t, _compiled(m, "io"), stats, c=c)
 
 
 def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
@@ -493,5 +492,4 @@ def member_det(mtts, mode: str, s: Tree, t: Tree,
     s_dag = build_dag(s)[0]
     for m in stages:
         s_dag = _det_output(m, s_dag)
-    return _member(last, s_dag, t,
-                   _compiled(last, "io", counts=copy_counts(last)), stats)
+    return _member(last, s_dag, t, _compiled(last, "io"), stats)

@@ -27,8 +27,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .io_membership import _compiled, _member
-from .mtt import (MttClass, Rhs, check_kind, copy_counts, distinct_rules,
-                  freeze, validate)
+from .mtt import MttClass, Rhs, check_kind, distinct_rules, freeze, validate
 from .trees import RankedAlphabet, Tree, TreeDag, build_dag
 
 
@@ -250,6 +249,6 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
             if rule.lookahead in (None, kid_states)
             and _constraints_ok(rule, same)))
 
-    alternatives = _compiled(tm, "io-tac", guarded, counts=copy_counts(tm))
+    alternatives = _compiled(tm, "io-tac", guarded)
     return _member(tm, build_dag(s)[0], t, alternatives, stats,
                    labels=lambda s_dag: _Shapes(tac, s_dag))

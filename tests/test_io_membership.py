@@ -26,6 +26,10 @@ from mttkit import (
     Out,
     Param,
     RankedAlphabet,
+    Tac,
+    TacMtt,
+    TacRule,
+    TacTransition,
     Tree,
     ZVar,
     eval_mr_io,
@@ -41,6 +45,8 @@ from mttkit import (
 )
 from mttkit.errors import AlphabetMismatch
 from mttkit.families import (
+    choose_instance,
+    choose_mtt,
     copyfree_instance,
     copyfree_mtt,
     double_instance,
@@ -51,8 +57,8 @@ from mttkit.families import (
     reverse_pair_instance,
     reverse_pair_mrtt,
 )
-from mttkit.io_membership import _SCOPE, _compiled, compile_rhs, demand
-from mttkit.mtt import copy_counts
+from mttkit.io_membership import (_SCOPE, _ask_all, _compiled, compile_rhs,
+                                  demand)
 from mttkit.trees import BOTTOM, TreeDag, build_dag
 
 from helpers import (
@@ -75,10 +81,11 @@ from helpers import (
 KIDS = tuple(range(1, 10))
 
 
-def _eval_on(rhs, vbar, dag, entries=None, asked=None, c=None):
-    """The compiled rhs, under copy bound c if given, with state calls
-    answered from a dict of (child, state, parameter bindings) -> result
-    refs; asked, if given, collects each question."""
+def _asker(entries=None, asked=None, c=None, budget=1):
+    """An ask as demand makes it: state calls answered from a dict of
+    (child, state, parameter bindings) -> result refs, the query's
+    semantics c and whole-set budget as attributes; asked, if given,
+    collects each question."""
     entries = entries or {}
 
     def ask(node, q, ubar):
@@ -86,12 +93,19 @@ def _eval_on(rhs, vbar, dag, entries=None, asked=None, c=None):
             asked.append((node, q, ubar))
         return frozenset(entries.get((node, q, ubar), ()))
 
-    return set(compile_rhs((rhs,), c)(vbar, KIDS, ask, dag))
+    ask.c, ask.budget = c, budget
+    return ask
+
+
+def _eval_on(rhs, vbar, dag, entries=None, asked=None):
+    """The compiled rhs under call-by-value, with state calls answered
+    by _asker."""
+    return set(compile_rhs((rhs,))(vbar, KIDS, _asker(entries, asked), dag))
 
 
 def _io_rules(m):
     """member_io's table on m."""
-    return _compiled(m, "io", counts=copy_counts(m))
+    return _compiled(m, "io")
 
 
 def _root_entry(m, s, t_dag):
@@ -183,56 +197,83 @@ def test_eval_f_call_with_scalar_and_set_arguments():
     assert asked == [(3, "q", ())]
 
 
-# call-by-name: each parameter is bound to an ascending tuple of at most
-# c candidate-output nodes
+# call-by-name: _ask_all drops BOTTOM from each argument set and binds
+# what is left whole, per reference or to its c-subsets
 
-def test_eval_n_call_binds_each_c_subset_in_ascending_order():
-    dag, root = build_dag(parse_term("f(e,g(e))", None))
-    a, b, c = sorted(dag.intern.values())
-    child = {(2, "q", ()): {c, a, b}, (1, "p", ((a, c),)): {root},
-             (1, "p", ((b, c),)): {a}}
+def _questions(kid_sets, c, whole=(), budget=1):
+    """The questions _ask_all asks of input child 1, state p, as a set."""
     asked = []
-    rhs = Call("p", 1, (Call("q", 2),))
-    assert _eval_on(rhs, (), dag, child, asked, c=2) == {root, a}
-    assert asked == [(2, "q", ()), (1, "p", ((a, b),)), (1, "p", ((a, c),)),
-                     (1, "p", ((b, c),))]
-    # a binding, at most c nodes already, is passed on as it is
-    asked.clear()
-    assert _eval_on(Call("p", 1, (Param(1),)), ((b, c),), dag, child,
-                    asked, c=2) == {a}
-    assert asked == [(1, "p", ((b, c),))]
+    _ask_all(_asker(asked=asked, c=c, budget=budget), 1, "p",
+             [set(ks) for ks in kid_sets], whole)
+    return set(asked)
 
 
-def test_eval_n_empty_argument_set_binds_the_empty_tuple():
-    # call-by-name is not strict: an argument with no candidate node
-    # binds its parameter to (), and the call is still asked
-    dag, _ = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.intern["e", ()]
-    child = {(1, "p", ((), (v_e,))): {v_e}}
-    asked = []
-    rhs = Call("p", 1, (Call("q", 3), Param(1)))
-    assert _eval_on(rhs, ((v_e,),), dag, child, asked, c=1) == {v_e}
-    assert asked == [(3, "q", ()), (1, "p", ((), (v_e,)))]
-    asked.clear()
-    rhs = Call("p", 1, (Param(2), Param(1)))
-    assert _eval_on(rhs, ((v_e,), ()), dag, child, asked, c=1) == {v_e}
-    assert asked == [(1, "p", ((), (v_e,)))]
-    # an output node over an empty set yields nothing
-    assert _eval_on(Out("f", (Param(1), Param(2))), ((v_e,), ()), dag,
-                    c=1) == set()
+def test_ask_all_n_binds_an_emptied_set_to_bottom():
+    # call-by-name is not strict: a set with no node of t binds BOTTOM,
+    # and the call is still asked, where call-by-value asks nothing
+    a = 0
+    for empty in (set(), {BOTTOM}):
+        assert _questions([empty, {a}], c=1) == {(1, "p", (BOTTOM, a))}
+        assert _questions([empty, {a}], c=None) == (
+            set() if not empty else {(1, "p", (BOTTOM, a))})
 
 
-def test_eval_n_output_node_missing_from_t_is_the_empty_set():
-    # where call-by-value yields BOTTOM, call-by-name yields nothing
+def test_ask_all_n_drops_bottom_from_argument_sets():
+    a, b = 0, 1
+    assert _questions([{a, BOTTOM}], c=2) == {(1, "p", (a,))}
+    assert _questions([{a, b, BOTTOM}], c=2) == {
+        (1, ("p", 1), (frozenset({a, b}),))}
+    # call-by-value keeps BOTTOM, per reference for a copied parameter
+    assert _questions([{a, BOTTOM}], c=None) == {(1, "p", (a,)),
+                                                 (1, "p", (BOTTOM,))}
+    # an output node whose selection is no node of t yields BOTTOM, as
+    # under call-by-value, and a caller drops it: here the function of a
+    # masked key, where each occurrence of the parameter picks its own
+    # node of the set, and f(e,e) is the one node of t
     dag, root = build_dag(parse_term("f(e,e)", None))
     v_e = dag.intern["e", ()]
-    assert _eval_on(Out("h"), (), dag, c=1) == set()
-    assert _eval_on(Out("h", (Param(1),)), ((v_e,),), dag, c=1) == set()
-    assert _eval_on(Out("e"), (), dag, c=1) == {v_e}
-    # f over {e, root} twice: root's selection is a node, the others not
-    assert _eval_on(Out("f", (Param(1), Param(1))), ((v_e, root),), dag,
-                    c=2) == {root}
-    assert _eval_on(Param(1), ((v_e, root),), dag, c=2) == {v_e, root}
+    rhs = Out("f", (Param(1), Param(1)))
+    both = frozenset({v_e, root})
+    assert set(compile_rhs((rhs,), mask=1)((both,), KIDS, _asker(c=2), dag)) == {
+        root, BOTTOM}
+
+
+def test_ask_all_n_binds_each_c_subset_of_a_copied_parameter():
+    a, b, c = 0, 1, 2
+    assert _questions([{a, b, c}], c=2) == {
+        (1, ("p", 1), (frozenset(pair),)) for pair in ((a, b), (a, c), (b, c))}
+    # a set of at most c nodes is bound whole
+    assert _questions([{b, c}], c=2) == {(1, ("p", 1), (frozenset({b, c}),))}
+    # under c = 1, per reference, beside a whole second position
+    assert _questions([{a, b}, {a, c}], c=1, whole=(1,)) == {
+        (1, ("p", 2), (u, frozenset({a, c}))) for u in (a, b)}
+
+
+def test_ask_all_binds_never_copied_parameters_whole_while_the_budget_lasts():
+    a, b, c = 0, 1, 2
+    sets = [{a, b, c}, {a, b}]
+    for sem in (None, 1, 2):
+        assert _questions(sets, c=sem, whole=(0, 1)) == {
+            (1, ("p", 3), (frozenset({a, b, c}), frozenset({a, b})))}
+    # spent: per reference under call-by-value, c-subsets under
+    # call-by-name, where a set of at most c nodes is one of them
+    assert _questions(sets, c=None, whole=(0, 1), budget=0) == {
+        (1, "p", (u, w)) for u in (a, b, c) for w in (a, b)}
+    assert _questions(sets, c=2, whole=(0, 1), budget=0) == {
+        (1, ("p", 3), (frozenset(pair), frozenset({a, b})))
+        for pair in ((a, b), (a, c), (b, c))}
+
+
+def test_demand_counts_entries_under_whole_keys_against_the_budget():
+    # fan makes 41 entries under (q, mask) keys on this query; each one
+    # made spends one of the budget, and none is made once it is spent
+    m = fan_mtt()
+    s_dag, s_root = build_dag(chain(6))
+    t_dag, _ = build_dag(_fan_tree(5, 6))
+    for budget, made in ((10 ** 6, 41), (13, 13), (1, 1), (0, 0)):
+        memo = demand(s_dag, t_dag, s_dag.labels, _io_rules(m), s_root,
+                      m.initial, None, budget)[1]
+        assert sum(not isinstance(q, str) for _, q, _ in memo) == made
 
 
 def test_equal_right_hand_sides_of_a_model_share_one_function():
@@ -267,19 +308,14 @@ def test_equal_right_hand_sides_of_a_model_share_one_function():
     assert member_io(m, s, parse_term("f(e,e)"))
     assert not member_io(m, s, parse_term("e"))
     assert not member_io(m, s, parse_term("f(f(e,e),e)"))
-    # call-by-name: one code object per equal tuple of right-hand sides,
-    # and one table per copy bound, apart from call-by-value's
+    # call-by-name runs on the same table, under every copy bound
+    functions = {pair: compiled[pair] for pair in m.rules}
     for c in (1, 2):
         for s in (parse_term("a(a(e))"), parse_term("b(b(e))")):
             assert member_oi_fc(m, c, s, parse_term("f(e,e)"))
-    oi = {c: {pair: m._prepared["oi", c][pair] for pair in m.rules}
-          for c in (1, 2)}
-    for c, compiled_oi in oi.items():
-        assert compiled_oi["q0", "b"].__code__ is compiled_oi["q0", "a"].__code__
-        assert len({f.__code__ for f in compiled_oi.values()}) == 4
-        assert m._prepared["oi", c]["q", "b"] is compiled_oi["q", "b"]
-    for pair in m.rules:
-        assert len({id(oi[1][pair]), id(oi[2][pair]), id(compiled[pair])}) == 3
+    assert set(m._prepared) == {"io", "copy_counts"}
+    assert m._prepared["io"] is compiled
+    assert all(compiled[pair] is f for pair, f in functions.items())
 
 
 def _shared_tower(n):
@@ -397,10 +433,10 @@ def test_user_names_never_enter_generated_code():
                 checked += 1
                 yes += t in out
     assert checked > 1000 and 0 < yes < checked
-    # call-by-name functions too, under set bindings
+    # call-by-name runs on the same functions: no table of its own
     for s in all_inputs(5, m.input_alphabet):
         member_oi_fc(m, 2, s, Tree("ask", (Tree("None"), Tree("I"))))
-    assert m._prepared["oi", 2]
+    assert set(m._prepared) == {"io", "copy_counts"}
     # what the generated functions name: their parameters, locals and
     # constants, and the globals they share
     made = [list(_generated(model)) for model in (m, tm, mr)]
@@ -409,8 +445,7 @@ def test_user_names_never_enter_generated_code():
         assert f.__globals__ is _SCOPE
         code = f.__code__
         for name in code.co_varnames + code.co_names:
-            assert (name in ("v", "kids", "ask", "dag", "I", "get", "intern",
-                             "discard")
+            assert (name in ("v", "kids", "ask", "dag", "I", "get", "intern")
                     or name in _SCOPE or re.fullmatch(r"[tK]\d+", name)), name
 
 
@@ -605,6 +640,47 @@ def test_whole_set_binding_agrees_with_the_oracle():
         assert _io_checks(m, all_inputs(5, m.input_alphabet), limit=40,
                           bad_limit=40) > 0
         assert not _whole_keys(m), m.name
+
+
+def _unguarded(m: Mtt) -> TacMtt:
+    """m over a chain alphabet as a TacMtt whose rules hold everywhere,
+    under a one-state automaton."""
+    (sym,) = [a for a in m.input_alphabet if m.input_alphabet.rank(a) == 1]
+    (leaf,) = [a for a in m.input_alphabet if m.input_alphabet.rank(a) == 0]
+    tac = Tac(m.input_alphabet, (TacTransition(sym, ("p",), target="p"),
+                                 TacTransition(leaf, (), target="p")))
+    rules = {key: tuple(map(TacRule, alts)) for key, alts in m.rules.items()}
+    return TacMtt(m.name, m.input_alphabet, m.output_alphabet, m.states,
+                  m.initial, rules, tac)
+
+
+def test_whole_set_binding_stays_within_the_per_reference_key_bound():
+    # choose's argument sets for y1 take exponentially many distinct
+    # values; bound whole without limit, io and io-tac made 1 867 758
+    # entries at d = 16
+    m = choose_mtt()
+    tm = _unguarded(m)
+    engines = {"io": lambda s, t, st=None: member_io(m, s, t, st),
+               "oi-fc": lambda s, t, st=None: member_oi_fc(m, 1, s, t, st),
+               "io-tac": lambda s, t, st=None: member_io_tac(tm, s, t, st)}
+    checks = 0
+    for d in range(1, 8):
+        s, t = choose_instance(d)
+        out = io_output_set(m, s)
+        assert out == oracle_eval(m, "oi", App(m.initial, s), HARNESS_BUDGET)
+        pool = [t, *out.items[:16]]
+        for w in out.items[:4]:
+            pool.extend(mutations(w, m.output_alphabet)[:8])
+        for w in pool:
+            for run in engines.values():
+                assert run(s, w) == (w in out), (d, w)
+                checks += 1
+    assert checks > 500
+    s, t = choose_instance(16)
+    for name, run in engines.items():
+        stats = {}
+        assert run(s, t, stats) is False
+        assert stats["entries"] <= 2 * 10 ** 5, (name, stats["entries"])
 
 
 def test_member_det_identity_and_mismatch():
@@ -969,7 +1045,7 @@ def test_member_io_leaves_no_cyclic_garbage():
         def engines(m):
             return set(m._prepared) - {"copy_counts"}
 
-        assert engines(dbl) == {"io", ("oi", 2)}
+        assert engines(dbl) == {"io"}
         assert engines(cf) == {"io"}
         assert engines(eq) == {"io-tac"}
         assert engines(rev) == {"mr-io"}
@@ -1015,8 +1091,8 @@ def _fan_tree(i, j):
      Tree("f", (copyfree_instance(50)[1],)), False, 50),
     ("io-tac", "eqpair", Tree("pi", (chain(20), chain(20))), Tree("e"), True, 1),
     ("io-tac", "eqpair", Tree("pi", (chain(20), chain(17))), Tree("e"), False, 0),
-    ("oi-fc", "fan", chain(6), _fan_tree(0, 11), False, 21),
-    ("oi-fc", "fan", chain(6), _fan_tree(5, 6), True, 790),
+    ("oi-fc", "fan", chain(6), _fan_tree(0, 11), False, 63),
+    ("oi-fc", "fan", chain(6), _fan_tree(5, 6), True, 98),
     ("mr-io", "revpair", *reverse_pair_instance("abbaabab"), True, 32),
     ("mr-io", "keep", chain(4, "s"),
      parse_term("f(h(g(f(f(g(e),e),g(g(e))))),h(g(g(g(e)))))"), True, 65),
