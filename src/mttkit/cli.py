@@ -287,9 +287,9 @@ def build_parser() -> _Parser:
                      "and ignores it, since both coincide on a "
                      "deterministic total transducer")
     mem.add_argument("--copy-bound", type=int, default=1,
-                     help="parameter copy bound for oi-fc, trusted and not "
-                     "checked: one below the transducer's true bound can "
-                     "give a wrong 'no'")
+                     help="oi-fc's copy bound, not checked: past the memo's "
+                     "limit, one below the transducer's true bound can give "
+                     "a wrong 'no'")
     mem.add_argument("--env-cap", type=int, default=100_000,
                      help="environment-set cap for mr-io")
     mem.add_argument("--max-set", type=int, default=None)

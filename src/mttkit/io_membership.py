@@ -25,8 +25,8 @@ code object (_code), and every table of them comes from one builder
 (_compiled).
 The two semantics differ only in how a call binds its argument sets,
 so member_oi_fc runs on member_io's table, and _ask_all alone binds a
-set, by the semantics demand carries: per reference, whole, or to its
-subsets of at most c nodes, c a trusted copy bound (call-by-name).
+set, by the semantics and memo size demand carries: per reference,
+whole, or to its subsets of at most c nodes (call-by-name, copy bound c).
 member_det's stages before its last run on demand too, with functions
 that grow the stage's output DAG (_det_output).
 """
@@ -109,20 +109,20 @@ def _ask_all(ask, child, q: str, kid_sets, whole=()) -> set:
     output of q copies (mtt.copy_counts, under either semantics).
 
     Call-by-value (ask.c None) binds K whole for a never-copied
-    parameter when |K| >= 2, its entry being the union of its
-    references' entries; else per reference, and an empty K asks
-    nothing.  Call-by-name (copy bound ask.c) drops BOTTOM from K, each
-    occurrence picking its own tree: an emptied K binds BOTTOM and a
-    singleton its reference.  A larger K is bound whole for a
-    never-copied parameter or when |K| <= c, since an output picks at
-    most c nodes of it; else to each c-subset (entries are monotone in
-    their bindings), or per reference when c is 1.  Once ask.budget is
-    spent (see demand), a never-copied parameter binds as a copied one."""
+    parameter when |K| >= 2 and the memo ask.memo holds fewer than
+    ask.limit entries, its entry being the union of its references'
+    entries; else per reference, and an empty K asks nothing.
+    Call-by-name (copy bound ask.c) drops BOTTOM from K, each occurrence
+    picking its own tree of K: an emptied K binds BOTTOM and a singleton
+    its reference.  A larger K binds whole when |K| <= c or the memo has
+    room; past the limit, per reference for a never-copied parameter or
+    when c is 1, else to each c-subset (entries are monotone in their
+    bindings), exact when no output copies it more than c times."""
     c, mask = ask.c, 0
     if c is None:
         for j in whole:
             ks = kid_sets[j]
-            if len(ks) > 1 and ask.budget > 0:
+            if len(ks) > 1 and len(ask.memo) < ask.limit:
                 kid_sets[j] = (frozenset(ks),)
                 mask |= 1 << j
     else:
@@ -131,10 +131,10 @@ def _ask_all(ask, child, q: str, kid_sets, whole=()) -> set:
                 ks = ks - {BOTTOM}
             if len(ks) < 2:
                 kid_sets[j] = ks or (BOTTOM,)
-            elif len(ks) <= c or j in whole and ask.budget > 0:
+            elif len(ks) <= c or len(ask.memo) < ask.limit:
                 kid_sets[j] = (frozenset(ks),)
                 mask |= 1 << j
-            elif c == 1:
+            elif c == 1 or j in whole:
                 kid_sets[j] = ks
             else:
                 kid_sets[j] = map(frozenset, combinations(ks, c))
@@ -294,7 +294,7 @@ _EMPTY: frozenset = frozenset()
 
 
 def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
-           c: int | None = None, budget: int = 0):
+           c: int | None = None, limit: int = 0):
     """The inverse evaluation, computed on demand: the entry of state q at
     input node with no parameters, and the memo of every entry it
     depended on.
@@ -305,9 +305,9 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
     with the node's children kids, or is empty when alt is None.  The
     generated functions of compile_rhs bind each parameter to one
     reference, or to a set under a state key (q, mask), as _ask_all
-    decides by ask.c, the semantics c, and ask.budget, which each entry
-    made under such a key spends.  Those of multi_return return tuples
-    of references (given its meter as t_dag, see _member).
+    decides by ask.c, the semantics c, and by the size of ask.memo, the
+    memo, against ask.limit.  Those of multi_return return tuples of
+    references (given its meter as t_dag, see _member).
     """
     memo: dict[tuple, frozenset] = {}
     kids_of = s_dag.kids
@@ -317,13 +317,11 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
         got = memo.get(key)
         if got is None:
             alt = alternatives[q, labels[node]]
-            if type(q) is tuple:
-                ask.budget -= 1
             got = memo[key] = (_EMPTY if alt is None else
                                frozenset(alt(vbar, kids_of[node], ask, t_dag)))
         return got
 
-    ask.c, ask.budget = c, budget
+    ask.c, ask.memo, ask.limit = c, memo, limit
     try:
         return ask(node, q, ()), memo
     finally:
@@ -349,10 +347,10 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
 
     The label alternatives[q, label] reads is a node's symbol, or
     labels(s_dag)[node] when labels is given, and c the semantics.  The
-    whole-set budget (see demand) is per-reference binding's key bound,
-    |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank.  With meter
-    (multi-return), entries hold tuples, and the alternatives get meter,
-    holding t's intern table, in place of t's DAG.
+    memo's whole-set limit (see _ask_all) is per-reference binding's key
+    bound, |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank, or 0
+    with meter (multi-return): entries hold tuples, and the alternatives
+    get meter, holding t's intern table, in place of t's DAG.
     """
     check_input_dag(m, s_dag)
     t_dag, t_root = build_dag(t)
@@ -360,17 +358,17 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
         m.output_alphabet.check_dag(t_dag)
     except (UnknownSymbol, ArityMismatch):
         return False
-    out, budget = t_dag, 0
+    out, limit = t_dag, 0
     if meter is not None:
         meter.intern = t_dag.intern
         out, t_root = meter, (t_root,)
     else:
-        budget = (s_dag.node_count() * len(m.states)
+        limit = (s_dag.node_count() * len(m.states)
                   * (t_dag.node_count() + 1) ** m.mtt_class.max_state_rank)
     with recursion_room(_frames(s_dag)):
         root_entry, memo = demand(
             s_dag, out, s_dag.labels if labels is None else labels(s_dag),
-            alternatives, s_dag.root, m.initial, c, budget)
+            alternatives, s_dag.root, m.initial, c, limit)
     if stats is not None:
         stats.update(
             s_size=s_dag.tree_size(), t_size=t.size,
@@ -433,12 +431,13 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
 
 
 def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) -> bool:
-    """Is t an output of m on s under call-by-name, trusting copy bound c?
+    """Is t an output of m on s under call-by-name, with copy bound c?
 
-    It runs on member_io's table, binding sets by _ask_all.  c must be
-    at least the largest number of copies of one parameter that m can
-    produce; it is not checked.  With a smaller c, a "no" can be wrong:
-    t may be an output that only more copies of a copied parameter reach.
+    It runs on member_io's table, binding sets by _ask_all: whole, which
+    is exact, while the memo is below _member's limit.  Past it a copied
+    parameter binds to its c-subsets, exact only if c is at least the
+    most copies of one parameter m can produce; c is not checked, and
+    with a smaller c such a query's "no" can be wrong.
     """
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")

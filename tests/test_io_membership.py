@@ -81,11 +81,11 @@ from helpers import (
 KIDS = tuple(range(1, 10))
 
 
-def _asker(entries=None, asked=None, c=None, budget=1):
+def _asker(entries=None, asked=None, c=None, limit=1):
     """An ask as demand makes it: state calls answered from a dict of
     (child, state, parameter bindings) -> result refs, the query's
-    semantics c and whole-set budget as attributes; asked, if given,
-    collects each question."""
+    semantics c, an empty memo and the memo's whole-set limit as
+    attributes; asked, if given, collects each question."""
     entries = entries or {}
 
     def ask(node, q, ubar):
@@ -93,7 +93,7 @@ def _asker(entries=None, asked=None, c=None, budget=1):
             asked.append((node, q, ubar))
         return frozenset(entries.get((node, q, ubar), ()))
 
-    ask.c, ask.budget = c, budget
+    ask.c, ask.memo, ask.limit = c, {}, limit
     return ask
 
 
@@ -198,12 +198,14 @@ def test_eval_f_call_with_scalar_and_set_arguments():
 
 
 # call-by-name: _ask_all drops BOTTOM from each argument set and binds
-# what is left whole, per reference or to its c-subsets
+# what is left whole, or past the memo's limit per reference or to its
+# c-subsets
 
-def _questions(kid_sets, c, whole=(), budget=1):
-    """The questions _ask_all asks of input child 1, state p, as a set."""
+def _questions(kid_sets, c, whole=(), limit=1):
+    """The questions _ask_all asks of input child 1, state p, as a set,
+    with room for whole sets unless limit is 0."""
     asked = []
-    _ask_all(_asker(asked=asked, c=c, budget=budget), 1, "p",
+    _ask_all(_asker(asked=asked, c=c, limit=limit), 1, "p",
              [set(ks) for ks in kid_sets], whole)
     return set(asked)
 
@@ -240,13 +242,22 @@ def test_ask_all_n_drops_bottom_from_argument_sets():
 
 def test_ask_all_n_binds_each_c_subset_of_a_copied_parameter():
     a, b, c = 0, 1, 2
-    assert _questions([{a, b, c}], c=2) == {
+    # below the limit a copied parameter binds its set whole, whatever c
+    for bound in (1, 2):
+        assert _questions([{a, b, c}], c=bound) == {
+            (1, ("p", 1), (frozenset({a, b, c}),))}
+    # past it, to each c-subset
+    assert _questions([{a, b, c}], c=2, limit=0) == {
         (1, ("p", 1), (frozenset(pair),)) for pair in ((a, b), (a, c), (b, c))}
     # a set of at most c nodes is bound whole
-    assert _questions([{b, c}], c=2) == {(1, ("p", 1), (frozenset({b, c}),))}
-    # under c = 1, per reference, beside a whole second position
-    assert _questions([{a, b}, {a, c}], c=1, whole=(1,)) == {
-        (1, ("p", 2), (u, frozenset({a, c}))) for u in (a, b)}
+    assert _questions([{b, c}], c=2, limit=0) == {
+        (1, ("p", 1), (frozenset({b, c}),))}
+    # under c = 1, per reference, beside a second position bound whole
+    # while there is room
+    assert _questions([{a, b}, {a, c}], c=1, limit=0) == {
+        (1, "p", (u, w)) for u in (a, b) for w in (a, c)}
+    assert _questions([{a, b}, {a, c}], c=1) == {
+        (1, ("p", 3), (frozenset({a, b}), frozenset({a, c})))}
 
 
 def test_ask_all_binds_never_copied_parameters_whole_while_the_budget_lasts():
@@ -255,25 +266,41 @@ def test_ask_all_binds_never_copied_parameters_whole_while_the_budget_lasts():
     for sem in (None, 1, 2):
         assert _questions(sets, c=sem, whole=(0, 1)) == {
             (1, ("p", 3), (frozenset({a, b, c}), frozenset({a, b})))}
-    # spent: per reference under call-by-value, c-subsets under
-    # call-by-name, where a set of at most c nodes is one of them
-    assert _questions(sets, c=None, whole=(0, 1), budget=0) == {
-        (1, "p", (u, w)) for u in (a, b, c) for w in (a, b)}
-    assert _questions(sets, c=2, whole=(0, 1), budget=0) == {
-        (1, ("p", 3), (frozenset(pair), frozenset({a, b})))
-        for pair in ((a, b), (a, c), (b, c))}
+    # spent: per reference under either semantics, but for a set of at
+    # most c nodes, which call-by-name binds whole
+    for sem in (None, 1):
+        assert _questions(sets, c=sem, whole=(0, 1), limit=0) == {
+            (1, "p", (u, w)) for u in (a, b, c) for w in (a, b)}
+    assert _questions(sets, c=2, whole=(0, 1), limit=0) == {
+        (1, ("p", 2), (u, frozenset({a, b}))) for u in (a, b, c)}
 
 
 def test_demand_counts_entries_under_whole_keys_against_the_budget():
-    # fan makes 41 entries under (q, mask) keys on this query; each one
-    # made spends one of the budget, and none is made once it is spent
+    # fan makes 41 entries under (q, mask) keys on this query; a set
+    # binds whole only while the memo holds fewer entries than the limit,
+    # so a smaller limit makes fewer of them, and none at a limit the
+    # memo has passed before the first call over a set
     m = fan_mtt()
     s_dag, s_root = build_dag(chain(6))
     t_dag, _ = build_dag(_fan_tree(5, 6))
-    for budget, made in ((10 ** 6, 41), (13, 13), (1, 1), (0, 0)):
+    for limit, made in ((10 ** 6, 41), (13, 10), (1, 0), (0, 0)):
         memo = demand(s_dag, t_dag, s_dag.labels, _io_rules(m), s_root,
-                      m.initial, None, budget)[1]
+                      m.initial, None, limit)[1]
         assert sum(not isinstance(q, str) for _, q, _ in memo) == made
+
+
+def test_call_by_name_past_the_limit_binds_never_copied_parameters_per_reference():
+    # fan's parameters are never copied: past the limit call-by-name
+    # binds them per reference, as call-by-value does; their 2-subsets
+    # would make 2 842 keys on this query
+    m = fan_mtt()
+    s_dag, s_root = build_dag(chain(6))
+    t_dag, _ = build_dag(_fan_tree(5, 6))
+    for limit, keys in ((0, 327), (10 ** 6, 48)):
+        for c in (None, 2):
+            memo = demand(s_dag, t_dag, s_dag.labels, _io_rules(m), s_root,
+                          m.initial, c, limit)[1]
+            assert len(memo) == keys
 
 
 def test_equal_right_hand_sides_of_a_model_share_one_function():
@@ -1141,13 +1168,17 @@ def _drops_a_parameter(m: Mtt) -> bool:
 
 def test_member_det_compositions_match_stage_by_stage_outputs():
     # the only cover of the stages before the last: each candidate is
-    # checked against the oracle's output sets, stage after stage
-    rng = random.Random(1414)
-    checks = yes = shrunk = dropping = 0
+    # checked against the oracle's output sets, stage after stage, on
+    # two- and three-stage chains; the third stages come from a generator
+    # of their own, so the two-stage chains stay as they were
+    rng, rng3 = random.Random(1414), random.Random(1515)
+    checks = yes = shrunk = dropping = checks3 = yes3 = 0
     for i in range(16):
         first = random_det_total_mtt(rng, name=f"first{i}")
         second = random_det_total_mtt(rng, name=f"second{i}",
                                       input_alphabet=OUT_ALPHA)
+        third = random_det_total_mtt(rng3, name=f"third{i}",
+                                     input_alphabet=OUT_ALPHA)
         dropping += _drops_a_parameter(second)
         for s in all_inputs(6):
             mid = io_output_set(first, s)
@@ -1163,8 +1194,18 @@ def test_member_det_compositions_match_stage_by_stage_outputs():
                 assert member_det([first, second], "io", s, cand) is want
                 checks += 1
                 yes += want
+            out3 = io_output_set(third, t)
+            if out3 is None:
+                continue
+            (t3,) = out3.items
+            for cand in [t3, *mutations(t3, OUT_ALPHA)]:
+                want = cand in out3
+                assert member_det([first, second, third], "io", s, cand) is want
+                checks3 += 1
+                yes3 += want
         # a stage output feeds a stage over another input alphabet
         for stages in ([first, first], [first, first, second]):
             with pytest.raises(AlphabetMismatch, match="is not declared"):
                 member_det(stages, "io", chain(2, "b"), Tree("c"))
     assert dropping >= 4 and shrunk >= 20 and yes > 500 and checks > 2500
+    assert yes3 > 300 and checks3 > 1500

@@ -25,6 +25,8 @@ from mttkit import (
 )
 from mttkit.errors import AlphabetMismatch
 from mttkit.families import copyfree_mtt, copyfree_instance, double_mtt
+from mttkit.io_membership import _compiled, demand
+from mttkit.trees import build_dag
 
 from helpers import (HARNESS_BUDGET, NON_CONFORMING, all_inputs,
                      estimate_copy_bound, mutations, random_mtt,
@@ -143,8 +145,18 @@ def test_mixed_double_mtt_needs_bound_two():
     mixed = parse_term("f(e,g(e))")
     assert oracle_member(m, "oi", s, mixed) == YES
     assert member_oi_fc(m, 2, s, mixed)
-    # an understated bound cannot bind two different trees to one occurrence
-    assert not member_oi_fc(m, 1, s, mixed)
+    # below the memo's limit the two-tree set binds whole whatever c, so
+    # an understated bound still answers yes
+    assert member_oi_fc(m, 1, s, mixed)
+    # past the limit it binds per reference at c = 1, and one occurrence
+    # cannot take two different trees: the wrong "no" an understated
+    # bound risks on a query that fills the memo
+    s_dag, s_root = build_dag(s)
+    t_dag, t_root = build_dag(mixed)
+    for limit, want in ((10 ** 6, True), (0, False)):
+        entry = demand(s_dag, t_dag, s_dag.labels, _compiled(m, "io"), s_root,
+                       m.initial, 1, limit)[0]
+        assert (t_root in entry) == want
     for n in range(7):
         s = _chain(n)
         out, pool = _candidates(m, s)
@@ -166,8 +178,8 @@ def test_entry_count_within_state_space_bound():
     out, pool = _candidates(m, s)
     member_oi_fc(m, 1, s, pool[0], stats=stats)
     # a parameter is bound to one reference, BOTTOM among them, or to a
-    # whole set under a budget of as many keys as per-reference binding
-    # can make; each entry holds at most n references
+    # whole set while the memo holds fewer entries than per-reference
+    # binding can make keys; each entry holds at most n references
     n = stats["t_dag_nodes"] + 1
     per_node = sum(n ** m.states[q] for q in m.states)
     budget = len(m.states) * n ** max(m.states.values())

@@ -1,10 +1,12 @@
 """Satisfiability reduction: encoding shape, verdicts, DIMACS parsing."""
 
+import random
 from itertools import product
 
 import pytest
 
 from mttkit.errors import EmptyFormula, ParseError
+from mttkit.io_membership import member_oi_fc
 from mttkit.oracle import IO, NO, OI, YES, Budget, Evaluator, oracle_member
 from mttkit.sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, Cnf3, build_sat_mtt,
                         encode, literal_tree, parse_dimacs, sat_check_small,
@@ -103,6 +105,29 @@ def test_call_by_value_misses_satisfiable_formula():
     m = build_sat_mtt()
     assert oracle_member(m, OI, inst.s, inst.t, DEFAULT_SAT_BUDGET) == YES
     assert oracle_member(m, IO, inst.s, inst.t, DEFAULT_SAT_BUDGET) == NO
+
+
+def _random_cnf(rng, n: int, m: int) -> Cnf3:
+    return Cnf3(n, tuple(tuple((rng.randrange(n), rng.random() < 0.5)
+                               for _ in range(3)) for _ in range(m)))
+
+
+def test_call_by_name_core_decides_the_sat_ladder():
+    # the generator copies its parameters without bound, yet below the
+    # memo's limit member_oi_fc binds every argument set whole, which is
+    # exact call-by-name whatever c: c = 1 agrees with the truth table
+    m = build_sat_mtt()
+    rng = random.Random(5)
+    for _ in range(200):
+        f = _random_cnf(rng, rng.randint(1, 4), rng.randint(1, 8))
+        inst = encode(f)
+        assert member_oi_fc(m, 1, inst.s, inst.t) == solve_truth_table(f), f
+    # a satisfiable formula with eight variables, far past the oracle
+    f = _random_cnf(rng, 8, 8)
+    while not solve_truth_table(f):
+        f = _random_cnf(rng, 8, 8)
+    inst = encode(f)
+    assert member_oi_fc(m, 1, inst.s, inst.t)
 
 
 def test_exhaustive_one_variable():
