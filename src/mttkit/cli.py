@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: validate, member, sat, bench.  Membership exit codes are
-0 = yes/sat, 1 = no/unsat, 2 = unknown, 3 = any diagnosed error (bad
-usage, parse failure, engine/model mismatch).  Budgets for the
+0 = yes/sat, 1 = no/unsat, 2 = unknown (a budget or mr-io's --env-cap
+ran out), 3 = any diagnosed error (bad usage, parse failure,
+engine/model mismatch).  Budgets for the
 enumeration paths come from flags, falling back to the MTTKIT_MAX_SET
 and MTTKIT_MAX_STEPS environment variables, then to built-in defaults.
 """
@@ -17,7 +18,7 @@ import time
 from pathlib import Path
 
 from .bench import FAMILIES, bench_family, fit_power_law
-from .errors import MttError
+from .errors import EnvLimitExceeded, MttError
 from .dsl import format_transducer, parse_transducer
 from .io_membership import member_det, member_io, member_oi_fc
 from .mtt import Mtt, copy_counts
@@ -154,7 +155,12 @@ def _run_member(args, budget, m, s, t) -> tuple[str, dict]:
     if not isinstance(m, kind):
         raise MttError(f"engine {args.engine} needs {needs}")
     stats: dict = {}
-    verdict = run(args, budget, m, s, t, stats)
+    try:
+        verdict = run(args, budget, m, s, t, stats)
+    except EnvLimitExceeded as exc:
+        # a spent --env-cap leaves the verdict open
+        print(f"unknown: {exc}", file=sys.stderr)
+        return UNKNOWN, stats
     if isinstance(verdict, bool):
         verdict = YES if verdict else NO
     return verdict, stats

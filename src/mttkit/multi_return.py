@@ -277,11 +277,11 @@ def _mr_alternatives(rhss: tuple, rank: int, where: str):
                         full = env + tup
                         new_envs.add(tuple([full[p] for p in keep]))
                 envs = new_envs
+                meter.max_envs = max(meter.max_envs, len(envs))
                 if len(envs) > meter.env_cap:
                     raise EnvLimitExceeded(
                         f"rule {where}: {len(envs)} environments "
                         f"after let {i + 1}, cap is {meter.env_cap}")
-                meter.max_envs = max(meter.max_envs, len(envs))
             # tuples may carry BOTTOM components: a returned tree that is
             # no subtree of t is legal as long as the caller never uses
             # that component in the final output
@@ -310,7 +310,9 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     # this query's cap and largest environment set, read by the
     # alternatives in place of t's DAG, with its intern table
     meter = SimpleNamespace(env_cap=env_cap, max_envs=0)
-    verdict = _member(m, build_dag(s)[0], t, alternatives, stats, meter=meter)
-    if stats is not None:
-        stats["max_envs"] = meter.max_envs
-    return verdict
+    try:
+        return _member(m, build_dag(s)[0], t, alternatives, stats, meter=meter)
+    finally:
+        # also when the cap runs out
+        if stats is not None:
+            stats["max_envs"] = meter.max_envs

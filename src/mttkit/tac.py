@@ -8,7 +8,10 @@ each check is constant time.
 
 The automaton must behave total-deterministically on the given input:
 exactly one transition per node.  This is enforced while running, not
-statically, since constraint satisfiability is input-dependent.
+statically, since constraint satisfiability is input-dependent.  The
+transitions are indexed by symbol and child states, so a run looks each
+node up once and tests constraints only where constrained or overlapping
+transitions share a key.
 
 member_io_tac binds parameters as member_io does, by the guard-free
 copy counts: guards only remove alternatives, so these over-approximate.
@@ -44,7 +47,9 @@ class TacTransition:
 class Tac:
     """A look-ahead automaton; its state set is whatever transitions mention.
 
-    Checked and indexed by symbol when built, read-only after.
+    Checked and indexed when built, read-only after: _index maps a
+    symbol and child states to the target of the one transition on them
+    when it has no constraints, and else to all the transitions on them.
     """
 
     input_alphabet: RankedAlphabet
@@ -52,10 +57,12 @@ class Tac:
 
     def __post_init__(self):
         transitions = tuple(self.transitions)
-        by_sym: dict[str, list[TacTransition]] = {}
+        index: dict[tuple[str, tuple[str, ...]], list[TacTransition]] = {}
         for tr in transitions:
-            by_sym.setdefault(tr.sym, []).append(tr)
-        freeze(self, transitions=transitions, _by_sym=by_sym)
+            index.setdefault((tr.sym, tr.states), []).append(tr)
+        freeze(self, transitions=transitions, _index={
+            key: trs[0].target if len(trs) == 1 and not (trs[0].eq or trs[0].neq)
+            else tuple(trs) for key, trs in index.items()})
         self.check()
 
     def states(self) -> set[str]:
@@ -95,27 +102,35 @@ def _constraints_ok(tr: TacTransition, kid_refs) -> bool:
     return True
 
 
-def _run_nodes(a: Tac, dag: TreeDag, nodes) -> dict[int, str]:
-    """Look-ahead states for the given DAG nodes, children first."""
-    by_sym = a._by_sym
-    states: dict[int, str] = {}
+def _run_nodes(a: Tac, dag: TreeDag, nodes) -> list:
+    """Look-ahead states for the given DAG nodes, children first, as a
+    list indexed by node."""
+    index, labels, kids = a._index, dag.labels, dag.kids
+    states = [None] * len(labels)
     for v in nodes:
-        kid_refs = dag.kids[v]
-        kid_states = tuple(states[c] for c in kid_refs)
-        chosen = None
-        for tr in by_sym.get(dag.labels[v], ()):
-            if tr.states != kid_states or not _constraints_ok(tr, kid_refs):
-                continue
-            if chosen is not None:
-                raise NotDeterministic(
-                    f"two look-ahead transitions apply at subtree "
-                    f"{_describe(dag, v)}"
-                )
-            chosen = tr
-        if chosen is None:
-            raise NotTotal(f"no look-ahead transition applies at subtree {_describe(dag, v)}")
-        states[v] = chosen.target
+        state = index.get((labels[v], tuple([states[c] for c in kids[v]])), ())
+        if type(state) is tuple:
+            state = _choose(state, dag, v)
+        states[v] = state
     return states
+
+
+def _choose(transitions, dag: TreeDag, v: int) -> str:
+    """The target of the one transition whose constraints hold at node v."""
+    kid_refs = dag.kids[v]
+    chosen = None
+    for tr in transitions:
+        if not _constraints_ok(tr, kid_refs):
+            continue
+        if chosen is not None:
+            raise NotDeterministic(
+                f"two look-ahead transitions apply at subtree "
+                f"{_describe(dag, v)}"
+            )
+        chosen = tr
+    if chosen is None:
+        raise NotTotal(f"no look-ahead transition applies at subtree {_describe(dag, v)}")
+    return chosen.target
 
 
 def _describe(dag: TreeDag, v: int) -> str:

@@ -12,6 +12,7 @@ import re
 import sys
 from contextlib import contextmanager
 from itertools import islice, product
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -218,11 +219,108 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     it takes it.  The root's children are built from the DAG when
     children or the hash is first read, equal subtrees as one object, so
     a caller that reads only size and the DAG builds no other node.
-    When an alphabet is given, symbols and arities are checked as
-    distinct nodes are found.  Tokens are cut by str methods, and the
-    regular expressions only locate an error or a digit that starts a
-    name; the root's size is the number of name tokens, one per node.
+    When an alphabet is given, every distinct node is checked against it.
+
+    The text is cut in bulk by str methods: with whitespace and the `()`
+    of leaves taken out, every `)` becomes `,)` and the text is split at
+    commas, so each piece is a close or a run of opens ending in a leaf.
+    Text the scan rejects is read again token by token (_parse_error),
+    which reports the first error with its line and column.  Regular
+    expressions only locate an error or a digit that starts a name.
     """
+    rest = text.translate(_NAME_PUNCT)  # digits, whitespace, bad characters
+    w = text
+    if rest:
+        # a digit or a bad character: the search finds the first that
+        # starts no name
+        if rest.strip():
+            bad = _BAD_CHAR_RE.search(text)
+            if bad:
+                raise ParseError.at(f"unexpected character {bad.group()!r}",
+                                    text, bad.start())
+        words = text.split()
+        # whitespace may stand between two tokens, but two names in a row
+        # are an error
+        if any(a[-1] not in "()," and b[0] not in "(),"
+               for a, b in zip(words, words[1:])):
+            _parse_error(text, alphabet)
+        w = "".join(words)
+    if "()" in w:
+        # a leaf `name()` is `name`: a name must come before `()`, and a
+        # comma, a close or the end after it
+        parts = w.split("()")
+        if any(not a or a[-1] in "()," or b[:1] not in ",)"
+               for a, b in zip(parts, parts[1:])):
+            _parse_error(text, alphabet)
+        w = "".join(parts)
+    nodes = _scan(w)
+    if nodes is None:
+        _parse_error(text, alphabet)
+    if alphabet is not None:
+        ranks = alphabet.symbols
+        for node in nodes:
+            if ranks.get(node[0]) != len(node) - 1:
+                _parse_error(text, alphabet)
+    return _UnbuiltTree(list(map(itemgetter(0), nodes)),
+                        list(map(itemgetter(slice(1, None)), nodes)),
+                        w.count(",") + w.count(")") + 1)
+
+
+def _scan(w: str) -> dict | None:
+    """The minimal DAG of the tree whose text w is, free of whitespace and
+    of the `()` of leaves, or None if w is no term: a dict from each node,
+    its label followed by its child refs, to its ref, in insertion order.
+    A node is one flat tuple, which the garbage collector stops tracking
+    at its first pass."""
+    nodes: dict[tuple, NodeRef] = {}
+    names = []   # the labels of the open nodes, innermost last
+    starts = []  # where the children of each open node begin in `kids`
+    kids = []    # the finished children of the open nodes
+    # each piece is ")" or names joined by "(": opens, then a leaf
+    pieces = w.replace(")", ",)").split(",")
+    try:
+        parts = pieces[0].split("(")
+        ref = nodes.setdefault((parts.pop(),), 0)
+        starts += [0] * len(parts)
+        names += parts
+        for piece in islice(pieces, 1, None):
+            if piece == ")":
+                # the node closed: the finished ref is its last child
+                start = starts.pop()
+                if start == len(kids):
+                    ref = nodes.setdefault((names.pop(), ref), len(nodes))
+                elif start == len(kids) - 1:
+                    ref = nodes.setdefault((names.pop(), kids.pop(), ref), len(nodes))
+                else:
+                    kids.append(ref)
+                    ref = nodes.setdefault((names.pop(), *kids[start:]), len(nodes))
+                    del kids[start:]
+                continue
+            # a comma: the finished ref is a child, and a new one begins
+            kids.append(ref)
+            if "(" in piece:
+                parts = piece.split("(")
+                piece = parts.pop()
+                starts += [len(kids)] * len(parts)
+                names += parts
+            ref = nodes.setdefault((piece,), len(nodes))
+    except IndexError:  # a close with no open node
+        return None
+    # every node closed, and no comma outside them; an empty label stands
+    # where a name is missing, a ")" in one where a close is followed by
+    # a name or an open
+    if names or kids:
+        return None
+    found = set(map(itemgetter(0), nodes))
+    if "" in found or ")" in "".join(found):
+        return None
+    return nodes
+
+
+def _parse_error(text: str, alphabet: RankedAlphabet | None):
+    """Raise the ParseError of text, which the scan rejected: the first
+    error a token-by-token read meets, symbols checked against alphabet
+    as their nodes are read."""
 
     def fail(msg, at):
         raise ParseError.at(msg, text, at)
@@ -232,27 +330,18 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         fail(msg, next(islice(_TERM_TOKEN_RE.finditer(text), k, None)).start())
 
     def check(name, arity, k):
+        if alphabet is None:
+            return
         if name not in alphabet:
             fail_at(f"symbol {name!r} is not declared", k)
         r = alphabet.rank(name)
         if r != arity:
             fail_at(f"symbol {name!r} expects {r} children, got {arity}", k)
 
-    # a digit or a bad character: the scan finds the first that starts no name
-    if text.translate(_NAME_PUNCT).strip():
-        bad = _BAD_CHAR_RE.search(text)
-        if bad:
-            fail(f"unexpected character {bad.group()!r}", bad.start())
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
     tokens.append("")  # end marker; no token is empty
-    # the DAG: node ref -> label and child refs, children first
-    labels: list[str] = []
-    dag_kids: list[tuple[NodeRef, ...]] = []
-    leaves: dict[str, NodeRef] = {}
-    inner: dict[tuple, NodeRef] = {}  # (name, child refs) -> ref
     opened = []  # token index of the name of each open node
-    starts = []  # where the children of each open node begin in `kids`
-    kids = []  # refs of the finished children of the open nodes
+    counts = []  # the finished children of each open node
     pos = 0
     while True:
         name = tokens[pos]
@@ -262,50 +351,29 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
             fail_at(f"expected a symbol name, got {name!r}", pos)
         if tokens[pos + 1] == "(" and tokens[pos + 2] != ")":
             opened.append(pos)
-            starts.append(len(kids))
+            counts.append(0)
             pos += 2
             continue
-        ref = leaves.get(name)
-        if ref is None:
-            if alphabet is not None:
-                check(name, 0, pos)
-            ref = leaves[name] = len(labels)
-            labels.append(name)
-            dag_kids.append(())
+        check(name, 0, pos)
         pos += 3 if tokens[pos + 1] == "(" else 1
-        # attach the finished node upward as far as possible
+        # close the finished node's parents as far as possible
         while opened:
             sep = tokens[pos]
             pos += 1
             if sep == ",":
-                kids.append(ref)
+                counts[-1] += 1
                 break
             if sep != ")":
                 if not sep:
                     fail("unexpected end of input", len(text))
                 fail_at(f"expected ',' or ')', got {sep!r}", pos - 1)
-            start = starts.pop()
-            if start == len(kids):
-                child_refs = (ref,)
-            else:
-                kids.append(ref)
-                child_refs = tuple(kids[start:])
-                del kids[start:]
             k = opened.pop()
-            name = tokens[k]
-            key = (name, child_refs)
-            ref = inner.get(key)
-            if ref is None:
-                if alphabet is not None:
-                    check(name, len(child_refs), k)
-                ref = inner[key] = len(labels)
-                labels.append(name)
-                dag_kids.append(child_refs)
+            check(tokens[k], counts.pop() + 1, k)
         else:
             break
     if tokens[pos]:
         fail_at(f"trailing input {tokens[pos]!r}", pos)
-    return _UnbuiltTree(labels, dag_kids, len(tokens) - 1 - sum(map(text.count, "(),")))
+    raise AssertionError(f"the scan rejected the term {text!r}")
 
 
 _TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")

@@ -6,6 +6,8 @@ shared by the module tests and the acceptance suite."""
 from __future__ import annotations
 
 import random
+import re
+from itertools import islice
 
 from mttkit import (
     OI,
@@ -20,6 +22,7 @@ from mttkit import (
     Mtt,
     Out,
     Param,
+    ParseError,
     RankedAlphabet,
     Tac,
     TacMtt,
@@ -173,6 +176,89 @@ def chain(n: int, sym: str = "a") -> Tree:
     for _ in range(n):
         t = Tree(sym, (t,))
     return t
+
+
+_TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
+_BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),\s]|(?<![A-Za-z0-9_])[0-9]")
+_NAME_PUNCT = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_(),")
+
+
+def reference_parse(text: str, alphabet: RankedAlphabet | None = None):
+    """The labels, child refs and size parse_term gives text, read one
+    token at a time, or the ParseError it raises: a reference for the
+    bulk scan, checking each distinct node against alphabet when it is
+    found."""
+
+    def fail(msg, at):
+        raise ParseError.at(msg, text, at)
+
+    def fail_at(msg, k):
+        fail(msg, next(islice(_TERM_TOKEN_RE.finditer(text), k, None)).start())
+
+    def check(name, arity, k):
+        if name not in alphabet:
+            fail_at(f"symbol {name!r} is not declared", k)
+        r = alphabet.rank(name)
+        if r != arity:
+            fail_at(f"symbol {name!r} expects {r} children, got {arity}", k)
+
+    if text.translate(_NAME_PUNCT).strip():
+        bad = _BAD_CHAR_RE.search(text)
+        if bad:
+            fail(f"unexpected character {bad.group()!r}", bad.start())
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+    tokens.append("")
+    labels, dag_kids = [], []
+    leaves, inner = {}, {}
+    opened, starts, kids = [], [], []
+    pos = 0
+    while True:
+        name = tokens[pos]
+        if not name:
+            fail("unexpected end of input", len(text))
+        if name in "(),":
+            fail_at(f"expected a symbol name, got {name!r}", pos)
+        if tokens[pos + 1] == "(" and tokens[pos + 2] != ")":
+            opened.append(pos)
+            starts.append(len(kids))
+            pos += 2
+            continue
+        ref = leaves.get(name)
+        if ref is None:
+            if alphabet is not None:
+                check(name, 0, pos)
+            ref = leaves[name] = len(labels)
+            labels.append(name)
+            dag_kids.append(())
+        pos += 3 if tokens[pos + 1] == "(" else 1
+        while opened:
+            sep = tokens[pos]
+            pos += 1
+            if sep == ",":
+                kids.append(ref)
+                break
+            if sep != ")":
+                if not sep:
+                    fail("unexpected end of input", len(text))
+                fail_at(f"expected ',' or ')', got {sep!r}", pos - 1)
+            start = starts.pop()
+            kids.append(ref)
+            child_refs = tuple(kids[start:])
+            del kids[start:]
+            k = opened.pop()
+            key = (tokens[k], child_refs)
+            ref = inner.get(key)
+            if ref is None:
+                if alphabet is not None:
+                    check(tokens[k], len(child_refs), k)
+                ref = inner[key] = len(labels)
+                labels.append(tokens[k])
+                dag_kids.append(child_refs)
+        else:
+            break
+    if tokens[pos]:
+        fail_at(f"trailing input {tokens[pos]!r}", pos)
+    return labels, dag_kids, len(tokens) - 1 - sum(map(text.count, "(),"))
 
 
 def count_trees(monkeypatch) -> list[int]:

@@ -231,6 +231,26 @@ def test_member_oracle_unknown(files, capsys):
     assert "result: unknown" in capsys.readouterr().out
 
 
+def test_member_spent_env_cap_is_unknown(files, capsys):
+    # two environments after the first let, against a cap of one
+    mr = files("revpair.mrtt", format_transducer(reverse_pair_mrtt()))
+    s, t = reverse_pair_instance("aab")
+    assert format_term(s) == "s(s(s(z)))"
+    sf = term_file(files, "s.term", s)
+    tf = term_file(files, "t.term", t)
+    assert main(["member", "--json", "--engine", "mr-io", "--env-cap", "1",
+                 mr, sf, tf]) == 2
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    # the set that broke the cap
+    assert record["result"] == "unknown" and record["stats"]["max_envs"] == 2
+    assert err == "unknown: rule q1/s: 2 environments after let 1, cap is 1\n"
+    assert main(["member", "--engine", "mr-io", "--env-cap", "2", mr, sf, tf]) == 0
+    capsys.readouterr()
+    assert main(["member", "--engine", "mr-io", "--env-cap", "0", mr, sf, tf]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_member_oracle_unknown_on_deep_input(files, capsys):
     # enumeration recurses per input level and runs out of recursion
     # depth here: that is unknown, exit 2, not a traceback and exit 1

@@ -112,6 +112,24 @@ def test_run_tac_rejects_overlap_and_gap():
         run_tac(partial, dag, root)
 
 
+def test_overlapping_unconstrained_transitions_are_not_deterministic():
+    # a counter up the a-chain gives each node a key of its own, so only
+    # the root meets the overlapping transitions
+    chain_ab = RankedAlphabet({"a": 1, "e": 0})
+    counter = (TacTransition("e", (), target="s0"),
+               *(TacTransition("a", (f"s{i}",), target=f"s{i + 1}")
+                 for i in range(999)))
+    top = TacTransition("a", ("s999",), target="x")
+    dag, root = build_dag(parse_term("a(" * 1000 + "e" + ")" * 1000))
+    assert run_tac(Tac(chain_ab, (*counter, top)), dag, root) == "x"
+    shown = ("a(" * 29)[:57] + "..."
+    for extra in (replace(top, target="y"), top):
+        tac = Tac(chain_ab, (*counter, top, extra))
+        with pytest.raises(NotDeterministic) as exc:
+            run_tac(tac, dag, root)
+        assert str(exc.value) == f"two look-ahead transitions apply at subtree {shown}"
+
+
 def test_tac_errors_render_deep_subtrees_from_the_dag(monkeypatch):
     arm = "a(" * 10 ** 5 + "e" + ")" * 10 ** 5
     partial = Tac(input_alphabet=PI, transitions=(

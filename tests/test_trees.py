@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from mttkit.families import copyfree_instance, copyfree_mtt, equal_pair_tacmtt
 from mttkit import trees
 from mttkit.trees import BOTTOM, build_dag, substitute, term_sort_key
 
-from helpers import chain, count_trees
+from helpers import chain, count_trees, reference_parse
 
 ABE = RankedAlphabet({"a": 2, "b": 1, "e": 0})
 
@@ -190,12 +191,76 @@ def test_valid_digit_free_text_is_parsed_without_regular_expressions(monkeypatch
     rng = random.Random(29)
     texts = [_spaced_text(rng, _random_tree(rng, 4)).replace("c_1", "c")
              .replace("g2", "g") for _ in range(50)]
+    texts += ["b(" * 300 + "e" + ")" * 300, " g(\n" * 300 + "e( )" + ") " * 300,
+              "a(b(c()),_f(e(),g(c),e))"]
     alphabet = RankedAlphabet({"e": 0, "c": 0, "b": 1, "g": 1, "a": 2, "_f": 3})
     want = [parse_term(text)._dag for text in texts]
-    for name in ("_BAD_CHAR_RE", "_TERM_TOKEN_RE"):
+    patterns = [name for name, value in vars(trees).items()
+                if isinstance(value, re.Pattern)]
+    assert {"_BAD_CHAR_RE", "_TERM_TOKEN_RE", "NAME_RE"} <= set(patterns)
+    for name in patterns:
         monkeypatch.setattr(trees, name, _NoRegex())
     for text, dag in zip(texts, want):
         assert parse_term(text)._dag == parse_term(text, alphabet)._dag == dag
+
+
+# what random texts are made of: names with digits and underscores,
+# every punctuation token, whitespace str.split skips, a lone digit and a
+# character no term holds
+_WORDS = ["e", "c_1", "g2", "_f", "a", "b", "(", ")", ",", "()", " ", "\t",
+          "\u2028", "\u00a0", "\x85", "7", "$"]
+
+
+def _outcome(parse, text, alphabet):
+    """What parse makes of text: the DAG lists, size and root label, or
+    the error's message, line and column."""
+    try:
+        got = parse(text, alphabet)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    if isinstance(got, tuple):
+        labels, kids, size = got
+        return labels, kids, size, labels[-1]
+    return (*got._dag, got.size, got.label)
+
+
+def _large_shapes():
+    """large-input's shapes, each also with spaces and e() leaves, and cut
+    short by one character."""
+    chain = "a(" * 10 ** 4 + "e" + ")" * 10 ** 4
+    full = Tree("e")
+    for _ in range(12):
+        full = Tree("f", (full, full))
+    for text in (chain, f"pi({chain},{chain})", format_term(full)):
+        spaced = (text.replace("e", "e( )").replace("(", "(\u3000")
+                  .replace(",", " ,\n"))
+        yield from (text, spaced, text[:-1], spaced[:-1])
+
+
+def _edited(rng, text):
+    """text with one character dropped or one word put in."""
+    at = rng.randint(0, len(text))
+    if text and rng.random() < 0.5:
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice(_WORDS) + text[at:]
+
+
+def test_parse_matches_the_token_by_token_reference():
+    rng = random.Random(31)
+    alphabet = RankedAlphabet(_RANKS)
+    texts = ["".join(rng.choices(_WORDS, k=rng.randint(0, 12)))
+             for _ in range(10_000)]
+    texts += [_edited(rng, _spaced_text(rng, _random_tree(rng, rng.randint(0, 3))))
+              for _ in range(10_000)]
+    for text in texts:
+        for given_alphabet in (None, alphabet):
+            assert (_outcome(parse_term, text, given_alphabet)
+                    == _outcome(reference_parse, text, given_alphabet)), text
+    shapes_alphabet = RankedAlphabet({"a": 1, "e": 0, "pi": 2, "f": 2})
+    for text in _large_shapes():
+        for given_alphabet in (None, shapes_alphabet, alphabet):
+            assert (_outcome(parse_term, text, given_alphabet)
+                    == _outcome(reference_parse, text, given_alphabet)), text[:40]
 
 
 def _distinct_nodes(t):
