@@ -221,10 +221,11 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     a caller that reads only size and the DAG builds no other node.
     When an alphabet is given, every distinct node is checked against it.
 
-    The text is cut in bulk by str methods: with whitespace and the `()`
-    of leaves taken out, every `)` becomes `,)` and the text is split at
-    commas, so each piece is a close or a run of opens ending in a leaf.
-    Text the scan rejects is read again token by token (_parse_error),
+    The text is cut in bulk by str methods.  With whitespace and the `()`
+    of leaves taken out, repeated subterms are first collapsed into one
+    token each (_collapse), so a text whose DAG is much smaller than its
+    tree costs about its DAG nodes; the scan (_scan) reads what is left.
+    Text either rejects is read again token by token (_parse_error),
     which reports the first error with its line and column.  Regular
     expressions only locate an error or a digit that starts a name.
     """
@@ -253,8 +254,18 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
                for a, b in zip(parts, parts[1:])):
             _parse_error(text, alphabet)
         w = "".join(parts)
-    nodes = _scan(w)
-    if nodes is None:
+    size = w.count(",") + w.count(")") + 1
+    nodes: dict[tuple, NodeRef] = {}
+    known: dict[str, NodeRef] = {}
+    w = _collapse(w, nodes, known)
+    if w not in known and not _scan(w, nodes, known):
+        _parse_error(text, alphabet)
+    # an empty label stands where a name is missing, a ")" in one where a
+    # close is followed by a name or an open, a token where a collapsed
+    # term is
+    found = set(map(itemgetter(0), nodes))
+    joined = "".join(found)
+    if "" in found or ")" in joined or _TOKEN in joined:
         _parse_error(text, alphabet)
     if alphabet is not None:
         ranks = alphabet.symbols
@@ -262,25 +273,98 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
             if ranks.get(node[0]) != len(node) - 1:
                 _parse_error(text, alphabet)
     return _UnbuiltTree(list(map(itemgetter(0), nodes)),
-                        list(map(itemgetter(slice(1, None)), nodes)),
-                        w.count(",") + w.count(")") + 1)
+                        list(map(itemgetter(slice(1, None)), nodes)), size)
 
 
-def _scan(w: str) -> dict | None:
-    """The minimal DAG of the tree whose text w is, free of whitespace and
-    of the `()` of leaves, or None if w is no term: a dict from each node,
-    its label followed by its child refs, to its ref, in insertion order.
-    A node is one flat tuple, which the garbage collector stops tracking
-    at its first pass."""
-    nodes: dict[tuple, NodeRef] = {}
+def _collapse(w: str, nodes: dict, known: dict) -> str:
+    """w with its repeated subterms replaced by tokens, one step at a time;
+    w is free of whitespace and of the `()` of leaves.
+
+    A step takes the innermost term that ends at w's first `)`, with the
+    unary parents that the `)`s right after it close.  It numbers the
+    term's new nodes in post-order into nodes, and puts one token for the
+    term's ref where the term starts a subterm: at the start of w or
+    after a `(` or `,`.  A token is _TOKEN and a number, which no text
+    holds.  known maps each token, and each leaf name a step read, to its
+    ref.  The loop stops at the first step that would remove less than
+    1/8 of w, so its str work is linear in the text, or that would number
+    its term before a leaf that stands before it and has no number yet,
+    so the DAG stays in left-to-right post-order.  Text that is no term
+    leaves a label the caller rejects, or a w the scan rejects.
+    """
+    checked = 0  # every leaf in w[:checked] has a number
+    while True:
+        end = w.find(")")
+        bra = w.rfind("(", 0, end)
+        if end < 0 or bra < 0:
+            return w
+        start = max(w.rfind("(", 0, bra), w.rfind(",", 0, bra)) + 1
+        # the `)`s right after the term close its unary parents: in a
+        # term, only `)`s stand between it and the next comma
+        after = w.find(",", end)
+        up = (len(w) if after < 0 else after) - end - 1
+        parents = []
+        top = start
+        if up:
+            outer = w.rfind(",", 0, start) + 1
+            up = min(up, w.count("(", outer, start))
+            if w.count(")", end + 1, end + 1 + up) < up:
+                return w
+            parents = w[outer:start].rsplit("(", up + 1)[-1 - up:-1]
+            top -= sum(map(len, parents)) + up
+        term = w[top:end + 1 + up]
+        token = f"{_TOKEN}{len(known)}"
+        saved = 8 * (len(term) - len(token))
+        # the step must remove 1/8 of w; w.count(term) bounds the
+        # occurrences that start a subterm, and a text the collapse cannot
+        # shorten pays for that pass alone
+        if saved * w.count(term) < len(w) or saved * (
+                w.count("(" + term) + w.count("," + term) + w.startswith(term)) < len(w):
+            return w
+        # a leaf before the term comes before it in post-order
+        for piece in w[checked:top].split(",")[:-1]:
+            if piece.rpartition("(")[2] not in known:
+                return w
+        kids = []
+        for name in w[bra + 1:end].split(","):
+            ref = known.get(name)
+            if ref is None:
+                ref = known[name] = nodes.setdefault((name,), len(nodes))
+            kids.append(ref)
+        ref = nodes.setdefault((w[start:bra], *kids), len(nodes))
+        for label in reversed(parents):
+            ref = nodes.setdefault((label, ref), len(nodes))
+        known[token] = ref
+        if w.startswith(term):
+            w = token + w[len(term):]
+        w = w.replace("(" + term, "(" + token).replace("," + term, "," + token)
+        checked = top
+
+
+def _scan(w: str, nodes: dict, known: dict) -> bool:
+    """Add to nodes the minimal DAG of the tree whose text w is, free of
+    whitespace and of the `()` of leaves, and say whether w is a term.
+    nodes maps each node, its label followed by its child refs, to its
+    ref, in insertion order; a node is one flat tuple, which the garbage
+    collector stops tracking at its first pass.  A leaf that known holds,
+    a token _collapse left or a leaf it read, is its ref there.
+
+    w is cut in bulk: every `)` becomes `,)` and the text is split at
+    commas, so each piece is a close or a run of opens ending in a leaf.
+    """
     names = []   # the labels of the open nodes, innermost last
     starts = []  # where the children of each open node begin in `kids`
     kids = []    # the finished children of the open nodes
-    # each piece is ")" or names joined by "(": opens, then a leaf
+    if known:
+        def leaf(key, ref):
+            got = known.get(key[0])
+            return nodes.setdefault(key, ref) if got is None else got
+    else:
+        leaf = nodes.setdefault
     pieces = w.replace(")", ",)").split(",")
     try:
         parts = pieces[0].split("(")
-        ref = nodes.setdefault((parts.pop(),), 0)
+        ref = leaf((parts.pop(),), len(nodes))
         starts += [0] * len(parts)
         names += parts
         for piece in islice(pieces, 1, None):
@@ -303,18 +387,11 @@ def _scan(w: str) -> dict | None:
                 piece = parts.pop()
                 starts += [len(kids)] * len(parts)
                 names += parts
-            ref = nodes.setdefault((piece,), len(nodes))
+            ref = leaf((piece,), len(nodes))
     except IndexError:  # a close with no open node
-        return None
-    # every node closed, and no comma outside them; an empty label stands
-    # where a name is missing, a ")" in one where a close is followed by
-    # a name or an open
-    if names or kids:
-        return None
-    found = set(map(itemgetter(0), nodes))
-    if "" in found or ")" in "".join(found):
-        return None
-    return nodes
+        return False
+    # every node closed, and no comma outside them
+    return not (names or kids)
 
 
 def _parse_error(text: str, alphabet: RankedAlphabet | None):
@@ -381,6 +458,8 @@ _TERM_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
 # parentheses, commas and whitespace, or a digit that follows no name
 _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),\s]|(?<![A-Za-z0-9_])[0-9]")
 _PUNCT = frozenset("(),")
+# starts each token _collapse puts in a text: _BAD_CHAR_RE rejects it in input
+_TOKEN = "\x00"
 _NAME_PUNCT = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_(),")
 
 

@@ -224,17 +224,44 @@ def _outcome(parse, text, alphabet):
     return (*got._dag, got.size, got.label)
 
 
+def _full_text(k: int, leaf: str = "e") -> str:
+    """The full f-tree with 2^k leaves, as text."""
+    text = leaf
+    for _ in range(k):
+        text = f"f({text},{text})"
+    return text
+
+
 def _large_shapes():
-    """large-input's shapes, each also with spaces and e() leaves, and cut
-    short by one character."""
-    chain = "a(" * 10 ** 4 + "e" + ")" * 10 ** 4
-    full = Tree("e")
-    for _ in range(12):
-        full = Tree("f", (full, full))
-    for text in (chain, f"pi({chain},{chain})", format_term(full)):
+    """large-input's shapes and others the collapse of repeated subterms
+    meets, each also with spaces and e() leaves, and cut short by one
+    character."""
+    k = 10 ** 4
+    chain, short = ("a(" * n + "e" + ")" * n for n in (k, k - 3))
+    rng = random.Random(37)
+    pruned = [_pruned_text(12, [rng.randrange(2) for _ in range(11)]),
+              _pruned_text(12, [0] * 11)]  # the pruned leaf comes first
+    for text in (chain, f"pi({chain},{chain})", _full_text(12), *pruned,
+                 f"pi({chain},{short})",
+                 "a(" * (k // 2) + "b(" + "a(" * (k // 2 - 1) + "e" + ")" * k,
+                 # a finished sibling, a chain that collapses at once, and
+                 # a leaf with no number yet stand before a subterm
+                 # repeated often enough to collapse
+                 f"pi({'a(' * 100}e{')' * 100},pi(d,pi({_full_text(5)},{_full_text(5)})))"):
         spaced = (text.replace("e", "e( )").replace("(", "(\u3000")
                   .replace(",", " ,\n"))
         yield from (text, spaced, text[:-1], spaced[:-1])
+
+
+def _pruned_text(k: int, path) -> str:
+    """The full f-tree with 2^k leaves with one lowest f(e,e) replaced by
+    e, as doubling's "no" candidates are: path picks, from the top, the
+    side the pruned leaf lies on below each f but the lowest."""
+    text = "e"
+    for h, side in zip(range(1, k), reversed(path)):
+        sib = _full_text(h)
+        text = f"f({text},{sib})" if side == 0 else f"f({sib},{text})"
+    return text
 
 
 def _edited(rng, text):
@@ -256,11 +283,42 @@ def test_parse_matches_the_token_by_token_reference():
         for given_alphabet in (None, alphabet):
             assert (_outcome(parse_term, text, given_alphabet)
                     == _outcome(reference_parse, text, given_alphabet)), text
-    shapes_alphabet = RankedAlphabet({"a": 1, "e": 0, "pi": 2, "f": 2})
+    # a collapse that replaced more than whole subterms, or turned a
+    # token into a label, would accept these or misnumber their DAG
+    for text in ("f(a(e),ba(e))", "a(e)(e)", "a(e)b(e)", "b(e),b(e)", "b(b(e)))"):
+        for given_alphabet in (None, alphabet):
+            assert (_outcome(parse_term, text, given_alphabet)
+                    == _outcome(reference_parse, text, given_alphabet)), text
+    shapes_alphabet = RankedAlphabet({"a": 1, "b": 1, "e": 0, "c": 0, "d": 0,
+                                      "pi": 2, "f": 2})
     for text in _large_shapes():
         for given_alphabet in (None, shapes_alphabet, alphabet):
             assert (_outcome(parse_term, text, given_alphabet)
                     == _outcome(reference_parse, text, given_alphabet)), text[:40]
+
+
+def test_repeated_subterms_collapse_before_the_scan(monkeypatch):
+    # each of these texts collapses to one token, so the per-piece scan
+    # never runs: a full tree costs its levels, not its leaves
+    def scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(trees, "_scan", scan)
+    twins = []
+    full = Tree("e")
+    for k in range(1, 19):
+        full = Tree("f", (full, full))
+        twins.append((_full_text(k), full))
+    n = 10 ** 4
+    twins.append((f"pi({'a(' * n}e{')' * n},{'a(' * n}e{')' * n})",
+                  Tree("pi", (chain(n), chain(n)))))
+    twins.append(("a(" * 10 ** 5 + "e" + ")" * 10 ** 5, chain(10 ** 5)))
+    for text, twin in twins:
+        parsed = parse_term(text)
+        dag = build_dag(twin)[0]
+        assert parsed._dag == (dag.labels, dag.kids), text[:40]
+        assert parsed.size == twin.size
+        assert hash(parsed) == hash(twin)
 
 
 def _distinct_nodes(t):
