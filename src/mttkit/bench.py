@@ -29,13 +29,18 @@ class BenchRow:
     t_size: int | None
     seconds: float | None
     note: str = ""
+    entries: int | None = None  # the untimed query's memo entries
 
 
-def time_member_io(m: Mtt, s: Tree, t: Tree, repeats: int = 3) -> float:
+def time_member_io(m: Mtt, s: Tree, t: Tree, repeats: int = 3,
+                   stats: dict | None = None) -> float:
     """Best-of-N wall time of one membership query, in seconds.  One
     untimed query runs first, so that generating m's functions and its
-    copy analysis is not timed."""
-    member_io(m, s, t)
+    copy analysis is not timed; it fills stats, if given."""
+    if stats is None:
+        member_io(m, s, t)
+    else:
+        member_io(m, s, t, stats)
     best = math.inf
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
@@ -59,8 +64,10 @@ def bench_family(family: str, ns, repeats: int = 3) -> list[BenchRow]:
                 note=f"skipped: output size is 2^(2^{n})-scale"))
             continue
         s, t = instance(n)
-        rows.append(BenchRow(n, s.size, t.size,
-                             time_member_io(m, s, t, repeats)))
+        stats: dict = {}
+        seconds = time_member_io(m, s, t, repeats, stats)
+        rows.append(BenchRow(n, s.size, t.size, seconds,
+                             entries=stats["entries"]))
     return rows
 
 

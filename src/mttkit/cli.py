@@ -262,7 +262,7 @@ def cmd_bench(args) -> int:
             print(f"n: {r.n}  {r.note}")
         else:
             print(f"n: {r.n}  s_size: {r.s_size}  t_size: {r.t_size}  "
-                  f"seconds: {r.seconds:.6f}")
+                  f"entries: {r.entries}  seconds: {r.seconds:.6f}")
     if exponent is not None:
         print(f"exponent: {exponent:.3f}")
     return 0

@@ -24,16 +24,20 @@ intern table and label index.  Functions of equal source share one
 code object (_code), and every table of them comes from one builder
 (_compiled).
 The two semantics differ only in how a call binds its argument sets,
-so member_oi_fc runs on member_io's table, and _ask_all alone binds a
-set, by the semantics and memo size demand carries: per reference,
-whole, or to its subsets of at most c nodes (call-by-name, copy bound c).
+so member_oi_fc runs on member_io's table, and demand's set-call alone
+binds a set, by the query's semantics and the memo's size: per
+reference, whole, or to its subsets of at most c nodes (call-by-name,
+copy bound c).  An output node over sets has an image, the set of
+candidate-output nodes it can be, computed once per candidate DAG
+(_out_refs).
 member_det's stages before its last run on demand too, with functions
 that grow the stage's output DAG (_det_output).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import contains
 from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
 
@@ -42,21 +46,47 @@ from .mtt import Call, Mtt, Out, Param, check_kind, copy_counts
 from .oracle import IO, OI, check_input_dag
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
+_EMPTY: frozenset = frozenset()
+_BOTTOM: frozenset = frozenset((BOTTOM,))
 
-def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
-    """References an output-symbol node can take, given child result sets.
+
+def _out_refs(sym: str, kid_sets, dag: TreeDag) -> frozenset:
+    """The image of an output-symbol node over child result sets: the
+    references it can take.
 
     A real node v matches iff it carries sym and child i of v lies in the
     i-th set.  BOTTOM is produced iff all sets are nonempty and some
     selection of children cannot be a node of the candidate output:
     either a child is BOTTOM itself, or more selections exist than there
     are sym-nodes, or an explicit selection misses the intern table.
+
+    Each set is a frozenset, or a tuple of one reference.  The image over
+    sets of one reference each is one intern lookup.  Any other is
+    computed once per candidate DAG (_image) and kept in dag.images
+    under (sym, *kid_sets): it depends on sym, the sets and the DAG
+    alone, and no DAG grows while a demand reads its images, since the
+    functions that grow one (_det_output's) make no call here.
     """
-    out: set = set()
+    wide = False
     for ks in kid_sets:
         if not ks:
-            return out
-    if len(kid_sets) == 1 and len(ks) > 1:
+            return _EMPTY
+        if len(ks) > 1:
+            wide = True
+    if not wide:
+        # intern keys hold node references only, so a BOTTOM child misses
+        return frozenset((dag.intern.get((sym, tuple([u for u, in kid_sets])),
+                                         BOTTOM),))
+    key = (sym, *kid_sets)
+    got = dag.images.get(key)
+    if got is None:
+        got = dag.images[key] = _image(sym, kid_sets, dag)
+    return got
+
+
+def _image(sym: str, kid_sets, dag: TreeDag) -> frozenset:
+    """_out_refs's image over nonempty sets, computed."""
+    if len(kid_sets) == 1:
         # a unary sym: each child has at most one sym-parent, found in
         # the DAG's child -> parent index of sym; a child without one, or
         # BOTTOM, maps to None, which stands for BOTTOM in the result
@@ -65,95 +95,37 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> set:
             kids_of = dag.kids
             index = dag.parents[sym] = {kids_of[v][0]: v
                                         for v in dag.by_label.get(sym, ())}
-        out = set(map(index.get, ks))
-        if None in out:
-            out.discard(None)
-            out.add(BOTTOM)
-        return out
-    real = [ks if BOTTOM not in ks else ks - {BOTTOM} for ks in kid_sets]
+        out = frozenset(map(index.get, kid_sets[0]))
+        return out - {None} | _BOTTOM if None in out else out
+    real = [ks if BOTTOM not in ks else frozenset(ks) - _BOTTOM
+            for ks in kid_sets]
     count = 1
     for r in real:
         count *= len(r)
     if count == 0:
         # some child set is exactly {BOTTOM}, and no node has a BOTTOM child
-        return {BOTTOM}
+        return _BOTTOM
     cands = dag.by_label.get(sym, ())
     if count <= len(cands):
-        intern = dag.intern
-        missed = False
-        for ubar in product(*real):
-            ref = intern.get((sym, ubar))
-            if ref is None:
-                missed = True
-            else:
-                out.add(ref)
-        if missed or any(BOTTOM in ks for ks in kid_sets):
-            out.add(BOTTOM)
-    else:
-        # pigeonhole: some selection is not a node, so BOTTOM holds, and
-        # matching nodes are found by scanning sym-nodes instead.
-        kids_of = dag.kids
-        for v in cands:
-            ks = kids_of[v]
-            if all(u in kid_sets[i] for i, u in enumerate(ks)):
-                out.add(v)
-        out.add(BOTTOM)
-    return out
-
-
-def _ask_all(ask, child, q: str, kid_sets, whole=()) -> set:
-    """A call with a set of references K for some argument: one question
-    to input node child per combination of bindings, under state key
-    (q, mask) when a parameter j is bound to a frozenset, mask having
-    bit j set.  whole holds the positions of q's parameters that no
-    output of q copies (mtt.copy_counts, under either semantics).
-
-    Call-by-value (ask.c None) binds K whole for a never-copied
-    parameter when |K| >= 2 and the memo ask.memo holds fewer than
-    ask.limit entries, its entry being the union of its references'
-    entries; else per reference, and an empty K asks nothing.
-    Call-by-name (copy bound ask.c) drops BOTTOM from K, each occurrence
-    picking its own tree of K: an emptied K binds BOTTOM and a singleton
-    its reference.  A larger K binds whole when |K| <= c or the memo has
-    room; past the limit, per reference for a never-copied parameter or
-    when c is 1, else to each c-subset (entries are monotone in their
-    bindings), exact when no output copies it more than c times."""
-    c, mask = ask.c, 0
-    if c is None:
-        for j in whole:
-            ks = kid_sets[j]
-            if len(ks) > 1 and len(ask.memo) < ask.limit:
-                kid_sets[j] = (frozenset(ks),)
-                mask |= 1 << j
-    else:
-        for j, ks in enumerate(kid_sets):
-            if BOTTOM in ks:
-                ks = ks - {BOTTOM}
-            if len(ks) < 2:
-                kid_sets[j] = ks or (BOTTOM,)
-            elif len(ks) <= c or len(ask.memo) < ask.limit:
-                kid_sets[j] = (frozenset(ks),)
-                mask |= 1 << j
-            elif c == 1 or j in whole:
-                kid_sets[j] = ks
-            else:
-                kid_sets[j] = map(frozenset, combinations(ks, c))
-                mask |= 1 << j
-    if mask:
-        q = (q, mask)
-    out: set = set()
-    for ubar in product(*kid_sets):
-        out |= ask(child, q, ubar)
-    return out
+        # None for a selection that misses the intern table
+        out = frozenset(map(dag.intern.get, zip(repeat(sym), product(*real))))
+        if None in out or any(BOTTOM in ks for ks in kid_sets):
+            return out - {None} | _BOTTOM
+        return out
+    # pigeonhole: some selection is not a node, so BOTTOM holds, and
+    # matching nodes are found by scanning sym-nodes instead.
+    kids_of = dag.kids
+    return frozenset([v for v in cands
+                      if all(map(contains, kid_sets, kids_of[v]))] + [BOTTOM])
 
 
 # The globals of every generated function.  Generated source names only
 # these, the builtin len, its parameters v, kids, ask and dag, the intern
-# table I, locals t<k>, constants K<k> and _ask_all's keyword whole:
-# symbols, states and intern keys come in as defaults, so no user name
-# enters source text.  The functions are not stored here, so none of
-# them is part of a cycle.
-_SCOPE = {"BOTTOM": BOTTOM, "_out_refs": _out_refs, "_ask_all": _ask_all}
+# table I, locals t<k>, constants K<k>, and ask's set-call all with its
+# keyword whole: symbols, states and intern keys come in as defaults, so
+# no user name enters source text.  The functions are not stored here,
+# so none of them is part of a cycle.
+_SCOPE = {"BOTTOM": BOTTOM, "_out_refs": _out_refs}
 
 
 class _Program:
@@ -167,10 +139,12 @@ class _Program:
     an output node is interned if missing, and a call unpacks its entry,
     one reference in a deterministic total stage.
 
-    With counts, the model's copy_counts, a call over sets passes
-    _ask_all the positions of the callee's parameters that are never
-    copied, and v[i] is a frozenset for each bit i of mask: the function
-    of state key (q, mask)."""
+    A call over sets goes to demand's set-call ask.all, and an output
+    node over sets to _out_refs, each taking a one-reference argument as
+    a tuple of one.  With counts, the model's copy_counts,
+    a call over sets passes the positions of the callee's parameters
+    that are never copied, and v[i] is a frozenset for each bit i of
+    mask: the function of state key (q, mask)."""
 
     def __init__(self, grow=False, counts=None, mask=0):
         self.grow = grow
@@ -199,14 +173,14 @@ class _Program:
         over_sets = any(is_set for _, is_set in args)
         target = name
         if over_sets:
-            sets = ", ".join(e if is_set else f"{{{e}}}" for e, is_set in args)
+            sets = ", ".join(e if is_set else f"({e},)" for e, is_set in args)
             if isinstance(term, Out):
                 expr = f"_out_refs({self.const(term.sym)}, [{sets}], dag)"
             else:
                 whole = () if self.counts is None else tuple(
                     j for j, n in enumerate(self.counts[term.state]) if n < 2)
                 whole = f", whole={self.const(whole)}" if whole else ""
-                expr = (f"_ask_all(ask, kids[{term.child - 1}], "
+                expr = (f"ask.all(kids[{term.child - 1}], "
                         f"{self.const(term.state)}, [{sets}]{whole})")
         else:
             refs = _tuple([e for e, _ in args])
@@ -263,8 +237,8 @@ def compile_rhs(rhss: tuple, grow: bool = False, counts: dict | None = None,
     whose children are kids, where ask(node, state, ubar) answers a
     state call; None when rhss is empty.  With grow, the output nodes
     are added to t_dag (member_det's earlier stages).  With the model's
-    copy counts, calls bind sets as _ask_all decides by the query's
-    semantics, and v[i] is a set for each bit i of mask.
+    copy counts, calls bind sets as demand's set-call ask.all decides by
+    the query's semantics, and v[i] is a set for each bit i of mask.
 
     The function is straight-line code over the distinct subterms of
     rhss (_Program), each evaluated once per entry, that returns the
@@ -290,9 +264,6 @@ def compile_terms(terms: tuple):
     return prog.function("v, dag", _tuple([prog.value(term)[0] for term in terms]))
 
 
-_EMPTY: frozenset = frozenset()
-
-
 def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
            c: int | None = None, limit: int = 0):
     """The inverse evaluation, computed on demand: the entry of state q at
@@ -303,11 +274,29 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
     computed only when a parent call asks for it, by one call of
     alt = alternatives[q, labels[node]], alt(vbar, kids, ask, t_dag)
     with the node's children kids, or is empty when alt is None.  The
-    generated functions of compile_rhs bind each parameter to one
-    reference, or to a set under a state key (q, mask), as _ask_all
-    decides by ask.c, the semantics c, and by the size of ask.memo, the
-    memo, against ask.limit.  Those of multi_return return tuples of
-    references (given its meter as t_dag, see _member).
+    generated functions of compile_rhs ask ask(node, q, vbar) for a call
+    with one reference per parameter, and ask.all for a call with a set
+    of references K for some parameter, which binds each set by the
+    semantics c and the memo's size against limit (see below).  Those of
+    multi_return return tuples of references (given its meter as t_dag,
+    see _member).
+
+    ask.all(child, q, kid_sets, whole) asks input node child one question
+    per combination of bindings, under state key (q, mask) when a
+    parameter j is bound to a frozenset, mask having bit j set, and
+    returns the union of the answers.  whole holds the positions of q's
+    parameters that no output of q copies (mtt.copy_counts, under either
+    semantics).
+    Call-by-value (c None) binds K whole for a never-copied parameter
+    when |K| >= 2 and the memo holds fewer than limit entries, its entry
+    being the union of its references' entries; else per reference, and
+    an empty K asks nothing.
+    Call-by-name (copy bound c) drops BOTTOM from K, each occurrence
+    picking its own tree of K: an emptied K binds BOTTOM and a singleton
+    its reference.  A larger K binds whole when |K| <= c or the memo has
+    room; past the limit, per reference for a never-copied parameter or
+    when c is 1, else to each c-subset (entries are monotone in their
+    bindings), exact when no output copies it more than c times.
     """
     memo: dict[tuple, frozenset] = {}
     kids_of = s_dag.kids
@@ -321,19 +310,61 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
                                frozenset(alt(vbar, kids_of[node], ask, t_dag)))
         return got
 
-    ask.c, ask.memo, ask.limit = c, memo, limit
+    def ask_all(node, q, kid_sets, whole=()):
+        mask = 0
+        if c is None:
+            for j in whole:
+                ks = kid_sets[j]
+                if len(ks) > 1 and len(memo) < limit:
+                    kid_sets[j] = (frozenset(ks),)
+                    mask |= 1 << j
+        else:
+            for j, ks in enumerate(kid_sets):
+                if BOTTOM in ks:
+                    ks = frozenset(ks) - _BOTTOM
+                if len(ks) < 2:
+                    kid_sets[j] = ks or (BOTTOM,)
+                elif len(ks) <= c or len(memo) < limit:
+                    kid_sets[j] = (frozenset(ks),)
+                    mask |= 1 << j
+                elif c == 1 or j in whole:
+                    kid_sets[j] = ks
+                else:
+                    kid_sets[j] = map(frozenset, combinations(ks, c))
+                    mask |= 1 << j
+        if mask:
+            q = (q, mask)
+        # ask's work inlined, one frame less per level: the pair's
+        # function is looked up at the first miss
+        got = []
+        kids = None
+        for vbar in product(*kid_sets):
+            key = (node, q, vbar)
+            entry = memo.get(key)
+            if entry is None:
+                if kids is None:
+                    kids, alt = kids_of[node], alternatives[q, labels[node]]
+                entry = memo[key] = (_EMPTY if alt is None else
+                                     frozenset(alt(vbar, kids, ask, t_dag)))
+            got.append(entry)
+        # one union, built once: |= over frozensets would copy each time
+        return got[0] if len(got) == 1 else _EMPTY.union(*got)
+
+    ask.all = ask_all
     try:
         return ask(node, q, ()), memo
     finally:
-        # ask reaches itself through its closure cell; without this the
-        # memo would live until the next full garbage collection
+        # ask reaches itself through its closure cell, and through
+        # ask.all; without this the memo would live until the next full
+        # garbage collection
         del ask
 
 
 def _frames(s_dag: TreeDag) -> int:
     """Recursion room for s_dag: along a path of at most one input level
-    per DAG node, each level takes three frames, the core's ask and a
-    generated function with its set-call helper, whatever the model."""
+    per DAG node, each level takes two frames, a generated function and
+    the core's ask or its set-call, whatever the model; three per level
+    leave room."""
     return 3 * s_dag.node_count()
 
 
@@ -347,7 +378,7 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
 
     The label alternatives[q, label] reads is a node's symbol, or
     labels(s_dag)[node] when labels is given, and c the semantics.  The
-    memo's whole-set limit (see _ask_all) is per-reference binding's key
+    memo's whole-set limit (see demand) is per-reference binding's key
     bound, |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank, or 0
     with meter (multi-return): entries hold tuples, and the alternatives
     get meter, holding t's intern table, in place of t's DAG.
@@ -373,7 +404,7 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
         stats.update(
             s_size=s_dag.tree_size(), t_size=t.size,
             s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
-            entries=sum(map(len, memo.values())),
+            entries=sum(map(len, memo.values())), images=len(t_dag.images),
         )
     return t_root in root_entry
 
@@ -405,7 +436,7 @@ def _compiled(m, key, lookup=None, grow=False) -> _Table:
     """The table of engine key on m: pair (q, label) holds
     compile_rhs(lookup(q, label), grow, counts, mask), lookup giving m's
     rules at symbol label by default, counts m's copy_counts unless
-    grow, and mask 0 but for a state key (q, mask) (see _ask_all).
+    grow, and mask 0 but for a state key (q, mask) (see demand).
     lookup must not reach m (see _table)."""
     if lookup is None:
         rules = m.rules
@@ -433,11 +464,12 @@ def member_io(m: Mtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
 def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) -> bool:
     """Is t an output of m on s under call-by-name, with copy bound c?
 
-    It runs on member_io's table, binding sets by _ask_all: whole, which
-    is exact, while the memo is below _member's limit.  Past it a copied
-    parameter binds to its c-subsets, exact only if c is at least the
-    most copies of one parameter m can produce; c is not checked, and
-    with a smaller c such a query's "no" can be wrong.
+    It runs on member_io's table, binding sets as demand's set-call
+    does: whole, which is exact, while the memo is below _member's
+    limit.  Past it a copied parameter binds to its c-subsets, exact
+    only if c is at least the most copies of one parameter m can
+    produce; c is not checked, and with a smaller c such a query's "no"
+    can be wrong.
     """
     if not isinstance(c, int) or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")

@@ -227,14 +227,17 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     tree costs about its DAG nodes; the scan (_scan) reads what is left.
     Text either rejects is read again token by token (_parse_error),
     which reports the first error with its line and column.  Regular
-    expressions only locate an error or a digit that starts a name.
+    expressions only locate an error or a digit that starts a name, and
+    run only where one is present.
     """
     rest = text.translate(_NAME_PUNCT)  # digits, whitespace, bad characters
     w = text
     if rest:
-        # a digit or a bad character: the search finds the first that
-        # starts no name
-        if rest.strip():
+        # a bad character, or a digit that starts a name: the search
+        # finds the first such character
+        spaces = rest.translate(_NO_DIGITS)  # whitespace, bad characters
+        if spaces.strip() or (len(spaces) < len(rest)
+                              and _digit_starts_name(text)):
             bad = _BAD_CHAR_RE.search(text)
             if bad:
                 raise ParseError.at(f"unexpected character {bad.group()!r}",
@@ -274,6 +277,17 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
                 _parse_error(text, alphabet)
     return _UnbuiltTree(list(map(itemgetter(0), nodes)),
                         list(map(itemgetter(slice(1, None)), nodes)), size)
+
+
+def _digit_starts_name(text: str) -> bool:
+    """Does some digit of text follow no letter, digit or underscore?
+    text holds no bad character.  Read in bulk for ASCII text; other
+    text, whose whitespace may lie outside ASCII, answers True, for
+    _BAD_CHAR_RE to decide."""
+    if not text.isascii():
+        return True
+    marks = text.encode().translate(_DIGIT_MARKS)
+    return marks[:1] == b"0" or b"(0" in marks
 
 
 def _collapse(w: str, nodes: dict, known: dict) -> str:
@@ -461,6 +475,13 @@ _PUNCT = frozenset("(),")
 # starts each token _collapse puts in a text: _BAD_CHAR_RE rejects it in input
 _TOKEN = "\x00"
 _NAME_PUNCT = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_(),")
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+# each digit as 0, and each character other than a name's as (, in
+# ASCII text of names, punctuation and whitespace: a digit that starts
+# a name stands first or after a (
+_ASCII_SPACE = "".join(c for c in map(chr, range(128)) if c.isspace())
+_DIGIT_MARKS = bytes.maketrans(f"0123456789),{_ASCII_SPACE}".encode(),
+                               b"0" * 10 + b"(" * (2 + len(_ASCII_SPACE)))
 
 
 def format_term(t: Tree) -> str:
@@ -525,16 +546,21 @@ class TreeDag:
     child refs) to the unique node carrying them, and by_label maps each
     label to its nodes in ascending order.  parents maps a label of rank
     1 to its index from child to parent, which the membership engines
-    build the first time they look a label's parents up.
+    build the first time they look a label's parents up.  images maps
+    (label, *child reference sets) to the frozenset of nodes an output
+    node over those sets can be, kept by the membership engines
+    (io_membership._out_refs) for sets of two or more references.
     """
 
-    __slots__ = ("labels", "kids", "root", "intern", "by_label", "parents")
+    __slots__ = ("labels", "kids", "root", "intern", "by_label", "parents",
+                 "images")
 
     def __init__(self, labels=None, kids=None):
         self.labels: list[str] = [] if labels is None else labels
         self.kids: list[tuple[NodeRef, ...]] = [] if kids is None else kids
         self.root: NodeRef = len(self.labels) - 1 if self.labels else BOTTOM
         self.parents: dict[str, dict[NodeRef, NodeRef]] = {}
+        self.images: dict[tuple, frozenset] = {}
 
     def node_count(self) -> int:
         return len(self.labels)

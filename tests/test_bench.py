@@ -38,6 +38,8 @@ def test_fan_rows():
         assert r.seconds > 0
         s, t = fan_instance(r.n)
         assert (r.s_size, r.t_size) == (s.size, t.size) == (r.n + 1, 2 * r.n + 2)
+    # the untimed first query's memo entries
+    assert [r.entries for r in rows] == [18, 98]
 
 
 def test_fan_instance_is_a_member_from_three_on():

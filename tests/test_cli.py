@@ -13,7 +13,8 @@ from mttkit.cli import main
 from mttkit.dsl import format_transducer, parse_transducer
 from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
                              double_mtt, doubling_mtt, equal_pair_tacmtt,
-                             fan_mtt, reverse_pair_instance, reverse_pair_mrtt)
+                             fan_instance, fan_mtt, reverse_pair_instance,
+                             reverse_pair_mrtt)
 from mttkit.oracle import Budget
 from mttkit.sat import (DEFAULT_SAT_BUDGET, Cnf3, build_sat_mtt, encode,
                         parse_dimacs)
@@ -144,6 +145,14 @@ def test_member_json_record(files, capsys):
     assert rec["elapsed_ms"] >= 0
     assert rec["parse_ms"] >= 0
     assert rec["stats"]["s_size"] == s.size
+    # the work counters, as test_io_membership pins them on fan
+    m = files("fan.mtt", format_transducer(fan_mtt()))
+    s, t = fan_instance(8)
+    sf = term_file(files, "s.term", s)
+    tf = term_file(files, "t.term", t)
+    assert main(["member", "--engine", "io", "--json", m, sf, tf]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert (stats["entries"], stats["images"]) == (213, 42)
 
 
 def test_member_det_json_stats_match_io(files, capsys):
@@ -160,7 +169,7 @@ def test_member_det_json_stats_match_io(files, capsys):
             stats[engine] = json.loads(capsys.readouterr().out)["stats"]
         assert stats["det"] == stats["io"]
         assert stats["io"].keys() == {"s_size", "t_size", "s_dag_nodes",
-                                      "t_dag_nodes", "entries"}
+                                      "t_dag_nodes", "entries", "images"}
 
 
 def test_member_other_engines(files, capsys):
@@ -434,12 +443,15 @@ def test_bench_subcommand(files, capsys):
     out = capsys.readouterr().out
     assert "family: copyfree" in out
     assert out.count("seconds:") == 2
+    # memo entries of each size's query, whatever the machine
+    assert "n: 2  s_size: 2  t_size: 2  entries: 2  seconds:" in out
     assert "exponent:" in out
 
     assert main(["bench", "double", "--ns", "1..4", "--repeats", "1",
                  "--json"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert [r["n"] for r in rec["rows"]] == [1, 2, 3, 4]
+    assert [r["entries"] for r in rec["rows"]] == [7, 16, None, None]
     assert rec["rows"][3]["seconds"] is None
     assert "skipped" in rec["rows"][3]["note"]
     assert isinstance(rec["exponent"], float)

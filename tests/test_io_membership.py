@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -53,12 +54,13 @@ from mttkit.families import (
     double_mtt,
     doubling_mtt,
     equal_pair_tacmtt,
+    fan_instance,
     fan_mtt,
     reverse_pair_instance,
     reverse_pair_mrtt,
 )
-from mttkit.io_membership import (_SCOPE, _ask_all, _compiled, compile_rhs,
-                                  demand)
+from mttkit.io_membership import (_SCOPE, _Table, _compiled, _image,
+                                  _out_refs, compile_rhs, demand)
 from mttkit.trees import BOTTOM, TreeDag, build_dag
 
 from helpers import (
@@ -81,26 +83,38 @@ from helpers import (
 KIDS = tuple(range(1, 10))
 
 
-def _asker(entries=None, asked=None, c=None, limit=1):
-    """An ask as demand makes it: state calls answered from a dict of
-    (child, state, parameter bindings) -> result refs, the query's
-    semantics c, an empty memo and the memo's whole-set limit as
-    attributes; asked, if given, collects each question."""
+def _demanded(root, dag=None, entries=None, asked=None, c=None, limit=1):
+    """root(ask) as the root question's function of a demand on
+    candidate DAG dag, at input node 0 whose children are the input
+    nodes KIDS, under semantics c and the memo's whole-set limit: its
+    result, as demand stores it.  Each question to a child is answered
+    from a dict of (child, state, parameter bindings) -> result refs, and
+    asked, if given, collects it (the memo answers a repeated one)."""
     entries = entries or {}
 
-    def ask(node, q, ubar):
-        if asked is not None:
-            asked.append((node, q, ubar))
-        return frozenset(entries.get((node, q, ubar), ()))
+    def alternative(q, label):
+        if label == 0:
+            return lambda vbar, kids, ask, dag: root(ask)
 
-    ask.c, ask.memo, ask.limit = c, {}, limit
-    return ask
+        def alt(vbar, kids, ask, dag):
+            if asked is not None:
+                asked.append((label, q, vbar))
+            return entries.get((label, q, vbar), ())
+        return alt
+
+    table = _Table()
+    table.prepare = alternative
+    s_dag = TreeDag([None] * (len(KIDS) + 1), [KIDS] + [()] * len(KIDS))
+    return demand(s_dag, dag, range(len(KIDS) + 1), table, 0, "root", c,
+                  limit)[0]
 
 
 def _eval_on(rhs, vbar, dag, entries=None, asked=None):
     """The compiled rhs under call-by-value, with state calls answered
-    by _asker."""
-    return set(compile_rhs((rhs,))(vbar, KIDS, _asker(entries, asked), dag))
+    as _demanded answers them."""
+    alt = compile_rhs((rhs,))
+    return set(_demanded(lambda ask: alt(vbar, KIDS, ask, dag), dag, entries,
+                         asked))
 
 
 def _io_rules(m):
@@ -197,16 +211,16 @@ def test_eval_f_call_with_scalar_and_set_arguments():
     assert asked == [(3, "q", ())]
 
 
-# call-by-name: _ask_all drops BOTTOM from each argument set and binds
-# what is left whole, or past the memo's limit per reference or to its
-# c-subsets
+# call-by-name: demand's set-call ask.all drops BOTTOM from each
+# argument set and binds what is left whole, or past the memo's limit
+# per reference or to its c-subsets
 
 def _questions(kid_sets, c, whole=(), limit=1):
-    """The questions _ask_all asks of input child 1, state p, as a set,
+    """The questions ask.all asks of input child 1, state p, as a set,
     with room for whole sets unless limit is 0."""
     asked = []
-    _ask_all(_asker(asked=asked, c=c, limit=limit), 1, "p",
-             [set(ks) for ks in kid_sets], whole)
+    _demanded(lambda ask: ask.all(1, "p", [set(ks) for ks in kid_sets], whole),
+              asked=asked, c=c, limit=limit)
     return set(asked)
 
 
@@ -236,7 +250,8 @@ def test_ask_all_n_drops_bottom_from_argument_sets():
     v_e = dag.intern["e", ()]
     rhs = Out("f", (Param(1), Param(1)))
     both = frozenset({v_e, root})
-    assert set(compile_rhs((rhs,), mask=1)((both,), KIDS, _asker(c=2), dag)) == {
+    alt = compile_rhs((rhs,), mask=1)
+    assert _demanded(lambda ask: alt((both,), KIDS, ask, dag), dag, c=2) == {
         root, BOTTOM}
 
 
@@ -273,6 +288,79 @@ def test_ask_all_binds_never_copied_parameters_whole_while_the_budget_lasts():
             (1, "p", (u, w)) for u in (a, b, c) for w in (a, b)}
     assert _questions(sets, c=2, whole=(0, 1), limit=0) == {
         (1, ("p", 2), (u, frozenset({a, b}))) for u in (a, b, c)}
+
+
+# the image of an output node over sets, kept per candidate DAG
+
+def _image_by_definition(sym, kid_sets, dag):
+    """The sym-nodes whose children lie in kid_sets, and BOTTOM when
+    some selection of children is no node of dag."""
+    out = {v for v in dag.by_label.get(sym, ())
+           if all(u in ks for u, ks in zip(dag.kids[v], kid_sets))}
+    if any((sym, ubar) not in dag.intern for ubar in product(*kid_sets)):
+        out.add(BOTTOM)
+    return out
+
+
+# t holds two unary symbols, g and k, and the binary f: each path of
+# _out_refs, the unary parent index, the intern product and the
+# pigeonhole scan, is taken over sets with BOTTOM or with a child that
+# has no parent
+IMAGE_T = "h(g(e), f(e, g(e)), k(f(g(e), e)))"
+
+
+def _image_cases(dag):
+    e = dag.intern["e", ()]
+    g = dag.intern["g", (e,)]
+    fe = dag.intern["f", (e, g)]
+    fg = dag.intern["f", (g, e)]
+    return [
+        ("g", [{e, g}]), ("k", [{e, g}]),  # equal sets, two symbols
+        ("g", [{e, fe, BOTTOM}]), ("k", [{fg, fe}]),
+        ("f", [{e, g}, {e, g}]),  # four selections, two f-nodes
+        ("f", [{e}, {e, g}]), ("f", [{e, BOTTOM}, {g, e}]),
+        ("f", [{BOTTOM}, {e, g}]), ("f", [{g, fe}, {e, BOTTOM}]),
+        ("h", [{g}, {fe, fg}, {fe}]),
+    ]
+
+
+def test_out_refs_computes_each_image_once_per_candidate_dag():
+    dag, _ = build_dag(parse_term(IMAGE_T))
+    cases = _image_cases(dag)
+    first = [_out_refs(sym, list(map(frozenset, sets)), dag)
+             for sym, sets in cases]
+    assert len(dag.images) == len(cases)
+    for (sym, sets), got in zip(cases, first):
+        assert got == _image_by_definition(sym, sets, dag), sym
+        # equal sets, other objects: the image kept, not a new one
+        again = _out_refs(sym, [frozenset(list(ks)) for ks in sets], dag)
+        assert again is got
+    assert len(dag.images) == len(cases)
+    # the same image in a fresh DAG of the same text
+    fresh, _ = build_dag(parse_term(IMAGE_T))
+    assert [_out_refs(sym, list(map(frozenset, sets)), fresh)
+            for sym, sets in cases] == first
+
+
+def test_out_refs_images_cached_and_uncached_agree():
+    dag, _ = build_dag(parse_term(IMAGE_T))
+    for sym, sets in _image_cases(dag):
+        sets = list(map(frozenset, sets))
+        computed = _image(sym, sets, dag)
+        assert computed == _image_by_definition(sym, sets, dag), sym
+        assert _out_refs(sym, sets, dag) == computed
+        assert _out_refs(sym, sets, dag) == computed
+    # sets of one reference each, frozen or a tuple, are looked up in
+    # the intern table and kept nowhere; an empty set yields nothing
+    e = dag.intern["e", ()]
+    g = dag.intern["g", (e,)]
+    kept = len(dag.images)
+    assert _out_refs("f", [frozenset({e}), (g,)], dag) == {dag.intern["f", (e, g)]}
+    assert _out_refs("f", [(g,), (g,)], dag) == {BOTTOM}
+    assert _out_refs("f", [(BOTTOM,), frozenset({e})], dag) == {BOTTOM}
+    assert _out_refs("g", [(BOTTOM,)], dag) == {BOTTOM}
+    assert _out_refs("f", [frozenset(), frozenset({e, g})], dag) == frozenset()
+    assert len(dag.images) == kept
 
 
 def test_demand_counts_entries_under_whole_keys_against_the_budget():
@@ -472,7 +560,8 @@ def test_user_names_never_enter_generated_code():
         assert f.__globals__ is _SCOPE
         code = f.__code__
         for name in code.co_varnames + code.co_names:
-            assert (name in ("v", "kids", "ask", "dag", "I", "get", "intern")
+            assert (name in ("v", "kids", "ask", "all", "dag", "I", "get",
+                             "intern")
                     or name in _SCOPE or re.fullmatch(r"[tK]\d+", name)), name
 
 
@@ -1040,7 +1129,7 @@ def test_growing_functions_take_no_sets():
     made = list(filter(None, stages[0]._prepared["det"].values()))
     assert any("setdefault" in f.__code__.co_names for f in made)
     for f in made:
-        assert not {"_out_refs", "_ask_all", "get"} & set(f.__code__.co_names)
+        assert not {"_out_refs", "all", "get"} & set(f.__code__.co_names)
 
 
 def test_member_io_leaves_no_cyclic_garbage():
@@ -1139,6 +1228,15 @@ def test_entries_are_pinned(engine, m, s, t, want, entries):
            "oi-fc": lambda m, s, t, stats: member_oi_fc(m, 2, s, t, stats)}[engine]
     assert run(m, s, t, stats=stats) is want
     assert stats["entries"] == entries
+
+
+@pytest.mark.parametrize("n, entries, images", [(8, 213, 42), (16, 1513, 150)])
+def test_images_are_pinned(n, entries, images):
+    # images: the output-node images over sets a query computes, each
+    # once per candidate DAG
+    stats = {}
+    assert member_io(fan_mtt(), *fan_instance(n), stats)
+    assert (stats["entries"], stats["images"]) == (entries, images)
 
 
 def test_member_det_matches_member_io_on_random_det_transducers():

@@ -308,7 +308,7 @@ def _agrees_with_reference(tm, s, pool=None, extra=()) -> int:
 
 def _binds_whole(tm) -> bool:
     """Whether some question bound a parameter to a whole argument set:
-    its state key is (q, mask) (see io_membership._ask_all)."""
+    its state key is (q, mask) (see io_membership.demand)."""
     return any(not isinstance(q, str) for q, _ in tm._prepared["io-tac"])
 
 

@@ -204,6 +204,46 @@ def test_valid_digit_free_text_is_parsed_without_regular_expressions(monkeypatch
         assert parse_term(text)._dag == parse_term(text, alphabet)._dag == dag
 
 
+def test_digits_that_continue_names_need_no_regular_expression(monkeypatch):
+    # a digit after a letter, a digit or an underscore continues a name,
+    # so valid ASCII text with such names is never searched
+    rng = random.Random(31)
+    texts = ["q0(x12)", " q0 (\tx12 ,\n y_3 ( z9 ) )\r\n",
+             "f(g2(c_1()), a10(b0))", "x1", "x1(" * 200 + "y2" + ")" * 200]
+    # names c_1 and g2, and ASCII whitespace in place of the rest
+    texts += [_spaced_text(rng, _random_tree(rng, 4)).translate(
+        {0x85: " ", 0x2028: "\n", 0xa0: "\t"}) for _ in range(50)]
+    assert all(map(str.isascii, texts))
+    assert sum("c_1" in t or "g2" in t for t in texts) > 30
+    want = [parse_term(text)._dag for text in texts]
+    for name, value in vars(trees).items():
+        if isinstance(value, re.Pattern):
+            monkeypatch.setattr(trees, name, _NoRegex())
+    assert [parse_term(text)._dag for text in texts] == want
+
+
+@pytest.mark.parametrize("text, bad, line, column", [
+    ("q0(x12,\n 3y)", "3", 2, 2),
+    ("q0(x1,9)", "9", 1, 7),
+    ("7q(x1)", "7", 1, 1),
+    ("q0(x1)\r\n\t0", "0", 2, 2),
+    ("q0(x1,\x1c 5)", "5", 2, 2),
+    ("q0(x1, 8 )", "8", 1, 8),
+    ("f(a_1(b2),3)", "3", 1, 11),
+    ("q0(x1$)", "$", 1, 6),
+    ("q0(x12,\n y1\u00e9)", "\u00e9", 2, 4),
+    ("q0(x1,\u2028 4)", "4", 2, 2),
+])
+def test_leading_digits_and_bad_characters_beside_digit_names(text, bad, line,
+                                                               column):
+    # the digit check that spares valid text the search still sends
+    # these to it, which places them
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert str(exc.value) == (f"unexpected character {bad!r} "
+                              f"(line {line}, column {column})")
+
+
 # what random texts are made of: names with digits and underscores,
 # every punctuation token, whitespace str.split skips, a lone digit and a
 # character no term holds
