@@ -36,7 +36,7 @@ that grow the stage's output DAG (_det_output).
 
 from __future__ import annotations
 
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from operator import contains
 from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
@@ -75,7 +75,7 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> frozenset:
             wide = True
     if not wide:
         # intern keys hold node references only, so a BOTTOM child misses
-        return frozenset((dag.intern.get((sym, tuple([u for u, in kid_sets])),
+        return frozenset((dag.intern.get((sym, *[u for u, in kid_sets]),
                                          BOTTOM),))
     key = (sym, *kid_sets)
     got = dag.images.get(key)
@@ -92,8 +92,8 @@ def _image(sym: str, kid_sets, dag: TreeDag) -> frozenset:
         # BOTTOM, maps to None, which stands for BOTTOM in the result
         index = dag.parents.get(sym)
         if index is None:
-            kids_of = dag.kids
-            index = dag.parents[sym] = {kids_of[v][0]: v
+            nodes = dag.nodes
+            index = dag.parents[sym] = {nodes[v][1]: v
                                         for v in dag.by_label.get(sym, ())}
         out = frozenset(map(index.get, kid_sets[0]))
         return out - {None} | _BOTTOM if None in out else out
@@ -108,15 +108,15 @@ def _image(sym: str, kid_sets, dag: TreeDag) -> frozenset:
     cands = dag.by_label.get(sym, ())
     if count <= len(cands):
         # None for a selection that misses the intern table
-        out = frozenset(map(dag.intern.get, zip(repeat(sym), product(*real))))
+        out = frozenset(map(dag.intern.get, map((sym,).__add__, product(*real))))
         if None in out or any(BOTTOM in ks for ks in kid_sets):
             return out - {None} | _BOTTOM
         return out
     # pigeonhole: some selection is not a node, so BOTTOM holds, and
     # matching nodes are found by scanning sym-nodes instead.
-    kids_of = dag.kids
+    nodes = dag.nodes
     return frozenset([v for v in cands
-                      if all(map(contains, kid_sets, kids_of[v]))] + [BOTTOM])
+                      if all(map(contains, kid_sets, nodes[v][1:]))] + [BOTTOM])
 
 
 # The globals of every generated function.  Generated source names only
@@ -180,20 +180,21 @@ class _Program:
                 whole = () if self.counts is None else tuple(
                     j for j, n in enumerate(self.counts[term.state]) if n < 2)
                 whole = f", whole={self.const(whole)}" if whole else ""
-                expr = (f"ask.all(kids[{term.child - 1}], "
+                expr = (f"ask.all(kids[{term.child}], "
                         f"{self.const(term.state)}, [{sets}]{whole})")
         else:
-            refs = _tuple([e for e, _ in args])
+            refs = [e for e, _ in args]
             if isinstance(term, Call):
-                expr = f"ask(kids[{term.child - 1}], {self.const(term.state)}, {refs})"
+                expr = (f"ask(kids[{term.child}], {self.const(term.state)}, "
+                        f"{_tuple(refs)})")
                 if self.grow:
                     target = f"({name},)"
             else:
                 self.intern = True
                 # intern keys hold node references only, never BOTTOM, so
                 # a lookup with a BOTTOM child misses and yields BOTTOM
-                key = (f"({self.const(term.sym)}, {refs})" if args
-                       else self.const((term.sym, ())))
+                key = (_tuple([self.const(term.sym), *refs]) if args
+                       else self.const((term.sym,)))
                 expr = (f"I.setdefault({key}, len(I))" if self.grow
                         else f"I.get({key}, BOTTOM)")
         self.lines.append(f"    {target} = {expr}\n")
@@ -233,8 +234,8 @@ def compile_rhs(rhss: tuple, grow: bool = False, counts: dict | None = None,
                 mask: int = 0):
     """The right-hand sides rhss of one (state, label) as one function
     alt(v, kids, ask, t_dag): the references of the candidate-output
-    DAG t_dag they yield under parameter references v, at an input node
-    whose children are kids, where ask(node, state, ubar) answers a
+    DAG t_dag they yield under parameter references v, at the input node
+    kids, child i at kids[i] (see TreeDag), where ask(node, state, ubar) answers a
     state call; None when rhss is empty.  With grow, the output nodes
     are added to t_dag (member_det's earlier stages).  With the model's
     copy counts, calls bind sets as demand's set-call ask.all decides by
@@ -273,8 +274,8 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
     An entry, per (input DAG node, state, parameter bindings), is
     computed only when a parent call asks for it, by one call of
     alt = alternatives[q, labels[node]], alt(vbar, kids, ask, t_dag)
-    with the node's children kids, or is empty when alt is None.  The
-    generated functions of compile_rhs ask ask(node, q, vbar) for a call
+    with kids the node's key s_dag.nodes[node], or is empty when alt is
+    None.  The generated functions of compile_rhs ask ask(node, q, vbar) for a call
     with one reference per parameter, and ask.all for a call with a set
     of references K for some parameter, which binds each set by the
     semantics c and the memo's size against limit (see below).  Those of
@@ -299,7 +300,7 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
     bindings), exact when no output copies it more than c times.
     """
     memo: dict[tuple, frozenset] = {}
-    kids_of = s_dag.kids
+    kids_of = s_dag.nodes
 
     def ask(node, q, vbar):
         key = (node, q, vbar)
@@ -488,11 +489,10 @@ def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
     """
     check_input_dag(m, s_dag)
     out = TreeDag()
-    out.intern = intern = {}
     with recursion_room(_frames(s_dag)):
         (root,), _ = demand(s_dag, out, s_dag.labels,
                             _compiled(m, "det", grow=True), s_dag.root, m.initial)
-    return TreeDag(*zip(*intern)).below(root)
+    return TreeDag(out.intern).below(root)
 
 
 def member_det(mtts, mode: str, s: Tree, t: Tree,

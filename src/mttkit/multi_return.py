@@ -240,7 +240,8 @@ def _slotted(term, rank: int, live: tuple, done: dict):
 
 def _plan(rhs: MrRhs, rank: int) -> tuple:
     """rhs as (lets, results) over environments.  A let keeps its callee,
-    child, the function of its arguments over the environment before it
+    child i, read as kids[i] of the input node's key (see TreeDag), the
+    function of its arguments over the environment before it
     and where in that environment and the returned tuple the next one's
     slots are; results is the function of the result tuple."""
     def terms(ts, live):
@@ -251,7 +252,7 @@ def _plan(rhs: MrRhs, rank: int) -> tuple:
     for let, kept in zip(rhs.lets, _kept_after(rhs)):
         pool = live + let.targets
         keep = tuple(range(rank)) + tuple(rank + pool.index(j) for j in kept)
-        lets.append((let.state, let.child - 1, terms(let.args, live), keep))
+        lets.append((let.state, let.child, terms(let.args, live), keep))
         live = kept
     return tuple(lets), terms(rhs.result, live)
 

@@ -48,8 +48,9 @@ class Tac:
     """A look-ahead automaton; its state set is whatever transitions mention.
 
     Checked and indexed when built, read-only after: _index maps a
-    symbol and child states to the target of the one transition on them
-    when it has no constraints, and else to all the transitions on them.
+    symbol followed by child states, one flat tuple as a DAG node is, to
+    the target of the one transition on them when it has no constraints,
+    and else to all the transitions on them.
     """
 
     input_alphabet: RankedAlphabet
@@ -57,9 +58,9 @@ class Tac:
 
     def __post_init__(self):
         transitions = tuple(self.transitions)
-        index: dict[tuple[str, tuple[str, ...]], list[TacTransition]] = {}
+        index: dict[tuple[str, ...], list[TacTransition]] = {}
         for tr in transitions:
-            index.setdefault((tr.sym, tr.states), []).append(tr)
+            index.setdefault((tr.sym, *tr.states), []).append(tr)
         freeze(self, transitions=transitions, _index={
             key: trs[0].target if len(trs) == 1 and not (trs[0].eq or trs[0].neq)
             else tuple(trs) for key, trs in index.items()})
@@ -105,10 +106,12 @@ def _constraints_ok(tr: TacTransition, kid_refs) -> bool:
 def _run_nodes(a: Tac, dag: TreeDag, nodes) -> list:
     """Look-ahead states for the given DAG nodes, children first, as a
     list indexed by node."""
-    index, labels, kids = a._index, dag.labels, dag.kids
-    states = [None] * len(labels)
+    index, keys = a._index, dag.nodes
+    states = [None] * len(keys)
+    state_of = states.__getitem__
     for v in nodes:
-        state = index.get((labels[v], tuple([states[c] for c in kids[v]])), ())
+        key = keys[v]
+        state = index.get((key[0], *map(state_of, key[1:])), ())
         if type(state) is tuple:
             state = _choose(state, dag, v)
         states[v] = state
@@ -117,7 +120,7 @@ def _run_nodes(a: Tac, dag: TreeDag, nodes) -> list:
 
 def _choose(transitions, dag: TreeDag, v: int) -> str:
     """The target of the one transition whose constraints hold at node v."""
-    kid_refs = dag.kids[v]
+    kid_refs = dag.nodes[v][1:]
     chosen = None
     for tr in transitions:
         if not _constraints_ok(tr, kid_refs):
@@ -147,7 +150,7 @@ def run_tac(a: Tac, dag: TreeDag, v: int) -> str:
         u = stack.pop()
         if u not in reach:
             reach.add(u)
-            stack.extend(dag.kids[u])
+            stack.extend(dag.nodes[u][1:])
     return _run_nodes(a, dag, sorted(reach))[v]
 
 
@@ -228,18 +231,18 @@ class _Shapes:
     input is an error; only a node's shape tuple is put together when the
     demand reads it."""
 
-    __slots__ = ("labels", "kids", "states")
+    __slots__ = ("nodes", "states")
 
     def __init__(self, a: Tac, dag: TreeDag):
-        self.labels, self.kids = dag.labels, dag.kids
+        self.nodes = dag.nodes
         self.states = _run_nodes(a, dag, range(dag.node_count()))
 
     def __getitem__(self, node: int) -> tuple:
-        ks = self.kids[node]
-        la = self.states
+        key = self.nodes[node]
+        ks = key[1:]
         # equal children are one DAG node, so ks.index names each child's
         # equality class by its first member
-        return (self.labels[node], tuple([la[c] for c in ks]),
+        return (key[0], tuple(map(self.states.__getitem__, ks)),
                 tuple(map(ks.index, ks)))
 
 

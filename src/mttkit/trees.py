@@ -75,14 +75,14 @@ class RankedAlphabet:
 
     def check_dag(self, dag: "TreeDag") -> None:
         """Raise UnknownSymbol/ArityMismatch unless every node of dag is
-        well formed here.  Reads only labels and kids, one step per
-        distinct subtree."""
+        well formed here.  Reads only the nodes, one step per distinct
+        subtree."""
         ranks = self.symbols
-        for label, kids in zip(dag.labels, dag.kids):
-            if ranks.get(label) != len(kids):
-                r = self.rank(label)
+        for node in dag.nodes:
+            if ranks.get(node[0]) != len(node) - 1:
+                r = self.rank(node[0])
                 raise ArityMismatch(
-                    f"symbol {label!r} has rank {r} but {len(kids)} children"
+                    f"symbol {node[0]!r} has rank {r} but {len(node) - 1} children"
                 )
 
     def check_tree(self, t: "Tree") -> None:
@@ -170,36 +170,37 @@ class Tree:
 
 
 class _ParsedTree(Tree):
-    """A root parse_term returned.  _dag holds the labels and child
-    references of its minimal DAG until the first build_dag of it takes
-    them; a subclass, so other trees carry no such slots."""
+    """A root parse_term returned.  _dag holds the intern table of its
+    minimal DAG until the first build_dag of it takes it; a subclass, so
+    other trees carry no such slots."""
 
-    __slots__ = ("_dag", "_lists")
+    __slots__ = ("_dag", "_unbuilt")
 
 
 class _UnbuiltTree(_ParsedTree):
     """A parsed root with label and size set, whose children and _hash
-    are built from the DAG lists in _lists when either is first read.  It
-    then becomes a plain _ParsedTree: a class with __getattr__ reads every
-    attribute more slowly, and walks read the root like any node."""
+    are built from the DAG's intern table in _unbuilt when either is
+    first read.  It then becomes a plain _ParsedTree: a class with
+    __getattr__ reads every attribute more slowly, and walks read the
+    root like any node."""
 
     __slots__ = ()
 
-    def __init__(self, labels, kids, size: int):
-        self.label = labels[-1]
+    def __init__(self, intern: dict, size: int):
+        self.label = next(reversed(intern))[0]
         self.size = size
-        self._dag = self._lists = (labels, kids)
+        self._dag = self._unbuilt = intern
 
     def __getattr__(self, name):
         # reached only while children and _hash are unset
         if name not in ("children", "_hash"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        labels, kids = self._lists
+        nodes = list(self._unbuilt)
         # the root is the last node, and every other node lies under it
-        built = _build_trees(labels, kids, range(len(labels) - 1))
-        self.children = tuple([built[c] for c in kids[-1]])
+        built = _build_trees(nodes, range(len(nodes) - 1))
+        self.children = tuple(map(built.__getitem__, nodes[-1][1:]))
         self._hash = hash((self.label, self.children))
-        del self._lists
+        del self._unbuilt
         self.__class__ = _ParsedTree
         return getattr(self, name)
 
@@ -213,12 +214,13 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     """Parse `name` / `name(term,...,term)` text into a Tree.
 
     Rank-0 parentheses are optional: `e` and `e()` denote the same tree.
-    The parse builds the tree's minimal DAG, numbered in left-to-right
-    post-order, and no Tree node but the root, whose label and size are
-    set at once.  The DAG rides on the root until the first build_dag of
-    it takes it.  The root's children are built from the DAG when
-    children or the hash is first read, equal subtrees as one object, so
-    a caller that reads only size and the DAG builds no other node.
+    The parse builds the intern table of the tree's minimal DAG (see
+    TreeDag), numbered in left-to-right post-order, and no Tree node but
+    the root, whose label and size are set at once.  The table rides on
+    the root until the first build_dag of it takes it as is.  The root's
+    children are built from the table when children or the hash is first
+    read, equal subtrees as one object, so a caller that reads only size
+    and the DAG builds no other node.
     When an alphabet is given, every distinct node is checked against it.
 
     The text is cut in bulk by str methods.  With whitespace and the `()`
@@ -275,8 +277,7 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         for node in nodes:
             if ranks.get(node[0]) != len(node) - 1:
                 _parse_error(text, alphabet)
-    return _UnbuiltTree(list(map(itemgetter(0), nodes)),
-                        list(map(itemgetter(slice(1, None)), nodes)), size)
+    return _UnbuiltTree(nodes, size)
 
 
 def _digit_starts_name(text: str) -> bool:
@@ -541,65 +542,79 @@ class TreeDag:
     """Minimal DAG of one tree: every distinct subtree is one node.
 
     Node references are ints issued in creation order, so children always
-    precede parents and the root comes last.  labels and kids give each
-    node's label and child references.  The intern table maps (label,
-    child refs) to the unique node carrying them, and by_label maps each
-    label to its nodes in ascending order.  parents maps a label of rank
-    1 to its index from child to parent, which the membership engines
-    build the first time they look a label's parents up.  images maps
-    (label, *child reference sets) to the frozenset of nodes an output
-    node over those sets can be, kept by the membership engines
-    (io_membership._out_refs) for sets of two or more references.
+    precede parents and the root comes last.  A node is one flat tuple,
+    its label followed by its child references: nodes[v] is node v, and
+    the intern table maps each node to its reference, in reference
+    order, so nodes is list(intern).  A parsed tree's intern table is the
+    one its parse filled.  labels lists each node's label, and by_label
+    maps each label to its nodes in ascending order; each is built when
+    first read.  parents maps a label of rank 1 to its index from child
+    to parent, which the membership engines build the first time they
+    look a label's parents up.  images maps (label, *child reference
+    sets) to the frozenset of nodes an output node over those sets can
+    be, kept by the membership engines (io_membership._out_refs) for
+    sets of two or more references.
     """
 
-    __slots__ = ("labels", "kids", "root", "intern", "by_label", "parents",
-                 "images")
+    __slots__ = ("nodes", "intern", "root", "parents", "images", "_labels",
+                 "_by_label")
 
-    def __init__(self, labels=None, kids=None):
-        self.labels: list[str] = [] if labels is None else labels
-        self.kids: list[tuple[NodeRef, ...]] = [] if kids is None else kids
-        self.root: NodeRef = len(self.labels) - 1 if self.labels else BOTTOM
+    def __init__(self, intern: dict | None = None):
+        self.intern: dict[tuple, NodeRef] = {} if intern is None else intern
+        self.nodes: list[tuple] = list(self.intern)
+        self.root: NodeRef = len(self.nodes) - 1 if self.nodes else BOTTOM
         self.parents: dict[str, dict[NodeRef, NodeRef]] = {}
         self.images: dict[tuple, frozenset] = {}
+        self._labels = self._by_label = None
+
+    @property
+    def labels(self) -> list[str]:
+        if self._labels is None:
+            self._labels = list(map(itemgetter(0), self.nodes))
+        return self._labels
+
+    @property
+    def by_label(self) -> dict[str, list[NodeRef]]:
+        if self._by_label is None:
+            self._by_label = _label_index(self.labels)
+        return self._by_label
 
     def node_count(self) -> int:
-        return len(self.labels)
+        return len(self.nodes)
 
     def _check(self, v: NodeRef):
         if v == BOTTOM:
             raise BottomAccess("bottom has no label or children")
-        if not 0 <= v < len(self.labels):
+        if not 0 <= v < len(self.nodes):
             raise BottomAccess(f"node reference {v} is not in this DAG")
 
     def below(self, v: NodeRef) -> "TreeDag":
         """The minimal DAG of the tree rooted at a node: the nodes under
-        it, renumbered children first, so v becomes the root.  Its intern
-        table and label index are built when first read (_ParsedDag)."""
+        it, renumbered children first, so v becomes the root."""
         self._check(v)
-        kids = self.kids
+        nodes = self.nodes
         under = {v}
         stack = [v]
         while stack:
-            for c in kids[stack.pop()]:
+            for c in nodes[stack.pop()][1:]:
                 if c not in under:
                     under.add(c)
                     stack.append(c)
         order = sorted(under)
         new = dict(zip(order, range(len(order))))
-        labels = self.labels
-        return _ParsedDag([labels[u] for u in order],
-                          [tuple([new[c] for c in kids[u]]) for u in order])
+        return TreeDag({(node[0], *map(new.__getitem__, node[1:])): ref
+                        for ref, node in enumerate(map(nodes.__getitem__, order))})
 
     def expand(self, v: NodeRef) -> Tree:
         """Rebuild the tree rooted at a node, equal subtrees as one object."""
         sub = self.below(v)
-        return _build_trees(sub.labels, sub.kids, range(len(sub.labels)))[sub.root]
+        return _build_trees(sub.nodes, range(len(sub.nodes)))[sub.root]
 
     def tree_size(self) -> int:
         """The number of nodes of the tree at the root."""
         sizes: list[int] = []
-        for kids in self.kids:
-            sizes.append(sum(map(sizes.__getitem__, kids), 1))
+        for node in self.nodes:
+            sizes.append(sum(map(sizes.__getitem__, node[1:]), 1))
         return sizes[-1]
 
     def format_prefix(self, v: NodeRef, limit: int) -> str:
@@ -612,25 +627,26 @@ class TreeDag:
         while work and n < limit:
             item = work.pop()
             if isinstance(item, int):
-                kids = self.kids[item]
-                if kids:
+                node = self.nodes[item]
+                if len(node) > 1:
                     work.append(")")
-                    for c in reversed(kids[1:]):
+                    for c in reversed(node[2:]):
                         work += (c, ",")
-                    work.append(kids[0])
-                item = self.labels[item] + ("(" if kids else "")
+                    work.append(node[1])
+                item = node[0] + ("(" if len(node) > 1 else "")
             out.append(item)
             n += len(item)
         return "".join(out)[:limit]
 
 
-def _build_trees(labels, kids, refs) -> dict[NodeRef, Tree]:
+def _build_trees(nodes, refs) -> dict[NodeRef, Tree]:
     """The Tree of each node in refs, by one forward pass.  refs must
     ascend and hold every node below each of its nodes; since children
     precede parents, each child is built before its parent reads it."""
     built: dict[NodeRef, Tree] = {}
     for ref in refs:
-        built[ref] = Tree(labels[ref], [built[c] for c in kids[ref]])
+        node = nodes[ref]
+        built[ref] = Tree(node[0], map(built.__getitem__, node[1:]))
     return built
 
 
@@ -641,40 +657,19 @@ def _label_index(labels) -> dict[str, list[NodeRef]]:
     return by_label
 
 
-class _ParsedDag(TreeDag):
-    """The DAG a parse built, or TreeDag.below.  Its intern table and
-    label index are derived from labels and kids when either is first
-    read, so an input DAG, read only through labels and kids, never
-    builds them.  It then becomes a plain TreeDag: a class with
-    __getattr__ reads every attribute more slowly, and the engines read
-    intern in their inner loops."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        # reached only while intern and by_label are unset
-        if name not in ("intern", "by_label"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.intern = dict(zip(zip(self.labels, self.kids), range(len(self.labels))))
-        self.by_label = _label_index(self.labels)
-        self.__class__ = TreeDag
-        return getattr(self, name)
-
-
 def build_dag(t: Tree) -> tuple[TreeDag, NodeRef]:
     """The minimal DAG of a tree; returns (dag, root reference).
 
-    The first call on a root that parse_term returned takes the DAG the
-    parse built, without a walk, and builds no Tree.  Any other tree is
-    walked and interned; a parsed root builds its children for that
-    walk, if they were not yet read.
+    The first call on a root that parse_term returned takes the intern
+    table the parse filled, without a walk, and builds no Tree.  Any
+    other tree is walked and each node interned under its key, in
+    left-to-right post-order as a parse numbers them; a parsed root
+    builds its children for that walk, if they were not yet read.
     """
     if isinstance(t, _ParsedTree) and t._dag is not None:
-        dag = _ParsedDag(*t._dag)
+        dag = TreeDag(t._dag)
         t._dag = None
         return dag, dag.root
-    labels: list[str] = []
-    kids: list[tuple[NodeRef, ...]] = []
     intern: dict[tuple, NodeRef] = {}
     done: dict[int, NodeRef] = {}
     stack = [(t, False)]
@@ -684,19 +679,11 @@ def build_dag(t: Tree) -> tuple[TreeDag, NodeRef]:
             continue
         if not expanded:
             stack.append((node, True))
-            stack.extend((c, False) for c in node.children)
+            stack.extend((c, False) for c in reversed(node.children))
             continue
-        refs = tuple([done[id(c)] for c in node.children])
-        key = (node.label, refs)
-        ref = intern.get(key)
-        if ref is None:
-            ref = intern[key] = len(labels)
-            labels.append(node.label)
-            kids.append(refs)
-        done[id(node)] = ref
-    dag = TreeDag(labels, kids)
-    dag.intern = intern
-    dag.by_label = _label_index(labels)
+        key = (node.label, *map(done.__getitem__, map(id, node.children)))
+        done[id(node)] = intern.setdefault(key, len(intern))
+    dag = TreeDag(intern)
     return dag, dag.root
 
 

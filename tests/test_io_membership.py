@@ -79,14 +79,14 @@ from helpers import (
     relabel,
 )
 
-# input child j stands for input node j, so entries name calls by child
-KIDS = tuple(range(1, 10))
+# input node 0's key: its label 0, then child j, which stands for input
+# node j, so entries name calls by child
+KIDS = tuple(range(10))
 
 
 def _demanded(root, dag=None, entries=None, asked=None, c=None, limit=1):
     """root(ask) as the root question's function of a demand on
-    candidate DAG dag, at input node 0 whose children are the input
-    nodes KIDS, under semantics c and the memo's whole-set limit: its
+    candidate DAG dag, at input node 0 whose key is KIDS, under semantics c and the memo's whole-set limit: its
     result, as demand stores it.  Each question to a child is answered
     from a dict of (child, state, parameter bindings) -> result refs, and
     asked, if given, collects it (the memo answers a repeated one)."""
@@ -104,8 +104,8 @@ def _demanded(root, dag=None, entries=None, asked=None, c=None, limit=1):
 
     table = _Table()
     table.prepare = alternative
-    s_dag = TreeDag([None] * (len(KIDS) + 1), [KIDS] + [()] * len(KIDS))
-    return demand(s_dag, dag, range(len(KIDS) + 1), table, 0, "root", c,
+    s_dag = TreeDag({KIDS: 0, **{(j,): j for j in KIDS[1:]}})
+    return demand(s_dag, dag, range(len(KIDS)), table, 0, "root", c,
                   limit)[0]
 
 
@@ -131,30 +131,30 @@ def _root_entry(m, s, t_dag):
 
 def test_eval_f_parameter_returns_its_ref():
     dag, root = build_dag(parse_term("f(e,e)", None))
-    v = dag.intern["e", ()]
+    v = dag.intern[("e",)]
     assert _eval_on(Param(1), (v,), dag) == {v}
 
 
 def test_eval_f_leaf_symbol_matches_its_own_node():
     dag, _ = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.intern["e", ()]
+    v_e = dag.intern[("e",)]
     assert _eval_on(Out("e"), (), dag) == {v_e}
 
 
 def test_eval_f_constructor_hit_and_miss():
     rhs = Out("f", (Param(1), Param(1)))
     dag, root = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.intern["e", ()]
+    v_e = dag.intern[("e",)]
     assert _eval_on(rhs, (v_e,), dag) == {root}
 
     dag2, _ = build_dag(parse_term("f(e,g(e))", None))
-    v_e2 = dag2.intern["e", ()]
+    v_e2 = dag2.intern[("e",)]
     assert _eval_on(rhs, (v_e2,), dag2) == {BOTTOM}
 
 
 def test_eval_f_state_call_joins_child_entries():
     dag, root = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.intern["e", ()]
+    v_e = dag.intern[("e",)]
     child = {(1, "q", (v_e,)): {root}}
     got = _eval_on(Call("q", 1, (Out("e"),)), (), dag, child)
     assert got == {root}
@@ -162,8 +162,8 @@ def test_eval_f_state_call_joins_child_entries():
 
 def test_eval_f_is_monotone_in_child_entries():
     dag, root = build_dag(parse_term("f(e,g(e))", None))
-    v_e = dag.intern["e", ()]
-    v_g = dag.intern["g", (v_e,)]
+    v_e = dag.intern[("e",)]
+    v_g = dag.intern["g", v_e]
     rhs = Out("f", (Call("q", 1, ()), Call("q", 1, ())))
     small = {(1, "q", ()): {v_e}}
     big = {(1, "q", ()): {v_e, v_g}}
@@ -172,7 +172,7 @@ def test_eval_f_is_monotone_in_child_entries():
 
 def test_eval_f_bottom_parameter_reaches_calls_and_outputs():
     dag, _ = build_dag(parse_term("f(e,g(e))", None))
-    v_e = dag.intern["e", ()]
+    v_e = dag.intern[("e",)]
     # g(y1) with y1 bound to BOTTOM is no node of t, whatever t holds
     assert _eval_on(Out("g", (Param(1),)), (BOTTOM,), dag) == {BOTTOM}
     asked = []
@@ -184,7 +184,7 @@ def test_eval_f_bottom_parameter_reaches_calls_and_outputs():
 
 def test_eval_f_symbol_without_a_node_in_t_is_bottom():
     dag, _ = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.intern["e", ()]
+    v_e = dag.intern[("e",)]
     assert _eval_on(Out("h", (Param(1),)), (v_e,), dag) == {BOTTOM}
     # over a call's set: the pigeonhole branch, no h-node to scan
     child = {(1, "q", ()): {v_e, BOTTOM}}
@@ -195,8 +195,8 @@ def test_eval_f_symbol_without_a_node_in_t_is_bottom():
 
 def test_eval_f_call_with_scalar_and_set_arguments():
     dag, root = build_dag(parse_term("f(e,g(e))", None))
-    v_e = dag.intern["e", ()]
-    v_g = dag.intern["g", (v_e,)]
+    v_e = dag.intern[("e",)]
+    v_g = dag.intern["g", v_e]
     child = {(2, "q", ()): {v_e, v_g}, (1, "p", (v_g, v_e)): {root},
              (1, "p", (v_g, v_g)): {v_e}}
     asked = []
@@ -247,7 +247,7 @@ def test_ask_all_n_drops_bottom_from_argument_sets():
     # masked key, where each occurrence of the parameter picks its own
     # node of the set, and f(e,e) is the one node of t
     dag, root = build_dag(parse_term("f(e,e)", None))
-    v_e = dag.intern["e", ()]
+    v_e = dag.intern[("e",)]
     rhs = Out("f", (Param(1), Param(1)))
     both = frozenset({v_e, root})
     alt = compile_rhs((rhs,), mask=1)
@@ -296,8 +296,8 @@ def _image_by_definition(sym, kid_sets, dag):
     """The sym-nodes whose children lie in kid_sets, and BOTTOM when
     some selection of children is no node of dag."""
     out = {v for v in dag.by_label.get(sym, ())
-           if all(u in ks for u, ks in zip(dag.kids[v], kid_sets))}
-    if any((sym, ubar) not in dag.intern for ubar in product(*kid_sets)):
+           if all(u in ks for u, ks in zip(dag.nodes[v][1:], kid_sets))}
+    if any((sym, *ubar) not in dag.intern for ubar in product(*kid_sets)):
         out.add(BOTTOM)
     return out
 
@@ -310,10 +310,10 @@ IMAGE_T = "h(g(e), f(e, g(e)), k(f(g(e), e)))"
 
 
 def _image_cases(dag):
-    e = dag.intern["e", ()]
-    g = dag.intern["g", (e,)]
-    fe = dag.intern["f", (e, g)]
-    fg = dag.intern["f", (g, e)]
+    e = dag.intern[("e",)]
+    g = dag.intern["g", e]
+    fe = dag.intern["f", e, g]
+    fg = dag.intern["f", g, e]
     return [
         ("g", [{e, g}]), ("k", [{e, g}]),  # equal sets, two symbols
         ("g", [{e, fe, BOTTOM}]), ("k", [{fg, fe}]),
@@ -352,10 +352,10 @@ def test_out_refs_images_cached_and_uncached_agree():
         assert _out_refs(sym, sets, dag) == computed
     # sets of one reference each, frozen or a tuple, are looked up in
     # the intern table and kept nowhere; an empty set yields nothing
-    e = dag.intern["e", ()]
-    g = dag.intern["g", (e,)]
+    e = dag.intern[("e",)]
+    g = dag.intern["g", e]
     kept = len(dag.images)
-    assert _out_refs("f", [frozenset({e}), (g,)], dag) == {dag.intern["f", (e, g)]}
+    assert _out_refs("f", [frozenset({e}), (g,)], dag) == {dag.intern["f", e, g]}
     assert _out_refs("f", [(g,), (g,)], dag) == {BOTTOM}
     assert _out_refs("f", [(BOTTOM,), frozenset({e})], dag) == {BOTTOM}
     assert _out_refs("g", [(BOTTOM,)], dag) == {BOTTOM}
@@ -837,7 +837,7 @@ def test_member_det_abort_on_exponential_stage():
     # output would have ~2^20 nodes; the core rejects it on the DAGs of
     # s and t, without building that output
     assert member_det([m], "io", s, t) is False
-    # and t's DAG is built on this path too, so t gives up its parse lists
+    # and t's DAG is built on this path too, so t gives up its intern table
     assert t._dag is None
 
 

@@ -24,7 +24,7 @@ from mttkit import (
     tree,
 )
 from mttkit.families import copyfree_instance, copyfree_mtt, equal_pair_tacmtt
-from mttkit import trees
+from mttkit import io_membership, trees
 from mttkit.trees import BOTTOM, build_dag, substitute, term_sort_key
 
 from helpers import chain, count_trees, reference_parse
@@ -159,7 +159,8 @@ def test_parse_of_spaced_text_matches_the_walked_dag():
         text = _spaced_text(rng, t)
         for parsed in (parse_term(text), parse_term(text, alphabet)):
             assert (parsed.label, parsed.size) == (t.label, t.size), text
-            # the same lists as the text without whitespace or e() leaves
+            # the same intern table as the text without whitespace or e()
+            # leaves
             assert parsed._dag == parse_term(format_term(t))._dag, text
             _same_dag(build_dag(parsed)[0], build_dag(t)[0], t)
 
@@ -252,16 +253,16 @@ _WORDS = ["e", "c_1", "g2", "_f", "a", "b", "(", ")", ",", "()", " ", "\t",
 
 
 def _outcome(parse, text, alphabet):
-    """What parse makes of text: the DAG lists, size and root label, or
-    the error's message, line and column."""
+    """What parse makes of text: the DAG's nodes, size and root label,
+    or the error's message, line and column."""
     try:
         got = parse(text, alphabet)
     except ParseError as exc:
         return str(exc), exc.line, exc.column
     if isinstance(got, tuple):
         labels, kids, size = got
-        return labels, kids, size, labels[-1]
-    return (*got._dag, got.size, got.label)
+        return [(label, *ks) for label, ks in zip(labels, kids)], size, labels[-1]
+    return list(got._dag), got.size, got.label
 
 
 def _full_text(k: int, leaf: str = "e") -> str:
@@ -356,7 +357,7 @@ def test_repeated_subterms_collapse_before_the_scan(monkeypatch):
     for text, twin in twins:
         parsed = parse_term(text)
         dag = build_dag(twin)[0]
-        assert parsed._dag == (dag.labels, dag.kids), text[:40]
+        assert list(parsed._dag) == dag.nodes, text[:40]
         assert parsed.size == twin.size
         assert hash(parsed) == hash(twin)
 
@@ -436,7 +437,7 @@ def test_dag_shares_equal_subtrees():
     dag, root = build_dag(t)
     assert dag.node_count() == 3
     assert t.size == 5
-    assert dag.kids[root] == (dag.kids[root][0],) * 2
+    assert dag.nodes[root] == ("f", dag.nodes[root][1], dag.nodes[root][1])
     assert dag.expand(root) == t
 
 
@@ -444,7 +445,7 @@ def _ref(dag, t):
     """t's node in dag, found by intern lookups, or BOTTOM if t is no
     subtree of dag's tree."""
     refs = tuple(_ref(dag, c) for c in t.children)
-    return BOTTOM if BOTTOM in refs else dag.intern.get((t.label, refs), BOTTOM)
+    return BOTTOM if BOTTOM in refs else dag.intern.get((t.label, *refs), BOTTOM)
 
 
 def test_dag_intern_is_injective_on_trees():
@@ -459,10 +460,10 @@ def test_dag_intern_is_injective_on_trees():
 
 def test_dag_lookup_misses_give_bottom():
     dag, _ = build_dag(parse_term("f(g(e),g(e))", None))
-    e_ref = dag.intern["e", ()]
-    assert dag.intern.get(("g", (e_ref,)), BOTTOM) >= 0
-    assert dag.intern.get(("f", (e_ref, e_ref)), BOTTOM) == BOTTOM
-    assert dag.intern.get(("zzz", ()), BOTTOM) == BOTTOM
+    e_ref = dag.intern[("e",)]
+    assert dag.intern.get(("g", e_ref), BOTTOM) >= 0
+    assert dag.intern.get(("f", e_ref, e_ref), BOTTOM) == BOTTOM
+    assert dag.intern.get(("zzz",), BOTTOM) == BOTTOM
     assert _ref(dag, parse_term("f(e,e)", None)) == BOTTOM
     # looking under bottom is a bug, not a miss
     with pytest.raises(BottomAccess):
@@ -504,20 +505,22 @@ def test_dag_expand_inverts_intern(t):
 def _same_dag(handed, walked, t):
     """handed and walked are minimal DAGs of t: they count the same nodes,
     both expand to t, and one renaming of references carries handed's
-    labels, kids, intern and by_label entries onto walked's."""
+    nodes, intern and by_label entries onto walked's."""
     assert handed.node_count() == walked.node_count()
     assert handed.expand(handed.root) == t
     assert walked.expand(walked.root) == t
     to = []  # handed ref -> walked ref; children come first in both
-    for label, kids in zip(handed.labels, handed.kids):
-        to.append(walked.intern[label, tuple(to[k] for k in kids)])
+    for label, *kids in handed.nodes:
+        to.append(walked.intern[(label, *[to[k] for k in kids])])
     assert sorted(to) == list(range(walked.node_count()))
     assert to[handed.root] == walked.root
-    assert {(label, tuple(to[k] for k in kids)): to[ref]
-            for (label, kids), ref in handed.intern.items()} == walked.intern
+    assert {(label, *[to[k] for k in kids]): to[ref]
+            for (label, *kids), ref in handed.intern.items()} == walked.intern
     assert {label: sorted(to[v] for v in vs)
             for label, vs in handed.by_label.items()} == walked.by_label
     for dag in (handed, walked):
+        assert dag.nodes == list(dag.intern)
+        assert dag.labels == [node[0] for node in dag.nodes]
         assert all(vs == sorted(vs) for vs in dag.by_label.values())
 
 
@@ -540,19 +543,83 @@ def test_parsed_dag_matches_walked_dag():
 
 
 def test_parse_hands_its_dag_to_the_first_build_only():
-    # the parse numbers in left-to-right post-order, a walk need not
+    # the parse numbers in left-to-right post-order, and so does a walk
     t = parse_term("f(a,b)", None)
     dag, root = build_dag(t)
-    assert (dag.labels, dag.kids, root) == (["a", "b", "f"], [(), (), (0, 1)], 2)
-    assert dag.intern == {("a", ()): 0, ("b", ()): 1, ("f", (0, 1)): 2}
+    assert (dag.nodes, root) == ([("a",), ("b",), ("f", 0, 1)], 2)
+    assert dag.intern == {("a",): 0, ("b",): 1, ("f", 0, 1): 2}
+    assert dag.labels == ["a", "b", "f"]
     assert dag.by_label == {"a": [0], "b": [1], "f": [2]}
     again, again_root = build_dag(t)
-    assert again is not dag and again.labels is not dag.labels
+    assert again is not dag and again.intern is not dag.intern
     _same_dag(dag, again, t)
     shared = parse_term("f(g(e),g(e))", None)
     first, second = build_dag(shared)[0], build_dag(shared)[0]
-    assert first.labels is not second.labels
+    assert first.intern is not second.intern
     _same_dag(first, second, shared)
+
+
+def test_the_first_build_takes_the_parse_intern_table_itself():
+    for text in ["e", "f(a,b)", "f(g(e),g(e))", _full_text(6),
+                 "a(" * 500 + "e" + ")" * 500]:
+        t = parse_term(text)
+        table = t._dag
+        dag, root = build_dag(t)
+        assert dag.intern is table, text[:40]
+        assert dag.nodes == list(dag.intern)
+        assert root == len(dag.nodes) - 1
+        walked = build_dag(t)[0]
+        assert walked.intern is not table
+        assert walked.nodes == list(walked.intern) == dag.nodes
+
+
+@given(_tree_strategy(ABE))
+@settings(max_examples=200, deadline=None)
+def test_parsed_and_walked_dags_have_equal_nodes(t):
+    walked = build_dag(t)[0]
+    assert build_dag(parse_term(format_term(t)))[0].nodes == walked.nodes
+    assert walked.nodes == list(walked.intern)
+
+
+def test_parsed_and_walked_dags_of_large_shapes_have_equal_nodes():
+    shapes = 0
+    for text in _large_shapes():
+        try:
+            t = parse_term(text)
+        except ParseError:
+            continue
+        handed = build_dag(t)[0]
+        # the second build walks the root's children, built from the DAG
+        assert build_dag(t)[0].nodes == handed.nodes, text[:40]
+        shapes += 1
+    assert shapes == 16
+
+
+def test_a_one_reference_query_on_parsed_text_builds_no_label_index_or_kids_list(
+        monkeypatch):
+    # copyfree binds one reference per parameter, so no output node is
+    # looked up over a set: neither DAG needs its label index, and no
+    # list of each node's children is kept beside its key
+    def no_index(labels):
+        raise AssertionError("a label index was built")
+
+    monkeypatch.setattr(trees, "_label_index", no_index)
+    demand, kid_lists = io_membership.demand, []
+
+    def watched(s_dag, t_dag, *args):
+        for dag in (s_dag, t_dag):
+            kids = [node[1:] for node in dag.nodes]
+            kid_lists.extend(o for o in gc.get_objects()
+                             if type(o) is list and o is not kids and o == kids)
+        return demand(s_dag, t_dag, *args)
+
+    monkeypatch.setattr(io_membership, "demand", watched)
+    s, t = copyfree_instance(300)
+    s_text, t_text = format_term(s), format_term(t)
+    assert member_io(copyfree_mtt(), parse_term(s_text), parse_term(t_text))
+    assert not member_io(copyfree_mtt(), parse_term(s_text),
+                         parse_term(f"f({t_text})"))
+    assert kid_lists == []
 
 
 def _holding_a_dag():
@@ -565,7 +632,7 @@ def _holding_a_dag():
 def test_failed_parse_attaches_nothing():
     before = _holding_a_dag()
     # the last two fail after the whole DAG is built; while the error
-    # lives, its traceback keeps the parse's lists alive
+    # lives, its traceback keeps the parse's intern table alive
     for text, alphabet in [("a(e,q)", ABE), ("f(e", None),
                            ("f(a,b) extra", None), ("f(a,b))", None)]:
         with pytest.raises(ParseError) as exc:
@@ -606,7 +673,7 @@ def test_parsed_root_builds_its_children_on_first_read(monkeypatch):
                 read(parsed)
                 assert parsed == twin and hash(parsed) == hash(twin), name
                 assert _distinct_nodes(parsed) == walked.node_count()
-                if not handed:  # the lists are still handed over
+                if not handed:  # the intern table is still handed over
                     handed_dag = build_dag(parsed)[0]
                     assert parsed._dag is None
                     if twin is not deep:
