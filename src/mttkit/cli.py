@@ -1,11 +1,11 @@
 """Command line front end.
 
-Subcommands: validate, member, sat, bench.  Membership exit codes are
-0 = yes/sat, 1 = no/unsat, 2 = unknown (a budget or mr-io's --env-cap
-ran out), 3 = any diagnosed error (bad usage, parse failure,
-engine/model mismatch).  Budgets for the
-enumeration paths come from flags, falling back to the MTTKIT_MAX_SET
-and MTTKIT_MAX_STEPS environment variables, then to built-in defaults.
+Subcommands: validate, member, sat, bench, sat-mtt.  Membership exit
+codes are 0 = yes/sat, 1 = no/unsat, 2 = unknown (a budget or mr-io's
+--env-cap ran out), 3 = any diagnosed error (bad usage, parse failure,
+engine/model mismatch).  Budgets for the enumeration paths come from
+flags, falling back to the MTTKIT_MAX_SET and MTTKIT_MAX_STEPS
+environment variables, then to built-in defaults.
 """
 
 from __future__ import annotations

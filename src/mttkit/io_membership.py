@@ -37,6 +37,7 @@ that grow the stage's output DAG (_det_output).
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import prod
 from operator import contains
 from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
@@ -85,35 +86,18 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> frozenset:
 
 
 def _image(sym: str, kid_sets, dag: TreeDag) -> frozenset:
-    """_out_refs's image over nonempty sets, computed."""
-    if len(kid_sets) == 1:
-        # a unary sym: each child has at most one sym-parent, found in
-        # the DAG's child -> parent index of sym; a child without one, or
-        # BOTTOM, maps to None, which stands for BOTTOM in the result
-        index = dag.parents.get(sym)
-        if index is None:
-            nodes = dag.nodes
-            index = dag.parents[sym] = {nodes[v][1]: v
-                                        for v in dag.by_label.get(sym, ())}
-        out = frozenset(map(index.get, kid_sets[0]))
-        return out - {None} | _BOTTOM if None in out else out
-    real = [ks if BOTTOM not in ks else frozenset(ks) - _BOTTOM
-            for ks in kid_sets]
-    count = 1
-    for r in real:
-        count *= len(r)
-    if count == 0:
-        # some child set is exactly {BOTTOM}, and no node has a BOTTOM child
-        return _BOTTOM
+    """_out_refs's image over nonempty sets, computed, at any rank: by
+    one intern lookup per selection of children when there are no more
+    selections than sym-nodes, else by a scan of the sym-nodes."""
     cands = dag.by_label.get(sym, ())
-    if count <= len(cands):
-        # None for a selection that misses the intern table
-        out = frozenset(map(dag.intern.get, map((sym,).__add__, product(*real))))
-        if None in out or any(BOTTOM in ks for ks in kid_sets):
-            return out - {None} | _BOTTOM
-        return out
-    # pigeonhole: some selection is not a node, so BOTTOM holds, and
-    # matching nodes are found by scanning sym-nodes instead.
+    if prod(map(len, kid_sets)) <= len(cands):
+        # None for a selection that misses the intern table, as every
+        # selection with a BOTTOM child does
+        out = frozenset(map(dag.intern.get, product((sym,), *kid_sets)))
+        return out - {None} | _BOTTOM if None in out else out
+    # pigeonhole: distinct nodes have distinct keys, so some selection is
+    # not a node and BOTTOM holds; matching nodes are found by scanning
+    # sym-nodes instead
     nodes = dag.nodes
     return frozenset([v for v in cands
                       if all(map(contains, kid_sets, nodes[v][1:]))] + [BOTTOM])
@@ -265,22 +249,24 @@ def compile_terms(terms: tuple):
     return prog.function("v, dag", _tuple([prog.value(term)[0] for term in terms]))
 
 
-def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
+def demand(nodes, t_dag, alternatives, node: int, q: str,
            c: int | None = None, limit: int = 0):
     """The inverse evaluation, computed on demand: the entry of state q at
     input node with no parameters, and the memo of every entry it
     depended on.
 
-    An entry, per (input DAG node, state, parameter bindings), is
-    computed only when a parent call asks for it, by one call of
-    alt = alternatives[q, labels[node]], alt(vbar, kids, ask, t_dag)
-    with kids the node's key s_dag.nodes[node], or is empty when alt is
-    None.  The generated functions of compile_rhs ask ask(node, q, vbar) for a call
-    with one reference per parameter, and ask.all for a call with a set
-    of references K for some parameter, which binds each set by the
-    semantics c and the memo's size against limit (see below).  Those of
-    multi_return return tuples of references (given its meter as t_dag,
-    see _member).
+    nodes[v] is input node v's key (see TreeDag): the label its
+    alternatives are looked up by, then its child references.  An entry,
+    per (input DAG node, state, parameter bindings), is computed only
+    when a parent call asks for it, by one call of
+    alt = alternatives[q, kids[0]], alt(vbar, kids, ask, t_dag) with
+    kids = nodes[node], or is empty when alt is None; nodes is read once
+    per entry computed.  The generated functions of compile_rhs ask
+    ask(node, q, vbar) for a call with one reference per parameter, and
+    ask.all for a call with a set of references K for some parameter,
+    which binds each set by the semantics c and the memo's size against
+    limit (see below).  Those of multi_return return tuples of
+    references (given its meter as t_dag, see _member).
 
     ask.all(child, q, kid_sets, whole) asks input node child one question
     per combination of bindings, under state key (q, mask) when a
@@ -300,15 +286,15 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
     bindings), exact when no output copies it more than c times.
     """
     memo: dict[tuple, frozenset] = {}
-    kids_of = s_dag.nodes
 
     def ask(node, q, vbar):
         key = (node, q, vbar)
         got = memo.get(key)
         if got is None:
-            alt = alternatives[q, labels[node]]
+            kids = nodes[node]
+            alt = alternatives[q, kids[0]]
             got = memo[key] = (_EMPTY if alt is None else
-                               frozenset(alt(vbar, kids_of[node], ask, t_dag)))
+                               frozenset(alt(vbar, kids, ask, t_dag)))
         return got
 
     def ask_all(node, q, kid_sets, whole=()):
@@ -344,7 +330,8 @@ def demand(s_dag: TreeDag, t_dag, labels, alternatives, node: int, q: str,
             entry = memo.get(key)
             if entry is None:
                 if kids is None:
-                    kids, alt = kids_of[node], alternatives[q, labels[node]]
+                    kids = nodes[node]
+                    alt = alternatives[q, kids[0]]
                 entry = memo[key] = (_EMPTY if alt is None else
                                      frozenset(alt(vbar, kids, ask, t_dag)))
             got.append(entry)
@@ -370,19 +357,19 @@ def _frames(s_dag: TreeDag) -> int:
 
 
 def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
-            labels=None, meter=None, c=None) -> bool:
+            nodes=None, meter=None, c=None) -> bool:
     """Demand the initial state's entry at the root of the input DAG
     s_dag and look for t's root in it.  m checked itself when it was
     built; s_dag and t's DAG are checked: an input outside the input
     alphabet raises AlphabetMismatch, and a t outside the output
     alphabet is no output.
 
-    The label alternatives[q, label] reads is a node's symbol, or
-    labels(s_dag)[node] when labels is given, and c the semantics.  The
-    memo's whole-set limit (see demand) is per-reference binding's key
-    bound, |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank, or 0
-    with meter (multi-return): entries hold tuples, and the alternatives
-    get meter, holding t's intern table, in place of t's DAG.
+    demand reads s_dag's node keys, or the keys nodes(s_dag) when nodes
+    is given, and c is the semantics.  The memo's whole-set limit (see
+    demand) is per-reference binding's key bound,
+    |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank, or 0 with
+    meter (multi-return): entries hold tuples, and the alternatives get
+    meter, holding t's intern table, in place of t's DAG.
     """
     check_input_dag(m, s_dag)
     t_dag, t_root = build_dag(t)
@@ -399,7 +386,7 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
                   * (t_dag.node_count() + 1) ** m.mtt_class.max_state_rank)
     with recursion_room(_frames(s_dag)):
         root_entry, memo = demand(
-            s_dag, out, s_dag.labels if labels is None else labels(s_dag),
+            s_dag.nodes if nodes is None else nodes(s_dag), out,
             alternatives, s_dag.root, m.initial, c, limit)
     if stats is not None:
         stats.update(
@@ -472,7 +459,7 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     produce; c is not checked, and with a smaller c such a query's "no"
     can be wrong.
     """
-    if not isinstance(c, int) or c < 1:
+    if type(c) is not int or c < 1:
         raise ValueError(f"copy bound must be a positive int, got {c!r}")
     check_kind(m, Mtt)
     return _member(m, build_dag(s)[0], t, _compiled(m, "io"), stats, c=c)
@@ -490,8 +477,8 @@ def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
     check_input_dag(m, s_dag)
     out = TreeDag()
     with recursion_room(_frames(s_dag)):
-        (root,), _ = demand(s_dag, out, s_dag.labels,
-                            _compiled(m, "det", grow=True), s_dag.root, m.initial)
+        (root,), _ = demand(s_dag.nodes, out, _compiled(m, "det", grow=True),
+                            s_dag.root, m.initial)
     return TreeDag(out.intern).below(root)
 
 

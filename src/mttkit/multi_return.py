@@ -303,7 +303,10 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     Let-bindings are processed left to right over environment sets
     projected to live variables; a rule whose environment set exceeds
     env_cap raises EnvLimitExceeded rather than silently degrading.
+    env_cap must be a positive int.
     """
+    if type(env_cap) is not int or env_cap < 1:
+        raise ValueError(f"env cap must be a positive int, got {env_cap!r}")
     check_kind(m, MrMtt)
     rules, ranks = m.rules, m.ranks
     alternatives = _table(m, "mr-io", lambda q, sym: _mr_alternatives(

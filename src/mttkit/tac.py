@@ -224,12 +224,13 @@ def validate_tac_mtt(tm: TacMtt) -> MttClass:
 
 
 class _Shapes:
-    """The label member_io_tac looks alternatives up by, per input node:
-    its symbol, its children's look-ahead states, and which children are
-    equal.  The look-ahead automaton runs over every DAG node when the
-    shapes are made, since a NotTotal or NotDeterministic anywhere in the
-    input is an error; only a node's shape tuple is put together when the
-    demand reads it."""
+    """The input node keys member_io_tac's demand reads: node v's key,
+    its label replaced by v's shape, which the alternatives are looked up
+    by: its symbol, its children's look-ahead states, and which children
+    are equal.  The look-ahead automaton runs over every DAG node when
+    the shapes are made, since a NotTotal or NotDeterministic anywhere
+    in the input is an error; only a node's shaped key is put together
+    when the demand reads it."""
 
     __slots__ = ("nodes", "states")
 
@@ -242,8 +243,8 @@ class _Shapes:
         ks = key[1:]
         # equal children are one DAG node, so ks.index names each child's
         # equality class by its first member
-        return (key[0], tuple(map(self.states.__getitem__, ks)),
-                tuple(map(ks.index, ks)))
+        return ((key[0], tuple(map(self.states.__getitem__, ks)),
+                 tuple(map(ks.index, ks))), *ks)
 
 
 def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bool:
@@ -269,4 +270,4 @@ def member_io_tac(tm: TacMtt, s: Tree, t: Tree, stats: dict | None = None) -> bo
 
     alternatives = _compiled(tm, "io-tac", guarded)
     return _member(tm, build_dag(s)[0], t, alternatives, stats,
-                   labels=lambda s_dag: _Shapes(tac, s_dag))
+                   nodes=lambda s_dag: _Shapes(tac, s_dag))

@@ -546,37 +546,26 @@ class TreeDag:
     its label followed by its child references: nodes[v] is node v, and
     the intern table maps each node to its reference, in reference
     order, so nodes is list(intern).  A parsed tree's intern table is the
-    one its parse filled.  labels lists each node's label, and by_label
-    maps each label to its nodes in ascending order; each is built when
-    first read.  parents maps a label of rank 1 to its index from child
-    to parent, which the membership engines build the first time they
-    look a label's parents up.  images maps (label, *child reference
-    sets) to the frozenset of nodes an output node over those sets can
-    be, kept by the membership engines (io_membership._out_refs) for
-    sets of two or more references.
+    one its parse filled.  by_label maps each label to its nodes in
+    ascending order, built when first read.  images maps (label, *child
+    reference sets) to the frozenset of nodes an output node over those
+    sets can be, kept by the membership engines (io_membership._out_refs)
+    for sets of two or more references.
     """
 
-    __slots__ = ("nodes", "intern", "root", "parents", "images", "_labels",
-                 "_by_label")
+    __slots__ = ("nodes", "intern", "root", "images", "_by_label")
 
     def __init__(self, intern: dict | None = None):
         self.intern: dict[tuple, NodeRef] = {} if intern is None else intern
         self.nodes: list[tuple] = list(self.intern)
         self.root: NodeRef = len(self.nodes) - 1 if self.nodes else BOTTOM
-        self.parents: dict[str, dict[NodeRef, NodeRef]] = {}
         self.images: dict[tuple, frozenset] = {}
-        self._labels = self._by_label = None
-
-    @property
-    def labels(self) -> list[str]:
-        if self._labels is None:
-            self._labels = list(map(itemgetter(0), self.nodes))
-        return self._labels
+        self._by_label = None
 
     @property
     def by_label(self) -> dict[str, list[NodeRef]]:
         if self._by_label is None:
-            self._by_label = _label_index(self.labels)
+            self._by_label = _label_index(map(itemgetter(0), self.nodes))
         return self._by_label
 
     def node_count(self) -> int:

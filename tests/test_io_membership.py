@@ -104,9 +104,9 @@ def _demanded(root, dag=None, entries=None, asked=None, c=None, limit=1):
 
     table = _Table()
     table.prepare = alternative
-    s_dag = TreeDag({KIDS: 0, **{(j,): j for j in KIDS[1:]}})
-    return demand(s_dag, dag, range(len(KIDS)), table, 0, "root", c,
-                  limit)[0]
+    # node j's key (j,) starts with label j, as node 0's key KIDS does
+    nodes = [KIDS, *[(j,) for j in KIDS[1:]]]
+    return demand(nodes, dag, table, 0, "root", c, limit)[0]
 
 
 def _eval_on(rhs, vbar, dag, entries=None, asked=None):
@@ -125,8 +125,7 @@ def _io_rules(m):
 def _root_entry(m, s, t_dag):
     """The initial state's demanded entry at the root of s."""
     s_dag, s_root = build_dag(s)
-    return demand(s_dag, t_dag, s_dag.labels, _io_rules(m), s_root,
-                  m.initial)[0]
+    return demand(s_dag.nodes, t_dag, _io_rules(m), s_root, m.initial)[0]
 
 
 def test_eval_f_parameter_returns_its_ref():
@@ -372,7 +371,7 @@ def test_demand_counts_entries_under_whole_keys_against_the_budget():
     s_dag, s_root = build_dag(chain(6))
     t_dag, _ = build_dag(_fan_tree(5, 6))
     for limit, made in ((10 ** 6, 41), (13, 10), (1, 0), (0, 0)):
-        memo = demand(s_dag, t_dag, s_dag.labels, _io_rules(m), s_root,
+        memo = demand(s_dag.nodes, t_dag, _io_rules(m), s_root,
                       m.initial, None, limit)[1]
         assert sum(not isinstance(q, str) for _, q, _ in memo) == made
 
@@ -386,7 +385,7 @@ def test_call_by_name_past_the_limit_binds_never_copied_parameters_per_reference
     t_dag, _ = build_dag(_fan_tree(5, 6))
     for limit, keys in ((0, 327), (10 ** 6, 48)):
         for c in (None, 2):
-            memo = demand(s_dag, t_dag, s_dag.labels, _io_rules(m), s_root,
+            memo = demand(s_dag.nodes, t_dag, _io_rules(m), s_root,
                           m.initial, c, limit)[1]
             assert len(memo) == keys
 

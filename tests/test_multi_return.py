@@ -198,6 +198,16 @@ def test_env_cap_is_a_hard_error():
     assert member_mr_io(m, s, t, env_cap=4)
 
 
+@pytest.mark.parametrize("cap", [0, -3, None, True, 2.0, "4"])
+def test_env_cap_must_be_a_positive_int(cap):
+    # a cap below 1 would answer "unknown" on every query with a let,
+    # and a bool or a float is no count
+    m = reverse_pair_mrtt()
+    s, t = reverse_pair_instance("ab")
+    with pytest.raises(ValueError, match="env cap"):
+        member_mr_io(m, s, t, env_cap=cap)
+
+
 def test_member_mr_io_leaves_no_cyclic_garbage():
     # the environments and the memo go by reference counting when
     # member_mr_io returns, not at the next full garbage collection

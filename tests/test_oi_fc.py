@@ -59,6 +59,9 @@ def test_copy_bound_must_be_positive():
         member_oi_fc(m, 0, s, t)
     with pytest.raises(ValueError):
         member_oi_fc(m, "2", s, t)
+    # a bool is no copy bound, though True == 1
+    with pytest.raises(ValueError):
+        member_oi_fc(m, True, s, t)
     with pytest.raises(AlphabetMismatch):
         member_oi_fc(m, 1, parse_term("zz"), t)
     assert member_oi_fc(m, 1, s, parse_term("zz", None)) is False
@@ -154,7 +157,7 @@ def test_mixed_double_mtt_needs_bound_two():
     s_dag, s_root = build_dag(s)
     t_dag, t_root = build_dag(mixed)
     for limit, want in ((10 ** 6, True), (0, False)):
-        entry = demand(s_dag, t_dag, s_dag.labels, _compiled(m, "io"), s_root,
+        entry = demand(s_dag.nodes, t_dag, _compiled(m, "io"), s_root,
                        m.initial, 1, limit)[0]
         assert (t_root in entry) == want
     for n in range(7):

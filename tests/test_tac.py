@@ -18,6 +18,7 @@ from mttkit import (
     TacMtt,
     TacRule,
     TacTransition,
+    Tree,
     enumerate_trees,
     member_det,
     member_io,
@@ -32,6 +33,7 @@ from mttkit import (
 )
 from mttkit.errors import ArityMismatch, MttError
 from mttkit.families import double_mtt, equal_pair_tacmtt, fan_mtt
+from mttkit.tac import _Shapes, _run_nodes
 from mttkit.trees import build_dag
 
 from helpers import (_TAC, IN_ALPHA, OUT_ALPHA, all_inputs, chain,
@@ -184,6 +186,34 @@ def test_equal_pair_rejects_other_outputs():
     assert not member_io_tac(tm, s, parse_term("pi(e,e)"))
     # no rule fires at a bare chain: the domain is pairs only
     assert not member_io_tac(tm, parse_term("a(e)"), parse_term("e"))
+
+
+def test_equal_pair_shapes_only_the_input_nodes_its_demand_reads(monkeypatch):
+    # on pi(a^10^4(e), a^10^4(e)) the demand makes one entry, at the
+    # root, so of the 10 002 input nodes only a handful get a shaped key,
+    # and only their children's look-ahead states are read
+    shaped, state_reads = [], []
+    getitem = _Shapes.__getitem__
+
+    def counted(self, node):
+        shaped.append(node)
+        return getitem(self, node)
+
+    class Read(list):
+        def __getitem__(self, v):
+            state_reads.append(v)
+            return list.__getitem__(self, v)
+
+    monkeypatch.setattr(_Shapes, "__getitem__", counted)
+    monkeypatch.setattr("mttkit.tac._run_nodes",
+                        lambda *args: Read(_run_nodes(*args)))
+    arm = chain(10 ** 4)
+    stats = {}
+    assert member_io_tac(equal_pair_tacmtt(), Tree("pi", (arm, arm)),
+                         parse_term("e"), stats)
+    assert (stats["s_dag_nodes"], stats["entries"]) == (10 ** 4 + 2, 1)
+    assert 1 <= len(shaped) <= 5
+    assert len(state_reads) <= 10
 
 
 def test_trivial_lookahead_embedding_equals_member_io():

@@ -482,7 +482,7 @@ def test_dag_nodes_by_label():
     dag2, root2 = build_dag(parse_term("f(g(e),f(e,g(g(e))))", None))
     assert sorted(v for vs in dag2.by_label.values() for v in vs) \
         == list(range(dag2.node_count()))
-    assert all(dag2.labels[v] == label
+    assert all(dag2.nodes[v][0] == label
                for label, vs in dag2.by_label.items() for v in vs)
     assert dag2.by_label["f"] == sorted(dag2.by_label["f"])
     assert dag2.by_label["f"][-1] == root2
@@ -520,7 +520,9 @@ def _same_dag(handed, walked, t):
             for label, vs in handed.by_label.items()} == walked.by_label
     for dag in (handed, walked):
         assert dag.nodes == list(dag.intern)
-        assert dag.labels == [node[0] for node in dag.nodes]
+        labels = [node[0] for node in dag.nodes]
+        assert dag.by_label == {label: [v for v, at in enumerate(labels)
+                                        if at == label] for label in labels}
         assert all(vs == sorted(vs) for vs in dag.by_label.values())
 
 
@@ -548,7 +550,7 @@ def test_parse_hands_its_dag_to_the_first_build_only():
     dag, root = build_dag(t)
     assert (dag.nodes, root) == ([("a",), ("b",), ("f", 0, 1)], 2)
     assert dag.intern == {("a",): 0, ("b",): 1, ("f", 0, 1): 2}
-    assert dag.labels == ["a", "b", "f"]
+    assert [n[0] for n in dag.nodes] == ["a", "b", "f"]
     assert dag.by_label == {"a": [0], "b": [1], "f": [2]}
     again, again_root = build_dag(t)
     assert again is not dag and again.intern is not dag.intern
@@ -606,12 +608,12 @@ def test_a_one_reference_query_on_parsed_text_builds_no_label_index_or_kids_list
     monkeypatch.setattr(trees, "_label_index", no_index)
     demand, kid_lists = io_membership.demand, []
 
-    def watched(s_dag, t_dag, *args):
-        for dag in (s_dag, t_dag):
-            kids = [node[1:] for node in dag.nodes]
+    def watched(s_nodes, t_dag, *args):
+        for nodes in (s_nodes, t_dag.nodes):
+            kids = [node[1:] for node in nodes]
             kid_lists.extend(o for o in gc.get_objects()
                              if type(o) is list and o is not kids and o == kids)
-        return demand(s_dag, t_dag, *args)
+        return demand(s_nodes, t_dag, *args)
 
     monkeypatch.setattr(io_membership, "demand", watched)
     s, t = copyfree_instance(300)
