@@ -1,5 +1,5 @@
-"""Timing for the call-by-value membership engine on instance families
-whose input and output sizes are controlled by one parameter."""
+"""Timing for the call-by-value membership engine on the copyfree and
+fan families, whose input and output sizes grow with one parameter n."""
 
 from __future__ import annotations
 
@@ -7,15 +7,13 @@ import math
 import time
 from dataclasses import dataclass
 
-from .families import (copyfree_instance, copyfree_mtt, double_instance,
-                       double_mtt, fan_instance, fan_mtt)
+from .families import copyfree_instance, copyfree_mtt, fan_instance, fan_mtt
 from .io_membership import member_io
 from .mtt import Mtt
 from .trees import Tree
 
 # family -> (transducer, instance of size n)
 _FAMILIES = {
-    "double": (double_mtt, double_instance),
     "copyfree": (copyfree_mtt, copyfree_instance),
     "fan": (fan_mtt, fan_instance),
 }
@@ -25,10 +23,9 @@ FAMILIES = tuple(_FAMILIES)
 @dataclass
 class BenchRow:
     n: int
-    s_size: int | None
-    t_size: int | None
-    seconds: float | None
-    note: str = ""
+    s_size: int
+    t_size: int
+    seconds: float
     entries: int | None = None  # the untimed query's memo entries
 
 
@@ -37,10 +34,7 @@ def time_member_io(m: Mtt, s: Tree, t: Tree, repeats: int = 3,
     """Best-of-N wall time of one membership query, in seconds.  One
     untimed query runs first, so that generating m's functions and its
     copy analysis is not timed; it fills stats, if given."""
-    if stats is None:
-        member_io(m, s, t)
-    else:
-        member_io(m, s, t, stats)
+    member_io(m, s, t, stats)
     best = math.inf
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
@@ -50,19 +44,14 @@ def time_member_io(m: Mtt, s: Tree, t: Tree, repeats: int = 3,
 
 
 def bench_family(family: str, ns, repeats: int = 3) -> list[BenchRow]:
-    """One row per n; rows whose instances would be astronomically large
-    are skipped with a note instead of timed."""
+    """One row per n: the sizes of family's instance of size n, the
+    best of repeats timed verdicts, and the untimed verdict's entries."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}, choose from {FAMILIES}")
     make_mtt, instance = _FAMILIES[family]
     m = make_mtt()
     rows: list[BenchRow] = []
     for n in ns:
-        if family == "double" and n >= 3:
-            rows.append(BenchRow(
-                n, None, None, None,
-                note=f"skipped: output size is 2^(2^{n})-scale"))
-            continue
         s, t = instance(n)
         stats: dict = {}
         seconds = time_member_io(m, s, t, repeats, stats)
@@ -72,9 +61,9 @@ def bench_family(family: str, ns, repeats: int = 3) -> list[BenchRow]:
 
 
 def fit_power_law(rows) -> float | None:
-    """Least-squares slope of log(time) against log(n) over timed rows,
-    in closed form; None when fewer than two distinct sizes were timed."""
-    pts = [(r.n, r.seconds) for r in rows if r.seconds]
+    """Least-squares slope of log(time) against log(n) over the rows,
+    in closed form; None when they have fewer than two distinct sizes."""
+    pts = [(r.n, r.seconds) for r in rows]
     if len({n for n, _ in pts}) < 2:
         return None
     xs = [math.log(n) for n, _ in pts]

@@ -3,9 +3,9 @@
 Subcommands: validate, member, sat, bench, sat-mtt.  Membership exit
 codes are 0 = yes/sat, 1 = no/unsat, 2 = unknown (a budget or mr-io's
 --env-cap ran out), 3 = any diagnosed error (bad usage, parse failure,
-engine/model mismatch).  Budgets for the enumeration paths come from
-flags, falling back to the MTTKIT_MAX_SET and MTTKIT_MAX_STEPS
-environment variables, then to built-in defaults.
+engine/model mismatch).  The enumeration budgets come from the
+--max-set and --max-steps flags, each defaulting to its subcommand's
+budget.  A reader that closes stdout early does not change the code.
 """
 
 from __future__ import annotations
@@ -58,26 +58,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _budget(args, defaults: Budget) -> Budget:
-    # each bound not set by flag or environment keeps the caller's default
-    def pick(flag, env, default):
-        if flag is not None:
-            return flag
-        raw = os.environ.get(env, "").strip()
-        if not raw:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise MttError(f"{env} must be an integer, got {raw!r}") from None
-
+def _budget(args) -> Budget:
     try:
-        return Budget(
-            max_set_size=pick(args.max_set, "MTTKIT_MAX_SET",
-                              defaults.max_set_size),
-            max_tree_size=args.max_tree,
-            max_steps=pick(args.max_steps, "MTTKIT_MAX_STEPS", defaults.max_steps),
-        )
+        return Budget(max_set_size=args.max_set, max_steps=args.max_steps)
     except ValueError as exc:
         raise MttError(str(exc)) from None
 
@@ -97,16 +80,28 @@ def _load_term(path: str):
     return parse_term(_read_text(path))
 
 
+def _write(text: str) -> None:
+    """Write text to stdout.  A reader that has gone away gets nothing
+    more: stdout then points at os.devnull, so that the flush at exit
+    does not fail again, and the command keeps its exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(record: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(record))
+        _write(json.dumps(record) + "\n")
         return
+    lines = []
     for key, value in record.items():
         if key == "stats":
-            for sk in sorted(value):
-                print(f"{sk}: {value[sk]}")
+            lines += [f"{sk}: {value[sk]}\n" for sk in sorted(value)]
         else:
-            print(f"{key}: {value}")
+            lines.append(f"{key}: {value}\n")
+    _write("".join(lines))
 
 
 def _bool(x: bool) -> str:
@@ -134,7 +129,7 @@ def cmd_validate(args) -> int:
         counts = copy_counts(m)
         record["copied_params"] = ", ".join(
             f"{q}.{j}" for q in m.states
-            for j, n in enumerate(counts[q], 1) if n > 1) or "none"
+            for j, n in enumerate(counts.get(q, ()), 1) if n > 1) or "none"
         cls = m.mtt_class
         record["deterministic"] = _bool(cls.deterministic)
         record["total"] = _bool(cls.total)
@@ -169,7 +164,7 @@ def _run_member(args, budget, m, s, t) -> tuple[str, dict]:
 def cmd_member(args) -> int:
     try:
         # every flag is checked, whichever engine reads it
-        budget = _budget(args, Budget())
+        budget = _budget(args)
         for flag, value in (("--copy-bound", args.copy_bound),
                             ("--env-cap", args.env_cap)):
             if value < 1:
@@ -198,7 +193,7 @@ def cmd_member(args) -> int:
 def cmd_sat(args) -> int:
     try:
         # the budget is checked before anything is written
-        budget = _budget(args, DEFAULT_SAT_BUDGET)
+        budget = _budget(args)
         f = parse_dimacs(_read_text(args.cnf))
         inst = encode(f)
         out_dir = Path(args.out_dir) if args.out_dir else Path(args.cnf).parent
@@ -250,27 +245,24 @@ def cmd_bench(args) -> int:
         return 3
     exponent = fit_power_law(rows)
     if args.json:
-        print(json.dumps({
+        _write(json.dumps({
             "family": args.family,
             "rows": [vars(r) for r in rows],
             "exponent": exponent,
-        }))
+        }) + "\n")
         return 0
-    print(f"family: {args.family}")
-    for r in rows:
-        if r.seconds is None:
-            print(f"n: {r.n}  {r.note}")
-        else:
-            print(f"n: {r.n}  s_size: {r.s_size}  t_size: {r.t_size}  "
-                  f"entries: {r.entries}  seconds: {r.seconds:.6f}")
+    lines = [f"family: {args.family}\n"]
+    lines += [f"n: {r.n}  s_size: {r.s_size}  t_size: {r.t_size}  "
+              f"entries: {r.entries}  seconds: {r.seconds:.6f}\n" for r in rows]
     if exponent is not None:
-        print(f"exponent: {exponent:.3f}")
+        lines.append(f"exponent: {exponent:.3f}\n")
+    _write("".join(lines))
     return 0
 
 
 def cmd_sat_mtt(args) -> int:
     # convenience: dump the fixed formula generator in DSL form
-    sys.stdout.write(format_transducer(build_sat_mtt()))
+    _write(format_transducer(build_sat_mtt()))
     return 0
 
 
@@ -298,9 +290,8 @@ def build_parser() -> _Parser:
                      "a wrong 'no'")
     mem.add_argument("--env-cap", type=int, default=100_000,
                      help="environment-set cap for mr-io")
-    mem.add_argument("--max-set", type=int, default=None)
-    mem.add_argument("--max-steps", type=int, default=None)
-    mem.add_argument("--max-tree", type=int, default=None)
+    mem.add_argument("--max-set", type=int, default=Budget.max_set_size)
+    mem.add_argument("--max-steps", type=int, default=Budget.max_steps)
     mem.add_argument("--json", action="store_true")
     mem.add_argument("mtt")
     mem.add_argument("s")
@@ -312,10 +303,12 @@ def build_parser() -> _Parser:
     sat.add_argument("cnf")
     sat.add_argument("--out-dir", default=None,
                      help="where to write the encoded .term files")
-    sat.add_argument("--max-set", type=int, default=None)
-    sat.add_argument("--max-steps", type=int, default=None)
+    sat.add_argument("--max-set", type=int,
+                     default=DEFAULT_SAT_BUDGET.max_set_size)
+    sat.add_argument("--max-steps", type=int,
+                     default=DEFAULT_SAT_BUDGET.max_steps)
     sat.add_argument("--json", action="store_true")
-    sat.set_defaults(fn=cmd_sat, max_tree=None)
+    sat.set_defaults(fn=cmd_sat)
 
     b = sub.add_parser("bench", help="time the io engine on an instance family")
     b.add_argument("family", choices=FAMILIES)

@@ -161,8 +161,10 @@ class _Program:
             if isinstance(term, Out):
                 expr = f"_out_refs({self.const(term.sym)}, [{sets}], dag)"
             else:
+                # a callee with no rule counts 0 at every position
                 whole = () if self.counts is None else tuple(
-                    j for j, n in enumerate(self.counts[term.state]) if n < 2)
+                    j for j, n in enumerate(self.counts.get(
+                        term.state, (0,) * len(term.args))) if n < 2)
                 whole = f", whole={self.const(whole)}" if whole else ""
                 expr = (f"ask.all(kids[{term.child}], "
                         f"{self.const(term.state)}, [{sets}]{whole})")
@@ -367,7 +369,8 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
     demand reads s_dag's node keys, or the keys nodes(s_dag) when nodes
     is given, and c is the semantics.  The memo's whole-set limit (see
     demand) is per-reference binding's key bound,
-    |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank, or 0 with
+    |s_dag| |Q| (|t_dag| + 1)^r, r the largest state rank (capped at
+    64, where the bound is already past any memo), or 0 with
     meter (multi-return): entries hold tuples, and the alternatives get
     meter, holding t's intern table, in place of t's DAG.
     """
@@ -382,8 +385,8 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
         meter.intern = t_dag.intern
         out, t_root = meter, (t_root,)
     else:
-        limit = (s_dag.node_count() * len(m.states)
-                  * (t_dag.node_count() + 1) ** m.mtt_class.max_state_rank)
+        limit = (s_dag.node_count() * len(m.states) * (t_dag.node_count() + 1)
+                 ** min(m.mtt_class.max_state_rank, 64))
     with recursion_room(_frames(s_dag)):
         root_entry, memo = demand(
             s_dag.nodes if nodes is None else nodes(s_dag), out,

@@ -262,9 +262,12 @@ def _linear(rhs: Rhs, kind) -> bool:
 
 
 def copy_counts(m) -> dict[str, tuple[int, ...]]:
-    """For each state of m, one count per parameter: 0 or 1 when no
-    output of the state, on any input, holds the parameter more than
-    that often, and 2 when some output may hold it twice or more.
+    """For each state of m that heads a rule, one count per parameter:
+    0 or 1 when no output of the state, on any input, holds the
+    parameter more than that often, and 2 when some output may hold it
+    twice or more.  A state with no rule has no output, so it counts 0
+    at every position; it is left out, so that its declared rank costs
+    nothing.
     A TacMtt's rules are read without their guards (m.alternatives),
     which only remove alternatives, so its counts over-approximate.
 
@@ -280,7 +283,7 @@ def copy_counts(m) -> dict[str, tuple[int, ...]]:
     got = m._prepared.get("copy_counts")
     if got is not None:
         return got
-    counts = {q: [0] * rank for q, rank in m.states.items()}
+    counts = {q: [0] * m.states[q] for q, _ in m.rules}
     changed = True
     while changed:
         changed = False
@@ -293,7 +296,8 @@ def copy_counts(m) -> dict[str, tuple[int, ...]]:
                     if isinstance(node, Param):
                         v[node.index - 1] = 1
                     else:
-                        callee = (counts[node.state] if isinstance(node, Call)
+                        callee = (counts.get(node.state, ())
+                                  if isinstance(node, Call)
                                   else [1] * len(node.args))
                         for times, a in zip(callee, node.args):
                             if times:

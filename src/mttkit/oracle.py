@@ -45,8 +45,9 @@ def param_index(t: Tree) -> int | None:
 class Budget:
     """Resource bounds for enumeration.
 
-    max_tree_size None means unbounded.  Exceeding any bound raises
-    BudgetExceeded; it never silently drops trees.
+    Each bound is a positive int; max_tree_size None means unbounded.
+    Exceeding any bound raises BudgetExceeded; it never silently drops
+    trees.
     """
 
     max_set_size: int = 100_000
@@ -54,10 +55,13 @@ class Budget:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.max_set_size <= 0 or self.max_steps <= 0:
-            raise ValueError("budget bounds must be positive")
-        if self.max_tree_size is not None and self.max_tree_size <= 0:
-            raise ValueError("budget bounds must be positive")
+        bounds = [self.max_set_size, self.max_steps]
+        if self.max_tree_size is not None:
+            bounds.append(self.max_tree_size)
+        for bound in bounds:
+            if type(bound) is not int or bound < 1:
+                raise ValueError(
+                    f"budget bounds must be positive ints, got {bound!r}")
 
 
 class TreeSet:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .errors import BudgetExceeded, EmptyFormula, ParseError
+from .errors import EmptyFormula, ParseError
 from .mtt import Call, Mtt, Out, Param
-from .oracle import (NO, OI, UNKNOWN, YES, Budget, Evaluator, oracle_member)
+from .oracle import NO, OI, UNKNOWN, YES, Budget, oracle_member
 from .trees import RankedAlphabet, Tree, tree
 
 Literal = tuple[int, bool]  # (variable index, negated)
@@ -145,27 +145,16 @@ def encode(f: Cnf3) -> SatInstance:
 DEFAULT_SAT_BUDGET = Budget(max_set_size=2_000_000, max_steps=200_000_000)
 
 
-def sat_check_small(f: Cnf3, budget: Budget | None = None,
-                    evaluator: Evaluator | None = None) -> str:
-    """Decide a tiny formula by translation membership; returns sat,
-    unsat, or unknown (budget ran out).  The default budget handles
-    n <= 3, m <= 3 in seconds to minutes; anything bigger wants a
-    real solver, not this reduction.
-
-    Pass a shared call-by-name Evaluator for build_sat_mtt() when
-    checking many formulas with equal (n, m): the generated output set
-    is computed once per distinct input ladder.
+def sat_check_small(f: Cnf3, budget: Budget | None = None) -> str:
+    """Decide a tiny formula by translation membership under the
+    enumeration oracle; returns sat, unsat, or unknown (budget ran out).
+    The default budget handles n <= 3, m <= 3 in seconds to minutes;
+    anything bigger wants a real solver, not this reduction.
     """
     inst = encode(f)
-    if evaluator is None:
-        verdict = oracle_member(build_sat_mtt(), OI, inst.s, inst.t,
-                                budget or DEFAULT_SAT_BUDGET)
-        return {YES: SAT, NO: UNSAT, UNKNOWN: UNKNOWN}[verdict]
-    try:
-        outputs = evaluator.state_set(evaluator.m.initial, inst.s)
-    except BudgetExceeded:
-        return UNKNOWN
-    return SAT if inst.t in outputs else UNSAT
+    verdict = oracle_member(build_sat_mtt(), OI, inst.s, inst.t,
+                            budget or DEFAULT_SAT_BUDGET)
+    return {YES: SAT, NO: UNSAT, UNKNOWN: UNKNOWN}[verdict]
 
 
 def solve_truth_table(f: Cnf3) -> bool:

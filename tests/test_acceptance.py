@@ -18,7 +18,7 @@ from mttkit.io_membership import member_det, member_io, member_oi_fc
 from mttkit.multi_return import eval_mr_io, member_mr_io
 from mttkit.oracle import io_subst, oi_subst
 from mttkit.sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, Cnf3, build_sat_mtt,
-                        encode, sat_check_small, solve_truth_table)
+                        encode, solve_truth_table)
 from mttkit.tac import member_io_tac
 from mttkit.trees import format_term, parse_term
 
@@ -134,7 +134,9 @@ def test_criterion_3_sat_reduction_matches_truth_tables(capsys):
             for chosen in product(clauses, repeat=m_cl):
                 f = Cnf3(n, chosen)
                 want = SAT if solve_truth_table(f) else UNSAT
-                got = sat_check_small(f, evaluator=ev)
+                inst = encode(f)
+                got = (SAT if inst.t in ev.state_set(ev.m.initial, inst.s)
+                       else UNSAT)
                 count += 1
                 if got != want and bad is None:
                     bad = (f, got, want)

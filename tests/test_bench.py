@@ -1,4 +1,4 @@
-"""Timing harness: rows, skip notes, power-law fit."""
+"""Timing harness: rows, timed verdicts, power-law fit."""
 
 import pytest
 
@@ -10,17 +10,9 @@ from mttkit.families import (copyfree_instance, copyfree_mtt, fan_instance,
 
 
 def test_family_list():
-    assert FAMILIES == ("double", "copyfree", "fan")
+    assert FAMILIES == ("copyfree", "fan")
     with pytest.raises(ValueError):
         bench_family("nope", [1])
-
-
-def test_double_rows_skip_huge_instances():
-    rows = bench_family("double", [1, 2, 3, 4], repeats=1)
-    assert [r.n for r in rows] == [1, 2, 3, 4]
-    assert rows[0].seconds > 0 and rows[1].seconds > 0
-    for r in rows[2:]:
-        assert r.seconds is None and "skipped" in r.note
 
 
 def test_copyfree_rows():
@@ -56,7 +48,7 @@ def test_time_member_io_positive():
 
 
 def test_time_member_io_times_prepared_verdicts_only(monkeypatch):
-    # one untimed verdict first, then one per repeat
+    # one untimed verdict first, filling stats, then one per repeat
     calls = []
     monkeypatch.setattr(bench, "member_io", lambda *args: calls.append(args))
     m = copyfree_mtt()
@@ -64,14 +56,13 @@ def test_time_member_io_times_prepared_verdicts_only(monkeypatch):
     for repeats in (1, 3):
         calls.clear()
         time_member_io(m, s, t, repeats=repeats)
-        assert calls == [(m, s, t)] * (repeats + 1)
+        assert calls == [(m, s, t, None)] + [(m, s, t)] * repeats
 
 
 def test_fit_power_law():
     rows = [BenchRow(n, n, n, float(n) ** 2) for n in (10, 20, 40, 80)]
     slope = fit_power_law(rows)
     assert abs(slope - 2.0) < 1e-6
-    # skipped rows are ignored, and one point is not a fit
-    rows[1:] = [BenchRow(999, None, None, None, note="skipped")]
-    assert fit_power_law(rows) is None
+    # one point is not a fit
+    assert fit_power_law(rows[:1]) is None
     assert fit_power_law([]) is None

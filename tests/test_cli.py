@@ -1,6 +1,9 @@
 """Command line behavior: subcommands, exit codes, output shapes."""
 
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -284,20 +287,19 @@ def test_member_oracle_mode_flag(files, capsys):
 
 
 def test_env_var_budget(files, capsys, monkeypatch):
+    # budgets come from flags only: the environment changes no verdict
     m = files("double.mtt", format_transducer(double_mtt()))
     s, t = double_instance(2)
     sf = term_file(files, "s.term", s)
     tf = term_file(files, "t.term", t)
-    monkeypatch.setenv("MTTKIT_MAX_STEPS", "5")
-    assert main(["member", "--engine", "oracle", m, sf, tf]) == 2
+    assert main(["member", "--engine", "oracle", "--max-steps", "5",
+                 m, sf, tf]) == 2
     capsys.readouterr()
-    # explicit flag wins over the environment
-    code = main(["member", "--engine", "oracle", "--max-steps", "10000000",
-                 m, sf, tf])
-    assert code == 0
+    monkeypatch.setenv("MTTKIT_MAX_STEPS", "5")
+    assert main(["member", "--engine", "oracle", m, sf, tf]) == 0
 
 
-def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
+def test_bad_budgets_and_text_are_diagnosed(files, capsys):
     m = files("double.mtt", format_transducer(double_mtt()))
     s, t = double_instance(1)
     sf = term_file(files, "s.term", s)
@@ -324,7 +326,6 @@ def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
     for engine in ("io", "oi-fc", "det"):
         member = ["member", "--engine", engine]
         diagnosed(member + ["--max-set", "0", "--max-steps", "-5", m, sf, tf])
-        diagnosed(member + ["--max-tree", "-1", m, sf, tf])
         diagnosed(member + ["--env-cap", "0", m, sf, tf])
         diagnosed(member + ["--copy-bound", "0", m, sf, tf])
     deep = files("deep.mtt", deep_mtt_text(3000))
@@ -333,9 +334,11 @@ def test_bad_budgets_and_text_are_diagnosed(files, capsys, monkeypatch):
     sat_diagnosed(["--max-steps", "0"])
     diagnosed(["member", "--engine", "io", m, bad, tf])
     diagnosed(["member", "--engine", "io", m, sf, bad])
-    monkeypatch.setenv("MTTKIT_MAX_SET", "abc")
-    diagnosed(oracle + [m, sf, tf])
-    sat_diagnosed([])
+    # --max-tree is no flag: a usage error
+    with pytest.raises(SystemExit) as e:
+        main(oracle + ["--max-tree", "5", m, sf, tf])
+    assert e.value.code == 3
+    assert "unrecognized arguments: --max-tree" in capsys.readouterr().err
 
 
 _TERMS = [format_term(t) for t in copyfree_instance(4)] + ["f(g(e),e)", "e()"]
@@ -382,6 +385,32 @@ def test_member_exit_codes_on_any_term_text(tmp_path_factory, engine, s, t):
         assert err.getvalue().count("\n") == 1
 
 
+def test_a_closed_stdout_keeps_the_verdicts_exit_code(files):
+    # the reader is gone before the command writes, with stdout buffered
+    # or not: the yes stays exit 0, with nothing on stderr about it
+    m = files("id.mtt", "mtt id {\n  input { a: 1, e: 0 }\n"
+              "  output { a: 1, e: 0 }\n  state q: 0 init\n"
+              "  rule q(a(x1)) -> a(q[x1])\n  rule q(e) -> e\n}\n")
+    small = files("small.term", "a(a(e))\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for unbuffered in ("", "1"):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "mttkit.cli", "member", "--engine",
+                 "io", m, small, small],
+                stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": path,
+                     "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(w)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
+
+
 def test_sat_subcommand(files, tmp_path, capsys):
     cnf = files("one.cnf", "p cnf 1 1\n1 1 1 0\n")
     assert main(["sat", cnf]) == 0
@@ -415,14 +444,11 @@ def test_sat_budget_keeps_the_sat_default_for_each_bound_not_set(
     assert main(["sat", cnf]) == 0
     assert main(["sat", "--max-set", "3000000", cnf]) == 0
     assert main(["sat", "--max-steps", "7", cnf]) == 0
-    monkeypatch.setenv("MTTKIT_MAX_STEPS", "9")
-    assert main(["sat", cnf]) == 0
-    assert main(["sat", "--max-set", "5", cnf]) == 0
+    assert main(["sat", "--max-set", "5", "--max-steps", "9", cnf]) == 0
     capsys.readouterr()
     assert seen == [default,
                     Budget(3_000_000, None, default.max_steps),
                     Budget(default.max_set_size, None, 7),
-                    Budget(default.max_set_size, None, 9),
                     Budget(5, None, 9)]
 
 
@@ -447,14 +473,19 @@ def test_bench_subcommand(files, capsys):
     assert "n: 2  s_size: 2  t_size: 2  entries: 2  seconds:" in out
     assert "exponent:" in out
 
-    assert main(["bench", "double", "--ns", "1..4", "--repeats", "1",
+    assert main(["bench", "fan", "--ns", "3..6", "--repeats", "1",
                  "--json"]) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert [r["n"] for r in rec["rows"]] == [1, 2, 3, 4]
-    assert [r["entries"] for r in rec["rows"]] == [7, 16, None, None]
-    assert rec["rows"][3]["seconds"] is None
-    assert "skipped" in rec["rows"][3]["note"]
+    assert [r["n"] for r in rec["rows"]] == [3, 4, 5, 6]
+    assert [r["entries"] for r in rec["rows"]] == [18, 35, 61, 98]
+    assert all(r["seconds"] > 0 for r in rec["rows"])
     assert isinstance(rec["exponent"], float)
+
+    # double is no bench family
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "double", "--ns", "1,2"])
+    assert e.value.code == 3
+    capsys.readouterr()
 
     # one size is no fit
     assert main(["bench", "fan", "--ns", "4", "--repeats", "1"]) == 0

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -647,6 +648,27 @@ def test_member_io_stats_and_entry_bound():
     n = stats["t_dag_nodes"] + 1  # refs plus bottom
     bound = sum(n ** (m.states[q] + 1) for q in m.states) * stats["s_dag_nodes"]
     assert stats["entries"] <= bound
+
+
+def test_a_rank_declared_by_a_state_with_no_rule_costs_no_memory():
+    # p heads no rule, so neither the copy counts nor the memo's limit
+    # may grow with its rank
+    m = parse_transducer("""mtt id {
+      input { a: 1, e: 0 }
+      output { a: 1, e: 0 }
+      state q: 0 init
+      state p: 1000000
+      rule q(a(x1)) -> a(q[x1])
+      rule q(e) -> e
+    }""")
+    s = parse_term("a(a(e))")
+    tracemalloc.start()
+    try:
+        assert member_io(m, s, s) and member_oi_fc(m, 1, s, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_member_io_wrong_symbol_mid_chain_is_fast():

@@ -199,3 +199,8 @@ def test_budget_rejects_nonpositive_bounds():
         Budget(max_steps=-1)
     with pytest.raises(ValueError):
         Budget(max_tree_size=0)
+    # a bool or a float is no bound, nor is a string
+    for bad in (True, 2.5, "5"):
+        for name in ("max_set_size", "max_tree_size", "max_steps"):
+            with pytest.raises(ValueError):
+                Budget(**{name: bad})

@@ -131,31 +131,18 @@ def test_call_by_name_core_decides_the_sat_ladder():
 
 
 def test_exhaustive_one_variable():
+    # one call-by-name output set per ladder shape
     for m in (1, 2):
         ev = Evaluator(build_sat_mtt(), OI, DEFAULT_SAT_BUDGET)
         for f in all_formulas(1, m):
-            want = SAT if solve_truth_table(f) else UNSAT
-            assert sat_check_small(f, evaluator=ev) == want
-
-
-def test_shared_evaluator_matches_fresh():
-    ev = Evaluator(build_sat_mtt(), OI, DEFAULT_SAT_BUDGET)
-    picks = [
-        Cnf3(2, (((0, False), (1, False), (1, True)),
-                 ((0, True), (1, True), (0, True)))),
-        Cnf3(2, (((0, False),) * 3, ((0, True),) * 3)),
-        Cnf3(2, (((1, False), (0, True), (1, False)),
-                 ((1, True),) * 3)),
-    ]
-    for f in picks:
-        assert sat_check_small(f, evaluator=ev) == sat_check_small(f)
+            inst = encode(f)
+            assert (inst.t in ev.state_set(ev.m.initial, inst.s)
+                    ) is solve_truth_table(f)
 
 
 def test_tiny_budget_reports_unknown():
     f = Cnf3(1, (((0, False),) * 3,))
     assert sat_check_small(f, Budget(max_set_size=2, max_steps=10)) == "unknown"
-    ev = Evaluator(build_sat_mtt(), OI, Budget(max_set_size=2, max_steps=10))
-    assert sat_check_small(f, evaluator=ev) == "unknown"
 
 
 def test_truth_table():
