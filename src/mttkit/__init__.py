@@ -28,6 +28,7 @@ from .multi_return import (MrLet, MrMtt, MrRhs, ZVar, eval_mr_io,
 from .sat import (Cnf3, SatInstance, build_sat_mtt, encode, parse_dimacs,
                   sat_check_small, solve_truth_table)
 from .dsl import format_transducer, parse_transducer
+from .engines import ENGINES
 from . import families
 
 __version__ = "0.1.0"
@@ -52,6 +53,6 @@ __all__ = [
     "Cnf3", "SatInstance", "build_sat_mtt", "encode", "parse_dimacs",
     "sat_check_small", "solve_truth_table",
     "format_transducer", "parse_transducer",
-    "families",
+    "ENGINES", "families",
     "__version__",
 ]

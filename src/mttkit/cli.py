@@ -6,6 +6,9 @@ codes are 0 = yes/sat, 1 = no/unsat, 2 = unknown (a budget or mr-io's
 engine/model mismatch).  The enumeration budgets come from the
 --max-set and --max-steps flags, each defaulting to its subcommand's
 budget.  A reader that closes stdout early does not change the code.
+member runs its engine through mttkit.engines.ENGINES, which gives
+--engine's choices and the model kind each engine needs; --copy-bound
+and --env-cap default to engines.COPY_BOUND and multi_return.ENV_CAP.
 """
 
 from __future__ import annotations
@@ -20,34 +23,14 @@ from pathlib import Path
 from .bench import FAMILIES, bench_family, fit_power_law
 from .errors import EnvLimitExceeded, MttError
 from .dsl import format_transducer, parse_transducer
-from .io_membership import member_det, member_io, member_oi_fc
-from .mtt import Mtt, copy_counts
-from .multi_return import MrMtt, member_mr_io
-from .oracle import IO, NO, OI, UNKNOWN, YES, Budget, oracle_member
+from .engines import COPY_BOUND, ENGINES
+from .mtt import copy_counts
+from .multi_return import ENV_CAP, MrMtt
+from .oracle import IO, NO, OI, UNKNOWN, YES, Budget
 from .sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, build_sat_mtt, encode,
                   parse_dimacs, sat_check_small)
-from .tac import TacMtt, member_io_tac
+from .tac import TacMtt
 from .trees import format_term, parse_term
-
-_PLAIN = (Mtt, "a plain mtt file")
-
-# engine -> (model kind, what a mismatch error says the engine needs,
-# verdict call (args, budget, m, s, t, stats): True, False or a verdict)
-ENGINES = {
-    "io": (*_PLAIN, lambda args, budget, m, s, t, stats:
-           member_io(m, s, t, stats=stats)),
-    "oi-fc": (*_PLAIN, lambda args, budget, m, s, t, stats:
-              member_oi_fc(m, args.copy_bound, s, t, stats=stats)),
-    "io-tac": (TacMtt, "an mtt file with a tac block",
-               lambda args, budget, m, s, t, stats:
-               member_io_tac(m, s, t, stats=stats)),
-    "mr-io": (MrMtt, "an mrtt file", lambda args, budget, m, s, t, stats:
-              member_mr_io(m, s, t, env_cap=args.env_cap, stats=stats)),
-    "det": (*_PLAIN, lambda args, budget, m, s, t, stats:
-            member_det([m], args.mode, s, t, stats=stats)),
-    "oracle": (*_PLAIN, lambda args, budget, m, s, t, stats:
-               oracle_member(m, args.mode, s, t, budget, stats=stats)),
-}
 
 _EXIT = {YES: 0, NO: 1, UNKNOWN: 2, SAT: 0, UNSAT: 1}
 
@@ -146,18 +129,18 @@ def cmd_validate(args) -> int:
 
 
 def _run_member(args, budget, m, s, t) -> tuple[str, dict]:
-    kind, needs, run = ENGINES[args.engine]
-    if not isinstance(m, kind):
-        raise MttError(f"engine {args.engine} needs {needs}")
+    engine = ENGINES[args.engine]
+    if not isinstance(m, engine.kind):
+        raise MttError(f"engine {args.engine} needs {engine.needs}")
     stats: dict = {}
     try:
-        verdict = run(args, budget, m, s, t, stats)
+        verdict = engine.decide(m, s, t, stats, c=args.copy_bound,
+                                env_cap=args.env_cap, mode=args.mode,
+                                budget=budget)
     except EnvLimitExceeded as exc:
         # a spent --env-cap leaves the verdict open
         print(f"unknown: {exc}", file=sys.stderr)
         return UNKNOWN, stats
-    if isinstance(verdict, bool):
-        verdict = YES if verdict else NO
     return verdict, stats
 
 
@@ -284,11 +267,11 @@ def build_parser() -> _Parser:
                      help="semantics for the oracle engine; det takes it "
                      "and ignores it, since both coincide on a "
                      "deterministic total transducer")
-    mem.add_argument("--copy-bound", type=int, default=1,
+    mem.add_argument("--copy-bound", type=int, default=COPY_BOUND,
                      help="oi-fc's copy bound, not checked: past the memo's "
                      "limit, one below the transducer's true bound can give "
                      "a wrong 'no'")
-    mem.add_argument("--env-cap", type=int, default=100_000,
+    mem.add_argument("--env-cap", type=int, default=ENV_CAP,
                      help="environment-set cap for mr-io")
     mem.add_argument("--max-set", type=int, default=Budget.max_set_size)
     mem.add_argument("--max-steps", type=int, default=Budget.max_steps)

@@ -373,12 +373,22 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
     64, where the bound is already past any memo), or 0 with
     meter (multi-return): entries hold tuples, and the alternatives get
     meter, holding t's intern table, in place of t's DAG.
+
+    stats gets the sizes and DAG node counts of s and t before the
+    demand, so also when a bound stops it, and the memo's entries and
+    t's images after it: both 0 for a t outside the output alphabet.
     """
     check_input_dag(m, s_dag)
     t_dag, t_root = build_dag(t)
+    if stats is not None:
+        stats.update(
+            s_size=s_dag.tree_size(), t_size=t.size,
+            s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count())
     try:
         m.output_alphabet.check_dag(t_dag)
     except (UnknownSymbol, ArityMismatch):
+        if stats is not None:
+            stats.update(entries=0, images=0)
         return False
     out, limit = t_dag, 0
     if meter is not None:
@@ -392,11 +402,8 @@ def _member(m, s_dag: TreeDag, t: Tree, alternatives, stats: dict | None,
             s_dag.nodes if nodes is None else nodes(s_dag), out,
             alternatives, s_dag.root, m.initial, c, limit)
     if stats is not None:
-        stats.update(
-            s_size=s_dag.tree_size(), t_size=t.size,
-            s_dag_nodes=s_dag.node_count(), t_dag_nodes=t_dag.node_count(),
-            entries=sum(map(len, memo.values())), images=len(t_dag.images),
-        )
+        stats.update(entries=sum(map(len, memo.values())),
+                     images=len(t_dag.images))
     return t_root in root_entry
 
 

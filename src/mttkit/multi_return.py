@@ -23,6 +23,10 @@ from .mtt import (Out, Param, ZVar, check_header, check_kind, check_rhs,
 from .oracle import Budget, TreeSet, _Meter, y_leaf
 from .trees import RankedAlphabet, Tree, build_dag, substitute
 
+# the most environments one rule of member_mr_io may hold after a let
+# when no cap is given
+ENV_CAP = 100_000
+
 
 @dataclass(frozen=True, slots=True)
 class MrLet:
@@ -292,7 +296,7 @@ def _mr_alternatives(rhss: tuple, rank: int, where: str):
     return alt
 
 
-def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
+def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = ENV_CAP,
                  stats: dict | None = None) -> bool:
     """Is t an output of m on s under call-by-value?
 
@@ -302,8 +306,10 @@ def member_mr_io(m: MrMtt, s: Tree, t: Tree, env_cap: int = 100_000,
     can return; only the entries the verdict depends on are computed.
     Let-bindings are processed left to right over environment sets
     projected to live variables; a rule whose environment set exceeds
-    env_cap raises EnvLimitExceeded rather than silently degrading.
-    env_cap must be a positive int.
+    env_cap (ENV_CAP unless given) raises EnvLimitExceeded rather than
+    silently degrading.  env_cap must be a positive int.  stats gets
+    _member's keys and max_envs, the largest environment set; when the
+    cap runs out, the sizes, DAG node counts and max_envs.
     """
     if type(env_cap) is not int or env_cap < 1:
         raise ValueError(f"env cap must be a positive int, got {env_cap!r}")

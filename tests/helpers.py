@@ -1,15 +1,18 @@
 """Builders for randomized transducers, exhaustive inputs, and output
 mutations, the enumerated copy count that declared copy bounds are
-checked against, and the reference outputs of guarded transducers;
-shared by the module tests and the acceptance suite."""
+checked against, the reference outputs of guarded transducers, and one
+small model per transducer kind under every engine; shared by the
+module tests and the acceptance suite."""
 
 from __future__ import annotations
 
 import random
 import re
+from functools import partial
 from itertools import islice
 
 from mttkit import (
+    ENGINES,
     OI,
     App,
     Budget,
@@ -32,6 +35,7 @@ from mttkit import (
     ZVar,
     enumerate_trees,
     oracle_eval,
+    parse_transducer,
 )
 from mttkit.oracle import param_index
 
@@ -274,6 +278,35 @@ def count_trees(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(Tree, "__init__", counted)
     return built
+
+
+def mirror_engines(oracle: bool = False) -> dict:
+    """A verdict function per engine, the oracle only if asked, on one
+    model per transducer kind over input {p: 2, e: 0}:
+    q0(p(x1, x2)) -> f(q0[x1], q0[x2]) and q0(e) -> e."""
+    head = """
+      input { p: 2, e: 0 }
+      output { f: 2, e: 0, g: 0 }
+    """
+    m = parse_transducer("mtt mirror {" + head + """
+      state q0: 0 init
+      rule q0(p(x1, x2)) -> f(q0[x1], q0[x2])
+      rule q0(e) -> e
+    }""")
+    tm = parse_transducer("mtt mirror {" + head + """
+      tac { trans e -> s trans p(s, s) -> s }
+      state q0: 0 init
+      rule q0(p(x1, x2)) when (s, s) -> f(q0[x1], q0[x2])
+      rule q0(e) -> e
+    }""")
+    mr = parse_transducer("mrtt mirror {" + head + """
+      state q0: 0/1 init
+      rule q0(p(x1, x2)) -> let (z1) = q0[x1] in let (z2) = q0[x2] in (f(z1, z2))
+      rule q0(e) -> (e)
+    }""")
+    models = {Mtt: m, TacMtt: tm, MrMtt: mr}
+    return {name: partial(engine.decide, models[engine.kind])
+            for name, engine in ENGINES.items() if oracle or name != "oracle"}
 
 
 def call_under(k: int) -> Mtt:

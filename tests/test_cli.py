@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mttkit import cli
+from mttkit import ENGINES, MrMtt, Mtt, TacMtt, cli
 from mttkit.cli import main
 from mttkit.dsl import format_transducer, parse_transducer
 from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
@@ -205,16 +205,19 @@ def test_member_other_engines(files, capsys):
 
 def test_member_engine_model_mismatch(files, capsys):
     plain = files("double.mtt", format_transducer(double_mtt()))
-    mr = files("revpair.mrtt", format_transducer(reverse_pair_mrtt()))
+    models = {Mtt: plain,
+              TacMtt: files("eqpair.mtt", format_transducer(equal_pair_tacmtt())),
+              MrMtt: files("revpair.mrtt", format_transducer(reverse_pair_mrtt()))}
     s, t = double_instance(1)
     sf = term_file(files, "s.term", s)
     tf = term_file(files, "t.term", t)
-    assert main(["member", "--engine", "io-tac", plain, sf, tf]) == 3
-    assert "tac block" in capsys.readouterr().err
-    assert main(["member", "--engine", "mr-io", plain, sf, tf]) == 3
-    capsys.readouterr()
-    assert main(["member", "--engine", "io", mr, sf, tf]) == 3
-    capsys.readouterr()
+    pairs = [(name, engine.needs, path) for name, engine in ENGINES.items()
+             for kind, path in models.items() if kind is not engine.kind]
+    assert len(pairs) == 12
+    for name, needs, path in pairs:
+        assert main(["member", "--engine", name, path, sf, tf]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: engine {name} needs {needs}\n", (name, path)
     # det needs a deterministic transducer
     assert main(["member", "--engine", "det", plain, sf, tf]) == 3
     assert "error:" in capsys.readouterr().err
@@ -254,8 +257,10 @@ def test_member_spent_env_cap_is_unknown(files, capsys):
                  mr, sf, tf]) == 2
     out, err = capsys.readouterr()
     record = json.loads(out)
-    # the set that broke the cap
-    assert record["result"] == "unknown" and record["stats"]["max_envs"] == 2
+    # the set that broke the cap, beside the sizes the demand started on
+    assert record["result"] == "unknown" and record["stats"] == {
+        "s_size": 4, "t_size": 9, "s_dag_nodes": 4, "t_dag_nodes": 9,
+        "max_envs": 2}
     assert err == "unknown: rule q1/s: 2 environments after let 1, cap is 1\n"
     assert main(["member", "--engine", "mr-io", "--env-cap", "2", mr, sf, tf]) == 0
     capsys.readouterr()

@@ -16,6 +16,9 @@ import pytest
 
 import mttkit
 from mttkit import (
+    ENGINES,
+    NO,
+    YES,
     App,
     BudgetExceeded,
     Call,
@@ -73,6 +76,7 @@ from helpers import (
     io_output_set,
     leaf_double_mtt,
     linear_param_mtt,
+    mirror_engines,
     mixed_double_mtt,
     mutations,
     random_det_total_mtt,
@@ -531,20 +535,18 @@ def test_user_names_never_enter_generated_code():
     mr = parse_transducer(NAMES_MR)
     checked = yes = 0
     for s in all_inputs(7, m.input_alphabet):
-        runs = [(lambda s, t: member_mr_io(mr, s, t), mr.output_alphabet,
-                 _mr_output_set(mr, s))]
         out = io_output_set(m, s)
-        if out is not None:
-            runs.append((lambda s, t: member_io(m, s, t), m.output_alphabet, out))
-            runs.append((lambda s, t: member_io_tac(tm, s, t), m.output_alphabet, out))
-        for run, alphabet, out in runs:
+        runs = [("mr-io", mr, _mr_output_set(mr, s)), ("io", m, out),
+                ("io-tac", tm, out)]
+        for engine, model, out in runs:
             if out is None:
                 continue
             pool = list(out.items[:6])
             for t in out.items[:2]:
-                pool.extend(mutations(t, alphabet)[:4])
+                pool.extend(mutations(t, model.output_alphabet)[:4])
             for t in pool:
-                assert run(s, t) == (t in out)
+                assert (ENGINES[engine].decide(model, s, t)
+                        == (YES if t in out else NO))
                 checked += 1
                 yes += t in out
     assert checked > 1000 and 0 < yes < checked
@@ -796,10 +798,7 @@ def test_whole_set_binding_stays_within_the_per_reference_key_bound():
     # values; bound whole without limit, io and io-tac made 1 867 758
     # entries at d = 16
     m = choose_mtt()
-    tm = _unguarded(m)
-    engines = {"io": lambda s, t, st=None: member_io(m, s, t, st),
-               "oi-fc": lambda s, t, st=None: member_oi_fc(m, 1, s, t, st),
-               "io-tac": lambda s, t, st=None: member_io_tac(tm, s, t, st)}
+    models = {"io": m, "oi-fc": m, "io-tac": _unguarded(m)}
     checks = 0
     for d in range(1, 8):
         s, t = choose_instance(d)
@@ -809,14 +808,15 @@ def test_whole_set_binding_stays_within_the_per_reference_key_bound():
         for w in out.items[:4]:
             pool.extend(mutations(w, m.output_alphabet)[:8])
         for w in pool:
-            for run in engines.values():
-                assert run(s, w) == (w in out), (d, w)
+            for name, model in models.items():
+                assert (ENGINES[name].decide(model, s, w)
+                        == (YES if w in out else NO)), (d, w)
                 checks += 1
     assert checks > 500
     s, t = choose_instance(16)
-    for name, run in engines.items():
+    for name, model in models.items():
         stats = {}
-        assert run(s, t, stats) is False
+        assert ENGINES[name].decide(model, s, t, stats) == NO
         assert stats["entries"] <= 2 * 10 ** 5, (name, stats["entries"])
 
 
@@ -974,39 +974,6 @@ def test_shared_inputs_cost_distinct_nodes():
     assert time.perf_counter() - t0 < 10
 
 
-def _mirror_engines():
-    """A verdict function per engine, on one model per transducer kind
-    over input {p: 2, e: 0}: q0(p(x1, x2)) -> f(q0[x1], q0[x2]) and
-    q0(e) -> e."""
-    head = """
-      input { p: 2, e: 0 }
-      output { f: 2, e: 0, g: 0 }
-    """
-    m = parse_transducer("mtt mirror {" + head + """
-      state q0: 0 init
-      rule q0(p(x1, x2)) -> f(q0[x1], q0[x2])
-      rule q0(e) -> e
-    }""")
-    tm = parse_transducer("mtt mirror {" + head + """
-      tac { trans e -> s trans p(s, s) -> s }
-      state q0: 0 init
-      rule q0(p(x1, x2)) when (s, s) -> f(q0[x1], q0[x2])
-      rule q0(e) -> e
-    }""")
-    mr = parse_transducer("mrtt mirror {" + head + """
-      state q0: 0/1 init
-      rule q0(p(x1, x2)) -> let (z1) = q0[x1] in let (z2) = q0[x2] in (f(z1, z2))
-      rule q0(e) -> (e)
-    }""")
-    return {
-        "io": lambda s, t: member_io(m, s, t),
-        "oi-fc": lambda s, t: member_oi_fc(m, 1, s, t),
-        "io-tac": lambda s, t: member_io_tac(tm, s, t),
-        "mr-io": lambda s, t: member_mr_io(mr, s, t),
-        "det": lambda s, t: member_det([m], "io", s, t),
-    }
-
-
 def test_engines_check_inputs_on_their_dags(monkeypatch):
     # no engine walks a Tree to check it: each checks exactly the DAGs it
     # builds, s and t; det's one stage is decided on the core, as io is
@@ -1027,12 +994,12 @@ def test_engines_check_inputs_on_their_dags(monkeypatch):
     monkeypatch.setattr(RankedAlphabet, "check_tree", walked)
     monkeypatch.setattr(RankedAlphabet, "check_dag", counted_check)
     monkeypatch.setattr(TreeDag, "__init__", counted_init)
-    for engine, run in _mirror_engines().items():
-        for text, want in (("f(f(e,e),e)", True), ("f(e,f(e,e))", False),
-                           ("f(f(e,z),e)", False)):
+    for engine, run in mirror_engines().items():
+        for text, want in (("f(f(e,e),e)", YES), ("f(e,f(e,e))", NO),
+                           ("f(f(e,z),e)", NO)):
             built.clear()
             checked.clear()
-            assert run(parse_term("p(p(e,e),e)"), parse_term(text)) is want
+            assert run(parse_term("p(p(e,e),e)"), parse_term(text)) == want
             assert len(built) == 2 and checked == built, engine
         built.clear()
         checked.clear()
@@ -1053,15 +1020,15 @@ def test_shared_bad_node_is_checked_once():
     s, t = full("p", Tree("e")), full("f", Tree("e"))
     bad_s = full("p", Tree("z"))
     bad_t = full("f", Tree("g", (Tree("e"),)))
-    for engine, run in _mirror_engines().items():
+    for engine, run in mirror_engines().items():
         t0 = time.perf_counter()
         with pytest.raises(AlphabetMismatch, match="'z' is not declared"):
             run(bad_s, t)
         assert time.perf_counter() - t0 < 1, engine
         t0 = time.perf_counter()
-        assert run(s, bad_t) is False
+        assert run(s, bad_t) == NO
         assert time.perf_counter() - t0 < 1, engine
-        assert run(s, t) is True
+        assert run(s, t) == YES
 
 
 def test_deep_inputs():
@@ -1083,11 +1050,10 @@ def test_deep_inputs_with_calls_under_outputs(engine):
     # a call 8 output symbols deep takes no more frames per input level
     # than a call at the root: the recursion room per DAG node is fixed
     n, k = 2 * 10 ** 4, 8
-    run = {"io": member_io,
-           "oi-fc": lambda m, s, t: member_oi_fc(m, 1, s, t)}[engine]
+    decide = ENGINES[engine].decide
     m, s = call_under(k), chain(n)
-    assert run(m, s, chain(n * k, "g"))
-    assert not run(m, s, chain(n * k - 1, "g"))
+    assert decide(m, s, chain(n * k, "g")) == YES
+    assert decide(m, s, chain(n * k - 1, "g")) == NO
 
 
 DEEP_DET = """

@@ -11,19 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from mttkit import (member_det, member_io, member_io_tac, member_mr_io,
-                    member_oi_fc, parse_term, parse_transducer)
+from mttkit import ENGINES, NO, YES, parse_term, parse_transducer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-# the worker's engine table
-ENGINES = {
-    "io": lambda m, c, s, t: member_io(m, s, t),
-    "det": lambda m, c, s, t: member_det([m], "io", s, t),
-    "oi-fc": lambda m, c, s, t: member_oi_fc(m, c, s, t),
-    "io-tac": lambda m, c, s, t: member_io_tac(m, s, t),
-    "mr-io": lambda m, c, s, t: member_mr_io(m, s, t),
-}
 
 
 def _workloads():
@@ -49,8 +39,9 @@ def test_workload_verdicts_match_their_references(name, engines):
     models = {key: parse_transducer(text) for key, text in w.transducers.items()}
     wrong = []
     for q in w.queries:
-        got = ENGINES[q.engine](models[q.m], q.c, parse_term(q.s), parse_term(q.t))
-        if got is not q.want:
+        got = ENGINES[q.engine].decide(models[q.m], parse_term(q.s),
+                                       parse_term(q.t), c=q.c)
+        if got != (YES if q.want else NO):
             wrong.append((q.family, q.n, q.engine, q.want))
     assert {q.engine for q in w.queries} == engines
     assert len(w.queries) > 20 and wrong == []
