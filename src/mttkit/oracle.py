@@ -347,10 +347,9 @@ def oracle_member(m: Mtt, mode: str, s: Tree, t: Tree,
     check_input_tree(m, s)
     if stats is not None:
         stats.update(s_size=s.size, t_size=t.size)
-    if not m.output_alphabet.is_well_ranked(t):
-        return NO
     try:
-        verdict = YES if t in ev.state_set(m.initial, s) else NO
+        verdict = (YES if m.output_alphabet.is_well_ranked(t)
+                   and t in ev.state_set(m.initial, s) else NO)
     except (BudgetExceeded, RecursionError):
         verdict = UNKNOWN
     if stats is not None:

@@ -1,8 +1,10 @@
 """Builders for randomized transducers, exhaustive inputs, and output
 mutations, the enumerated copy count that declared copy bounds are
-checked against, the reference outputs of guarded transducers, and one
-small model per transducer kind under every engine; shared by the
-module tests and the acceptance suite."""
+checked against, the reference outputs of guarded transducers, a plain
+transducer as one of each other kind, one small model per transducer
+kind under every engine, and the differential check that runs engines
+against a reference; shared by the module tests, the differential gate
+and the acceptance suite."""
 
 from __future__ import annotations
 
@@ -10,10 +12,13 @@ import random
 import re
 from functools import partial
 from itertools import islice
+from typing import Callable, NamedTuple
 
 from mttkit import (
     ENGINES,
+    NO,
     OI,
+    YES,
     App,
     Budget,
     BudgetExceeded,
@@ -34,6 +39,8 @@ from mttkit import (
     Tree,
     ZVar,
     enumerate_trees,
+    format_term,
+    format_transducer,
     oracle_eval,
     parse_transducer,
 )
@@ -280,32 +287,61 @@ def count_trees(monkeypatch) -> list[int]:
     return built
 
 
+def unguarded(m: Mtt) -> TacMtt:
+    """m as a TacMtt whose rules hold everywhere, under a one-state
+    automaton over its input alphabet."""
+    alpha = m.input_alphabet
+    tac = Tac(alpha, tuple(
+        TacTransition(sym, ("p",) * alpha.rank(sym), target="p")
+        for sym in alpha))
+    rules = {key: tuple(map(TacRule, alts)) for key, alts in m.rules.items()}
+    return TacMtt(m.name, alpha, m.output_alphabet, m.states, m.initial,
+                  rules, tac)
+
+
+def as_mr(m: Mtt) -> MrMtt:
+    """m as a dimension-1 tuple transducer: nested calls become
+    consecutive single-target lets, evaluated in argument order."""
+
+    def conv(rhs, lets):
+        if isinstance(rhs, Param):
+            return rhs
+        args = tuple(conv(a, lets) for a in rhs.args)
+        if isinstance(rhs, Out):
+            return Out(rhs.sym, args)
+        lets.append(MrLet((len(lets) + 1,), rhs.state, rhs.child, args))
+        return ZVar(len(lets))
+
+    rules = {}
+    for key, alts in m.rules.items():
+        out = []
+        for rhs in alts:
+            lets: list = []
+            term = conv(rhs, lets)
+            out.append(MrRhs(tuple(lets), (term,)))
+        rules[key] = tuple(out)
+    return MrMtt(m.name, m.input_alphabet, m.output_alphabet, dict(m.states),
+                 {q: 1 for q in m.states}, m.initial, rules)
+
+
+def mirror(m: Mtt, kind: type):
+    """m as a transducer of kind, for an engine that takes that kind: m
+    itself, unguarded(m) or as_mr(m)."""
+    return m if type(m) is kind else {TacMtt: unguarded, MrMtt: as_mr}[kind](m)
+
+
 def mirror_engines(oracle: bool = False) -> dict:
     """A verdict function per engine, the oracle only if asked, on one
-    model per transducer kind over input {p: 2, e: 0}:
-    q0(p(x1, x2)) -> f(q0[x1], q0[x2]) and q0(e) -> e."""
-    head = """
+    model over input {p: 2, e: 0}, q0(p(x1, x2)) -> f(q0[x1], q0[x2]) and
+    q0(e) -> e, as the engine's kind (mirror)."""
+    m = parse_transducer("""mtt mirror {
       input { p: 2, e: 0 }
       output { f: 2, e: 0, g: 0 }
-    """
-    m = parse_transducer("mtt mirror {" + head + """
       state q0: 0 init
       rule q0(p(x1, x2)) -> f(q0[x1], q0[x2])
       rule q0(e) -> e
     }""")
-    tm = parse_transducer("mtt mirror {" + head + """
-      tac { trans e -> s trans p(s, s) -> s }
-      state q0: 0 init
-      rule q0(p(x1, x2)) when (s, s) -> f(q0[x1], q0[x2])
-      rule q0(e) -> e
-    }""")
-    mr = parse_transducer("mrtt mirror {" + head + """
-      state q0: 0/1 init
-      rule q0(p(x1, x2)) -> let (z1) = q0[x1] in let (z2) = q0[x2] in (f(z1, z2))
-      rule q0(e) -> (e)
-    }""")
-    models = {Mtt: m, TacMtt: tm, MrMtt: mr}
-    return {name: partial(engine.decide, models[engine.kind])
+    return {name: partial(engine.decide, mirror(m, engine.kind))
             for name, engine in ENGINES.items() if oracle or name != "oracle"}
 
 
@@ -375,6 +411,16 @@ def mutations(t: Tree, alphabet: RankedAlphabet) -> list[Tree]:
 
     walk(t, ())
     return out
+
+
+def candidates(outputs, alphabet: RankedAlphabet, first: int | None = None,
+               mutated: int | None = None, per: int | None = None) -> list[Tree]:
+    """The first `first` of outputs, then the first `per` mutations of
+    each of the first `mutated` of them; None takes all."""
+    pool = list(outputs[:first])
+    for t in outputs[:mutated]:
+        pool += mutations(t, alphabet)[:per]
+    return pool
 
 
 def io_output_set(m: Mtt, s: Tree, budget: Budget = HARNESS_BUDGET):
@@ -598,3 +644,59 @@ def tac_outputs(tm: TacMtt, s: Tree, budget: Budget = HARNESS_BUDGET):
     m = Mtt(tm.name, RankedAlphabet(ranks), tm.output_alphabet,
             dict(tm.states), tm.initial, rules)
     return io_output_set(m, s2, budget)
+
+
+def binds_whole(m, table: str = "io") -> bool:
+    """Whether a demand through m's engine table bound a parameter to a
+    whole argument set: the table then holds a state key (q, mask) (see
+    io_membership.demand)."""
+    return any(not isinstance(q, str) for q, _ in m._prepared.get(table, ()))
+
+
+class Tally(NamedTuple):
+    """What differential saw: the candidates checked, each by every
+    engine; how many of them the reference holds; the inputs skipped
+    because the reference ran over its budget; the models whose io
+    table bound a whole set (binds_whole); and the first mismatch, as
+    (model text, s, t, engine, verdict, reference verdict), or None."""
+    checks: int
+    yes: int
+    skipped: int
+    whole: int
+    bad: tuple | None
+
+
+def differential(models, size: int, engines: dict, reference: Callable,
+                 pool) -> Tally:
+    """Run each engine of engines, an ENGINES name mapped to its bound
+    keywords, on mirror(m, its kind) for each m of models, against
+    reference(m, s): the output set of m on s, or None when it runs over
+    budget.  The inputs s are all trees of at most size nodes over m's
+    input alphabet; the candidates are candidates(outputs, m's output
+    alphabet, *pool), pool a triple or a function of s giving one."""
+    checks = yes = skipped = whole = 0
+    bad = alpha = inputs = None
+    for m in models:
+        if m.input_alphabet != alpha:
+            alpha = m.input_alphabet
+            inputs = all_inputs(size, alpha)
+        runs = {name: partial(ENGINES[name].decide,
+                              mirror(m, ENGINES[name].kind), **bounds)
+                for name, bounds in engines.items()}
+        for s in inputs:
+            out = reference(m, s)
+            if out is None:
+                skipped += 1
+                continue
+            triple = pool(s) if callable(pool) else pool
+            for t in candidates(out.items, m.output_alphabet, *triple):
+                want = YES if t in out else NO
+                for name, run in runs.items():
+                    got = run(s, t)
+                    if got != want and bad is None:
+                        bad = (format_transducer(m), format_term(s),
+                               format_term(t), name, got, want)
+                checks += 1
+                yes += want == YES
+        whole += binds_whole(m)
+    return Tally(checks, yes, skipped, whole, bad)

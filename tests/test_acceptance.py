@@ -7,6 +7,7 @@ cover fine-grained behavior; these are the end-to-end checks.
 
 import random
 import time
+from functools import partial
 from itertools import product
 
 from mttkit import (App, Budget, Evaluator, IO, OI, Tree, enumerate_trees,
@@ -14,7 +15,7 @@ from mttkit import (App, Budget, Evaluator, IO, OI, Tree, enumerate_trees,
 from mttkit.bench import bench_family, fit_power_law
 from mttkit.families import (double_mtt, doubling_mtt, equal_pair_tacmtt,
                              reverse_pair_instance, reverse_pair_mrtt)
-from mttkit.io_membership import member_det, member_io, member_oi_fc
+from mttkit.io_membership import member_det, member_oi_fc
 from mttkit.multi_return import eval_mr_io, member_mr_io
 from mttkit.oracle import io_subst, oi_subst
 from mttkit.sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, Cnf3, build_sat_mtt,
@@ -22,9 +23,9 @@ from mttkit.sat import (DEFAULT_SAT_BUDGET, SAT, UNSAT, Cnf3, build_sat_mtt,
 from mttkit.tac import member_io_tac
 from mttkit.trees import format_term, parse_term
 
-from helpers import (OUT_ALPHA, all_inputs, estimate_copy_bound,
-                     io_output_set, leaf_double_mtt, linear_param_mtt,
-                     mixed_double_mtt, mutations, random_det_total_mtt,
+from helpers import (all_inputs, candidates, differential,
+                     estimate_copy_bound, io_output_set, leaf_double_mtt,
+                     linear_param_mtt, mixed_double_mtt, random_det_total_mtt,
                      random_mtt)
 
 
@@ -35,46 +36,21 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _mutation_pool(outputs, alphabet):
-    """Outputs plus every single-node label rewrite of each, deduplicated."""
-    pool = list(outputs)
-    seen = set(pool)
-    for t in outputs:
-        for mut in mutations(t, alphabet):
-            if mut not in seen:
-                seen.add(mut)
-                pool.append(mut)
-    return pool
-
-
 def test_criterion_1_io_engine_agrees_with_oracle(capsys):
     t0 = time.perf_counter()
     rng = random.Random(101)
     budget = Budget(max_set_size=2_000, max_tree_size=50, max_steps=300_000)
-    inputs = all_inputs(6)
     n_mtts = 200
-    checks = skipped = 0
-    bad = None
-    for i in range(n_mtts):
-        m = random_mtt(rng, f"r{i}")
-        for s in inputs:
-            out = io_output_set(m, s, budget)
-            if out is None:
-                skipped += 1
-                continue
-            members = set(out.items)
-            for t in _mutation_pool(out.items, OUT_ALPHA):
-                got = member_io(m, s, t)
-                want = t in members
-                checks += 1
-                if got != want and bad is None:
-                    bad = (m.name, format_term(s), format_term(t), got, want)
+    # every output and every one-label mutation of each
+    got = differential((random_mtt(rng, f"r{i}") for i in range(n_mtts)), 6,
+                       {"io": {}}, partial(io_output_set, budget=budget),
+                       (None, None, None))
     secs = time.perf_counter() - t0
-    ok = bad is None and checks >= 10_000 and secs <= 300
-    detail = (f"{n_mtts} transducers, all |s| <= 6, {checks} membership "
-              f"checks, {skipped} pairs skipped, {secs:.1f}s")
-    if bad is not None:
-        detail += f", first mismatch {bad}"
+    ok = got.bad is None and got.checks >= 10_000 and secs <= 300
+    detail = (f"{n_mtts} transducers, all |s| <= 6, {got.checks} membership "
+              f"checks, {got.skipped} pairs skipped, {secs:.1f}s")
+    if got.bad is not None:
+        detail += f", first mismatch {got.bad}"
     _report(capsys, 1, ok, detail)
 
 
@@ -188,8 +164,8 @@ def test_criterion_5_reverse_pair_family(capsys):
         produced = set(eval_mr_io(m, s).items)
         if produced != expected and bad is None:
             bad = f"k={k}: engine set has {len(produced)}, want 2^{k}"
-        for t in _mutation_pool(sorted(expected, key=format_term),
-                                m.output_alphabet):
+        for t in candidates(sorted(expected, key=format_term),
+                            m.output_alphabet):
             got = member_mr_io(m, s, t)
             want = t in expected
             checks += 1
@@ -207,27 +183,13 @@ def test_criterion_5_reverse_pair_family(capsys):
 def test_criterion_6_deterministic_fast_path(capsys):
     t0 = time.perf_counter()
     rng = random.Random(7)
-    inputs = all_inputs(8)
     budget = Budget(max_set_size=50, max_tree_size=60, max_steps=200_000)
     n_mtts = 50
-    checks = skipped = 0
-    bad = None
-    for i in range(n_mtts):
-        m = random_det_total_mtt(rng, f"d{i}")
-        for s in inputs:
-            out = io_output_set(m, s, budget)
-            if out is None:
-                skipped += 1
-                continue
-            (t,) = out.items
-            cands = [t] + (mutations(t, OUT_ALPHA) if s.size <= 5 else [])
-            for cand in cands:
-                a = member_det([m], IO, s, cand)
-                b = member_io(m, s, cand)
-                want = cand == t
-                checks += 1
-                if not (a == b == want) and bad is None:
-                    bad = (m.name, format_term(s), format_term(cand), a, b)
+    # the one output, and its one-label mutations on inputs up to size 5
+    got = differential(
+        (random_det_total_mtt(rng, f"d{i}") for i in range(n_mtts)), 8,
+        {"det": {}, "io": {}}, partial(io_output_set, budget=budget),
+        lambda s: (1, 1 if s.size <= 5 else 0, None))
 
     s20 = parse_term("a(" * 19 + "e" + ")" * 19)
     reject_start = time.perf_counter()
@@ -235,12 +197,13 @@ def test_criterion_6_deterministic_fast_path(capsys):
                            parse_term("f(e,e)")) is False
     reject_secs = time.perf_counter() - reject_start
     secs = time.perf_counter() - t0
-    ok = bad is None and reject_ok and checks >= 5_000 and reject_secs < 10
+    ok = (got.bad is None and reject_ok and got.checks >= 5_000
+          and reject_secs < 10)
     detail = (f"{n_mtts} deterministic total transducers, all |s| <= 8, "
-              f"{checks} checks, {skipped} pairs skipped, doubling rejects "
-              f"f(e,e) at |s|=20 in {reject_secs:.2f}s, {secs:.1f}s")
-    if bad is not None:
-        detail += f", first mismatch {bad}"
+              f"{got.checks} checks, {got.skipped} pairs skipped, doubling "
+              f"rejects f(e,e) at |s|=20 in {reject_secs:.2f}s, {secs:.1f}s")
+    if got.bad is not None:
+        detail += f", first mismatch {got.bad}"
     _report(capsys, 6, ok, detail)
 
 
@@ -259,8 +222,8 @@ def test_criterion_7_finite_copying_call_by_name(capsys):
         for s in all_inputs(6, m.input_alphabet):
             oi_set = set(
                 oracle_eval(m, OI, App(m.initial, s)).items)
-            pool = _mutation_pool(sorted(oi_set, key=format_term),
-                                  m.output_alphabet)
+            pool = candidates(sorted(oi_set, key=format_term),
+                              m.output_alphabet)
             pool += [t for t in small if t not in set(pool)]
             for t in pool:
                 got = member_oi_fc(m, c, s, t)

@@ -75,3 +75,18 @@ def test_stats_keys_do_not_depend_on_the_candidates_alphabet():
         assert keys[0] == keys[1] == keys[2] == keys[3], name
         assert stats["t_size"] == 6 and stats["t_dag_nodes"] == 4, name
         assert stats["entries"] == stats["images"] == 0, name
+
+
+def test_the_oracle_counts_its_steps_on_every_candidate():
+    # a candidate outside the output alphabet is a "no" before any step,
+    # and its stats still carry the step count
+    run = mirror_engines(oracle=True)["oracle"]
+    keys = []
+    for text, want in (("f(f(e,e),e)", YES), ("f(e,f(e,e))", NO),
+                       ("f(f(e,z),e)", NO), ("f(f(e,g(e)),e)", NO)):
+        stats = {}
+        assert run(S, parse_term(text), stats) == want
+        keys.append(list(stats))
+    assert keys[0] == keys[1] == keys[2] == keys[3] == ["s_size", "t_size",
+                                                        "steps"]
+    assert stats["steps"] == 0

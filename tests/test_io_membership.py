@@ -31,10 +31,6 @@ from mttkit import (
     Out,
     Param,
     RankedAlphabet,
-    Tac,
-    TacMtt,
-    TacRule,
-    TacTransition,
     Tree,
     ZVar,
     eval_mr_io,
@@ -73,6 +69,7 @@ from helpers import (
     all_inputs,
     call_under,
     chain,
+    differential,
     io_output_set,
     leaf_double_mtt,
     linear_param_mtt,
@@ -80,8 +77,8 @@ from helpers import (
     mixed_double_mtt,
     mutations,
     random_det_total_mtt,
-    random_mtt,
     relabel,
+    unguarded,
 )
 
 # input node 0's key: its label 0, then child j, which stands for input
@@ -702,50 +699,6 @@ def test_demand_engine_agrees_with_full_run():
             assert demanded == (t in full_set) == member_io(m, s, t)
 
 
-def test_member_io_matches_oracle_on_random_transducers():
-    rng = random.Random(99)
-    agreements = 0
-    for i in range(25):
-        m = random_mtt(rng, name=f"rand{i}")
-        for s in all_inputs(4):
-            out = io_output_set(m, s)
-            if out is None:
-                continue
-            for t in out.items[:6]:
-                assert member_io(m, s, t)
-                agreements += 1
-            for t in out.items[:2]:
-                for bad in mutations(t, m.output_alphabet)[:4]:
-                    assert member_io(m, s, bad) == (bad in out)
-                    agreements += 1
-    assert agreements > 300
-
-
-def _io_checks(m, inputs, limit=6, bad_limit=4):
-    """member_io against the call-by-value oracle on each input: on the
-    first outputs and on their one-label mutations.  The number of
-    checks made."""
-    checks = 0
-    for s in inputs:
-        out = io_output_set(m, s)
-        if out is None:
-            continue
-        for t in out.items[:limit]:
-            assert member_io(m, s, t), (m.name, s, t)
-            bads = mutations(t, m.output_alphabet)[:bad_limit]
-            for bad in bads:
-                assert member_io(m, s, bad) == (bad in out), (m.name, s, bad)
-            checks += 1 + len(bads)
-    return checks
-
-
-def _whole_keys(m):
-    """The state keys (q, mask) member_io has met on m: a whole set bound
-    to a never-copied parameter."""
-    return {key[0] for key in m._prepared.get("io", ())
-            if not isinstance(key[0], str)}
-
-
 def _lin_over_sets() -> Mtt:
     """linear_param_mtt with the arguments of its start state drawn from
     r, which yields g^k(e) for every k up to the number of a's below, so
@@ -763,34 +716,16 @@ def _lin_over_sets() -> Mtt:
 
 
 def test_whole_set_binding_agrees_with_the_oracle():
-    for m, size in ((fan_mtt(), 7), (_lin_over_sets(), 6)):
-        assert _io_checks(m, all_inputs(size, m.input_alphabet), limit=40,
-                          bad_limit=40) > 100
-        assert _whole_keys(m), m.name
-    rng = random.Random(7)
-    fired = 0
-    for i in range(300):
-        m = random_mtt(rng, name=f"rand{i}")
-        _io_checks(m, all_inputs(4))
-        fired += bool(_whole_keys(m))
-    assert fired >= 3
-    # where a parameter is copied, each of its bindings stays one reference
-    for m in (double_mtt(), leaf_double_mtt(), mixed_double_mtt()):
-        assert _io_checks(m, all_inputs(5, m.input_alphabet), limit=40,
-                          bad_limit=40) > 0
-        assert not _whole_keys(m), m.name
-
-
-def _unguarded(m: Mtt) -> TacMtt:
-    """m over a chain alphabet as a TacMtt whose rules hold everywhere,
-    under a one-state automaton."""
-    (sym,) = [a for a in m.input_alphabet if m.input_alphabet.rank(a) == 1]
-    (leaf,) = [a for a in m.input_alphabet if m.input_alphabet.rank(a) == 0]
-    tac = Tac(m.input_alphabet, (TacTransition(sym, ("p",), target="p"),
-                                 TacTransition(leaf, (), target="p")))
-    rules = {key: tuple(map(TacRule, alts)) for key, alts in m.rules.items()}
-    return TacMtt(m.name, m.input_alphabet, m.output_alphabet, m.states,
-                  m.initial, rules, tac)
+    # fan and linsets bind sets whole; where a parameter is copied, each
+    # of its bindings stays one reference.  Random models are the
+    # differential gate's io-7 row
+    for m, size, whole in ((fan_mtt(), 7, 1), (_lin_over_sets(), 6, 1),
+                           (double_mtt(), 5, 0), (leaf_double_mtt(), 5, 0),
+                           (mixed_double_mtt(), 5, 0)):
+        got = differential([m], size, {"io": {}}, io_output_set, (40, 40, 40))
+        assert got.bad is None, got.bad
+        assert got.checks > (100 if whole else 0), m.name
+        assert got.whole == whole, m.name
 
 
 def test_whole_set_binding_stays_within_the_per_reference_key_bound():
@@ -798,7 +733,7 @@ def test_whole_set_binding_stays_within_the_per_reference_key_bound():
     # values; bound whole without limit, io and io-tac made 1 867 758
     # entries at d = 16
     m = choose_mtt()
-    models = {"io": m, "oi-fc": m, "io-tac": _unguarded(m)}
+    models = {"io": m, "oi-fc": m, "io-tac": unguarded(m)}
     checks = 0
     for d in range(1, 8):
         s, t = choose_instance(d)
@@ -1224,23 +1159,6 @@ def test_images_are_pinned(n, entries, images):
     stats = {}
     assert member_io(fan_mtt(), *fan_instance(n), stats)
     assert (stats["entries"], stats["images"]) == (entries, images)
-
-
-def test_member_det_matches_member_io_on_random_det_transducers():
-    rng = random.Random(4242)
-    pairs = 0
-    for i in range(12):
-        m = random_det_total_mtt(rng, name=f"det{i}")
-        for s in all_inputs(5):
-            out = io_output_set(m, s)
-            if out is None:
-                continue
-            (t,) = out.items
-            assert member_det([m], "io", s, t) == member_io(m, s, t) == True
-            bad = mutations(t, m.output_alphabet)[0]
-            assert member_det([m], "io", s, bad) == member_io(m, s, bad)
-            pairs += 1
-    assert pairs > 50
 
 
 def _drops_a_parameter(m: Mtt) -> bool:

@@ -2,12 +2,10 @@
 
 import gc
 import random
-from dataclasses import replace
 
 import pytest
 
 from mttkit import (
-    App,
     ArityMismatch,
     BadInitialRank,
     Budget,
@@ -17,65 +15,27 @@ from mttkit import (
     MrLet,
     MrMtt,
     MrRhs,
-    Mtt,
     Out,
-    Param,
     RankedAlphabet,
     Tree,
     ZVar,
     eval_mr_io,
     eval_mr_state,
-    member_io,
     member_mr_io,
-    oracle_eval,
     parse_term,
     validate_mr,
 )
 from mttkit.families import reverse_pair_instance, reverse_pair_mrtt
 from mttkit.multi_return import _kept_after
 
-from helpers import (HARNESS_BUDGET, all_inputs, io_output_set, mutations,
-                     random_mrtt, random_mtt)
+from helpers import (HARNESS_BUDGET, all_inputs, as_mr, io_output_set,
+                     mutations, random_mrtt, random_mtt)
 
 CHAIN = RankedAlphabet({"s": 1, "z": 0})
 
 
 def _schain(k: int) -> Tree:
     return parse_term("s(" * k + "z" + ")" * k)
-
-
-def _embed(m: Mtt) -> MrMtt:
-    """A plain transducer as a dimension-1 tuple transducer: nested calls
-    become consecutive single-target lets, evaluated in argument order."""
-
-    def conv(rhs, lets, counter):
-        if isinstance(rhs, Param):
-            return rhs
-        if isinstance(rhs, Out):
-            return Out(rhs.sym, tuple(conv(a, lets, counter) for a in rhs.args))
-        args = tuple(conv(a, lets, counter) for a in rhs.args)
-        counter[0] += 1
-        lets.append(MrLet((counter[0],), rhs.state, rhs.child, args))
-        return ZVar(counter[0])
-
-    rules = {}
-    for key, alts in m.rules.items():
-        out = []
-        for rhs in alts:
-            lets: list = []
-            counter = [0]
-            term = conv(rhs, lets, counter)
-            out.append(MrRhs(tuple(lets), (term,)))
-        rules[key] = tuple(out)
-    return MrMtt(
-        name=m.name + "_mr",
-        input_alphabet=m.input_alphabet,
-        output_alphabet=m.output_alphabet,
-        ranks=dict(m.states),
-        dims={q: 1 for q in m.states},
-        initial=m.initial,
-        rules=rules,
-    )
 
 
 def test_reverse_pair_worked_example():
@@ -233,28 +193,22 @@ def test_stats_reports_environment_pressure():
 
 
 def test_dimension_one_embedding_matches_plain_engine():
+    # the embedding evaluates to the plain output sets; its membership is
+    # the differential gate's mr-io-808 row
     rng = random.Random(808)
-    checked = 0
     for i in range(12):
         m = random_mtt(rng, name=f"r{i}")
-        em = _embed(m)
+        em = as_mr(m)
         validate_mr(em)
         for s in all_inputs(4):
             out = io_output_set(m, s)
             if out is None:
                 continue
-            pool = list(out.items[:3])
-            for t in pool[:1]:
-                pool.extend(mutations(t, m.output_alphabet)[:3])
-            for t in pool:
-                assert member_mr_io(em, s, t) == member_io(m, s, t)
-                checked += 1
             try:
                 mr_set = eval_mr_io(em, s, HARNESS_BUDGET)
-            except Exception:
+            except BudgetExceeded:
                 continue
             assert mr_set == out
-    assert checked > 100
 
 
 def test_argument_evaluation_is_deterministic():
@@ -280,41 +234,15 @@ def _drops_a_z_between_lets(rhs) -> bool:
     return False
 
 
-# the pairs checked need at most 3 764 steps; mr22 on b(b(b(b(b(e)))))
-# in lets2-rank1 runs millions before it fails, so it fails here at once
-MR_BUDGET = replace(HARNESS_BUDGET, max_steps=20_000)
-
-
-@pytest.mark.parametrize("max_lets, max_rank, pairs", [
-    pytest.param(2, 1, 4569, id="lets2-rank1"),
-    pytest.param(3, 2, 4519, id="lets3-rank2"),
-])
-def test_random_mrtts_agree_with_reference_semantics(max_lets, max_rank, pairs):
-    # tuple-returning transducers of dimension <= 2, beyond what the
-    # dimension-one embedding and reverse_pair exercise; with ranks up to
-    # 2, environments hold two parameters next to the live z-variables
+def test_random_rank_two_mrtts_drop_z_variables_beside_two_parameters():
+    # the differential gate's mr-io-2024-lets3-rank2 row draws these
+    # models; in some of them an environment holds a rank-2 state's two
+    # parameters while a bound z-variable is no longer live
     rng = random.Random(2024)
-    checked = 0
-    wide = 0
-    for i in range(30):
-        m = random_mrtt(rng, name=f"mr{i}", max_lets=max_lets, max_rank=max_rank)
-        validate_mr(m)
-        wide += any(m.ranks[q] == 2 and _drops_a_z_between_lets(rhs)
-                    for (q, _), alts in m.rules.items() for rhs in alts)
-        for s in all_inputs(6):
-            try:
-                out = eval_mr_io(m, s, MR_BUDGET)
-            except BudgetExceeded:
-                continue
-            pool = list(out.items[:6])
-            for t in out.items[:2]:
-                pool.extend(mutations(t, m.output_alphabet)[:4])
-            for t in pool:
-                assert member_mr_io(m, s, t) == (t in out)
-                checked += 1
-    # exactly the pairs the reference evaluates within the budget
-    assert checked == pairs
-    assert wide > 0 or max_rank < 2
+    models = [random_mrtt(rng, max_lets=3, max_rank=2) for _ in range(30)]
+    assert any(m.ranks[q] == 2 and _drops_a_z_between_lets(rhs)
+               for m in models for (q, _), alts in m.rules.items()
+               for rhs in alts)
 
 
 def test_reverse_pair_demands_linearly_many_entries():
