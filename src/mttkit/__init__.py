@@ -17,7 +17,7 @@ from .trees import (BOTTOM, RankedAlphabet, Tree, TreeDag, build_dag,
                     enumerate_trees, format_term, parse_term, substitute,
                     term_sort_key, tree)
 from .mtt import Call, Mtt, MttClass, Out, Param, validate, walk_rhs
-from .oracle import (IO, NO, OI, UNKNOWN, YES, App, Budget, Con, TreeSet,
+from .oracle import (IO, NO, OI, UNKNOWN, YES, App, Budget, TreeSet,
                      Evaluator, check_input_tree, eval as oracle_eval,
                      io_subst, oi_subst, oracle_member, y_leaf)
 from .io_membership import member_det, member_io, member_oi_fc
@@ -42,7 +42,7 @@ __all__ = [
     "enumerate_trees", "format_term", "parse_term", "substitute",
     "term_sort_key", "tree",
     "Call", "Mtt", "MttClass", "Out", "Param", "validate", "walk_rhs",
-    "IO", "NO", "OI", "UNKNOWN", "YES", "App", "Budget", "Con", "TreeSet",
+    "IO", "NO", "OI", "UNKNOWN", "YES", "App", "Budget", "TreeSet",
     "Evaluator", "check_input_tree", "oracle_eval", "io_subst", "oi_subst",
     "oracle_member", "y_leaf",
     "member_det", "member_io", "member_oi_fc",

@@ -43,7 +43,7 @@ from types import CodeType, FunctionType
 from weakref import WeakValueDictionary
 
 from .errors import ArityMismatch, NotDeterministic, NotTotal, UnknownSymbol
-from .mtt import Call, Mtt, Out, Param, check_kind, copy_counts
+from .mtt import Call, Mtt, Out, Param, ZVar, check_kind, copy_counts
 from .oracle import IO, OI, check_input_dag
 from .trees import BOTTOM, Tree, TreeDag, build_dag, recursion_room
 
@@ -114,10 +114,11 @@ _SCOPE = {"BOTTOM": BOTTOM, "_out_refs": _out_refs}
 
 class _Program:
     """Straight-line source over the distinct subterms of some terms,
-    children first.  Each subterm but a parameter, which reads v[i] in
-    place, is evaluated once into a local t<k>, holding one reference
-    (an output node over one-reference children: one intern lookup) or
-    a set of them (a call, or an output node over a set).
+    children first.  Each subterm but a parameter y_i or a z-variable z_j,
+    which reads v[i - 1] or v[slots[j]] in place, is evaluated once into
+    a local t<k>, holding one reference (an output node over
+    one-reference children: one intern lookup) or a set of them (a call,
+    or an output node over a set).
 
     With grow (member_det's stages before its last), no value is a set:
     an output node is interned if missing, and a call unpacks its entry,
@@ -130,10 +131,11 @@ class _Program:
     that are never copied, and v[i] is a frozenset for each bit i of
     mask: the function of state key (q, mask)."""
 
-    def __init__(self, grow=False, counts=None, mask=0):
+    def __init__(self, grow=False, counts=None, mask=0, slots=None):
         self.grow = grow
         self.counts = counts
         self.mask = mask
+        self.slots = slots
         self.lines: list[str] = []
         self.consts: dict = {}
         self.values: dict = {}  # term -> (expression, is a set)
@@ -146,6 +148,8 @@ class _Program:
         if isinstance(term, Param):
             i = term.index - 1
             return f"v[{i}]", bool(self.mask >> i & 1)
+        if isinstance(term, ZVar):
+            return f"v[{self.slots[term.index]}]", False
         got = self.values.get(term)
         if got is None:
             got = self.values[term] = self._local(term)
@@ -242,12 +246,13 @@ def compile_rhs(rhss: tuple, grow: bool = False, counts: dict | None = None,
     return prog.function("v, kids, ask, dag", result)
 
 
-def compile_terms(terms: tuple):
+def compile_terms(terms: tuple, slots: dict):
     """Terms that call no state, such as multi-return let arguments and
     results, as one function f(v, t_dag): the tuple of their
     references, BOTTOM for one that is no node of the candidate
-    output.  Generated as compile_rhs's functions are."""
-    prog = _Program()
+    output.  v is an environment: y_i reads v[i - 1] and z_j reads
+    v[slots[j]].  Generated as compile_rhs's functions are."""
+    prog = _Program(slots=slots)
     return prog.function("v, dag", _tuple([prog.value(term)[0] for term in terms]))
 
 

@@ -13,12 +13,11 @@ exponentially many outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
 from types import MappingProxyType, SimpleNamespace
 
 from .errors import ArityMismatch, BadInitialRank, EnvLimitExceeded, UnknownState
 from .io_membership import _member, _table, compile_terms
-from .mtt import (Out, Param, ZVar, check_header, check_kind, check_rhs,
+from .mtt import (Param, ZVar, check_header, check_kind, check_rhs,
                   distinct_rules, freeze, walk_rhs)
 from .oracle import Budget, TreeSet, _Meter, y_leaf
 from .trees import RankedAlphabet, Tree, build_dag, substitute
@@ -224,24 +223,6 @@ def _zreads(terms) -> set[int]:
     return {u.index for term in terms for u in walk_rhs(term) if isinstance(u, ZVar)}
 
 
-def _slotted(term, rank: int, live: tuple, done: dict):
-    """term over an environment: the rank parameter references, then
-    those of the z-variables live, in ascending order.  Each z_j becomes
-    the parameter of its slot; a subterm that reads none stays as it is.
-    done keeps each distinct subterm rewritten, so shared subterms cost
-    their distinct nodes, not their paths."""
-    if isinstance(term, ZVar):
-        return Param(rank + live.index(term.index) + 1)
-    if isinstance(term, Param) or not term.args:
-        return term
-    got = done.get(term)
-    if got is None:
-        args = tuple([_slotted(a, rank, live, done) for a in term.args])
-        got = done[term] = (term if all(map(is_, args, term.args))
-                            else Out(term.sym, args))
-    return got
-
-
 def _plan(rhs: MrRhs, rank: int) -> tuple:
     """rhs as (lets, results) over environments.  A let keeps its callee,
     child i, read as kids[i] of the input node's key (see TreeDag), the
@@ -249,8 +230,9 @@ def _plan(rhs: MrRhs, rank: int) -> tuple:
     and where in that environment and the returned tuple the next one's
     slots are; results is the function of the result tuple."""
     def terms(ts, live):
-        done: dict = {}
-        return compile_terms(tuple([_slotted(u, rank, live, done) for u in ts]))
+        # an environment holds the rank parameters, then the live
+        # z-variables in ascending order
+        return compile_terms(ts, {j: rank + k for k, j in enumerate(live)})
 
     lets, live = [], ()
     for let, kept in zip(rhs.lets, _kept_after(rhs)):

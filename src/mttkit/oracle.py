@@ -109,14 +109,6 @@ class App:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Con:
-    """An output constructor over mixed terms (may contain App below)."""
-
-    sym: str
-    args: tuple = ()
-
-
 class _Meter:
     """Mutable budget accounting shared across one evaluator."""
 
@@ -296,14 +288,10 @@ class Evaluator:
         return out
 
     def eval_term(self, u) -> set[Tree]:
-        """Denotation of a term over output symbols, y-leaves, and App nodes."""
+        """Denotation of a term: a Tree denotes itself, and an App the
+        state's set on its input with its argument terms substituted."""
         if isinstance(u, Tree):
             return {u}
-        if isinstance(u, Con):
-            kid_sets = [self.eval_term(a) for a in u.args]
-            if any(not ks for ks in kid_sets):
-                return set()
-            return _products(u.sym, kid_sets, self.meter)
         if isinstance(u, App):
             arg_sets = [self.eval_term(a) for a in u.args]
             base = self.state_set(u.state, u.input)
@@ -314,8 +302,8 @@ class Evaluator:
 def eval(m: Mtt, mode: str, u, budget: Budget | None = None) -> TreeSet:
     """Enumerate the denotation of a semantic term under the given mode.
 
-    u is a Tree (denoting itself), a Con node, or an App of a state to a
-    ground input tree.
+    u is a Tree (denoting itself) or an App of a state to a ground input
+    tree, with argument terms of either kind.
     """
     return TreeSet(Evaluator(m, mode, budget).eval_term(u))
 
@@ -348,10 +336,14 @@ def oracle_member(m: Mtt, mode: str, s: Tree, t: Tree,
     if stats is not None:
         stats.update(s_size=s.size, t_size=t.size)
     try:
-        verdict = (YES if m.output_alphabet.is_well_ranked(t)
-                   and t in ev.state_set(m.initial, s) else NO)
-    except (BudgetExceeded, RecursionError):
-        verdict = UNKNOWN
+        m.output_alphabet.check_dag(build_dag(t)[0])
+    except (UnknownSymbol, ArityMismatch):
+        verdict = NO  # t is no tree over the output alphabet
+    else:
+        try:
+            verdict = YES if t in ev.state_set(m.initial, s) else NO
+        except (BudgetExceeded, RecursionError):
+            verdict = UNKNOWN
     if stats is not None:
         stats.update(steps=ev.meter.steps)
     return verdict

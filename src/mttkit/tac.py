@@ -143,15 +143,7 @@ def _describe(dag: TreeDag, v: int) -> str:
 
 def run_tac(a: Tac, dag: TreeDag, v: int) -> str:
     """The look-ahead state of the subtree at node v."""
-    dag._check(v)
-    reach = set()
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        if u not in reach:
-            reach.add(u)
-            stack.extend(dag.nodes[u][1:])
-    return _run_nodes(a, dag, sorted(reach))[v]
+    return _run_nodes(a, dag, dag.under(v))[v]
 
 
 @dataclass(frozen=True, slots=True)

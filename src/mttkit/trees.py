@@ -85,22 +85,6 @@ class RankedAlphabet:
                     f"symbol {node[0]!r} has rank {r} but {len(node) - 1} children"
                 )
 
-    def check_tree(self, t: "Tree") -> None:
-        """Raise UnknownSymbol/ArityMismatch unless t is well formed here.
-
-        Checks t's DAG, so a tree built with shared subtrees costs its
-        distinct nodes, not its paths.  As the first build_dag of a
-        parsed tree, it takes the DAG the parse built.
-        """
-        self.check_dag(build_dag(t)[0])
-
-    def is_well_ranked(self, t: "Tree") -> bool:
-        try:
-            self.check_tree(t)
-        except (UnknownSymbol, ArityMismatch):
-            return False
-        return True
-
 
 class Tree:
     """An immutable ranked tree.  Size and hash are computed once, bottom-up."""
@@ -210,7 +194,7 @@ def tree(label: str, *children: Tree) -> Tree:
     return Tree(label, children)
 
 
-def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
+def parse_term(text: str) -> Tree:
     """Parse `name` / `name(term,...,term)` text into a Tree.
 
     Rank-0 parentheses are optional: `e` and `e()` denote the same tree.
@@ -220,8 +204,8 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
     the root until the first build_dag of it takes it as is.  The root's
     children are built from the table when children or the hash is first
     read, equal subtrees as one object, so a caller that reads only size
-    and the DAG builds no other node.
-    When an alphabet is given, every distinct node is checked against it.
+    and the DAG builds no other node.  Symbols are not checked here: the
+    engines check them on the DAG (RankedAlphabet.check_dag).
 
     The text is cut in bulk by str methods.  With whitespace and the `()`
     of leaves taken out, repeated subterms are first collapsed into one
@@ -249,7 +233,7 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         # are an error
         if any(a[-1] not in "()," and b[0] not in "(),"
                for a, b in zip(words, words[1:])):
-            _parse_error(text, alphabet)
+            _parse_error(text)
         w = "".join(words)
     if "()" in w:
         # a leaf `name()` is `name`: a name must come before `()`, and a
@@ -257,26 +241,21 @@ def parse_term(text: str, alphabet: RankedAlphabet | None = None) -> Tree:
         parts = w.split("()")
         if any(not a or a[-1] in "()," or b[:1] not in ",)"
                for a, b in zip(parts, parts[1:])):
-            _parse_error(text, alphabet)
+            _parse_error(text)
         w = "".join(parts)
     size = w.count(",") + w.count(")") + 1
     nodes: dict[tuple, NodeRef] = {}
     known: dict[str, NodeRef] = {}
     w = _collapse(w, nodes, known)
     if w not in known and not _scan(w, nodes, known):
-        _parse_error(text, alphabet)
+        _parse_error(text)
     # an empty label stands where a name is missing, a ")" in one where a
     # close is followed by a name or an open, a token where a collapsed
     # term is
     found = set(map(itemgetter(0), nodes))
     joined = "".join(found)
     if "" in found or ")" in joined or _TOKEN in joined:
-        _parse_error(text, alphabet)
-    if alphabet is not None:
-        ranks = alphabet.symbols
-        for node in nodes:
-            if ranks.get(node[0]) != len(node) - 1:
-                _parse_error(text, alphabet)
+        _parse_error(text)
     return _UnbuiltTree(nodes, size)
 
 
@@ -409,10 +388,9 @@ def _scan(w: str, nodes: dict, known: dict) -> bool:
     return not (names or kids)
 
 
-def _parse_error(text: str, alphabet: RankedAlphabet | None):
+def _parse_error(text: str):
     """Raise the ParseError of text, which the scan rejected: the first
-    error a token-by-token read meets, symbols checked against alphabet
-    as their nodes are read."""
+    error a token-by-token read meets."""
 
     def fail(msg, at):
         raise ParseError.at(msg, text, at)
@@ -421,19 +399,9 @@ def _parse_error(text: str, alphabet: RankedAlphabet | None):
         # offsets are only needed here: token k is the k-th match
         fail(msg, next(islice(_TERM_TOKEN_RE.finditer(text), k, None)).start())
 
-    def check(name, arity, k):
-        if alphabet is None:
-            return
-        if name not in alphabet:
-            fail_at(f"symbol {name!r} is not declared", k)
-        r = alphabet.rank(name)
-        if r != arity:
-            fail_at(f"symbol {name!r} expects {r} children, got {arity}", k)
-
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
     tokens.append("")  # end marker; no token is empty
-    opened = []  # token index of the name of each open node
-    counts = []  # the finished children of each open node
+    depth = 0  # the open nodes
     pos = 0
     while True:
         name = tokens[pos]
@@ -442,25 +410,21 @@ def _parse_error(text: str, alphabet: RankedAlphabet | None):
         if name in _PUNCT:
             fail_at(f"expected a symbol name, got {name!r}", pos)
         if tokens[pos + 1] == "(" and tokens[pos + 2] != ")":
-            opened.append(pos)
-            counts.append(0)
+            depth += 1
             pos += 2
             continue
-        check(name, 0, pos)
         pos += 3 if tokens[pos + 1] == "(" else 1
         # close the finished node's parents as far as possible
-        while opened:
+        while depth:
             sep = tokens[pos]
             pos += 1
             if sep == ",":
-                counts[-1] += 1
                 break
             if sep != ")":
                 if not sep:
                     fail("unexpected end of input", len(text))
                 fail_at(f"expected ',' or ')', got {sep!r}", pos - 1)
-            k = opened.pop()
-            check(tokens[k], counts.pop() + 1, k)
+            depth -= 1
         else:
             break
     if tokens[pos]:
@@ -577,19 +541,25 @@ class TreeDag:
         if not 0 <= v < len(self.nodes):
             raise BottomAccess(f"node reference {v} is not in this DAG")
 
-    def below(self, v: NodeRef) -> "TreeDag":
-        """The minimal DAG of the tree rooted at a node: the nodes under
-        it, renumbered children first, so v becomes the root."""
+    def under(self, v: NodeRef) -> list[NodeRef]:
+        """The nodes of the tree rooted at a node, v among them, in
+        ascending order, so children come first."""
         self._check(v)
         nodes = self.nodes
-        under = {v}
+        seen = {v}
         stack = [v]
         while stack:
             for c in nodes[stack.pop()][1:]:
-                if c not in under:
-                    under.add(c)
+                if c not in seen:
+                    seen.add(c)
                     stack.append(c)
-        order = sorted(under)
+        return sorted(seen)
+
+    def below(self, v: NodeRef) -> "TreeDag":
+        """The minimal DAG of the tree rooted at a node: the nodes under
+        it, renumbered children first, so v becomes the root."""
+        nodes = self.nodes
+        order = self.under(v)
         new = dict(zip(order, range(len(order))))
         return TreeDag({(node[0], *map(new.__getitem__, node[1:])): ref
                         for ref, node in enumerate(map(nodes.__getitem__, order))})

@@ -194,24 +194,16 @@ _BAD_CHAR_RE = re.compile(r"[^A-Za-z0-9_(),\s]|(?<![A-Za-z0-9_])[0-9]")
 _NAME_PUNCT = str.maketrans("", "", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_(),")
 
 
-def reference_parse(text: str, alphabet: RankedAlphabet | None = None):
+def reference_parse(text: str):
     """The labels, child refs and size parse_term gives text, read one
     token at a time, or the ParseError it raises: a reference for the
-    bulk scan, checking each distinct node against alphabet when it is
-    found."""
+    bulk scan."""
 
     def fail(msg, at):
         raise ParseError.at(msg, text, at)
 
     def fail_at(msg, k):
         fail(msg, next(islice(_TERM_TOKEN_RE.finditer(text), k, None)).start())
-
-    def check(name, arity, k):
-        if name not in alphabet:
-            fail_at(f"symbol {name!r} is not declared", k)
-        r = alphabet.rank(name)
-        if r != arity:
-            fail_at(f"symbol {name!r} expects {r} children, got {arity}", k)
 
     if text.translate(_NAME_PUNCT).strip():
         bad = _BAD_CHAR_RE.search(text)
@@ -236,8 +228,6 @@ def reference_parse(text: str, alphabet: RankedAlphabet | None = None):
             continue
         ref = leaves.get(name)
         if ref is None:
-            if alphabet is not None:
-                check(name, 0, pos)
             ref = leaves[name] = len(labels)
             labels.append(name)
             dag_kids.append(())
@@ -260,8 +250,6 @@ def reference_parse(text: str, alphabet: RankedAlphabet | None = None):
             key = (tokens[k], child_refs)
             ref = inner.get(key)
             if ref is None:
-                if alphabet is not None:
-                    check(tokens[k], len(child_refs), k)
                 ref = inner[key] = len(labels)
                 labels.append(tokens[k])
                 dag_kids.append(child_refs)
@@ -667,13 +655,15 @@ class Tally(NamedTuple):
 
 
 def differential(models, size: int, engines: dict, reference: Callable,
-                 pool) -> Tally:
+                 pool, source: Callable | None = None) -> Tally:
     """Run each engine of engines, an ENGINES name mapped to its bound
     keywords, on mirror(m, its kind) for each m of models, against
     reference(m, s): the output set of m on s, or None when it runs over
     budget.  The inputs s are all trees of at most size nodes over m's
     input alphabet; the candidates are candidates(outputs, m's output
-    alphabet, *pool), pool a triple or a function of s giving one."""
+    alphabet, *pool), pool a triple or a function of s giving one, and
+    outputs the reference's output set, or source(m, s)'s when source is
+    given; an input on which either runs over budget is skipped."""
     checks = yes = skipped = whole = 0
     bad = alpha = inputs = None
     for m in models:
@@ -685,11 +675,12 @@ def differential(models, size: int, engines: dict, reference: Callable,
                 for name, bounds in engines.items()}
         for s in inputs:
             out = reference(m, s)
-            if out is None:
+            drawn = out if source is None else source(m, s)
+            if out is None or drawn is None:
                 skipped += 1
                 continue
             triple = pool(s) if callable(pool) else pool
-            for t in candidates(out.items, m.output_alphabet, *triple):
+            for t in candidates(drawn.items, m.output_alphabet, *triple):
                 want = YES if t in out else NO
                 for name, run in runs.items():
                     got = run(s, t)

@@ -57,14 +57,14 @@ def test_criterion_1_io_engine_agrees_with_oracle(capsys):
 def test_criterion_2_double_family_counts(capsys):
     t0 = time.perf_counter()
     m = double_mtt()
-    s1 = parse_term("a(e)", m.input_alphabet)
-    s2 = parse_term("a(a(e))", m.input_alphabet)
+    s1 = parse_term("a(e)")
+    s2 = parse_term("a(a(e))")
     io1 = oracle_eval(m, IO, App(m.initial, s1))
     io2 = oracle_eval(m, IO, App(m.initial, s2))
     oi1 = oracle_eval(m, OI, App(m.initial, s1))
     counts = (len(io1), len(io2), len(oi1))
 
-    L = [parse_term(x, None) for x in ("f(y1,y1)", "g(y1,y1)")]
+    L = [parse_term(x) for x in ("f(y1,y1)", "g(y1,y1)")]
     io_listing = [format_term(t) for t in io_subst(L, [set(L)])]
     oi_listing = [format_term(t) for t in oi_subst(L, [set(L)])]
     listings_ok = io_listing == [
@@ -129,7 +129,7 @@ def test_criterion_4_equality_lookahead_domain(capsys):
     t0 = time.perf_counter()
     tm = equal_pair_tacmtt()
     chains = [parse_term("a(" * i + "e" + ")" * i) for i in range(8)]
-    out = parse_term("e", tm.output_alphabet)
+    out = parse_term("e")
     count = 0
     bad = None
     for l in chains:

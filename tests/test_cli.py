@@ -185,7 +185,7 @@ def test_member_other_engines(files, capsys):
         capsys.readouterr()
 
     tac = files("eqpair.mtt", format_transducer(equal_pair_tacmtt()))
-    pair = parse_term("pi(a(e),a(e))", equal_pair_tacmtt().input_alphabet)
+    pair = parse_term("pi(a(e),a(e))")
     sf2 = term_file(files, "pair.term", pair)
     tf2 = term_file(files, "out.term", parse_term("e"))
     assert main(["member", "--engine", "io-tac", tac, sf2, tf2]) == 0

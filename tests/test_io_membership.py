@@ -131,30 +131,30 @@ def _root_entry(m, s, t_dag):
 
 
 def test_eval_f_parameter_returns_its_ref():
-    dag, root = build_dag(parse_term("f(e,e)", None))
+    dag, root = build_dag(parse_term("f(e,e)"))
     v = dag.intern[("e",)]
     assert _eval_on(Param(1), (v,), dag) == {v}
 
 
 def test_eval_f_leaf_symbol_matches_its_own_node():
-    dag, _ = build_dag(parse_term("f(e,e)", None))
+    dag, _ = build_dag(parse_term("f(e,e)"))
     v_e = dag.intern[("e",)]
     assert _eval_on(Out("e"), (), dag) == {v_e}
 
 
 def test_eval_f_constructor_hit_and_miss():
     rhs = Out("f", (Param(1), Param(1)))
-    dag, root = build_dag(parse_term("f(e,e)", None))
+    dag, root = build_dag(parse_term("f(e,e)"))
     v_e = dag.intern[("e",)]
     assert _eval_on(rhs, (v_e,), dag) == {root}
 
-    dag2, _ = build_dag(parse_term("f(e,g(e))", None))
+    dag2, _ = build_dag(parse_term("f(e,g(e))"))
     v_e2 = dag2.intern[("e",)]
     assert _eval_on(rhs, (v_e2,), dag2) == {BOTTOM}
 
 
 def test_eval_f_state_call_joins_child_entries():
-    dag, root = build_dag(parse_term("f(e,e)", None))
+    dag, root = build_dag(parse_term("f(e,e)"))
     v_e = dag.intern[("e",)]
     child = {(1, "q", (v_e,)): {root}}
     got = _eval_on(Call("q", 1, (Out("e"),)), (), dag, child)
@@ -162,7 +162,7 @@ def test_eval_f_state_call_joins_child_entries():
 
 
 def test_eval_f_is_monotone_in_child_entries():
-    dag, root = build_dag(parse_term("f(e,g(e))", None))
+    dag, root = build_dag(parse_term("f(e,g(e))"))
     v_e = dag.intern[("e",)]
     v_g = dag.intern["g", v_e]
     rhs = Out("f", (Call("q", 1, ()), Call("q", 1, ())))
@@ -172,7 +172,7 @@ def test_eval_f_is_monotone_in_child_entries():
 
 
 def test_eval_f_bottom_parameter_reaches_calls_and_outputs():
-    dag, _ = build_dag(parse_term("f(e,g(e))", None))
+    dag, _ = build_dag(parse_term("f(e,g(e))"))
     v_e = dag.intern[("e",)]
     # g(y1) with y1 bound to BOTTOM is no node of t, whatever t holds
     assert _eval_on(Out("g", (Param(1),)), (BOTTOM,), dag) == {BOTTOM}
@@ -184,7 +184,7 @@ def test_eval_f_bottom_parameter_reaches_calls_and_outputs():
 
 
 def test_eval_f_symbol_without_a_node_in_t_is_bottom():
-    dag, _ = build_dag(parse_term("f(e,e)", None))
+    dag, _ = build_dag(parse_term("f(e,e)"))
     v_e = dag.intern[("e",)]
     assert _eval_on(Out("h", (Param(1),)), (v_e,), dag) == {BOTTOM}
     # over a call's set: the pigeonhole branch, no h-node to scan
@@ -195,7 +195,7 @@ def test_eval_f_symbol_without_a_node_in_t_is_bottom():
 
 
 def test_eval_f_call_with_scalar_and_set_arguments():
-    dag, root = build_dag(parse_term("f(e,g(e))", None))
+    dag, root = build_dag(parse_term("f(e,g(e))"))
     v_e = dag.intern[("e",)]
     v_g = dag.intern["g", v_e]
     child = {(2, "q", ()): {v_e, v_g}, (1, "p", (v_g, v_e)): {root},
@@ -247,7 +247,7 @@ def test_ask_all_n_drops_bottom_from_argument_sets():
     # under call-by-value, and a caller drops it: here the function of a
     # masked key, where each occurrence of the parameter picks its own
     # node of the set, and f(e,e) is the one node of t
-    dag, root = build_dag(parse_term("f(e,e)", None))
+    dag, root = build_dag(parse_term("f(e,e)"))
     v_e = dag.intern[("e",)]
     rhs = Out("f", (Param(1), Param(1)))
     both = frozenset({v_e, root})
@@ -633,7 +633,7 @@ def test_member_io_input_checked_output_forgiven():
         member_io(m, parse_term("zz"), parse_term("e"))
     # a candidate outside the output alphabet is simply not producible
     assert member_io(m, parse_term("a(e)"), parse_term("a(e)")) is False
-    assert member_io(m, parse_term("a(e)"), parse_term("zz", None)) is False
+    assert member_io(m, parse_term("a(e)"), parse_term("zz")) is False
 
 
 def test_member_io_stats_and_entry_bound():
@@ -910,11 +910,8 @@ def test_shared_inputs_cost_distinct_nodes():
 
 
 def test_engines_check_inputs_on_their_dags(monkeypatch):
-    # no engine walks a Tree to check it: each checks exactly the DAGs it
-    # builds, s and t; det's one stage is decided on the core, as io is
-    def walked(self, t):
-        raise AssertionError("check_tree called")
-
+    # each engine checks exactly the DAGs it builds, s and t; det's one
+    # stage is decided on the core, as io is
     built, checked = [], []
     init, check_dag = TreeDag.__init__, RankedAlphabet.check_dag
 
@@ -926,7 +923,6 @@ def test_engines_check_inputs_on_their_dags(monkeypatch):
         checked.append(dag)
         check_dag(self, dag)
 
-    monkeypatch.setattr(RankedAlphabet, "check_tree", walked)
     monkeypatch.setattr(RankedAlphabet, "check_dag", counted_check)
     monkeypatch.setattr(TreeDag, "__init__", counted_init)
     for engine, run in mirror_engines().items():

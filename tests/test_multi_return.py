@@ -110,8 +110,8 @@ def test_discarded_binding_still_needs_a_witness():
         },
     )
     validate_mr(m)
-    assert member_mr_io(m, parse_term("z", CHAIN), parse_term("c", None))
-    assert not member_mr_io(m, _schain(1), parse_term("c", None))
+    assert member_mr_io(m, parse_term("z"), parse_term("c"))
+    assert not member_mr_io(m, _schain(1), parse_term("c"))
     assert len(eval_mr_io(m, _schain(1))) == 0
 
 

@@ -52,7 +52,7 @@ def test_copy_bound_must_be_positive():
         member_oi_fc(m, True, s, t)
     with pytest.raises(AlphabetMismatch):
         member_oi_fc(m, 1, parse_term("zz"), t)
-    assert member_oi_fc(m, 1, s, parse_term("zz", None)) is False
+    assert member_oi_fc(m, 1, s, parse_term("zz")) is False
 
 
 def test_copyfree_family_matches_oracle():

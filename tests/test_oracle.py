@@ -9,7 +9,6 @@ from mttkit import (
     ArityMismatch,
     Budget,
     BudgetExceeded,
-    Con,
     Evaluator,
     NO,
     TreeSet,
@@ -28,7 +27,7 @@ from mttkit.families import (copyfree_instance, copyfree_mtt, double_mtt,
 
 from helpers import all_inputs, random_mtt
 
-L = [parse_term(x, None) for x in ("f(y1,y1)", "g(y1,y1)")]
+L = [parse_term(x) for x in ("f(y1,y1)", "g(y1,y1)")]
 
 
 def _texts(ts):
@@ -50,12 +49,12 @@ def test_oi_substitution_of_l_into_l_lists_eight_trees():
     assert len(got) == 8
     # the four uniform trees plus every mixed-children combination
     assert set(got.items) > set(io_subst(L, [set(L)]).items)
-    assert parse_term("f(f(y1,y1),g(y1,y1))", None) in got
-    assert parse_term("g(g(y1,y1),f(y1,y1))", None) in got
+    assert parse_term("f(f(y1,y1),g(y1,y1))") in got
+    assert parse_term("g(g(y1,y1),f(y1,y1))") in got
 
 
 def test_substitution_without_parameters_is_identity():
-    t = parse_term("f(e,e)", None)
+    t = parse_term("f(e,e)")
     assert io_subst(t, []) == {t}
     assert oi_subst(t, []) == {t}
 
@@ -65,15 +64,15 @@ def test_io_substitution_is_strict_oi_is_not():
     # y1 never occurs in t, yet call-by-value demands a value for it
     assert len(io_subst(t, [set()])) == 0
     assert oi_subst(t, [set()]) == {t}
-    dead = parse_term("f(c,y1)", None)
+    dead = parse_term("f(c,y1)")
     assert len(oi_subst(dead, [set()])) == 0
 
 
 def test_substitution_rejects_out_of_range_parameters():
     with pytest.raises(ArityMismatch):
-        io_subst(parse_term("y2", None), [{parse_term("c")}])
+        io_subst(parse_term("y2"), [{parse_term("c")}])
     with pytest.raises(ArityMismatch):
-        oi_subst(parse_term("y2", None), [{parse_term("c")}])
+        oi_subst(parse_term("y2"), [{parse_term("c")}])
 
 
 def test_double_family_output_counts():
@@ -87,16 +86,9 @@ def test_double_family_output_counts():
 
 def test_parameter_leaf_denotes_itself():
     m = double_mtt()
-    y1 = parse_term("y1", None)
+    y1 = parse_term("y1")
     assert oracle_eval(m, "io", y1) == {y1}
     assert oracle_eval(m, "oi", y1) == {y1}
-
-
-def test_eval_handles_constructor_terms():
-    m = double_mtt()
-    e = parse_term("e")
-    got = oracle_eval(m, "io", Con("f", (e, App("double", e, (e,)))))
-    assert got == {parse_term("f(e,f(e,e))"), parse_term("f(e,g(e,e))")}
 
 
 def test_oracle_member_verdicts_on_double():
@@ -115,7 +107,6 @@ def test_oracle_member_rejects_bad_trees():
     with pytest.raises(AlphabetMismatch):
         oracle_member(m, "io", parse_term("zz"), parse_term("e"))
     assert oracle_member(m, "io", parse_term("a(e)"), parse_term("a(e)")) == NO
-
 
 def test_oracle_member_unknown_on_tiny_budget():
     m = double_mtt()
@@ -186,10 +177,10 @@ def test_evaluator_memoization_matches_fresh_runs():
 
 
 def test_treeset_lists_in_canonical_order():
-    ts = TreeSet(parse_term(x, None) for x in ("g(e)", "e", "c", "f(e,e)"))
+    ts = TreeSet(parse_term(x) for x in ("g(e)", "e", "c", "f(e,e)"))
     assert _texts(ts) == ["c", "e", "g(e)", "f(e,e)"]
-    assert ts == {parse_term(x, None) for x in ("c", "e", "g(e)", "f(e,e)")}
-    assert parse_term("g(e)", None) in ts
+    assert ts == {parse_term(x) for x in ("c", "e", "g(e)", "f(e,e)")}
+    assert parse_term("g(e)") in ts
 
 
 def test_budget_rejects_nonpositive_bounds():

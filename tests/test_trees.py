@@ -67,27 +67,22 @@ def test_tree_size_and_equality():
 
 
 def test_check_tree_catches_arity_and_symbol_errors():
-    assert ABE.is_well_ranked(parse_term("a(e,e)"))
-    assert not ABE.is_well_ranked(parse_term("a(e)"))
-    assert not ABE.is_well_ranked(parse_term("z"))
-    with pytest.raises(ArityMismatch):
-        ABE.check_tree(parse_term("b(e,e)"))
-    with pytest.raises(UnknownSymbol):
-        ABE.check_tree(parse_term("q(e)"))
+    # the one alphabet check reads a tree's DAG
+    ABE.check_dag(build_dag(parse_term("a(e,e)"))[0])
+    for text, error in [("a(e)", ArityMismatch), ("z", UnknownSymbol),
+                        ("b(e,e)", ArityMismatch), ("q(e)", UnknownSymbol)]:
+        with pytest.raises(error):
+            ABE.check_dag(build_dag(parse_term(text))[0])
 
 
-def test_parse_term_positions_and_alphabet():
+def test_parse_term_positions():
     with pytest.raises(ParseError) as exc:
-        parse_term("f(e", None)
+        parse_term("f(e")
     assert "column" in str(exc.value)
     with pytest.raises(ParseError):
         parse_term("f(e,e) extra")
     with pytest.raises(ParseError):
         parse_term("")
-    # alphabet-checked parses report position of the offending symbol
-    with pytest.raises(ParseError) as exc:
-        parse_term("a(e,q)", ABE)
-    assert "q" in str(exc.value)
 
 
 @pytest.mark.parametrize("text, message, line, column", [
@@ -106,14 +101,6 @@ def test_parse_term_error_positions(text, message, line, column):
         parse_term(text)
     assert str(exc.value) == f"{message} (line {line}, column {column})"
     assert (exc.value.line, exc.value.column) == (line, column)
-
-
-def test_parse_term_alphabet_errors_point_at_the_symbol():
-    with pytest.raises(ParseError) as exc:
-        parse_term("a(b(q),\nb(q))", ABE)  # the first q is checked
-    assert (exc.value.line, exc.value.column) == (1, 5)
-    with pytest.raises(ParseError, match="expects 2 children, got 1"):
-        parse_term("b(a(e))", ABE)
 
 
 def test_parse_term_skips_unicode_whitespace():
@@ -153,16 +140,15 @@ def _spaced_text(rng, t):
 
 def test_parse_of_spaced_text_matches_the_walked_dag():
     rng = random.Random(17)
-    alphabet = RankedAlphabet(_RANKS)
     for _ in range(400):
         t = _random_tree(rng, rng.randint(0, 5))
         text = _spaced_text(rng, t)
-        for parsed in (parse_term(text), parse_term(text, alphabet)):
-            assert (parsed.label, parsed.size) == (t.label, t.size), text
-            # the same intern table as the text without whitespace or e()
-            # leaves
-            assert parsed._dag == parse_term(format_term(t))._dag, text
-            _same_dag(build_dag(parsed)[0], build_dag(t)[0], t)
+        parsed = parse_term(text)
+        assert (parsed.label, parsed.size) == (t.label, t.size), text
+        # the same intern table as the text without whitespace or e()
+        # leaves
+        assert parsed._dag == parse_term(format_term(t))._dag, text
+        _same_dag(build_dag(parsed)[0], build_dag(t)[0], t)
 
 
 def test_bad_characters_are_reported_where_they_stand():
@@ -194,7 +180,6 @@ def test_valid_digit_free_text_is_parsed_without_regular_expressions(monkeypatch
              .replace("g2", "g") for _ in range(50)]
     texts += ["b(" * 300 + "e" + ")" * 300, " g(\n" * 300 + "e( )" + ") " * 300,
               "a(b(c()),_f(e(),g(c),e))"]
-    alphabet = RankedAlphabet({"e": 0, "c": 0, "b": 1, "g": 1, "a": 2, "_f": 3})
     want = [parse_term(text)._dag for text in texts]
     patterns = [name for name, value in vars(trees).items()
                 if isinstance(value, re.Pattern)]
@@ -202,7 +187,7 @@ def test_valid_digit_free_text_is_parsed_without_regular_expressions(monkeypatch
     for name in patterns:
         monkeypatch.setattr(trees, name, _NoRegex())
     for text, dag in zip(texts, want):
-        assert parse_term(text)._dag == parse_term(text, alphabet)._dag == dag
+        assert parse_term(text)._dag == dag
 
 
 def test_digits_that_continue_names_need_no_regular_expression(monkeypatch):
@@ -252,11 +237,11 @@ _WORDS = ["e", "c_1", "g2", "_f", "a", "b", "(", ")", ",", "()", " ", "\t",
           "\u2028", "\u00a0", "\x85", "7", "$"]
 
 
-def _outcome(parse, text, alphabet):
+def _outcome(parse, text):
     """What parse makes of text: the DAG's nodes, size and root label,
     or the error's message, line and column."""
     try:
-        got = parse(text, alphabet)
+        got = parse(text)
     except ParseError as exc:
         return str(exc), exc.line, exc.column
     if isinstance(got, tuple):
@@ -315,27 +300,19 @@ def _edited(rng, text):
 
 def test_parse_matches_the_token_by_token_reference():
     rng = random.Random(31)
-    alphabet = RankedAlphabet(_RANKS)
     texts = ["".join(rng.choices(_WORDS, k=rng.randint(0, 12)))
              for _ in range(10_000)]
     texts += [_edited(rng, _spaced_text(rng, _random_tree(rng, rng.randint(0, 3))))
               for _ in range(10_000)]
     for text in texts:
-        for given_alphabet in (None, alphabet):
-            assert (_outcome(parse_term, text, given_alphabet)
-                    == _outcome(reference_parse, text, given_alphabet)), text
+        assert _outcome(parse_term, text) == _outcome(reference_parse, text), text
     # a collapse that replaced more than whole subterms, or turned a
     # token into a label, would accept these or misnumber their DAG
     for text in ("f(a(e),ba(e))", "a(e)(e)", "a(e)b(e)", "b(e),b(e)", "b(b(e)))"):
-        for given_alphabet in (None, alphabet):
-            assert (_outcome(parse_term, text, given_alphabet)
-                    == _outcome(reference_parse, text, given_alphabet)), text
-    shapes_alphabet = RankedAlphabet({"a": 1, "b": 1, "e": 0, "c": 0, "d": 0,
-                                      "pi": 2, "f": 2})
+        assert _outcome(parse_term, text) == _outcome(reference_parse, text), text
     for text in _large_shapes():
-        for given_alphabet in (None, shapes_alphabet, alphabet):
-            assert (_outcome(parse_term, text, given_alphabet)
-                    == _outcome(reference_parse, text, given_alphabet)), text[:40]
+        assert (_outcome(parse_term, text)
+                == _outcome(reference_parse, text)), text[:40]
 
 
 def test_repeated_subterms_collapse_before_the_scan(monkeypatch):
@@ -406,10 +383,9 @@ def test_shared_trees_are_walked_once():
     assert full(40) == full(40)
     assert full(40) != bottom_right(40, "c")
     assert bottom_right(40, "e") == full(40)
-    assert fe.is_well_ranked(full(40))
-    assert not fe.is_well_ranked(bottom_right(40, "c"))
+    fe.check_dag(build_dag(full(40))[0])
     with pytest.raises(UnknownSymbol, match="'c'"):
-        fe.check_tree(bottom_right(40, "c"))
+        fe.check_dag(build_dag(bottom_right(40, "c"))[0])
 
 
 def test_parse_format_round_trip_examples():
@@ -425,15 +401,15 @@ def test_parse_format_round_trip_property(t):
 
 
 def test_substitute_replaces_leaves():
-    t = parse_term("f(y1,g(y2))", None)
+    t = parse_term("f(y1,g(y2))")
     out = substitute(t, {"y1": parse_term("e"), "y2": parse_term("c")})
-    assert out == parse_term("f(e,g(c))", None)
+    assert out == parse_term("f(e,g(c))")
     # untouched names stay
-    assert substitute(t, {"y1": parse_term("e")}) == parse_term("f(e,g(y2))", None)
+    assert substitute(t, {"y1": parse_term("e")}) == parse_term("f(e,g(y2))")
 
 
 def test_dag_shares_equal_subtrees():
-    t = parse_term("f(g(e),g(e))", None)
+    t = parse_term("f(g(e),g(e))")
     dag, root = build_dag(t)
     assert dag.node_count() == 3
     assert t.size == 5
@@ -449,22 +425,22 @@ def _ref(dag, t):
 
 
 def test_dag_intern_is_injective_on_trees():
-    dag, _ = build_dag(parse_term("f(g(e),g(e))", None))
-    r1 = _ref(dag, parse_term("g(e)", None))
-    r2 = _ref(dag, parse_term("g(e)", None))
+    dag, _ = build_dag(parse_term("f(g(e),g(e))"))
+    r1 = _ref(dag, parse_term("g(e)"))
+    r2 = _ref(dag, parse_term("g(e)"))
     r3 = _ref(dag, parse_term("e"))
     assert r1 == r2
     assert r1 != r3
-    assert dag.expand(r1) == parse_term("g(e)", None)
+    assert dag.expand(r1) == parse_term("g(e)")
 
 
 def test_dag_lookup_misses_give_bottom():
-    dag, _ = build_dag(parse_term("f(g(e),g(e))", None))
+    dag, _ = build_dag(parse_term("f(g(e),g(e))"))
     e_ref = dag.intern[("e",)]
     assert dag.intern.get(("g", e_ref), BOTTOM) >= 0
     assert dag.intern.get(("f", e_ref, e_ref), BOTTOM) == BOTTOM
     assert dag.intern.get(("zzz",), BOTTOM) == BOTTOM
-    assert _ref(dag, parse_term("f(e,e)", None)) == BOTTOM
+    assert _ref(dag, parse_term("f(e,e)")) == BOTTOM
     # looking under bottom is a bug, not a miss
     with pytest.raises(BottomAccess):
         dag.expand(BOTTOM)
@@ -473,13 +449,13 @@ def test_dag_lookup_misses_give_bottom():
 
 
 def test_dag_nodes_by_label():
-    dag, root = build_dag(parse_term("f(g(e),g(e))", None))
+    dag, root = build_dag(parse_term("f(g(e),g(e))"))
     by = dag.by_label
     assert set(by) == {"e", "f", "g"}
     assert by["f"] == [root]
     assert len(by["g"]) == 1
     # the index grows as nodes are interned, each node under its label once
-    dag2, root2 = build_dag(parse_term("f(g(e),f(e,g(g(e))))", None))
+    dag2, root2 = build_dag(parse_term("f(g(e),f(e,g(g(e))))"))
     assert sorted(v for vs in dag2.by_label.values() for v in vs) \
         == list(range(dag2.node_count()))
     assert all(dag2.nodes[v][0] == label
@@ -546,7 +522,7 @@ def test_parsed_dag_matches_walked_dag():
 
 def test_parse_hands_its_dag_to_the_first_build_only():
     # the parse numbers in left-to-right post-order, and so does a walk
-    t = parse_term("f(a,b)", None)
+    t = parse_term("f(a,b)")
     dag, root = build_dag(t)
     assert (dag.nodes, root) == ([("a",), ("b",), ("f", 0, 1)], 2)
     assert dag.intern == {("a",): 0, ("b",): 1, ("f", 0, 1): 2}
@@ -555,7 +531,7 @@ def test_parse_hands_its_dag_to_the_first_build_only():
     again, again_root = build_dag(t)
     assert again is not dag and again.intern is not dag.intern
     _same_dag(dag, again, t)
-    shared = parse_term("f(g(e),g(e))", None)
+    shared = parse_term("f(g(e),g(e))")
     first, second = build_dag(shared)[0], build_dag(shared)[0]
     assert first.intern is not second.intern
     _same_dag(first, second, shared)
@@ -635,12 +611,11 @@ def test_failed_parse_attaches_nothing():
     before = _holding_a_dag()
     # the last two fail after the whole DAG is built; while the error
     # lives, its traceback keeps the parse's intern table alive
-    for text, alphabet in [("a(e,q)", ABE), ("f(e", None),
-                           ("f(a,b) extra", None), ("f(a,b))", None)]:
+    for text in ["f(e", "f(a,b) extra", "f(a,b))"]:
         with pytest.raises(ParseError) as exc:
-            parse_term(text, alphabet)
+            parse_term(text)
         assert _holding_a_dag().keys() <= before.keys(), exc.value
-    kept = parse_term("f(a,b)", None)
+    kept = parse_term("f(a,b)")
     assert _holding_a_dag().keys() - before.keys() == {id(kept)}
     build_dag(kept)
     assert _holding_a_dag().keys() <= before.keys()
@@ -723,6 +698,6 @@ def test_enumerate_trees_by_size_counts():
 
 
 def test_term_sort_key_orders_by_size_then_text():
-    ts = [parse_term(x, None) for x in ("g(e)", "e", "f(e,e)", "c")]
+    ts = [parse_term(x) for x in ("g(e)", "e", "f(e,e)", "c")]
     ordered = sorted(ts, key=term_sort_key)
     assert [format_term(t) for t in ordered] == ["c", "e", "g(e)", "f(e,e)"]
