@@ -30,8 +30,8 @@ reference, whole, or to its subsets of at most c nodes (call-by-name,
 copy bound c).  An output node over sets has an image, the set of
 candidate-output nodes it can be, computed once per candidate DAG
 (_out_refs).
-member_det's stages before its last run on demand too, with functions
-that grow the stage's output DAG (_det_output).
+member_det's stages before its last run on that table too, over an
+output DAG whose intern lookups add the nodes they miss (_det_output).
 """
 
 from __future__ import annotations
@@ -65,8 +65,7 @@ def _out_refs(sym: str, kid_sets, dag: TreeDag) -> frozenset:
     sets of one reference each is one intern lookup.  Any other is
     computed once per candidate DAG (_image) and kept in dag.images
     under (sym, *kid_sets): it depends on sym, the sets and the DAG
-    alone, and no DAG grows while a demand reads its images, since the
-    functions that grow one (_det_output's) make no call here.
+    alone, and no DAG that grows (_det_output's) meets a set of two.
     """
     wide = False
     for ks in kid_sets:
@@ -120,10 +119,6 @@ class _Program:
     one-reference children: one intern lookup) or a set of them (a call,
     or an output node over a set).
 
-    With grow (member_det's stages before its last), no value is a set:
-    an output node is interned if missing, and a call unpacks its entry,
-    one reference in a deterministic total stage.
-
     A call over sets goes to demand's set-call ask.all, and an output
     node over sets to _out_refs, each taking a one-reference argument as
     a tuple of one.  With counts, the model's copy_counts,
@@ -131,8 +126,7 @@ class _Program:
     that are never copied, and v[i] is a frozenset for each bit i of
     mask: the function of state key (q, mask)."""
 
-    def __init__(self, grow=False, counts=None, mask=0, slots=None):
-        self.grow = grow
+    def __init__(self, counts=None, mask=0, slots=None):
         self.counts = counts
         self.mask = mask
         self.slots = slots
@@ -159,7 +153,6 @@ class _Program:
         args = [self.value(a) for a in term.args]
         name = f"t{len(self.values)}"
         over_sets = any(is_set for _, is_set in args)
-        target = name
         if over_sets:
             sets = ", ".join(e if is_set else f"({e},)" for e, is_set in args)
             if isinstance(term, Out):
@@ -177,18 +170,15 @@ class _Program:
             if isinstance(term, Call):
                 expr = (f"ask(kids[{term.child}], {self.const(term.state)}, "
                         f"{_tuple(refs)})")
-                if self.grow:
-                    target = f"({name},)"
             else:
                 self.intern = True
                 # intern keys hold node references only, never BOTTOM, so
                 # a lookup with a BOTTOM child misses and yields BOTTOM
                 key = (_tuple([self.const(term.sym), *refs]) if args
                        else self.const((term.sym,)))
-                expr = (f"I.setdefault({key}, len(I))" if self.grow
-                        else f"I.get({key}, BOTTOM)")
-        self.lines.append(f"    {target} = {expr}\n")
-        return name, over_sets or (isinstance(term, Call) and not self.grow)
+                expr = f"I.get({key}, BOTTOM)"
+        self.lines.append(f"    {name} = {expr}\n")
+        return name, over_sets or isinstance(term, Call)
 
     def function(self, params: str, result: str):
         """The function of the source, with the constants as defaults."""
@@ -220,16 +210,14 @@ def _code(source: str) -> CodeType:
     return code
 
 
-def compile_rhs(rhss: tuple, grow: bool = False, counts: dict | None = None,
-                mask: int = 0):
+def compile_rhs(rhss: tuple, counts: dict | None = None, mask: int = 0):
     """The right-hand sides rhss of one (state, label) as one function
     alt(v, kids, ask, t_dag): the references of the candidate-output
     DAG t_dag they yield under parameter references v, at the input node
     kids, child i at kids[i] (see TreeDag), where ask(node, state, ubar) answers a
-    state call; None when rhss is empty.  With grow, the output nodes
-    are added to t_dag (member_det's earlier stages).  With the model's
-    copy counts, calls bind sets as demand's set-call ask.all decides by
-    the query's semantics, and v[i] is a set for each bit i of mask.
+    state call; None when rhss is empty.  With the model's copy counts,
+    calls bind sets as demand's set-call ask.all decides by the query's
+    semantics, and v[i] is a set for each bit i of mask.
 
     The function is straight-line code over the distinct subterms of
     rhss (_Program), each evaluated once per entry, that returns the
@@ -238,7 +226,7 @@ def compile_rhs(rhss: tuple, grow: bool = False, counts: dict | None = None,
     """
     if not rhss:
         return None
-    prog = _Program(grow, counts, mask)
+    prog = _Program(counts, mask)
     roots = [prog.value(rhs) for rhs in rhss]
     one = ", ".join(e for e, is_set in roots if not is_set)
     result = " | ".join([e for e, is_set in roots if is_set]
@@ -435,20 +423,20 @@ def _table(m, key, prepare) -> _Table:
     return got
 
 
-def _compiled(m, key, lookup=None, grow=False) -> _Table:
+def _compiled(m, key, lookup=None) -> _Table:
     """The table of engine key on m: pair (q, label) holds
-    compile_rhs(lookup(q, label), grow, counts, mask), lookup giving m's
-    rules at symbol label by default, counts m's copy_counts unless
-    grow, and mask 0 but for a state key (q, mask) (see demand).
-    lookup must not reach m (see _table)."""
+    compile_rhs(lookup(q, label), counts, mask), lookup giving m's
+    rules at symbol label by default, counts m's copy_counts, and mask
+    0 but for a state key (q, mask) (see demand).  lookup must not reach
+    m (see _table)."""
     if lookup is None:
         rules = m.rules
         lookup = lambda q, sym: rules.get((q, sym), ())
-    counts = None if grow else copy_counts(m)
+    counts = copy_counts(m)
 
     def prepare(q, label):
         q, mask = (q, 0) if isinstance(q, str) else q
-        return compile_rhs(lookup(q, label), grow, counts, mask)
+        return compile_rhs(lookup(q, label), counts, mask)
 
     return _table(m, key, prepare)
 
@@ -480,19 +468,30 @@ def member_oi_fc(m: Mtt, c: int, s: Tree, t: Tree, stats: dict | None = None) ->
     return _member(m, build_dag(s)[0], t, _compiled(m, "io"), stats, c=c)
 
 
+class _Growing(dict):
+    """An intern table whose lookups add the nodes they miss."""
+
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        return self.setdefault(key, len(self))
+
+
 def _det_output(m: Mtt, s_dag: TreeDag) -> TreeDag:
     """The minimal DAG of the unique output of a deterministic total
-    transducer on the tree of s_dag: the root's entry, demanded over an
-    output DAG that the functions grow (compile_rhs with grow), so sizes
-    may be huge while construction stays cheap.  Only the nodes under
-    the output's root are kept: the grown DAG also holds the outputs of
-    arguments a rule drops, whose symbols the next stage need not know.
+    transducer on the tree of s_dag: the root's entry, demanded on m's
+    io table over an output DAG that its intern lookups grow, so sizes
+    may be huge while construction stays cheap.  Every entry is one
+    reference and no binding is BOTTOM, so no set is widened or bound
+    whole.  Only the nodes under the output's root are kept: the grown
+    DAG also holds the outputs of arguments a rule drops, whose symbols
+    the next stage need not know.
     Raises AlphabetMismatch unless s_dag is over m's input alphabet.
     """
     check_input_dag(m, s_dag)
-    out = TreeDag()
+    out = TreeDag(_Growing())
     with recursion_room(_frames(s_dag)):
-        (root,), _ = demand(s_dag.nodes, out, _compiled(m, "det", grow=True),
+        (root,), _ = demand(s_dag.nodes, out, _compiled(m, "io"),
                             s_dag.root, m.initial)
     return TreeDag(out.intern).below(root)
 

@@ -146,9 +146,9 @@ class Mtt:
     alternatives are kept in written order but mean a set, so structural
     duplicates are dropped when the transducer is built.  validate then
     runs once, and the attribute mtt_class keeps what it returned.
-    _prepared holds one table per engine, filled with a function per
-    (state, symbol) pair as the engine meets the pair, and member_io's
-    copy analysis under "copy_counts".
+    _prepared holds the engines' one table, "io", filled with a function
+    per (state, symbol) pair as an engine meets the pair, and
+    member_io's copy analysis under "copy_counts".
     """
 
     name: str

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import AlphabetMismatch, ArityMismatch, BudgetExceeded, UnknownSymbol
-from .mtt import Call, Mtt, Out, Param, check_kind
+from .mtt import Mtt, Out, Param, check_kind
 from .trees import Tree, TreeDag, build_dag, substitute, term_sort_key
 
 IO = "io"

@@ -19,8 +19,7 @@ from mttkit.families import (copyfree_instance, copyfree_mtt, double_instance,
                              fan_instance, fan_mtt, reverse_pair_instance,
                              reverse_pair_mrtt)
 from mttkit.oracle import Budget
-from mttkit.sat import (DEFAULT_SAT_BUDGET, Cnf3, build_sat_mtt, encode,
-                        parse_dimacs)
+from mttkit.sat import DEFAULT_SAT_BUDGET, build_sat_mtt, encode, parse_dimacs
 from mttkit.trees import Tree, format_term, parse_term
 
 from helpers import first_rule_twice, parity_guarded

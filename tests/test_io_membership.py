@@ -59,8 +59,8 @@ from mttkit.families import (
     reverse_pair_instance,
     reverse_pair_mrtt,
 )
-from mttkit.io_membership import (_SCOPE, _Table, _compiled, _image,
-                                  _out_refs, compile_rhs, demand)
+from mttkit.io_membership import (_SCOPE, _Table, _compiled, _det_output,
+                                  _image, _out_refs, compile_rhs, demand)
 from mttkit.trees import BOTTOM, TreeDag, build_dag
 
 from helpers import (
@@ -1022,9 +1022,11 @@ def test_member_det_deep_inputs_with_calls_under_outputs():
 def test_member_det_leaves_no_cyclic_garbage():
     # the memo of each stage and the output DAG an earlier stage grows,
     # which hold the whole stage output, go when member_det returns, not
-    # at the next full garbage collection
+    # at the next full garbage collection; a model's stages, first, middle
+    # or last, run on its one "io" table, which io and oi-fc share
     s, t = copyfree_instance(50)
     stages = [call_under(2), relabel("g", "h")]
+    same = relabel("a", "a")
     gc.collect()
     gc.disable()
     try:
@@ -1032,22 +1034,18 @@ def test_member_det_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
         assert member_det(stages, "io", chain(50), chain(100, "h"))
         assert gc.collect() == 0
-        assert set(stages[0]._prepared) == {"det"} and stages[0]._prepared["det"]
-        del stages
+        assert set(stages[0]._prepared) == {"io", "copy_counts"}
+        assert member_io(same, chain(50), chain(50))
+        assert member_oi_fc(same, 2, chain(50), chain(50))
+        for k in (1, 2, 3):
+            assert member_det([same] * k, "io", chain(50), chain(50))
+            assert not member_det([same] * k, "io", chain(50), chain(49))
+            assert gc.collect() == 0
+        assert set(same._prepared) == {"io", "copy_counts"}
+        del stages, same
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_growing_functions_take_no_sets():
-    # a stage before the last interns its outputs into the DAG it grows
-    # and unpacks each one-node entry, so no set helper is generated
-    stages = [call_under(2), relabel("g", "h")]
-    assert member_det(stages, "io", chain(3), chain(6, "h"))
-    made = list(filter(None, stages[0]._prepared["det"].values()))
-    assert any("setdefault" in f.__code__.co_names for f in made)
-    for f in made:
-        assert not {"_out_refs", "all", "get"} & set(f.__code__.co_names)
 
 
 def test_member_io_leaves_no_cyclic_garbage():
@@ -1142,9 +1140,7 @@ def test_entries_are_pinned(engine, m, s, t, want, entries):
          "eqpair": equal_pair_tacmtt, "revpair": reverse_pair_mrtt,
          "keep": lambda: parse_transducer(KEEP)}[m]()
     stats = {}
-    run = {"io": member_io, "io-tac": member_io_tac, "mr-io": member_mr_io,
-           "oi-fc": lambda m, s, t, stats: member_oi_fc(m, 2, s, t, stats)}[engine]
-    assert run(m, s, t, stats=stats) is want
+    assert ENGINES[engine].decide(m, s, t, stats, c=2) == (YES if want else NO)
     assert stats["entries"] == entries
 
 
@@ -1166,8 +1162,9 @@ def _drops_a_parameter(m: Mtt) -> bool:
 
 
 def test_member_det_compositions_match_stage_by_stage_outputs():
-    # the only cover of the stages before the last: each candidate is
-    # checked against the oracle's output sets, stage after stage, on
+    # the stages before the last: each first stage's output DAG is
+    # checked against the oracle's output on every input, and each
+    # candidate against the oracle's output sets, stage after stage, on
     # two- and three-stage chains; the third stages come from a generator
     # of their own, so the two-stage chains stay as they were
     rng, rng3 = random.Random(1414), random.Random(1515)
@@ -1181,7 +1178,11 @@ def test_member_det_compositions_match_stage_by_stage_outputs():
         dropping += _drops_a_parameter(second)
         for s in all_inputs(6):
             mid = io_output_set(first, s)
-            out = None if mid is None else io_output_set(second, *mid.items)
+            # the first stage's output DAG is that of its one output tree
+            (u,) = mid.items
+            got = _det_output(first, build_dag(s)[0])
+            assert got.expand(got.root) == u
+            out = io_output_set(second, u)
             if out is None:
                 continue
             (t,) = out.items

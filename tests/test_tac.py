@@ -18,11 +18,7 @@ from mttkit import (
     TacTransition,
     Tree,
     enumerate_trees,
-    member_det,
-    member_io,
     member_io_tac,
-    member_oi_fc,
-    oracle_member,
     format_term,
     parse_term,
     run_tac,
@@ -326,19 +322,12 @@ def test_guarded_families_bind_only_never_copied_parameters_whole(make, sizes,
     assert binds_whole(tm, "io-tac") is whole
 
 
-@pytest.mark.parametrize("engine", [
-    lambda tm, s, t: member_io(tm, s, t),
-    lambda tm, s, t: member_oi_fc(tm, 1, s, t),
-    lambda tm, s, t: oracle_member(tm, "io", s, t),
-    lambda tm, s, t: member_det([tm], "io", s, t),
-], ids=["member_io", "member_oi_fc", "oracle_member", "member_det"])
-def test_plain_engines_refuse_lookahead_transducers(engine):
-    # read without its guards, equal_pair would accept pi(a(e), e) -> e
+def test_guards_reject_what_guard_free_rules_accept():
+    # read without its guards, equal_pair would accept pi(a(e), e) -> e;
+    # the plain engines refuse it (test_mtt's
+    # test_entry_points_refuse_other_kinds)
     tm = equal_pair_tacmtt()
-    s, t = parse_term("pi(a(e),e)"), parse_term("e")
-    assert not member_io_tac(tm, s, t)
-    with pytest.raises(TypeError, match="member_io_tac"):
-        engine(tm, s, t)
+    assert not member_io_tac(tm, parse_term("pi(a(e),e)"), parse_term("e"))
     # the classifier still reads a guarded transducer guard-free
     assert validate(tm).deterministic
 
